@@ -11,25 +11,28 @@ Beta-weighted operator (sample integrals instead of point samples):
     D_n(f, x) = sum_k b_{n,k}(x) / B(k+1, n)
                 * int_0^inf t^k / (1 (+) pt)^{n+k+1} f(q^2 p^{n+k} t) dt
 
-Three evaluation routes for D_n coexist deliberately:
-  * ``moments_closed`` - the closed first/second moment expressions,
-  * ``baskakov_beta_monomial_exact`` - the semi-analytic expansion of the
-    inner integral into closed-form Beta values (route for polynomials),
-  * ``baskakov_beta_apply(method="quadrature")`` - honest bilateral ladder
-    quadrature of the inner integrals, normalized per row by the ladder
-    value of the weight integral itself, so that D_n(1, x) = 1 holds
-    identically and ladder-scale effects cancel.
+Both operators are sum_k b_{n,k}(x) s_k with x-independent samples s_k.  One
+kernel, ``_apply``, grows the basis row, sums it against the samples and
+decides truncation and trust; each route only supplies its own samples, and
+the routes stay independent of one another in those samples:
+  * ``baskakov_apply`` - f at the nodes (plain operator B_n),
+  * ``baskakov_beta_monomial_exact`` and the analytic route of
+    ``baskakov_beta_apply`` - closed-form Beta ratios (polynomials),
+  * ``baskakov_beta_apply(method="quadrature")`` - bilateral ladder
+    quadrature of the inner integrals, each row normalized by the ladder
+    value of its own weight integral, so that D_n(1, x) = 1 identically.
+The closed moment expressions (``moments_closed``) share none of this.
 
 The basis is a probability distribution over k (partition of unity), so
-truncation is driven by accumulated mass plus a term-magnitude criterion
-that accounts for the growth of f along the nodes.
+truncation is driven by accumulated mass plus the size of the sample-weighted
+terms at the edge of the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -120,43 +123,52 @@ def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
 
 def baskakov_node(pair: PQPair, n: int, k: int) -> float:
     """The sample node p^{n-1} [k] / (q^{k-1} [n]), in overflow-safe form."""
-    if k == 0:
-        return 0.0
+    return float(_nodes(pair, n, np.float64(k)))
+
+
+def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
     p, q = pair.p, pair.q
     if p == q:
         return k / n
-    # [k]/q^{k-1} = q ((p/q)^k - 1) / (p - q)
-    return p ** (n - 1) * q * ((p / q) ** k - 1.0) / ((p - q) * pq_number(pair, n))
+    # [k]/q^{k-1} = q ((p/q)^k - 1) / (p - q), exactly 0 at k = 0
+    return p ** (n - 1) * q * (np.power(p / q, k) - 1.0) / ((p - q) * pq_number(pair, n))
 
 
-def _nodes(pair: PQPair, n: int, k_count: int) -> np.ndarray:
-    p, q = pair.p, pair.q
-    k = np.arange(k_count, dtype=float)
-    if p == q:
-        return k / n
-    nodes = p ** (n - 1) * q * (np.power(p / q, k) - 1.0) / ((p - q) * pq_number(pair, n))
-    nodes[0] = 0.0
-    return nodes
-
-
-def _grown_row(
+def _apply(
     pair: PQPair,
     n: int,
     x: float,
     policy: TruncationPolicy,
-    weighted_log_terms: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Basis log-row extended until both the mass and the (optionally
-    f-weighted) terms are negligible at the edge."""
-    k_count = 64
-    while True:
-        row = _log_basis_row(pair, n, x, k_count)
-        metric = row if weighted_log_terms is None else weighted_log_terms(row)
-        if metric[-1] < metric.max() + math.log(_EDGE_FRACTION):
-            return row
-        if k_count >= policy.max_terms:
-            return row
-        k_count = min(2 * k_count, policy.max_terms)
+    samples: Callable[[int], tuple[np.ndarray, bool]],
+) -> OperatorResult:
+    """sum_k b_{n,k}(x) s_k, where samples(k_count) -> (s, inner_ok) gives the
+    x-independent samples for k = 0..k_count-1.
+
+    The row doubles until its sample-weighted edge term is negligible (or the
+    term budget is spent); the result is trusted when the inner samples are,
+    the basis tail is below rel_tol and every term is finite.
+    """
+    if x == 0.0:
+        row = np.zeros(1)  # b_{n,0}(0) = 1, every other weight vanishes
+        s, inner_ok = samples(1)
+    else:
+        k_count = 64
+        while True:
+            row = _log_basis_row(pair, n, x, k_count)
+            s, inner_ok = samples(k_count)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ls = np.log(np.abs(s))
+            metric = row + np.where(np.isfinite(ls), ls, 0.0)
+            if metric[-1] < metric.max() + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
+                break
+            k_count = min(2 * k_count, policy.max_terms)
+    b = np.exp(row)
+    terms = np.where(b > 0.0, b * s, 0.0)
+    tail = max(0.0, 1.0 - float(b.sum()))
+    significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
+    k_used = int(significant[-1]) + 1 if significant.size else 1
+    trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
+    return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
 
 
 def baskakov_apply(
@@ -173,27 +185,11 @@ def baskakov_apply(
     if x < 0.0:
         raise DomainError(f"operator domain is x >= 0, got x={x}")
     func = as_callable(f)
-    if x == 0.0:
-        return OperatorResult(float(func(0.0)), 1, 0.0, True, True)
 
-    def weighted(row: np.ndarray) -> np.ndarray:
-        nodes = _nodes(pair, n, len(row))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lf = np.log(np.abs(np.asarray(func(nodes), dtype=float)))
-        return row + np.where(np.isfinite(lf), lf, 0.0)
+    def samples(k_count: int) -> tuple[np.ndarray, bool]:
+        return np.asarray(func(_nodes(pair, n, np.arange(k_count, dtype=float))), dtype=float), True
 
-    row = _grown_row(pair, n, x, policy, weighted)
-    b = np.exp(row)
-    nodes = _nodes(pair, n, len(row))
-    fv = np.asarray(func(nodes), dtype=float)
-    terms = np.where(b > 0.0, b * fv, 0.0)
-    value = float(terms.sum())
-    mass = float(b.sum())
-    tail = max(0.0, 1.0 - mass)
-    significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
-    k_used = int(significant[-1]) + 1 if significant.size else 1
-    trusted = tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
-    return OperatorResult(value, k_used, tail, True, trusted)
+    return _apply(pair, n, x, policy, samples)
 
 
 def baskakov_moment_closed(pair: PQPair, m: int, n: int, x: float) -> float:
@@ -280,7 +276,7 @@ def baskakov_beta_monomial_exact(
     """D_n(t^m, x) through closed-form Beta values (semi-analytic route).
 
     Independent of both the ladder quadrature and the closed moment
-    expressions: the only shared machinery is the basis row.
+    expressions: the only shared machinery is the basis row and ``_apply``.
     """
     pair.require_strict("the Beta-weighted operator")
     if m < 0:
@@ -289,14 +285,11 @@ def baskakov_beta_monomial_exact(
         raise DomainError(f"needs n > m, got n={n}, m={m}")
     if x < 0.0:
         raise DomainError(f"operator domain is x >= 0, got x={x}")
-    if x == 0.0:
-        return float(np.exp(_log_beta_ratio_factors(pair, n, m, 1)[0]))
 
-    def weighted(row: np.ndarray) -> np.ndarray:
-        return row + _log_beta_ratio_factors(pair, n, m, len(row))
+    def samples(k_count: int) -> tuple[np.ndarray, bool]:
+        return np.exp(_log_beta_ratio_factors(pair, n, m, k_count)), True
 
-    row = _grown_row(pair, n, x, policy, weighted)
-    return float(np.exp(row + _log_beta_ratio_factors(pair, n, m, len(row))).sum())
+    return _apply(pair, n, x, policy, samples).value
 
 
 def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
@@ -357,29 +350,13 @@ def _beta_apply_analytic(
         )
     active = [(d, c) for d, c in enumerate(coeffs) if c != 0.0]
 
-    def inner_values(k_count: int) -> np.ndarray:
+    def samples(k_count: int) -> tuple[np.ndarray, bool]:
         vals = np.zeros(k_count)
         for d, c in active:
             vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count))
-        return vals
+        return vals, True
 
-    if x == 0.0:
-        return OperatorResult(float(inner_values(1)[0]), 1, 0.0, True, True)
-
-    def weighted(row: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            lv = np.log(np.abs(inner_values(len(row))))
-        return row + np.where(np.isfinite(lv), lv, 0.0)
-
-    row = _grown_row(pair, n, x, policy, weighted)
-    b = np.exp(row)
-    terms = b * inner_values(len(row))
-    value = float(terms.sum())
-    mass = float(b.sum())
-    tail = max(0.0, 1.0 - mass)
-    significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
-    k_used = int(significant[-1]) + 1 if significant.size else 1
-    return OperatorResult(value, k_used, tail, True, tail <= policy.rel_tol)
+    return _apply(pair, n, x, policy, samples)
 
 
 def _beta_apply_quadrature(
@@ -394,31 +371,11 @@ def _beta_apply_quadrature(
         raise DomainError(
             f"quadrature route needs n > {degree} (growth degree of f), got n={n}"
         )
-    if x == 0.0:
-        ratios, tails, inner_ok = batched_weight_ratios(pair, n, 1, f, policy, degree)
-        value = float(ratios[0])
-        return OperatorResult(value, 1, 0.0, inner_ok, inner_ok)
 
-    k_count = 64
-    while True:
-        row = _log_basis_row(pair, n, x, k_count)
-        ratios, tails, inner_ok = batched_weight_ratios(pair, n, k_count, f, policy, degree)
-        with np.errstate(divide="ignore"):
-            lr = np.log(np.abs(ratios))
-        metric = row + np.where(np.isfinite(lr), lr, 0.0)
-        if metric[-1] < metric.max() + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
-            break
-        k_count = min(2 * k_count, policy.max_terms)
+    def samples(k_count: int) -> tuple[np.ndarray, bool]:
+        return batched_weight_ratios(pair, n, k_count, f, policy, degree)
 
-    b = np.exp(row)
-    terms = b * ratios
-    value = float(terms.sum())
-    mass = float(b.sum())
-    tail = max(0.0, 1.0 - mass)
-    significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
-    k_used = int(significant[-1]) + 1 if significant.size else 1
-    trusted = inner_ok and tail <= policy.rel_tol
-    return OperatorResult(value, k_used, tail, inner_ok, trusted)
+    return _apply(pair, n, x, policy, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ bilaterally (i ranges over all integers; nodes sweep (0, inf) geometrically):
 
     int_0^inf f = (p - q) sum_{i in Z} (q^i / p^{i+1}) f(q^i / p^{i+1}).
 
-Both truncate adaptively: a direction stops once the term magnitude stays
-below max(abs_tol, rel_tol |partial|) for three consecutive terms, and the
-discarded tail is bounded by geometric extrapolation of the last term.
+Both sum each ladder direction with one helper, ``_ladder_sum``: a direction
+stops once the term magnitude stays below max(abs_tol, rel_tol |partial|) for
+three consecutive terms, and the discarded tail is bounded by geometric
+extrapolation of the last term.  A non-finite term ends the direction, and
+the result is then flagged as not converged.
 
 ``batched_weight_ratios`` is the vectorized work-horse behind the
 Beta-weighted operators: it evaluates, for a whole range of k at once, the
@@ -26,7 +28,7 @@ materialize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -36,6 +38,7 @@ from .core import (
     DomainError,
     PQPair,
     TruncationPolicy,
+    pq_derivative,
     pq_power_basis_log,
 )
 from .functions import FunctionSpec, as_callable
@@ -48,7 +51,8 @@ __all__ = [
     "beta_kernel",
 ]
 
-# Beyond this node size a non-decaying integrand has clearly diverged.
+# Beyond this ladder weight (the node size at scale 1) a non-decaying
+# integrand has clearly diverged.
 _NODE_CAP = 1e200
 _CONSECUTIVE_SMALL = 3
 
@@ -79,6 +83,50 @@ def _geometric_tail(last: float, prev: float) -> float:
     return abs(last) * ratio / (1.0 - ratio)
 
 
+def _ladder_sum(
+    pair: PQPair,
+    func: Callable[[float], float],
+    policy: TruncationPolicy,
+    scale: float,
+    weight: float,
+    step: float,
+    total: float,
+) -> tuple[float, int, float, bool, int]:
+    """One direction of a Jackson ladder: adds the terms
+    (p - q) scale w f(scale w) for w = weight, weight step, ... onto total.
+
+    The direction stops once terms have stayed small for a while AND the
+    geometric tail extrapolation itself clears the tolerance.  A non-finite
+    term, a weight beyond _NODE_CAP or an exhausted term budget ends it
+    unstopped.  Returns (total, terms used, tail, stopped, nodes above scale).
+    """
+    p, q = pair.p, pair.q
+    small_run = used = outside = 0
+    term = prev = 0.0
+    for _ in range(policy.max_terms):
+        if weight > _NODE_CAP or not math.isfinite(weight):
+            break
+        node = scale * weight
+        outside += node > scale
+        prev = term
+        term = (p - q) * scale * weight * float(func(node))
+        if not math.isfinite(term):
+            break
+        total += term
+        used += 1
+        if abs(term) <= policy.threshold(total):
+            small_run += 1
+            if (
+                small_run >= _CONSECUTIVE_SMALL
+                and _geometric_tail(term, prev) <= 0.45 * policy.threshold(total)
+            ):
+                return total, used, _geometric_tail(term, prev), True, outside
+        else:
+            small_run = 0
+        weight *= step
+    return total, used, _geometric_tail(term, prev), False, outside
+
+
 def jackson_integral(
     pair: PQPair,
     f: Union[FunctionSpec, Callable[[float], float]],
@@ -89,39 +137,12 @@ def jackson_integral(
     pair.require_strict("the Jackson integral")
     if not a > 0.0:
         raise DomainError(f"integration endpoint must be positive, got a={a}")
-    func = as_callable(f)
     p, q = pair.p, pair.q
-    total = 0.0
-    weight = 1.0 / p  # q^i / p^{i+1}
-    ratio = q / p
-    small_run = 0
-    outside = 0
-    term = 0.0
-    prev = 0.0
-    i = 0
-    for i in range(policy.max_terms):
-        node = a * weight
-        if node > a:
-            outside += 1
-        prev = term
-        term = (p - q) * a * weight * float(func(node))
-        total += term
-        # stop once terms have stayed small for a while AND the geometric
-        # tail extrapolation itself clears the tolerance
-        if abs(term) <= policy.threshold(total):
-            small_run += 1
-            if (
-                small_run >= _CONSECUTIVE_SMALL
-                and _geometric_tail(term, prev) <= 0.45 * policy.threshold(total)
-            ):
-                break
-        else:
-            small_run = 0
-        weight *= ratio
-    terms_used = i + 1
-    tail = _geometric_tail(term, prev)
-    result = QuadratureResult(total, terms_used, tail, False, outside)
-    return QuadratureResult(total, terms_used, tail, result.check(policy), outside)
+    total, used, tail, stopped, outside = _ladder_sum(
+        pair, as_callable(f), policy, a, 1.0 / p, q / p, 0.0
+    )
+    result = QuadratureResult(total, used, tail, False, outside)
+    return replace(result, converged=stopped and result.check(policy))
 
 
 def improper_integral(
@@ -139,54 +160,17 @@ def improper_integral(
     func = as_callable(f)
     p, q = pair.p, pair.q
     ratio = q / p
-
-    total = 0.0
-    terms_used = 0
-    tail = 0.0
-    ok = True
-
-    for direction in (+1, -1):
-        weight = 1.0 / p if direction > 0 else (1.0 / p) / ratio
-        step = ratio if direction > 0 else 1.0 / ratio
-        small_run = 0
-        term = 0.0
-        prev = 0.0
-        stopped = False
-        for _ in range(policy.max_terms):
-            node = weight
-            if node > _NODE_CAP or not math.isfinite(node):
-                ok = False
-                break
-            prev = term
-            term = (p - q) * weight * float(func(node))
-            if not math.isfinite(term):
-                ok = False
-                break
-            total += term
-            terms_used += 1
-            if abs(term) <= policy.threshold(total):
-                small_run += 1
-                if (
-                    small_run >= _CONSECUTIVE_SMALL
-                    and _geometric_tail(term, prev) <= 0.45 * policy.threshold(total)
-                ):
-                    stopped = True
-                    break
-            else:
-                small_run = 0
-            weight *= step
-        else:
-            ok = False
-        if not stopped and ok:
-            ok = False
-        tail += _geometric_tail(term, prev)
-
-    converged = (
-        ok
-        and tail <= max(policy.abs_tol, policy.rel_tol * abs(total))
-        and terms_used < policy.max_terms
-    )
-    return QuadratureResult(total, terms_used, tail, converged)
+    total, terms_used, tail, stopped = 0.0, 0, 0.0, True
+    # forward from the node 1/p towards 0, backward from 1/q towards inf
+    for weight, step in ((1.0 / p, ratio), ((1.0 / p) / ratio, 1.0 / ratio)):
+        total, used, part_tail, part_stopped, _ = _ladder_sum(
+            pair, func, policy, 1.0, weight, step, total
+        )
+        terms_used += used
+        tail += part_tail
+        stopped = stopped and part_stopped
+    result = QuadratureResult(total, terms_used, tail, False)
+    return replace(result, converged=stopped and result.check(policy))
 
 
 def beta_kernel(pair: PQPair, m: int, n: int) -> Callable[[float], float]:
@@ -232,14 +216,11 @@ def verify_integration_by_parts(
     F = as_callable(f)
     G = as_callable(g)
 
-    def dq(func: Callable[[float], float], x: float) -> float:
-        return (float(func(p * x)) - float(func(q * x))) / ((p - q) * x)
-
     def left_integrand(x: float) -> float:
-        return float(F(p * x)) * dq(G, x)
+        return float(F(p * x)) * pq_derivative(pair, G, x)
 
     def right_integrand(x: float) -> float:
-        return float(G(q * x)) * dq(F, x)
+        return float(G(q * x)) * pq_derivative(pair, F, x)
 
     def range_integral(h: Callable[[float], float]) -> float:
         upper = jackson_integral(pair, h, b, policy).value
@@ -302,7 +283,7 @@ def batched_weight_ratios(
     f: Optional[Union[FunctionSpec, Callable]],
     policy: TruncationPolicy = DEFAULT_POLICY,
     f_growth_degree: int = 2,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, bool]:
     """Normalized ladder averages for the Beta-weighted operator rows.
 
     For every k in 0..k_count-1, with N = n + k + 1 and c_k = q^2 p^{n+k}:
@@ -312,8 +293,9 @@ def batched_weight_ratios(
 
     computed with the per-row maximum shifted out of the exponent, so rows
     whose raw integrals overflow a double are still exact ratios.  Returns
-    (ratios, relative row tails, all_rows_converged).  With f None the
-    ratios are all 1 and only the weight diagnostics matter.
+    (ratios, all_rows_converged), a row counting as converged when its
+    relative edge mass is below 1e-12.  With f None the ratios are all 1 and
+    only the convergence flag matters.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
@@ -364,6 +346,5 @@ def batched_weight_ratios(
     converged = bool(np.all(tails < 1e-12))
 
     if func is None:
-        return np.ones(k_count), tails, converged
-    ratios = fw.sum(axis=1) / weight_sums
-    return ratios, tails, converged
+        return np.ones(k_count), converged
+    return fw.sum(axis=1) / weight_sums, converged

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,15 @@ class TestBetaOperator:
     def test_classical_pair_rejected(self):
         with pytest.raises(RegimeError):
             baskakov_beta_apply(CLASSICAL, E[1], 5, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_value_is_not_trusted(self):
+        # the Beta-ratio samples overflow to inf; the plain operator already
+        # flags the same input
+        f = FunctionSpec.polynomial([1e308, 0.0, 1e308])
+        res = baskakov_beta_apply(PQPair(0.9, 0.8), f, 10, 2.0)
+        assert not math.isfinite(res.value)
+        assert not res.trusted
 
     def test_nonpolynomial_routes_to_quadrature(self):
         pair = PQPair(0.9, 0.8)

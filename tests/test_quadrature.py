@@ -106,6 +106,13 @@ class TestJacksonIntegral:
         res = jackson_integral(strict_pair, lambda t: t**3, 1.5, policy)
         assert res.converged == res.check(policy)
 
+    def test_infinite_term_is_not_converged(self):
+        # the first node of the ladder at (0.9, 0.8), a = 1 is 1/0.9
+        res = jackson_integral(
+            PQPair(0.9, 0.8), lambda t: math.inf if abs(t - 1 / 0.9) < 1e-12 else 0.0, 1.0
+        )
+        assert not res.converged
+
 
 class TestImproperIntegral:
     @pytest.mark.parametrize("m", range(1, 7))
