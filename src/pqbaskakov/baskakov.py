@@ -23,6 +23,12 @@ the routes stay independent of one another in those samples:
     value of its own weight integral, so that D_n(1, x) = 1 identically.
 The closed moment expressions (``moments_closed``) share none of this.
 
+The two Beta routes build their samples once per (pair, n, f, policy,
+k_count) and keep them, read-only, in a bounded LRU cache, so a whole x-grid
+at one order pays for one sample vector per row length.  Only a
+``FunctionSpec`` target (a frozen value, hashed by content) is cached; a
+plain callable is sampled afresh on every call.
+
 The basis is a probability distribution over k (partition of unity), so
 truncation is driven by accumulated mass plus the size of the sample-weighted
 terms at the edge of the row.
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -61,6 +68,7 @@ __all__ = [
 ]
 
 _EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
+_SAMPLE_CACHE_SIZE = 32  # sample vectors held per Beta route
 
 
 @dataclass(frozen=True)
@@ -348,15 +356,25 @@ def _beta_apply_analytic(
         raise DomainError(
             f"operator order n={n} must exceed the polynomial degree {degree}"
         )
-    active = [(d, c) for d, c in enumerate(coeffs) if c != 0.0]
+    active = tuple((d, c) for d, c in enumerate(coeffs) if c != 0.0)
 
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        vals = np.zeros(k_count)
-        for d, c in active:
-            vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count))
-        return vals, True
+        return _beta_expansion(pair, active, n, k_count), True
 
     return _apply(pair, n, x, policy, samples)
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _beta_expansion(
+    pair: PQPair, active: tuple[tuple[int, float], ...], n: int, k_count: int
+) -> np.ndarray:
+    """sum_d c_d q^{2d} p^{d(n+k)} B(k+d+1, n-d) / B(k+1, n) for k < k_count,
+    shared read-only by every x of one (pair, polynomial, n)."""
+    vals = np.zeros(k_count)
+    for d, c in active:
+        vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count))
+    vals.flags.writeable = False
+    return vals
 
 
 def _beta_apply_quadrature(
@@ -372,10 +390,29 @@ def _beta_apply_quadrature(
             f"quadrature route needs n > {degree} (growth degree of f), got n={n}"
         )
 
+    # a FunctionSpec is a frozen value, so its ladder ratios can be shared
+    # across x; a plain callable may carry state and is sampled afresh
+    ratios = _cached_weight_ratios if isinstance(f, FunctionSpec) else batched_weight_ratios
+
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        return batched_weight_ratios(pair, n, k_count, f, policy, degree)
+        return ratios(pair, n, k_count, f, policy, degree)
 
     return _apply(pair, n, x, policy, samples)
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _cached_weight_ratios(
+    pair: PQPair,
+    n: int,
+    k_count: int,
+    f: FunctionSpec,
+    policy: TruncationPolicy,
+    degree: int,
+) -> tuple[np.ndarray, bool]:
+    """``batched_weight_ratios``, shared read-only by every x of one (pair, n, f)."""
+    ratios, converged = batched_weight_ratios(pair, n, k_count, f, policy, degree)
+    ratios.flags.writeable = False
+    return ratios, converged
 
 
 # ---------------------------------------------------------------------------

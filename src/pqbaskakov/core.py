@@ -158,16 +158,21 @@ def log_pq_number(pair: PQPair, n: int) -> float:
     return (n - 1) * math.log(p) + math.log1p(-(r**n)) - math.log1p(-r)
 
 
-# Per-pair prefix sums of log [j], grown on demand.  Recomputation under
+# Per-pair prefix sums of log [j], grown on demand, for at most
+# _LOG_FACT_PAIRS pairs (a parameter schedule brings a new pair per order).
+# The dict is kept in least-recently-used-first order.  Recomputation under
 # concurrent access is benign: entries are pure functions of (pair, j).
+_LOG_FACT_PAIRS = 64
 _LOG_FACT_CACHE: dict[PQPair, list[float]] = {}
 
 
 def _log_fact_table(pair: PQPair, n: int) -> list[float]:
-    table = _LOG_FACT_CACHE.get(pair)
+    table = _LOG_FACT_CACHE.pop(pair, None)
     if table is None:
         table = [0.0]
-        _LOG_FACT_CACHE[pair] = table
+    _LOG_FACT_CACHE[pair] = table
+    if len(_LOG_FACT_CACHE) > _LOG_FACT_PAIRS:
+        _LOG_FACT_CACHE.pop(next(iter(_LOG_FACT_CACHE)), None)
     while len(table) <= n:
         j = len(table)
         table.append(table[-1] + log_pq_number(pair, j))

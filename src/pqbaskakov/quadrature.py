@@ -268,10 +268,10 @@ class _LadderWindow:
         self.prefix = np.concatenate([[0.0], np.cumsum(lam)])  # prefix[j] = sum of first j lams
         self.log_p = math.log(p)
 
-    def log_power_basis(self, power: int) -> np.ndarray:
-        """log (1 (+) p t_i)^power over the whole window, O(1) per node."""
-        lo = self.i_lo
-        start = np.arange(self.i_lo, self.i_hi + 1) - lo  # offsets into prefix
+    def log_power_basis(self, power: Union[int, np.ndarray]) -> np.ndarray:
+        """log (1 (+) p t_i)^power over the whole window, O(1) per node; a
+        column of powers gives one row per power."""
+        start = np.arange(self.i_hi - self.i_lo + 1)  # offsets into prefix
         seg = self.prefix[start + power] - self.prefix[start]
         return (power * (power - 1) / 2) * self.log_p + seg
 
@@ -295,7 +295,10 @@ def batched_weight_ratios(
     whose raw integrals overflow a double are still exact ratios.  Returns
     (ratios, all_rows_converged), a row counting as converged when its
     relative edge mass is below 1e-12.  With f None the ratios are all 1 and
-    only the convergence flag matters.
+    only the convergence flag matters.  A window of more than
+    2 policy.max_terms + 1 nodes is never built: growth stops at the last
+    window that fitted, and when even the first does not fit the ratios are
+    NaN and not converged.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
@@ -311,13 +314,18 @@ def batched_weight_ratios(
     i_lo = -(int(math.ceil(span / (decay * -log_r))) + 8)
     func = as_callable(f) if f is not None else None
 
-    w = fw = weight_sums = None
+    ks = np.arange(k_count)[:, None]
+    w = fw = None
     for _attempt in range(5):
+        if i_hi - i_lo > 2 * policy.max_terms:
+            # the window needed exceeds the term budget: never allocate it;
+            # keep the last window that fitted, whose edges decide convergence
+            if w is None:
+                return np.full(k_count, np.nan), False
+            break
         window = _LadderWindow(pair, i_lo, i_hi, n + k_count + 1)
-        ks = np.arange(k_count)[:, None]
         log_w = (ks + 1) * window.log_t[None, :]
-        for k in range(k_count):
-            log_w[k] -= window.log_power_basis(n + k + 1)
+        log_w -= window.log_power_basis(n + ks + 1)
         row_max = log_w.max(axis=1, keepdims=True)
         w = np.exp(log_w - row_max)
         if func is not None:
@@ -336,7 +344,7 @@ def batched_weight_ratios(
             float((np.abs(fw[:, 0]) / scale).max()),
             float((np.abs(fw[:, -1]) / scale).max()),
         )
-        if edge < 1e-15 or (i_hi - i_lo) > 2 * policy.max_terms:
+        if edge < 1e-15:
             break
         i_lo = int(i_lo * 1.6) - 8
         i_hi = int(i_hi * 1.6) + 8

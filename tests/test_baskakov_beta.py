@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
+    DEFAULT_POLICY,
     DomainError,
     FunctionSpec,
     PQPair,
@@ -14,6 +16,8 @@ from pqbaskakov import (
     central_moment,
     moments_closed,
 )
+
+from pqbaskakov import baskakov
 
 from conftest import CLASSICAL, rel_err
 
@@ -224,6 +228,77 @@ class TestQuadratureRoute:
                 1.0,
                 method="analytic",
             )
+
+
+ABS = FunctionSpec.named("abs_t_minus_1")
+SAMPLE_CACHES = (baskakov._beta_expansion, baskakov._cached_weight_ratios)
+
+
+def clear_sample_caches():
+    for cache in SAMPLE_CACHES:
+        cache.cache_clear()
+
+
+class TestSampleCache:
+    PAIR = PQPair(0.95, 0.9)
+
+    @pytest.mark.parametrize(
+        "f, method, cache",
+        [
+            (FunctionSpec.polynomial([7.0, -2.0, 25.0]), "analytic", baskakov._beta_expansion),
+            (ABS, "quadrature", baskakov._cached_weight_ratios),
+        ],
+        ids=["analytic", "quadrature"],
+    )
+    @pytest.mark.parametrize("x", [0.0, 0.05, 20.0])
+    def test_warm_result_equals_cold(self, f, method, cache, x):
+        clear_sample_caches()
+        cold = baskakov_beta_apply(self.PAIR, f, 20, x, method=method)
+        if x == 20.0:
+            assert cache.cache_info().misses == 2  # the row regrew from 64 to 128
+        # warm the cache from other points first, then repeat x
+        clear_sample_caches()
+        for other in (0.0, 0.05, 20.0, 3.0):
+            baskakov_beta_apply(self.PAIR, f, 20, other, method=method)
+        hits = cache.cache_info().hits
+        warm = baskakov_beta_apply(self.PAIR, f, 20, x, method=method)
+        assert cache.cache_info().hits > hits
+        assert warm == cold  # every OperatorResult field, exactly
+
+    def test_size_stays_bounded(self):
+        clear_sample_caches()
+        f = FunctionSpec.polynomial([1.0, 2.0, 3.0])
+        for n in range(3, 3 + 2 * baskakov._SAMPLE_CACHE_SIZE):
+            baskakov_beta_apply(self.PAIR, f, n, 20.0)
+            baskakov_beta_apply(self.PAIR, ABS, n, 0.0)
+            for cache in SAMPLE_CACHES:
+                info = cache.cache_info()
+                assert info.maxsize == baskakov._SAMPLE_CACHE_SIZE
+                assert info.currsize <= info.maxsize
+        assert all(c.cache_info().currsize == baskakov._SAMPLE_CACHE_SIZE for c in SAMPLE_CACHES)
+
+    def test_plain_callable_is_sampled_on_every_call(self):
+        scale = [1.0]
+        calls = []
+
+        def f(t):
+            calls.append(1)
+            return scale[0] * np.abs(np.asarray(t) - 1.0)
+
+        first = baskakov_beta_apply(self.PAIR, f, 8, 1.0, method="quadrature")
+        evaluations = len(calls)
+        scale[0] = 2.0
+        second = baskakov_beta_apply(self.PAIR, f, 8, 1.0, method="quadrature")
+        assert evaluations > 0 and len(calls) == 2 * evaluations
+        assert second.value == pytest.approx(2.0 * first.value, rel=1e-13)
+
+    def test_cached_samples_are_read_only(self):
+        ratios, _ = baskakov._cached_weight_ratios(self.PAIR, 5, 4, ABS, DEFAULT_POLICY, 2)
+        values = baskakov._beta_expansion(self.PAIR, ((0, 1.0), (2, 3.0)), 5, 4)
+        for samples in (ratios, values):
+            assert not samples.flags.writeable
+            with pytest.raises(ValueError):
+                samples[0] = 0.0
 
 
 class TestCentralMoments:

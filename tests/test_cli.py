@@ -10,6 +10,7 @@ from pqbaskakov import (
     run_experiment,
     validate_config,
 )
+from pqbaskakov import baskakov, cli
 from pqbaskakov.cli import main
 
 
@@ -264,3 +265,44 @@ class TestFiguresCommand:
                     + 2015.0
                 )
                 assert float(row[f"D_n={n}"]) == pytest.approx(want, rel=1e-8)
+
+
+LADDER_TEXT = """\
+[pair]
+p = 0.9
+q = 0.8
+
+[function]
+named = abs_t_minus_1
+
+[run]
+n_list = 5, 8
+outputs = curves
+
+[grid]
+start = 0
+stop = 3
+points = 7
+
+[output]
+path = out
+"""
+
+
+def test_curves_do_not_depend_on_the_sample_caches(tmp_path, monkeypatch):
+    path = tmp_path / "ladder.cfg"
+    path.write_text(LADDER_TEXT)
+    config = validate_config(path)
+    assert run_experiment(config, tmp_path / "shared") == 0
+
+    apply = cli.baskakov_beta_apply
+
+    def cold_apply(*args, **kwargs):
+        baskakov._beta_expansion.cache_clear()
+        baskakov._cached_weight_ratios.cache_clear()
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "baskakov_beta_apply", cold_apply)
+    assert run_experiment(config, tmp_path / "cold") == 0
+    shared = (tmp_path / "shared" / "curves.csv").read_bytes()
+    assert shared == (tmp_path / "cold" / "curves.csv").read_bytes()

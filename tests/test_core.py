@@ -19,6 +19,8 @@ from pqbaskakov import (
     pq_power_basis_log,
 )
 
+from pqbaskakov import core
+
 from conftest import CLASSICAL, STRICT_PAIRS, rel_err
 
 
@@ -99,6 +101,38 @@ class TestFactorial:
     def test_product_of_numbers(self):
         pair = PQPair(0.9, 0.8)
         assert pq_factorial(pair, 3) == pytest.approx(1.0 * 1.7 * 2.17, rel=1e-13)
+
+
+class TestLogFactCache:
+    @staticmethod
+    def fresh_pairs(count):
+        # pairs no other test uses, so every one is a new cache entry
+        return [PQPair(1.0, j / (j + 1.0)) for j in range(5000, 5000 + count)]
+
+    @staticmethod
+    def log_factorial(pair, n):
+        return sum(math.log(pq_number(pair, j)) for j in range(1, n + 1))
+
+    def test_holds_at_most_the_bound_and_stays_correct(self):
+        bound = core._LOG_FACT_PAIRS
+        pairs = self.fresh_pairs(bound + 6)
+        for pair in pairs:
+            core.log_pq_factorial(pair, 6)
+            assert len(core._LOG_FACT_CACHE) <= bound
+        assert pairs[0] not in core._LOG_FACT_CACHE
+        for pair in (pairs[0], pairs[-1]):
+            got = core.log_pq_factorial(pair, 9)
+            assert rel_err(got, self.log_factorial(pair, 9)) < 1e-13
+
+    def test_evicts_the_least_recently_used_pair(self):
+        bound = core._LOG_FACT_PAIRS
+        pairs = self.fresh_pairs(bound + 1)
+        for pair in pairs[:bound]:
+            core.log_pq_factorial(pair, 3)
+        core.log_pq_factorial(pairs[0], 3)
+        core.log_pq_factorial(pairs[bound], 3)
+        assert pairs[0] in core._LOG_FACT_CACHE
+        assert pairs[1] not in core._LOG_FACT_CACHE
 
 
 class TestBinomial:

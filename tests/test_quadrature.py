@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from pqbaskakov import (
     pq_number,
     verify_integration_by_parts,
 )
+
+from pqbaskakov import quadrature
 
 from conftest import STRICT_PAIRS, rel_err
 
@@ -195,3 +198,48 @@ class TestIntegrationByParts:
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):
             verify_integration_by_parts(PQPair(0.9, 0.8), lambda t: t, lambda t: t, 2.0, 1.0)
+
+
+class TestBatchedWeightRatios:
+    def test_power_column_matches_one_power_at_a_time(self):
+        window = quadrature._LadderWindow(PQPair(0.9, 0.8), -40, 60, 30)
+        rows = window.log_power_basis(np.arange(5, 31)[:, None])
+        for power, row in zip(range(5, 31), rows):
+            assert np.array_equal(row, window.log_power_basis(power))
+
+    @staticmethod
+    def record_widths(monkeypatch, cap):
+        real = quadrature._LadderWindow
+        widths = []
+
+        def recording(pair, i_lo, i_hi, max_power):
+            widths.append(i_hi - i_lo + 1)
+            assert widths[-1] <= cap, f"a ladder window of {widths[-1]} nodes was built"
+            return real(pair, i_lo, i_hi, max_power)
+
+        monkeypatch.setattr(quadrature, "_LadderWindow", recording)
+        return widths
+
+    def test_window_is_capped_before_allocation(self, monkeypatch):
+        # at p/q = 1 + 1.1e-5 the ladder would need about 5e6 nodes
+        policy = TruncationPolicy()
+        widths = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
+        ratios, converged = quadrature.batched_weight_ratios(
+            PQPair(0.9, 0.89999), 5, 1, FunctionSpec.named("abs_t_minus_1"), policy
+        )
+        assert widths == []
+        assert not converged
+        assert np.isnan(ratios).all()
+
+    def test_growth_stops_at_the_cap_with_the_last_window(self):
+        # q_ratio pair at n = 100, 128 rows: the window grows 4231 -> 17405
+        # nodes and the next growth (27,862 nodes) would pass the 20,001 cap
+        pair, f = PQPair(1.0, 100 / 101), FunctionSpec.named("abs_t_minus_1")
+        policy = TruncationPolicy()
+        wider = quadrature.batched_weight_ratios(pair, 100, 128, f, TruncationPolicy(max_terms=20000))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            widths = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
+            ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f, policy)
+        assert widths == [4231, 6784, 10869, 17405]
+        assert converged
+        assert np.allclose(ratios, wider[0], rtol=1e-12, atol=0.0)
