@@ -23,6 +23,12 @@ the routes stay independent of one another in those samples:
     value of its own weight integral, so that D_n(1, x) = 1 identically.
 The closed moment expressions (``moments_closed``) share none of this.
 
+The row grows by doubling, and a longer row appends only its new terms: the
+prefix sum of log (1 (+) x)^j goes on from the last value of the previous
+segment, so the grown row is bitwise the one-shot row.  The x-independent
+terms of a row are cached, read-only, per (pair, n, k_count) and shared by
+every x of a grid.
+
 The two Beta routes build their samples once per (pair, n, f, policy,
 k_count) and keep them, read-only, in a bounded LRU cache, so a whole x-grid
 at one order pays for one sample vector per row length.  Only a
@@ -68,7 +74,7 @@ __all__ = [
 ]
 
 _EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
-_SAMPLE_CACHE_SIZE = 32  # sample vectors held per Beta route
+_SAMPLE_CACHE_SIZE = 32  # entries held per cache: row terms, and samples per Beta route
 
 
 @dataclass(frozen=True)
@@ -92,28 +98,50 @@ def _require_basis_regime(pair: PQPair) -> None:
         )
 
 
-def _log_basis_row(pair: PQPair, n: int, x: float, k_count: int) -> np.ndarray:
-    """log b_{n,k}(x) for k = 0..k_count-1; requires x > 0."""
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _basis_row_terms(
+    pair: PQPair, n: int, k_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Union[np.ndarray, None]]:
+    """The x-independent parts of log b_{n,k}(x), shared read-only by every x
+    of one (pair, n): k and log_binom + (k + n(n-1)/2) log p + (k(k-1)/2) log q
+    for k < k_count, then j log p and (q/p)^j (None when p == q) for
+    j < n + k_count."""
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
     lfact = np.asarray(_log_fact_table(pair, n + k_count - 1))
     k = np.arange(k_count, dtype=float)
     ki = np.arange(k_count)
     log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
-    # prefix of log (1 (+) x)^j over j = 0..n+k_count-1
+    base = log_binom + (k + n * (n - 1) / 2) * lp + (k * (k - 1) / 2) * lq
     j = np.arange(n + k_count, dtype=float)
-    if p == q:
-        factors = j * lp + math.log1p(x)
+    powers = None if p == q else pair.ratio**j
+    terms = (k, base, j * lp, powers)
+    for array in terms:
+        if array is not None:
+            array.flags.writeable = False
+    return terms
+
+
+def _log_basis_row(
+    pair: PQPair, n: int, x: float, k_count: int, k_start: int = 0, carry: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """log b_{n,k}(x) for k = k_start..k_count-1 (requires x > 0), and the
+    prefix sum of log (1 (+) x)^j over j < n + k_count.
+
+    A longer row continues from k_start = k_count with that prefix sum as its
+    carry; the segments concatenate to the one-shot row bit for bit, since the
+    prefix sum goes on in the same order.
+    """
+    k, base, jlp, powers = _basis_row_terms(pair, n, k_count)
+    # the first segment also sums the n leading factors, which depend on x
+    j_lo = n + k_start if k_start else 0
+    if powers is None:
+        factors = jlp[j_lo:] + math.log1p(x)
     else:
-        factors = j * lp + np.log1p((pair.ratio**j) * x)
-    prefix = np.concatenate([[0.0], np.cumsum(factors)])
-    return (
-        log_binom
-        + (k + n * (n - 1) / 2) * lp
-        + (k * (k - 1) / 2) * lq
-        + k * math.log(x)
-        - prefix[ki + n]
-    )
+        factors = jlp[j_lo:] + np.log1p(powers[j_lo:] * x)
+    prefix = np.cumsum(np.concatenate([[carry], factors]))
+    row = base[k_start:] + k[k_start:] * math.log(x) - prefix[n + k_start - j_lo : -1]
+    return row, float(prefix[-1])
 
 
 def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
@@ -125,7 +153,7 @@ def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
         raise DomainError(f"basis is defined for x >= 0, got x={x}")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
-    row = _log_basis_row(pair, n, x, k + 1)
+    row, _ = _log_basis_row(pair, n, x, k + 1)
     return float(np.exp(row[k]))
 
 
@@ -160,9 +188,11 @@ def _apply(
         row = np.zeros(1)  # b_{n,0}(0) = 1, every other weight vanishes
         s, inner_ok = samples(1)
     else:
-        k_count = 64
+        k_count = min(64, policy.max_terms)
+        row, carry = np.empty(0), 0.0
         while True:
-            row = _log_basis_row(pair, n, x, k_count)
+            segment, carry = _log_basis_row(pair, n, x, k_count, row.size, carry)
+            row = np.concatenate([row, segment])
             s, inner_ok = samples(k_count)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = np.log(np.abs(s))

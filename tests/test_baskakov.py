@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from pqbaskakov import (
     DomainError,
     FunctionSpec,
     PQPair,
+    TruncationPolicy,
     baskakov_apply,
     baskakov_basis,
     baskakov_moment_closed,
@@ -15,6 +19,8 @@ from pqbaskakov import (
     pq_power_basis,
     verify_baskakov_recurrence,
 )
+from pqbaskakov import baskakov
+from pqbaskakov.core import _log_fact_table
 
 from conftest import CLASSICAL, rel_err
 
@@ -31,6 +37,34 @@ def basis_direct(pair, n, k, x):
         * x**k
         / pq_power_basis(pair, x, n + k)
     )
+
+
+def one_shot_log_row(pair, n, x, k_count):
+    """log b_{n,k}(x) for k < k_count, built in one pass from k = 0."""
+    p, q = pair.p, pair.q
+    lp, lq = math.log(p), math.log(q)
+    lfact = np.asarray(_log_fact_table(pair, n + k_count - 1))
+    k = np.arange(k_count, dtype=float)
+    ki = np.arange(k_count)
+    log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
+    j = np.arange(n + k_count, dtype=float)
+    if p == q:
+        factors = j * lp + math.log1p(x)
+    else:
+        factors = j * lp + np.log1p((pair.ratio**j) * x)
+    prefix = np.concatenate([[0.0], np.cumsum(factors)])
+    return (
+        log_binom
+        + (k + n * (n - 1) / 2) * lp
+        + (k * (k - 1) / 2) * lq
+        + k * math.log(x)
+        - prefix[ki + n]
+    )
+
+
+strict_pairs = st.builds(
+    lambda p, ratio: PQPair(p, p * ratio), st.floats(0.5, 1.0), st.floats(0.5, 0.999)
+)
 
 
 class TestBasis:
@@ -72,6 +106,21 @@ class TestBasis:
             for x in (0.5, 2.0, 5.0):
                 res = baskakov_apply(CLASSICAL, e0, n, x)
                 assert res.value == pytest.approx(1.0, abs=1e-10)
+
+
+class TestRowGrowth:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pair=st.one_of(st.just(CLASSICAL), strict_pairs),
+        n=st.integers(1, 200),
+        x=st.floats(1e-6, 50.0),
+    )
+    def test_appended_segments_equal_the_one_shot_row(self, pair, n, x):
+        row, carry = np.empty(0), 0.0
+        for k_count in (64, 128, 256, 512, 1024):
+            segment, carry = baskakov._log_basis_row(pair, n, x, k_count, row.size, carry)
+            row = np.concatenate([row, segment])
+            assert np.array_equal(row, one_shot_log_row(pair, n, x, k_count))
 
 
 class TestNodes:
@@ -124,6 +173,14 @@ class TestOperator:
         assert baskakov_apply(pair, FunctionSpec.named("e2"), 3, 1.0).value == pytest.approx(
             want, rel=1e-10
         )
+
+    def test_term_budget_below_the_first_row(self):
+        # max_terms = 5 caps the row at 5 terms, so most of the mass is missing
+        policy = TruncationPolicy(max_terms=5)
+        res = baskakov_apply(PQPair(0.9, 0.8), FunctionSpec.named("e1"), 10, 3.0, policy)
+        assert res.k_terms_used <= 5
+        assert res.basis_tail_mass > 0.9
+        assert res.trusted is False
 
     def test_moment_order_validated(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ from pqbaskakov import (
     FunctionSpec,
     PQPair,
     RegimeError,
+    TruncationPolicy,
     baskakov_beta_apply,
     baskakov_beta_monomial_exact,
     central_moment,
@@ -96,6 +97,14 @@ class TestMonomialExact:
 
 
 class TestBetaOperator:
+    def test_term_budget_below_the_first_row(self):
+        # max_terms = 5 caps the row at 5 terms, so most of the mass is missing
+        policy = TruncationPolicy(max_terms=5)
+        res = baskakov_beta_apply(PQPair(0.9, 0.8), E[1], 10, 3.0, policy, method="analytic")
+        assert res.k_terms_used <= 5
+        assert res.basis_tail_mass > 0.9
+        assert res.trusted is False
+
     def test_constant_exact(self, strict_pair):
         res = baskakov_beta_apply(strict_pair, E[0], 5, 1.2)
         assert res.value == pytest.approx(1.0, abs=1e-10)
@@ -299,6 +308,46 @@ class TestSampleCache:
             assert not samples.flags.writeable
             with pytest.raises(ValueError):
                 samples[0] = 0.0
+
+
+class TestRowTermsCache:
+    PAIR = PQPair(1.0, 150 / 151)  # the q_ratio schedule at n = 150
+    F = FunctionSpec.polynomial([7.0, -2.0, 25.0])
+
+    @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, baskakov_beta_apply])
+    @pytest.mark.parametrize("x, k_count", [(1e-3, 64), (1.0, 256), (5.0, 512), (20.0, 1024)])
+    def test_warm_result_equals_cold(self, apply, x, k_count):
+        cache = baskakov._basis_row_terms
+        cache.cache_clear()
+        cold = apply(self.PAIR, self.F, 150, x)
+        assert cache.cache_info().misses == k_count.bit_length() - 6  # 64, 128, ...
+        # warm the cache from other points first, then repeat x
+        cache.cache_clear()
+        for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
+            apply(self.PAIR, self.F, 150, other)
+        hits = cache.cache_info().hits
+        warm = apply(self.PAIR, self.F, 150, x)
+        assert cache.cache_info().hits > hits
+        assert warm == cold  # every OperatorResult field, exactly
+
+    def test_size_stays_bounded(self):
+        cache = baskakov._basis_row_terms
+        cache.cache_clear()
+        for n in range(3, 3 + 2 * baskakov._SAMPLE_CACHE_SIZE):
+            baskakov_beta_apply(PQPair(1.0, n / (n + 1)), self.F, n, 20.0)
+            info = cache.cache_info()
+            assert info.maxsize == baskakov._SAMPLE_CACHE_SIZE
+            assert info.currsize <= info.maxsize
+        assert cache.cache_info().currsize == baskakov._SAMPLE_CACHE_SIZE
+
+    @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), CLASSICAL])
+    def test_cached_terms_are_read_only(self, pair):
+        terms = [t for t in baskakov._basis_row_terms(pair, 5, 4) if t is not None]
+        assert len(terms) == (3 if pair == CLASSICAL else 4)
+        for array in terms:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestCentralMoments:
