@@ -22,7 +22,14 @@ normalized ladder averages
     ratio_k = int t^k f(c_k t) / (1 (+) pt)^{N_k}  /  int t^k / (1 (+) pt)^{N_k}
 
 in row-shifted log space, so the (astronomically large) raw integrals never
-materialize.
+materialize.  Each row k is summed over its own band of ladder nodes: the
+log weight is concave in the node index, rising by up to n |log(q/p)| per
+node on the large-t side and falling by up to (k+1) |log(q/p)| on the
+small-t side, so the peak and bounds for both band edges follow in closed
+form, O(1) per row.  All bands are evaluated as one flat (row, node) gather
+on a shared prefix table, and f is evaluated on the band nodes only.  A row
+whose edges are not negligible regrows; no band, and no shared window, is
+ever wider than 2 max_terms + 1 nodes.
 """
 
 from __future__ import annotations
@@ -237,21 +244,31 @@ def verify_integration_by_parts(
 # Vectorized ladder machinery for the Beta-weighted operators.
 # ---------------------------------------------------------------------------
 
+# A band keeps the nodes whose weight is within exp(-_SPAN) ~ 1e-18 of its
+# row's peak.  _SLOPES are the fractions of the asymptotic per-node decay at
+# which _band_extents anchors its bounds: geometric towards 0, where a wide
+# row bends slowly away from its peak, and towards 1, where the decay
+# settles.  (A plain list: a numpy call at import would cost every process.)
+_SPAN = 41.5
+_SLOPES = np.array(
+    [2.0 ** (e / 3) for e in range(-36, -2)] + [1.0 - 0.35 * (0.01 / 0.35) ** (j / 6) for j in range(7)]
+)[:, None]
+# At most this many band nodes (or one band) share a window, which bounds the
+# temporaries of one flat gather to a few tens of MiB.
+_RUN_NODES = 1 << 18
 
-def _log1p_pow(log_r: float, s: np.ndarray) -> np.ndarray:
-    """log(1 + r^s) for integer exponents s of either sign, r = exp(log_r) < 1."""
-    out = np.empty(s.shape, dtype=float)
-    pos = s >= 0
-    out[pos] = np.log1p(np.exp(s[pos] * log_r))
-    neg = ~pos
-    # 1 + r^s = r^s (1 + r^{-s}) keeps the argument of log1p in [0, 1]
-    out[neg] = s[neg] * log_r + np.log1p(np.exp(-s[neg] * log_r))
-    return out
+
+def _neg_triangle(x: np.ndarray) -> np.ndarray:
+    """sum_{x <= s < 0} |s|, so sum_{i <= s < i+P} min(s, 0) is
+    _neg_triangle(i + P) - _neg_triangle(i), exactly, in integers."""
+    m = np.maximum(-x, 0)
+    return m * (m + 1) // 2
 
 
 @dataclass
 class _LadderWindow:
-    """Shared per-(pair, window) data: nodes and power-basis prefix sums."""
+    """Nodes t_i = r^i / p (r = q/p) for i_lo <= i <= i_hi, with the prefix
+    table that gives log (1 (+) p t_i)^power for any power <= max_power."""
 
     pair: PQPair
     i_lo: int
@@ -260,20 +277,88 @@ class _LadderWindow:
 
     def __post_init__(self) -> None:
         p, q = self.pair.p, self.pair.q
-        log_r = math.log(q / p)
-        idx = np.arange(self.i_lo, self.i_hi + 1)
-        self.log_t = idx * log_r - math.log(p)
-        s = np.arange(self.i_lo, self.i_hi + self.max_power)
-        lam = _log1p_pow(log_r, s)
-        self.prefix = np.concatenate([[0.0], np.cumsum(lam)])  # prefix[j] = sum of first j lams
+        self.log_r = math.log(q / p)
         self.log_p = math.log(p)
+        self.log_t = np.arange(self.i_lo, self.i_hi + 1) * self.log_r - self.log_p
+        # log(1 + r^s) = min(s, 0) log r + log1p(r^|s|): the linear part is
+        # summed in closed form, and only the bounded part is accumulated
+        s = np.arange(self.i_lo, self.i_hi + self.max_power)
+        bounded = np.log1p(np.exp(np.abs(s) * self.log_r))
+        self.prefix = np.concatenate([[0.0], np.cumsum(bounded)])
 
-    def log_power_basis(self, power: Union[int, np.ndarray]) -> np.ndarray:
-        """log (1 (+) p t_i)^power over the whole window, O(1) per node; a
-        column of powers gives one row per power."""
-        start = np.arange(self.i_hi - self.i_lo + 1)  # offsets into prefix
-        seg = self.prefix[start + power] - self.prefix[start]
-        return (power * (power - 1) / 2) * self.log_p + seg
+    def _split(self, power: Union[int, np.ndarray], i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log (1 (+) p t_i)^power less its constant power (power-1)/2 log p,
+        as (integer multiple of log r, bounded part)."""
+        start = i - self.i_lo
+        return (
+            _neg_triangle(i + power) - _neg_triangle(i),
+            self.prefix[start + power] - self.prefix[start],
+        )
+
+    def log_power_basis(
+        self, power: Union[int, np.ndarray], nodes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """log (1 (+) p t_i)^power at the node indices i (default: the whole
+        window), O(1) per node; a column of powers gives one row per power."""
+        linear, bounded = self._split(power, np.arange(self.i_lo, self.i_hi + 1) if nodes is None else nodes)
+        return (power * (power - 1) / 2) * self.log_p + self.log_r * linear + bounded
+
+    def log_weight_drop(
+        self, k: np.ndarray, power: np.ndarray, nodes: np.ndarray, peaks: np.ndarray
+    ) -> np.ndarray:
+        """log w_i - log w_peak for w_i = t_i^(k+1) / (1 (+) p t_i)^power.
+        The terms constant in i cancel exactly, and the multiples of log r
+        are combined in integers first, so no large magnitude is rounded."""
+        linear, bounded = self._split(power, nodes)
+        peak_linear, peak_bounded = self._split(power, peaks)
+        steps = (k + 1) * (nodes - peaks) - (linear - peak_linear)
+        return self.log_r * steps - (bounded - peak_bounded)
+
+
+def _band_extents(
+    neg_log_r: float, n: int, ks: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak node of each row k and the node counts to its left and right
+    beyond which log w_{k,i} (with the weight t^degree of f on the large-t
+    side) lies _SPAN below the peak.  O(1) per row; the counts are floats and
+    may be inf when the f-weighted terms do not decay.
+
+    With L = -log r, the step dh(u) = log w_{u+1} - log w_u falls from nL to
+    -(k+1)L as u grows, since log w is concave.  In x = r^u the level
+    dh(u) = c solves in closed form,
+
+        x = (e^{c + (k+1)L} - 1) / (1 - e^{c - nL}),
+
+    and past the node where dh reaches a fraction s of its limit, each node
+    drops by at least s times that limit.  Each fraction of _SLOPES gives a
+    bound; the band takes the tightest one."""
+    L, a = neg_log_r, ks + 1.0
+
+    def level(c: np.ndarray) -> np.ndarray:
+        # log x = log(1 - e^{c - nL}) - log(e^y - 1), y = c + (k+1)L > 0
+        y = c + a * L
+        return (np.log(-np.expm1(c - n * L)) - y - np.log(-np.expm1(-y))) / L
+
+    peak = np.ceil(level(np.zeros_like(a)))
+    # anchors: the first node right of the peak from which every step falls
+    # by at least s (k+1) L, and the last node left of it up to which every
+    # step rises by at least s n L (less the growth of f)
+    right_anchor = np.ceil(level(-_SLOPES * a * L))
+    left_anchor = np.floor(level(_SLOPES * n * L)) + 1.0
+    extents = []
+    for to_anchor, rate in (
+        (right_anchor - peak, _SLOPES * a * L),
+        (peak - left_anchor, np.maximum(_SLOPES * n - degree, 0.0) * L),
+    ):
+        to_anchor = np.maximum.accumulate(np.maximum(to_anchor, 0.0), axis=0)
+        # past anchor j each step drops by at least rate_j
+        prev_rate = np.concatenate([np.zeros_like(rate[:1]), rate[:-1]])
+        dropped = np.cumsum(np.diff(to_anchor, axis=0, prepend=0.0) * prev_rate, axis=0)
+        with np.errstate(divide="ignore"):
+            rest = np.ceil(np.maximum(_SPAN - dropped, 0.0) / rate)
+        extents.append((to_anchor + rest).min(axis=0) + 1.0)
+    right, left = extents
+    return peak.astype(np.int64), left, right
 
 
 def batched_weight_ratios(
@@ -291,14 +376,26 @@ def batched_weight_ratios(
         ratio_k = sum_i w_{k,i} f(c_k t_i) / sum_i w_{k,i},
         w_{k,i} = t_i^{k+1} / (1 (+) p t_i)^N
 
-    computed with the per-row maximum shifted out of the exponent, so rows
-    whose raw integrals overflow a double are still exact ratios.  Returns
-    (ratios, all_rows_converged), a row counting as converged when its
-    relative edge mass is below 1e-12.  With f None the ratios are all 1 and
-    only the convergence flag matters.  A window of more than
-    2 policy.max_terms + 1 nodes is never built: growth stops at the last
-    window that fitted, and when even the first does not fit the ratios are
-    NaN and not converged.
+    Each row is summed over its own band of nodes around its peak, sized by
+    ``_band_extents`` so that the weights (and the f-weighted terms, for f
+    growing like t^f_growth_degree) at its edges are ~1e-18 of the peak.
+    The bands are evaluated together as one flat (row, node) gather, with
+    each row's maximum shifted out of the exponent, so rows whose raw
+    integrals overflow a double are still exact ratios; f is evaluated on
+    the band nodes only.
+
+    A row passes when both edges are below 1e-15 of its peak, for the
+    weights and for the f-weighted terms, and its relative edge mass
+    (w + |f w| at both edges, over sum w) is below 1e-12.  Failing rows,
+    and only they, regrow by 1.6x on each side, up to four times.  No band
+    of more than 2 policy.max_terms + 1 nodes is built: when a row's first
+    band does not fit, nothing is built and the ratios are NaN and not
+    converged; a row whose regrowth does not fit keeps its last band, whose
+    edges decide.  Rows whose bands together span more than that, or hold
+    more than _RUN_NODES nodes, are split over several windows.  Returns
+    (ratios, all_rows_converged), a row counting as converged when its edge
+    mass is below 1e-12.  With f None the ratios are 1 and only the
+    convergence flag matters.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
@@ -306,53 +403,85 @@ def batched_weight_ratios(
     pair.require_strict("the Beta-weighted ladder")
     if k_count < 1:
         raise DomainError("k_count must be >= 1")
-    p, q = pair.p, pair.q
-    log_r = math.log(q / p)
-    span = 41.5  # ~ -ln(1e-18)
-    i_hi = int(math.ceil(span / -log_r)) + 8
-    decay = max(n - f_growth_degree, 1)
-    i_lo = -(int(math.ceil(span / (decay * -log_r))) + 8)
     func = as_callable(f) if f is not None else None
+    cap = 2 * policy.max_terms + 1
+    peak, left, right = _band_extents(
+        -math.log(pair.q / pair.p), n, np.arange(k_count), f_growth_degree if func is not None else 0
+    )
+    if not np.all(left + right + 1.0 <= cap):
+        # never allocate a band over the node cap; without every row the
+        # ratios cannot converge, so none is built
+        return np.full(k_count, np.nan), False
+    weight_sums, f_sums, tails, edges = (np.empty(k_count) for _ in range(4))
 
-    ks = np.arange(k_count)[:, None]
-    w = fw = None
+    rows = np.arange(k_count)
     for _attempt in range(5):
-        if i_hi - i_lo > 2 * policy.max_terms:
-            # the window needed exceeds the term budget: never allocate it;
-            # keep the last window that fitted, whose edges decide convergence
-            if w is None:
-                return np.full(k_count, np.nan), False
+        lo = peak[rows] - left[rows].astype(np.int64)
+        hi = peak[rows] + right[rows].astype(np.int64)
+        for run in _window_runs(lo, hi, cap):
+            sums = _band_sums(pair, n, rows[run], peak[rows[run]], lo[run], hi[run], func)
+            weight_sums[rows[run]], f_sums[rows[run]], tails[rows[run]], edges[rows[run]] = sums
+        rows = rows[(edges[rows] >= 1e-15) | (tails[rows] >= 1e-12)]
+        left[rows] = np.floor(left[rows] * 1.6) + 8
+        right[rows] = np.floor(right[rows] * 1.6) + 8
+        # a row whose regrowth does not fit keeps its last band
+        rows = rows[left[rows] + right[rows] + 1.0 <= cap]
+        if rows.size == 0:
             break
-        window = _LadderWindow(pair, i_lo, i_hi, n + k_count + 1)
-        log_w = (ks + 1) * window.log_t[None, :]
-        log_w -= window.log_power_basis(n + ks + 1)
-        row_max = log_w.max(axis=1, keepdims=True)
-        w = np.exp(log_w - row_max)
+
+    converged = bool(np.all(tails < 1e-12))
+    return f_sums / weight_sums, converged
+
+
+def _window_runs(lo: np.ndarray, hi: np.ndarray, cap: int) -> list[slice]:
+    """Split consecutive bands [lo, hi] (each at most cap nodes) into runs
+    whose union spans at most cap nodes and whose bands hold at most
+    _RUN_NODES nodes (or are one band), one ladder window per run."""
+    runs, start = [], 0
+    while start < lo.size:
+        spans = np.maximum.accumulate(hi[start:]) - np.minimum.accumulate(lo[start:]) + 1
+        nodes = np.cumsum(hi[start:] - lo[start:] + 1)
+        stop = start + max(1, int(np.count_nonzero((spans <= cap) & (nodes <= _RUN_NODES))))
+        runs.append(slice(start, stop))
+        start = stop
+    return runs
+
+
+def _band_sums(
+    pair: PQPair,
+    n: int,
+    rows: np.ndarray,
+    peaks: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    func: Optional[Callable],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For each row k of rows, over its band lo..hi (around its peak node) of
+    one shared window: (sum w, sum f w, edge mass over sum w, largest edge
+    relative to the peak), w normalized to a peak of 1."""
+    p, q = pair.p, pair.q
+    window = _LadderWindow(pair, int(lo.min()), int(hi.max()), n + int(rows[-1]) + 1)
+    width = hi - lo + 1
+    first = np.cumsum(width) - width
+    last = first + width - 1
+    member = np.repeat(np.arange(rows.size), width)
+    nodes = np.arange(width.sum()) + np.repeat(lo - first, width)
+    ks = rows[member]
+    log_w = window.log_weight_drop(ks, n + ks + 1, nodes, np.repeat(peaks, width))
+    log_w -= np.repeat(np.maximum.reduceat(log_w, first), width)
+    w = np.exp(log_w)
+    # a row peaking beyond the float range overflows in f; its edge mass is
+    # then NaN and the row does not converge
+    with np.errstate(over="ignore", invalid="ignore"):
         if func is not None:
             t = np.exp(window.log_t)
-            c = q * q * np.power(p, n + np.arange(k_count, dtype=float))
-            fv = np.asarray(func(c[:, None] * t[None, :]), dtype=float)
-            fw = w * fv
+            c = q * q * np.power(p, n + rows.astype(float))
+            fw = w * np.asarray(func(c[member] * t[nodes - window.i_lo]), dtype=float)
         else:
             fw = w
-        # the window is adequate when both edges are negligible in every row,
-        # for the weights and for the f-weighted terms alike
-        scale = np.maximum(np.abs(fw).max(axis=1), 1e-300)
-        edge = max(
-            float(w[:, 0].max()),
-            float(w[:, -1].max()),
-            float((np.abs(fw[:, 0]) / scale).max()),
-            float((np.abs(fw[:, -1]) / scale).max()),
-        )
-        if edge < 1e-15:
-            break
-        i_lo = int(i_lo * 1.6) - 8
-        i_hi = int(i_hi * 1.6) + 8
-
-    weight_sums = w.sum(axis=1)
-    tails = (w[:, 0] + w[:, -1] + np.abs(fw[:, 0]) + np.abs(fw[:, -1])) / weight_sums
-    converged = bool(np.all(tails < 1e-12))
-
-    if func is None:
-        return np.ones(k_count), converged
-    return fw.sum(axis=1) / weight_sums, converged
+        weight_sums = np.add.reduceat(w, first)
+        abs_fw = np.abs(fw)
+        tails = (w[first] + w[last] + abs_fw[first] + abs_fw[last]) / weight_sums
+        scale = np.maximum(np.maximum.reduceat(abs_fw, first), 1e-300)
+        edges = np.maximum.reduce([w[first], w[last], abs_fw[first] / scale, abs_fw[last] / scale])
+        return weight_sums, np.add.reduceat(fw, first), tails, edges

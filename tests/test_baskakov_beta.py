@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,6 +238,38 @@ class TestQuadratureRoute:
                 1.0,
                 method="analytic",
             )
+
+    @pytest.mark.parametrize("n", [150, 190])
+    def test_q_ratio_ladder_converges_at_large_n(self, n):
+        res = baskakov_beta_apply(PQPair(1.0, n / (n + 1)), FunctionSpec.named("abs_t_minus_1"), n, 1.0)
+        assert res.inner_integrals_converged
+        assert res.trusted
+
+    @pytest.mark.parametrize("n", [150, 190])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_large_n_quadrature_matches_exact_closed_moments(self, n, m):
+        pair = PQPair(1.0, n / (n + 1))
+        for x in (0.5, 1.0, 3.0):
+            got = baskakov_beta_apply(pair, E[m], n, x, method="quadrature")
+            want = fraction_moment(Fraction(pair.q), m, n, Fraction(x))
+            assert got.trusted
+            assert rel_err(got.value, float(want)) < 5e-12
+
+
+def fraction_moment(q, m, n, x):
+    """moments_closed at p = 1, in exact rational arithmetic."""
+
+    def number(k):  # [k]_{1,q}
+        return sum(q**j for j in range(k))
+
+    nn, n1, n2 = number(n), number(n - 1), number(n - 2)
+    if m == 1:
+        return (nn * x + q) / n1
+    return (
+        x * x * nn * (nn + 1 / q) / (q * n1 * n2)
+        + x * nn * (q * q + 2 * q + 1) / (q * n1 * n2)
+        + q * number(2) / (n1 * n2)
+    )
 
 
 ABS = FunctionSpec.named("abs_t_minus_1")

@@ -231,15 +231,144 @@ class TestBatchedWeightRatios:
         assert not converged
         assert np.isnan(ratios).all()
 
-    def test_growth_stops_at_the_cap_with_the_last_window(self):
-        # q_ratio pair at n = 100, 128 rows: the window grows 4231 -> 17405
-        # nodes and the next growth (27,862 nodes) would pass the 20,001 cap
+    @staticmethod
+    def record_bands(monkeypatch):
+        real = quadrature._band_sums
+        widths = []
+
+        def recording(pair, n, rows, peaks, lo, hi, func):
+            widths.extend(hi - lo + 1)
+            return real(pair, n, rows, peaks, lo, hi, func)
+
+        monkeypatch.setattr(quadrature, "_band_sums", recording)
+        return widths
+
+    def test_bands_fit_the_cap_and_converge(self, monkeypatch):
+        # q_ratio pair at n = 100, 128 rows: one dense window shared by every
+        # row had to stop growing at the 20,001-node cap; each row's own band
+        # fits well inside it
         pair, f = PQPair(1.0, 100 / 101), FunctionSpec.named("abs_t_minus_1")
         policy = TruncationPolicy()
-        wider = quadrature.batched_weight_ratios(pair, 100, 128, f, TruncationPolicy(max_terms=20000))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            widths = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
-            ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f, policy)
-        assert widths == [4231, 6784, 10869, 17405]
+        cap = 2 * policy.max_terms + 1
+        wider, _ = quadrature.batched_weight_ratios(pair, 100, 128, f, TruncationPolicy(max_terms=20000))
+        windows = self.record_widths(monkeypatch, cap)
+        bands = self.record_bands(monkeypatch)
+        ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f, policy)
+        assert windows and max(windows) <= cap
+        assert len(bands) >= 128 and max(bands) <= cap
         assert converged
-        assert np.allclose(ratios, wider[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(ratios, wider, rtol=1e-12, atol=0.0)
+
+    def test_a_row_whose_regrowth_does_not_fit_keeps_its_last_band(self, monkeypatch):
+        # e2 with its growth understated as degree 0: the first band is too
+        # narrow on the large-t side, and its 1.6x regrowth passes the cap
+        pair, f = PQPair(0.9, 0.8), FunctionSpec.polynomial([0.0, 0.0, 1.0])
+        wide = TruncationPolicy(max_terms=10000)
+        grown, grown_ok = quadrature.batched_weight_ratios(pair, 3, 1, f, wide, 0)
+        policy = TruncationPolicy(max_terms=300)
+        windows = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
+        ratios, converged = quadrature.batched_weight_ratios(pair, 3, 1, f, policy, 0)
+        assert len(windows) == 1
+        assert not converged and grown_ok
+        assert np.isfinite(ratios).all()
+        assert ratios[0] == pytest.approx(grown[0], rel=1e-5)
+        assert ratios[0] != grown[0]
+
+    def test_rows_beyond_one_window_are_split_over_several(self, monkeypatch):
+        # at (0.9, 0.8), n = 10, the 250 rows' bands span ~700 nodes together
+        # while each fits a 461-node cap
+        pair, f = PQPair(0.9, 0.8), FunctionSpec.named("abs_t_minus_1")
+        one, _ = quadrature.batched_weight_ratios(pair, 10, 250, f)
+        policy = TruncationPolicy(max_terms=230)
+        windows = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
+        ratios, converged = quadrature.batched_weight_ratios(pair, 10, 250, f, policy)
+        assert len(windows) > 1
+        assert converged
+        assert np.allclose(ratios, one, rtol=1e-13, atol=0.0)
+
+
+def dense_weight_ratios(pair, n, k_count):
+    """Reference for batched_weight_ratios with f = |t - 1|: every row summed
+    over one dense window wide enough for all of them, written out directly
+    (the linear part of log(1 + r^s) in integers, the rest by cumsum)."""
+    p, q = pair.p, pair.q
+    log_r = math.log(q / p)
+    # row k peaks within k + 1 + log(n)/L nodes of i = 0, L = -log r
+    reach = k_count + 1 + int(math.ceil((math.log(n) + 80.0) / -log_r))
+    i = np.arange(-reach, reach + 1)
+    s = np.arange(-reach, reach + n + k_count + 1)
+    cum = np.concatenate([[0.0], np.cumsum(np.log1p(np.exp(-np.abs(s) * -log_r)))])
+    neg = np.concatenate([[0], np.cumsum(np.minimum(s, 0))])
+    ks = np.arange(k_count)[:, None]
+    power = n + ks + 1
+    off = i - s[0]
+    log_basis = (power * (power - 1) / 2) * math.log(p) + log_r * (neg[off + power] - neg[off])
+    log_basis = log_basis + cum[off + power] - cum[off]
+    log_t = i * log_r - math.log(p)
+    log_w = (ks + 1) * log_t - log_basis
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    c = q * q * np.power(p, n + ks)
+    fw = w * np.abs(c * np.exp(log_t) - 1.0)
+    return fw.sum(axis=1) / w.sum(axis=1)
+
+
+class TestBandedRatiosAgainstReferences:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.floats(0.5, 1.0),
+        r=st.floats(0.5, 0.95),
+        n=st.integers(3, 60),
+        k_count=st.sampled_from([1, 64, 128]),
+    )
+    def test_bands_match_one_dense_window(self, p, r, n, k_count):
+        pair = PQPair(p, p * r)
+        ratios, converged = quadrature.batched_weight_ratios(
+            pair, n, k_count, FunctionSpec.named("abs_t_minus_1")
+        )
+        assert converged
+        want = dense_weight_ratios(pair, n, k_count)
+        assert np.allclose(ratios, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("pq", [(0.9, 0.8), (1.0, 0.9)])
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_ratios_match_mpmath(self, pq, n):
+        mp = pytest.importorskip("mpmath")
+        specs = {"abs_t_minus_1": FunctionSpec.named("abs_t_minus_1"),
+                 "e2": FunctionSpec.polynomial([0.0, 0.0, 1.0])}
+        with mp.workdps(30):
+            want = self.mpmath_ratios(mp, *pq, n, 16)
+        for name, spec in specs.items():
+            got, converged = quadrature.batched_weight_ratios(PQPair(*pq), n, 16, spec)
+            assert converged
+            for g, v in zip(got, want[name]):
+                assert abs((mp.mpf(g) - v) / v) < 1e-13, name
+
+    @staticmethod
+    def mpmath_ratios(mp, p, q, n, k_count):
+        """ratio_k for f = |t - 1| and t^2 straight from the definition, summed
+        over a bilateral window far beyond every row's 1e-18 band (both edges
+        are checked to carry less than 1e-25 of the mass)."""
+        exact = {"abs_t_minus_1": lambda t: abs(t - 1), "e2": lambda t: t * t}
+        p, q = mp.mpf(p), mp.mpf(q)
+        nodes = [(q / p) ** i / p for i in range(-260, 641)]
+        den = []
+        for t in nodes:
+            d = mp.mpf(1)
+            for j in range(n + 1):
+                d *= p**j + q**j * p * t
+            den.append(d)
+        want = {name: [] for name in exact}
+        powers = list(nodes)  # t^(k+1)
+        for k in range(k_count):
+            c = q * q * p ** (n + k)
+            w = [tk / d for tk, d in zip(powers, den)]
+            total = mp.fsum(w)
+            assert (w[0] + w[-1]) / total < 1e-25
+            for name, func in exact.items():
+                fw = [wi * func(c * t) for wi, t in zip(w, nodes)]
+                assert (abs(fw[0]) + abs(fw[-1])) / total < 1e-25
+                want[name].append(mp.fsum(fw) / total)
+            power = n + k + 1
+            den = [d * (p**power + q**power * p * t) for d, t in zip(den, nodes)]
+            powers = [tk * t for tk, t in zip(powers, nodes)]
+        return want
