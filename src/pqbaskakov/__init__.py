@@ -61,7 +61,6 @@ from .analysis import (
     ConvergenceRow,
     EvalGrid,
     ParameterSchedule,
-    WeightFunction,
     convergence_run,
     interval_rate_bound,
     modulus_of_continuity,
@@ -115,7 +114,6 @@ __all__ = [
     "central_moment",
     # analysis
     "EvalGrid",
-    "WeightFunction",
     "ParameterSchedule",
     "modulus_of_continuity",
     "second_modulus",

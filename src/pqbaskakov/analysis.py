@@ -4,9 +4,10 @@ The sups over x that appear in the bounds are discretized on uniform grids;
 the discrete modulus is a lower bound of the true sup that converges under
 grid refinement.  Keep at least ~20 grid steps per delta for the moduli.
 
-Weighted approximation uses the fixed weight sigma(x) = 1 + x^2 and the
-norm sup |f(x)| / sigma(x); convergence of the operator family to f in
-that norm requires parameter sequences (p_n, q_n) -> (1, 1) with convergent
+Weighted approximation uses the fixed weight sigma(x) = 1 + x^2 (the only
+weight of the polynomial-growth class, so not a parameter) and the norm
+sup |f(x)| / sigma(x); convergence of the operator family to f in that
+norm requires parameter sequences (p_n, q_n) -> (1, 1) with convergent
 p_n^n and q_n^n, which ``ParameterSchedule`` encodes.
 """
 
@@ -26,7 +27,6 @@ from .functions import FunctionSpec, as_callable
 
 __all__ = [
     "EvalGrid",
-    "WeightFunction",
     "ParameterSchedule",
     "modulus_of_continuity",
     "second_modulus",
@@ -63,20 +63,6 @@ class EvalGrid:
 
     def array(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """The fixed weight sigma(x) = 1 + x^2 of the polynomial-growth class."""
-
-    kind: str = "one_plus_x_squared"
-
-    def __post_init__(self) -> None:
-        if self.kind != "one_plus_x_squared":
-            raise DomainError(f"only the 1 + x^2 weight is supported, got {self.kind!r}")
-
-    def __call__(self, x):
-        return 1.0 + np.asarray(x, dtype=float) ** 2
 
 
 @dataclass(frozen=True)
@@ -281,6 +267,16 @@ def interval_rate_bound(
     return bound
 
 
+def _grid_errors(
+    pair: PQPair, n: int, f: FunctionSpec, xs: np.ndarray, fv: np.ndarray, policy: TruncationPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D_n(f, x) at each grid point x, |D_n(f, x) - f(x)|, and that error
+    in the weight sigma(x) = 1 + x^2 of the polynomial-growth class."""
+    dv = np.array([baskakov_beta_apply(pair, f, n, float(x), policy).value for x in xs])
+    err = np.abs(dv - fv)
+    return dv, err, err / (1.0 + xs**2)
+
+
 def weighted_sup_error(
     pair: PQPair,
     n: int,
@@ -295,11 +291,9 @@ def weighted_sup_error(
     the reported sup may be truncated.
     """
     f.require_growth_bound()
-    sigma = WeightFunction()
     xs = grid.array()
     fv = np.asarray(as_callable(f)(xs), dtype=float)
-    dv = np.array([baskakov_beta_apply(pair, f, n, float(x), policy).value for x in xs])
-    weighted = np.abs(dv - fv) / sigma(xs)
+    weighted = _grid_errors(pair, n, f, xs, fv, policy)[2]
     if len(weighted) >= 2 and weighted[-1] > weighted[-2]:
         logger.info(
             "weighted error still increasing at the right edge (x = %.3g); "
@@ -329,22 +323,19 @@ def convergence_run(
 ) -> list[ConvergenceRow]:
     """One row per n: measured errors plus the worst central second moment.
 
-    A failing row is marked (NaN fields, ok=False) without aborting the run;
-    the output order follows n_list.
+    A failing row is marked (NaN fields, ok=False) without aborting the run,
+    and so is a row with a non-finite operator value (its error fields are
+    then non-finite too); the output order follows n_list.
     """
     rows: list[ConvergenceRow] = []
     xs = grid.array()
-    sigma = WeightFunction()
     fv = np.asarray(as_callable(f)(xs), dtype=float)
     for n in n_list:
         try:
             pair = schedule.pair_at(int(n))
             if n <= 2:
                 raise DomainError(f"convergence rows need n > 2, got n={n}")
-            dv = np.array(
-                [baskakov_beta_apply(pair, f, int(n), float(x), policy).value for x in xs]
-            )
-            err = np.abs(dv - fv)
+            dv, err, weighted = _grid_errors(pair, int(n), f, xs, fv, policy)
             mu2s = np.array([central_moment(pair, 2, int(n), float(x)) for x in xs])
             rows.append(
                 ConvergenceRow(
@@ -352,8 +343,9 @@ def convergence_run(
                     p_n=pair.p,
                     q_n=pair.q,
                     sup_error=float(err.max()),
-                    weighted_error=float((err / sigma(xs)).max()),
+                    weighted_error=float(weighted.max()),
                     mu2_max=float(mu2s.max()),
+                    ok=bool(np.isfinite(dv).all()),
                 )
             )
         except (DomainError, RegimeError) as exc:

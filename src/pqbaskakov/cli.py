@@ -29,7 +29,7 @@ from .analysis import (
     interval_rate_bound,
 )
 from .baskakov import baskakov_beta_apply, central_moment, moments_closed
-from .core import DomainError, PQPair, RegimeError, TruncationPolicy
+from .core import DEFAULT_POLICY, DomainError, PQPair, RegimeError, TruncationPolicy
 from .functions import FunctionSpec
 
 __all__ = ["ConfigurationError", "ExperimentConfig", "validate_config", "run_experiment", "main"]
@@ -63,107 +63,100 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"Not a boolean: {text}")
+    return states[text.lower()]
 
 
 def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     problems: list[str] = []
+    # schedule family -> (its float keys with defaults, ``...`` when required;
+    # constructor).  A [pair] section is the ``fixed`` family.
+    families = {
+        "q_ratio": ((), ParameterSchedule.q_ratio),
+        "harmonic_decay": ((("alpha", 0.0), ("beta", ...)), ParameterSchedule.harmonic_decay),
+        "fixed": ((("p", ...), ("q", ...)), lambda p, q: ParameterSchedule.fixed(PQPair(p, q))),
+    }
+    # [function] key -> (value parser, constructor); a config gives exactly one
+    targets = {
+        "coefficients": (_parse_floats, FunctionSpec.polynomial),
+        "named": (str, FunctionSpec.named),
+    }
 
-    # --- parameters: fixed pair or schedule ---
-    schedule: Optional[ParameterSchedule] = None
-    if parser.has_section("pair") and parser.has_section("schedule"):
-        problems.append("give either a [pair] or a [schedule] section, not both")
-    elif parser.has_section("pair"):
+    def option(section, key, convert, default=...):
+        """section.key through convert, or default when the key is absent.  A
+        missing required key (no default) or an unparseable value is recorded
+        and gives None."""
+        if not parser.has_option(section, key):
+            if default is ...:
+                problems.append(f"[{section}] needs {key!r}")
+                return None
+            return default
         try:
-            p = parser.getfloat("pair", "p")
-            q = parser.getfloat("pair", "q")
-            schedule = ParameterSchedule.fixed(PQPair(p, q))
-        except (RegimeError, ValueError) as exc:
-            problems.append(
-                f"[pair] violates the regime 0 < q < p <= 1 (classical corner aside): {exc}"
-            )
-    elif parser.has_section("schedule"):
-        family = parser.get("schedule", "family", fallback="q_ratio")
-        try:
-            if family == "q_ratio":
-                schedule = ParameterSchedule.q_ratio()
-            elif family == "harmonic_decay":
-                schedule = ParameterSchedule.harmonic_decay(
-                    parser.getfloat("schedule", "alpha", fallback=0.0),
-                    parser.getfloat("schedule", "beta"),
-                )
-            elif family == "fixed":
-                schedule = ParameterSchedule.fixed(
-                    PQPair(parser.getfloat("schedule", "p"), parser.getfloat("schedule", "q"))
-                )
-            else:
-                problems.append(f"[schedule] unknown family {family!r}")
-        except (DomainError, RegimeError, ValueError, configparser.NoOptionError) as exc:
-            problems.append(f"[schedule] invalid: {exc}")
-    else:
-        problems.append("missing [pair] or [schedule] section")
+            return convert(parser.get(section, key))
+        except (ValueError, configparser.Error) as exc:
+            problems.append(f"[{section}] {key} unparseable: {exc}")
+            return None
 
-    # --- function ---
-    function: Optional[FunctionSpec] = None
-    if parser.has_section("function"):
-        has_coeffs = parser.has_option("function", "coefficients")
-        has_name = parser.has_option("function", "named")
-        growth = (
-            parser.getfloat("function", "growth_bound")
-            if parser.has_option("function", "growth_bound")
-            else None
-        )
+    def build(section, make, *args):
+        """make(*args); None when an argument is None (already recorded) or
+        when make refuses the arguments (recorded here)."""
+        if None in args:
+            return None
         try:
-            if has_coeffs == has_name:
-                problems.append("[function] needs exactly one of 'coefficients' or 'named'")
-            elif has_coeffs:
-                function = FunctionSpec.polynomial(
-                    _parse_floats(parser.get("function", "coefficients")),
-                    growth_bound_Cf=growth,
-                )
-            else:
-                function = FunctionSpec.named(
-                    parser.get("function", "named"), growth_bound_Cf=growth
-                )
-        except (DomainError, ValueError) as exc:
-            problems.append(f"[function] invalid: {exc}")
-    else:
-        problems.append("missing [function] section")
-
-    # --- run parameters ---
-    n_list: tuple[int, ...] = _DEFAULT_N_LIST
-    if parser.has_option("run", "n_list"):
-        try:
-            n_list = tuple(_parse_ints(parser.get("run", "n_list")))
+            return make(*args)
+        except RegimeError as exc:
+            problems.append(f"[{section}] violates the regime 0 < q < p <= 1: {exc}")
         except ValueError as exc:
-            problems.append(f"[run] n_list unparseable: {exc}")
-    if not n_list:
-        problems.append("[run] n_list must be non-empty")
-    elif any(b <= a for a, b in zip(n_list, n_list[1:])):
-        problems.append(f"[run] n_list must be strictly increasing, got {list(n_list)}")
+            problems.append(f"[{section}] invalid: {exc}")
+        return None
 
-    outputs: tuple[str, ...] = ("curves",)
-    if parser.has_option("run", "outputs"):
-        outputs = tuple(
-            tok.strip() for tok in parser.get("run", "outputs").split(",") if tok.strip()
-        )
+    schedule = None
+    sections = [name for name in ("pair", "schedule") if parser.has_section(name)]
+    if len(sections) != 1:
+        problems.append("give exactly one of a [pair] or a [schedule] section")
+    else:
+        section = sections[0]
+        family = "fixed" if section == "pair" else option(section, "family", str, "q_ratio")
+        if family in families:
+            keys, make = families[family]
+            schedule = build(section, make, *(option(section, k, float, d) for k, d in keys))
+        else:
+            problems.append(f"[schedule] unknown family {family!r}")
+
+    function = None
+    growth = option("function", "growth_bound", float, None)
+    given = [key for key in targets if parser.has_option("function", key)]
+    if not parser.has_section("function"):
+        problems.append("missing [function] section")
+    elif len(given) != 1:
+        problems.append("[function] needs exactly one of 'coefficients' or 'named'")
+    else:
+        convert, make = targets[given[0]]
+        value = option("function", given[0], convert)
+        function = build("function", lambda v: make(v, growth_bound_Cf=growth), value)
+
+    n_list = option("run", "n_list", _parse_ints, _DEFAULT_N_LIST)
+    if n_list == ():
+        problems.append("[run] n_list must be non-empty")
+    elif n_list and any(b <= a for a, b in zip(n_list, n_list[1:])):
+        problems.append(f"[run] n_list must be strictly increasing, got {list(n_list)}")
+    outputs = option("run", "outputs", _parse_names, ("curves",))
     for kind in outputs:
         if kind not in _OUTPUT_KINDS:
             problems.append(f"[run] unknown output {kind!r}; known: {_OUTPUT_KINDS}")
-
-    kappa = 2.0
-    if parser.has_option("run", "kappa"):
-        try:
-            kappa = parser.getfloat("run", "kappa")
-        except ValueError as exc:
-            problems.append(f"[run] kappa unparseable: {exc}")
-    plot_script = True
-    if parser.has_option("run", "plot_script"):
-        try:
-            plot_script = parser.getboolean("run", "plot_script")
-        except ValueError as exc:
-            problems.append(f"[run] plot_script unparseable: {exc}")
+    kappa = option("run", "kappa", float, 2.0)
+    plot_script = option("run", "plot_script", _parse_bool, True)
 
     # moments of order 2 (and the Beta-weighted operator itself for degree-2
     # targets) exist only for n > 2
@@ -173,57 +166,48 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             f"outputs {sorted(needs_second_order)} need every n > 2 "
             f"(second-order moments are defined for n > 2), got n = {min(n_list)}"
         )
+    # every listed n needs a pair, and a strict one for the Beta-weighted operator
+    orders = n_list if schedule is not None and n_list else ()
+    pairs = [build("run", schedule.pair_at, n) for n in orders]
+    flat = [pair for pair in pairs if pair is not None and not pair.is_strict]
+    strict_outputs = sorted({"curves", "convergence"} & set(outputs))
+    if flat and strict_outputs:
+        problems.append(
+            f"outputs {strict_outputs} need 0 < q < p <= 1 (the Beta-weighted operator), "
+            f"got p = q = {flat[0].p}"
+        )
 
-    # --- grid ---
-    grid = EvalGrid(0.0, 5.0, 101)
-    if parser.has_section("grid"):
-        try:
-            grid = EvalGrid(
-                parser.getfloat("grid", "start", fallback=0.0),
-                parser.getfloat("grid", "stop", fallback=5.0),
-                parser.getint("grid", "points", fallback=101),
-            )
-        except (DomainError, ValueError) as exc:
-            problems.append(f"[grid] invalid: {exc}")
+    grid = build(
+        "grid",
+        EvalGrid,
+        option("grid", "start", float, 0.0),
+        option("grid", "stop", float, 5.0),
+        option("grid", "points", int, 101),
+    )
+    policy = build(
+        "policy",
+        TruncationPolicy,
+        option("policy", "rel_tol", float, DEFAULT_POLICY.rel_tol),
+        option("policy", "abs_tol", float, DEFAULT_POLICY.abs_tol),
+        option("policy", "max_terms", int, DEFAULT_POLICY.max_terms),
+    )
+    output_path = option("output", "path", str, "out")
 
-    # --- policy ---
-    policy = TruncationPolicy()
-    if parser.has_section("policy"):
-        try:
-            policy = TruncationPolicy(
-                rel_tol=parser.getfloat("policy", "rel_tol", fallback=1e-12),
-                abs_tol=parser.getfloat("policy", "abs_tol", fallback=1e-14),
-                max_terms=parser.getint("policy", "max_terms", fallback=10000),
-            )
-        except (DomainError, ValueError) as exc:
-            problems.append(f"[policy] invalid: {exc}")
-
-    output_path = parser.get("output", "path", fallback="out")
-
-    if "bound-report" in outputs and function is not None:
-        if function.default_growth_bound() is None:
+    if "bound-report" in outputs:
+        if function is not None and function.default_growth_bound() is None:
             problems.append(
                 "[function] bound-report needs a growth bound C_f "
                 "(set growth_bound, or use a polynomial of degree <= 2)"
             )
-    if "bound-report" in outputs and grid.stop < kappa + 1.0:
-        problems.append(
-            f"[grid] stop = {grid.stop} must reach kappa + 1 = {kappa + 1.0} for bound-report"
-        )
+        if None not in (grid, kappa) and grid.stop < kappa + 1.0:
+            problems.append(
+                f"[grid] stop = {grid.stop} must reach kappa + 1 = {kappa + 1.0} for bound-report"
+            )
 
     if problems:
         raise ConfigurationError(problems)
-    assert schedule is not None and function is not None
     return ExperimentConfig(
-        schedule=schedule,
-        function=function,
-        n_list=tuple(int(n) for n in n_list),
-        grid=grid,
-        policy=policy,
-        outputs=outputs,
-        output_path=output_path,
-        kappa=kappa,
-        plot_script=plot_script,
+        schedule, function, n_list, grid, policy, outputs, output_path, kappa, plot_script
     )
 
 
@@ -246,12 +230,15 @@ def validate_config(path: str | Path, overrides: Sequence[str] = ()) -> Experime
             )
         key_part, value = item.split("=", 1)
         section, key = (part.strip() for part in key_part.split(".", 1))
-        if not parser.has_section(section):
-            parser.add_section(section)
-        if value.strip() == "":
-            parser.remove_option(section, key)
-        else:
-            parser.set(section, key, value.strip())
+        try:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            if value.strip() == "":
+                parser.remove_option(section, key)
+            else:
+                parser.set(section, key, value.strip())
+        except ValueError as exc:
+            raise ConfigurationError([f"override {item!r} rejected: {exc}"]) from exc
     return _build_config(parser)
 
 
@@ -301,25 +288,13 @@ def _curves(config: ExperimentConfig, out: Path) -> bool:
 
 
 def _moments(config: ExperimentConfig, out: Path) -> bool:
-    xs = config.grid.array()
     rows: list[list[str]] = []
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
-        for x in xs:
-            x = float(x)
-            m1 = moments_closed(pair, 1, n, x)
-            m2 = moments_closed(pair, 2, n, x)
-            rows.append(
-                [
-                    str(n),
-                    _fmt(x),
-                    _fmt(moments_closed(pair, 0, n, x)),
-                    _fmt(m1),
-                    _fmt(m2),
-                    _fmt(central_moment(pair, 1, n, x)),
-                    _fmt(central_moment(pair, 2, n, x)),
-                ]
-            )
+        for x in map(float, config.grid.array()):
+            raw = [moments_closed(pair, m, n, x) for m in (0, 1, 2)]
+            central = [central_moment(pair, m, n, x) for m in (1, 2)]
+            rows.append([str(n)] + [_fmt(v) for v in (x, *raw, *central)])
     _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], rows)
     return False
 
@@ -328,22 +303,9 @@ def _convergence(config: ExperimentConfig, out: Path) -> bool:
     rows = convergence_run(
         config.schedule, config.function, config.n_list, config.grid, config.policy
     )
-    table = [
-        [
-            str(r.n),
-            _fmt(r.p_n),
-            _fmt(r.q_n),
-            _fmt(r.sup_error),
-            _fmt(r.weighted_error),
-            _fmt(r.mu2_max),
-        ]
-        for r in rows
-    ]
-    _write_csv(
-        out / "convergence.csv",
-        ["n", "p_n", "q_n", "sup_error", "weighted_error", "mu2_max"],
-        table,
-    )
+    fields = ("p_n", "q_n", "sup_error", "weighted_error", "mu2_max")
+    table = [[str(r.n)] + [_fmt(getattr(r, name)) for name in fields] for r in rows]
+    _write_csv(out / "convergence.csv", ["n", *fields], table)
     return any(not r.ok for r in rows)
 
 

@@ -1,8 +1,9 @@
 """Target-function descriptions used by the operators and experiments.
 
-A ``FunctionSpec`` is a callable description of f: [0, inf) -> R.  Three
-kinds exist: ``polynomial`` (ascending coefficients), ``named`` (drawn from
-a small registry), and ``tabulated`` (linear interpolation on a grid).
+A ``FunctionSpec`` is a callable description of f: [0, inf) -> R.  Two
+kinds exist: ``polynomial`` (ascending coefficients) and ``named`` (drawn
+from a small registry).  The operators sample f at nodes that run off to
+infinity, so every kind is defined on the whole half-line.
 An optional growth bound C_f certifies |f(x)| <= C_f (1 + x^2); it is
 required by the weighted-norm machinery and validated by sampling.
 """
@@ -39,13 +40,11 @@ _GROWTH_SAMPLE = np.concatenate([np.linspace(0.0, 10.0, 201), np.geomspace(10.0,
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A target function: polynomial coefficients, a registry name, or a table."""
+    """A target function: polynomial coefficients or a registry name."""
 
     kind: str
     coefficients: Optional[tuple[float, ...]] = None
     name: Optional[str] = None
-    grid: Optional[tuple[float, ...]] = None
-    values: Optional[tuple[float, ...]] = None
     growth_bound_Cf: Optional[float] = field(default=None)
 
     @classmethod
@@ -67,23 +66,8 @@ class FunctionSpec:
             growth_bound_Cf = NAMED_FUNCTIONS[name][2]
         return cls(kind="named", name=name, growth_bound_Cf=growth_bound_Cf)
 
-    @classmethod
-    def tabulated(
-        cls,
-        grid: Sequence[float],
-        values: Sequence[float],
-        growth_bound_Cf: Optional[float] = None,
-    ) -> "FunctionSpec":
-        g = tuple(float(v) for v in grid)
-        v = tuple(float(v) for v in values)
-        if len(g) != len(v) or len(g) < 2:
-            raise DomainError("tabulated function needs matching grid/values of length >= 2")
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise DomainError("tabulated grid must be strictly increasing")
-        return cls(kind="tabulated", grid=g, values=v, growth_bound_Cf=growth_bound_Cf)
-
     def __post_init__(self) -> None:
-        if self.kind not in ("polynomial", "named", "tabulated"):
+        if self.kind not in ("polynomial", "named"):
             raise DomainError(f"unknown FunctionSpec kind {self.kind!r}")
         if self.growth_bound_Cf is not None:
             if self.growth_bound_Cf <= 0.0:
@@ -93,14 +77,10 @@ class FunctionSpec:
     def _validate_growth_bound(self) -> None:
         cf = self.growth_bound_Cf
         assert cf is not None
-        if self.kind == "tabulated":
-            xs = np.asarray(self.grid)
-        else:
-            xs = _GROWTH_SAMPLE
-        fx = np.abs(self.evaluate(xs))
-        bound = cf * (1.0 + xs**2)
+        fx = np.abs(self.evaluate(_GROWTH_SAMPLE))
+        bound = cf * (1.0 + _GROWTH_SAMPLE**2)
         if np.any(fx > bound * (1.0 + 1e-12)):
-            worst = float(xs[np.argmax(fx - bound)])
+            worst = float(_GROWTH_SAMPLE[np.argmax(fx - bound)])
             raise DomainError(
                 f"growth bound C_f = {cf} violated by sampling near x = {worst:.6g}"
             )
@@ -109,20 +89,12 @@ class FunctionSpec:
         if self.kind == "polynomial":
             assert self.coefficients is not None
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coefficients)
-        if self.kind == "named":
-            assert self.name is not None
-            return NAMED_FUNCTIONS[self.name][0](x)
-        assert self.grid is not None and self.values is not None
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < self.grid[0]) or np.any(xa > self.grid[-1]):
-            raise DomainError(
-                f"tabulated function evaluated outside [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        return np.interp(xa, self.grid, self.values)
+        assert self.name is not None
+        return NAMED_FUNCTIONS[self.name][0](x)
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
         out = self.evaluate(x)
-        if np.isscalar(x) or (isinstance(x, float) or isinstance(x, int)):
+        if np.isscalar(x):
             return float(out)
         return out
 
@@ -130,10 +102,8 @@ class FunctionSpec:
         """Ascending coefficients when the function is exactly a polynomial."""
         if self.kind == "polynomial":
             return self.coefficients
-        if self.kind == "named":
-            assert self.name is not None
-            return NAMED_FUNCTIONS[self.name][1]
-        return None
+        assert self.name is not None
+        return NAMED_FUNCTIONS[self.name][1]
 
     @property
     def degree(self) -> Optional[int]:

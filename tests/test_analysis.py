@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from pqbaskakov import (
@@ -9,7 +8,7 @@ from pqbaskakov import (
     FunctionSpec,
     PQPair,
     ParameterSchedule,
-    WeightFunction,
+    TruncationPolicy,
     central_moment,
     convergence_run,
     interval_rate_bound,
@@ -41,11 +40,6 @@ class TestGridAndWeight:
         grid = EvalGrid(0.0, 10.0, 101)
         assert grid.spacing == pytest.approx(0.1)
         assert len(grid.array()) == 101
-
-    def test_weight_is_one_plus_x_squared(self):
-        sigma = WeightFunction()
-        assert sigma(0.0) == 1.0
-        np.testing.assert_allclose(sigma(np.array([1.0, 3.0])), [2.0, 10.0])
 
 
 class TestModuli:
@@ -287,3 +281,23 @@ class TestConvergenceRun:
         )
         assert not rows[0].ok and math.isnan(rows[0].sup_error)
         assert rows[1].ok
+
+    def test_target_without_growth_bound_runs(self):
+        # only weighted_sup_error demands C_f; the convergence table does not
+        e3 = FunctionSpec.named("e3")
+        with pytest.raises(DomainError):
+            weighted_sup_error(PQPair(0.9, 0.8), 10, e3, EvalGrid(0.0, 5.0, 21))
+        rows = convergence_run(ParameterSchedule.q_ratio(), e3, [10, 20], EvalGrid(0.0, 5.0, 21))
+        assert all(r.ok and math.isfinite(r.weighted_error) for r in rows)
+
+    def test_non_finite_operator_value_marks_row(self):
+        # a ladder budget too small for the band of row k = 0 gives NaN samples
+        rows = convergence_run(
+            ParameterSchedule.fixed(PQPair(0.9, 0.8)),
+            KINK,
+            [10, 20],
+            EvalGrid(0.0, 5.0, 11),
+            TruncationPolicy(max_terms=100),
+        )
+        assert [r.ok for r in rows] == [False, False]
+        assert all(math.isnan(r.sup_error) and r.mu2_max > 0.0 for r in rows)

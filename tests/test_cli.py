@@ -307,3 +307,93 @@ def test_curves_do_not_depend_on_the_sample_caches(tmp_path, monkeypatch):
     assert run_experiment(config, tmp_path / "cold") == 0
     shared = (tmp_path / "shared" / "curves.csv").read_bytes()
     assert shared == (tmp_path / "cold" / "curves.csv").read_bytes()
+
+
+def _config(tmp_path, head, run):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        f"{head}\n[function]\nnamed = e2\n\n[run]\n{run}\n\n"
+        "[grid]\nstart = 0\nstop = 3\npoints = 7\n"
+    )
+    return path
+
+
+# each config below parses, but asks run for an operator or an order it cannot evaluate
+REFUSED = {
+    "classical-corner": ("[pair]\np = 1\nq = 1", "n_list = 5, 10\noutputs = curves"),
+    "degenerate-line": ("[pair]\np = 0.9\nq = 0.9", "n_list = 5, 10\noutputs = convergence"),
+    "n-zero": ("[pair]\np = 0.9\nq = 0.8", "n_list = 0\noutputs = curves"),
+    "n-negative": ("[pair]\np = 0.9\nq = 0.8", "n_list = -3, 5\noutputs = curves"),
+    "harmonic-exit": (
+        "[schedule]\nfamily = harmonic_decay\nbeta = 5",
+        "n_list = 3, 10\noutputs = curves, moments",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_validate_refuses_what_run_cannot_finish(case, tmp_path, capsys):
+    path = _config(tmp_path, *REFUSED[case])
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path)
+    assert len(err.value.messages) == 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_refused_order_is_its_own_message(tmp_path):
+    path = _config(tmp_path, "[pair]\np = 0.9\nq = 0.8", "n_list = -3, 0, 5\noutputs = curves")
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path)
+    assert len(err.value.messages) == 2
+    assert all("n >= 1" in m for m in err.value.messages)
+
+
+def test_non_strict_pair_runs_moments(tmp_path):
+    path = _config(tmp_path, "[pair]\np = 1\nq = 1", "n_list = 5, 10\noutputs = moments")
+    assert run_experiment(validate_config(path), tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize(
+    "head, override",
+    [
+        ("[pair]\np = 0.9", "run.outputs=curves"),
+        ("[pair]\np = 0.9\nq = 0.8", "function.growth_bound=lots"),
+        ("[pair]\np = 0.9\nq = 0.8", "grid.points=many"),
+        ("[pair]\np = 0.9\nq = 0.8", "run.plot_script=maybe"),
+        ("[schedule]\nfamily = harmonic_decay", "run.outputs=curves"),
+        ("[schedule]\nfamily = linear", "run.outputs=curves"),
+        ("[pair]\np = 0.9\nq = 0.8\n[output]\npath = 50%out", "run.outputs=curves"),
+        ("[pair]\np = 0.9\nq = 0.8", "output.path=50%out"),
+        ("[pair]\np = 0.9\nq = 0.8", "DEFAULT.kappa=3"),
+    ],
+    ids=[
+        "missing-q", "growth-bound", "grid-points", "plot-script", "missing-beta", "family",
+        "path-interpolation", "override-interpolation", "override-default-section",
+    ],
+)
+def test_bad_keys_are_configuration_errors(head, override, tmp_path):
+    path = _config(tmp_path, head, "n_list = 5, 10")
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path, overrides=[override])
+    assert len(err.value.messages) == 1
+
+
+def test_pair_section_is_the_fixed_schedule(tmp_path, small_config):
+    fixed = tmp_path / "fixed.cfg"
+    fixed.write_text(FIGURE1_TEXT.replace("[pair]", "[schedule]\nfamily = fixed"))
+    assert validate_config(fixed) == validate_config(small_config)
+
+
+def test_nan_convergence_row_is_exit_two(tmp_path):
+    # a starved ladder budget leaves the operator values NaN at every x
+    path = tmp_path / "starved.cfg"
+    path.write_text(
+        LADDER_TEXT.replace("n_list = 5, 8", "n_list = 10, 20")
+        .replace("outputs = curves", "outputs = convergence")
+        + "\n[policy]\nmax_terms = 100\n"
+    )
+    out = tmp_path / "results"
+    assert run_experiment(validate_config(path), out) == 2
+    rows = read_csv(out / "convergence.csv")
+    assert [r["sup_error"] for r in rows] == ["NA", "NA"]

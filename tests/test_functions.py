@@ -50,18 +50,3 @@ class TestNamed:
         with pytest.raises(DomainError):
             FunctionSpec.named("nope")
 
-
-class TestTabulated:
-    def test_interpolates(self):
-        f = FunctionSpec.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-        assert f(0.5) == 1.0
-        assert f(1.5) == 1.0
-
-    def test_out_of_range_rejected(self):
-        f = FunctionSpec.tabulated([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(DomainError):
-            f(2.0)
-
-    def test_needs_increasing_grid(self):
-        with pytest.raises(DomainError):
-            FunctionSpec.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
