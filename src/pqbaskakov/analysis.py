@@ -126,9 +126,7 @@ class ParameterSchedule:
             return 1.0, math.exp(-1.0)
         if self.family == "harmonic_decay":
             return math.exp(-self.alpha), math.exp(-self.beta)
-        if self.p == 1.0 and self.q == 1.0:
-            return 1.0, 1.0
-        return (0.0 if self.p < 1.0 else 1.0), 0.0
+        return float(self.p == 1.0), float(self.q == 1.0)
 
     def pair_at(self, n: int) -> PQPair:
         if n < 1:
@@ -145,61 +143,56 @@ class ParameterSchedule:
         return PQPair(1.0 - self.alpha / n, q_n)
 
 
-def _max_steps(delta: float, spacing: float, count: int) -> int:
-    return min(int(math.floor(delta / spacing + 1e-12)), count - 1)
+def _max_steps(delta: float | np.ndarray, spacing: float, count: int) -> np.ndarray:
+    """Whole grid steps within delta (a float or an array), capped at count - 1."""
+    return np.minimum(np.floor(delta / spacing + 1e-12), count - 1).astype(int)
 
 
-def _modulus_from_values(values: np.ndarray, spacing: float, delta: float, order: int) -> float:
-    s_max = _max_steps(delta, spacing, len(values))
-    if s_max < 1:
-        return 0.0
-    best = 0.0
-    for s in range(1, s_max + 1):
+def _moduli(values: np.ndarray, steps: int, order: int) -> np.ndarray:
+    """The discrete modulus of the given order at every step count 0..steps:
+    the running max over s of the largest |difference| at s grid steps (0
+    where no difference fits; a NaN difference is skipped)."""
+    peaks = np.zeros(steps + 1)
+    for s in range(1, min(steps, (len(values) - 1) // order) + 1):
         if order == 1:
-            diff = np.abs(values[s:] - values[:-s])
+            diff = values[s:] - values[:-s]
         else:
-            if len(values) <= 2 * s:
-                break
-            diff = np.abs(values[2 * s:] - 2.0 * values[s:-s] + values[:-2 * s])
-        if diff.size:
-            best = max(best, float(diff.max()))
-    return best
+            diff = values[2 * s:] - 2.0 * values[s:-s] + values[:-2 * s]
+        peaks[s] = np.abs(diff).max()
+    return np.fmax.accumulate(peaks)
+
+
+def _modulus(
+    f: Union[FunctionSpec, callable], delta: float, grid: EvalGrid, order: int, name: str
+) -> float:
+    """The discrete modulus of the given order of f at delta on the grid."""
+    if delta < 0.0:
+        raise DomainError(f"delta must be >= 0, got {delta}")
+    if delta == 0.0:
+        return 0.0
+    if delta < grid.spacing:
+        warnings.warn(
+            f"delta = {delta:.3g} is below the grid spacing {grid.spacing:.3g}; "
+            f"the {name} is resolution-limited and reported as 0",
+            stacklevel=3,
+        )
+    values = np.asarray(as_callable(f)(grid.array()), dtype=float)
+    steps = int(_max_steps(delta, grid.spacing, len(values)))
+    return float(_moduli(values, steps, order)[steps])
 
 
 def modulus_of_continuity(
     f: Union[FunctionSpec, callable], delta: float, grid: EvalGrid
 ) -> float:
     """Discrete omega(f, delta): sup over grid x and step h <= delta of |f(x+h) - f(x)|."""
-    if delta < 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    if delta < grid.spacing:
-        warnings.warn(
-            f"delta = {delta:.3g} is below the grid spacing {grid.spacing:.3g}; "
-            "the modulus is resolution-limited and reported as 0",
-            stacklevel=2,
-        )
-    values = np.asarray(as_callable(f)(grid.array()), dtype=float)
-    return _modulus_from_values(values, grid.spacing, delta, order=1)
+    return _modulus(f, delta, grid, 1, "modulus")
 
 
 def second_modulus(
     f: Union[FunctionSpec, callable], delta: float, grid: EvalGrid
 ) -> float:
     """Discrete omega_2(f, delta): sup of |f(x+2h) - 2 f(x+h) + f(x)|, h <= delta."""
-    if delta < 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    if delta < grid.spacing:
-        warnings.warn(
-            f"delta = {delta:.3g} is below the grid spacing {grid.spacing:.3g}; "
-            "the second modulus is resolution-limited and reported as 0",
-            stacklevel=2,
-        )
-    values = np.asarray(as_callable(f)(grid.array()), dtype=float)
-    return _modulus_from_values(values, grid.spacing, delta, order=2)
+    return _modulus(f, delta, grid, 2, "second modulus")
 
 
 @dataclass(frozen=True)
@@ -219,6 +212,11 @@ def pointwise_bound_terms(
     mu2 = central_moment(pair, 2, n, x)
     omega = modulus_of_continuity(f, abs(mu1), grid)
     return BoundTerms(omega_term=omega, omega2_arg=math.sqrt(mu2 + mu1 * mu1))
+
+
+def _rate_constant(cf: float, kappa: float) -> float:
+    """L = 6 C_f (1 + kappa^2)(1 + kappa + kappa^2) of ``interval_rate_bound``."""
+    return 6.0 * cf * (1.0 + kappa**2) * (1.0 + kappa + kappa**2)
 
 
 def interval_rate_bound(
@@ -249,22 +247,13 @@ def interval_rate_bound(
         raise DomainError(
             f"grid [{grid.start}, {grid.stop}] must cover [0, {kappa + 1.0}] for the moduli"
         )
-    L = 6.0 * cf * (1.0 + kappa**2) * (1.0 + kappa + kappa**2)
+    L = _rate_constant(cf, kappa)
     xs = grid.array()
     values = np.asarray(as_callable(f)(xs), dtype=float)
-    inside = xs[xs <= kappa + 1e-12]
-    spacing = grid.spacing
-    omega_cache: dict[int, float] = {}
-    bound = 0.0
-    for x in inside:
-        mu2 = central_moment(pair, 2, n, float(x))
-        delta = math.sqrt(L * mu2)
-        steps = _max_steps(delta, spacing, len(values))
-        if steps not in omega_cache:
-            omega_cache[steps] = _modulus_from_values(values, spacing, steps * spacing, 1)
-        omega = omega_cache[steps]
-        bound = max(bound, L * mu2 + (1.0 + 1.0 / math.sqrt(L)) * omega)
-    return bound
+    mu2 = central_moment(pair, 2, n, xs[xs <= kappa + 1e-12])
+    steps = _max_steps(np.sqrt(L * mu2), grid.spacing, len(values))
+    omega = _moduli(values, int(steps.max()), order=1)[steps]
+    return float(np.max(L * mu2 + (1.0 + 1.0 / math.sqrt(L)) * omega, initial=0.0))
 
 
 def _grid_errors(
@@ -331,12 +320,12 @@ def convergence_run(
     xs = grid.array()
     fv = np.asarray(as_callable(f)(xs), dtype=float)
     for n in n_list:
+        pair = None
         try:
             pair = schedule.pair_at(int(n))
             if n <= 2:
                 raise DomainError(f"convergence rows need n > 2, got n={n}")
             dv, err, weighted = _grid_errors(pair, int(n), f, xs, fv, policy)
-            mu2s = np.array([central_moment(pair, 2, int(n), float(x)) for x in xs])
             rows.append(
                 ConvergenceRow(
                     n=int(n),
@@ -344,18 +333,13 @@ def convergence_run(
                     q_n=pair.q,
                     sup_error=float(err.max()),
                     weighted_error=float(weighted.max()),
-                    mu2_max=float(mu2s.max()),
+                    mu2_max=float(central_moment(pair, 2, int(n), xs).max()),
                     ok=bool(np.isfinite(dv).all()),
                 )
             )
         except (DomainError, RegimeError) as exc:
             logger.warning("convergence row n=%s failed: %s", n, exc)
             nan = float("nan")
-            p_n = q_n = nan
-            try:
-                failed_pair = schedule.pair_at(int(n))
-                p_n, q_n = failed_pair.p, failed_pair.q
-            except (DomainError, RegimeError):
-                pass
+            p_n, q_n = (nan, nan) if pair is None else (pair.p, pair.q)
             rows.append(ConvergenceRow(int(n), p_n, q_n, nan, nan, nan, ok=False))
     return rows

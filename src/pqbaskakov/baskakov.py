@@ -286,10 +286,9 @@ def _log_beta_ratio_factors(pair: PQPair, n: int, m: int, k_count: int) -> np.nd
     """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for k = 0..k_count-1.
 
     This is the exact inner-integral factor for the monomial t^m: the shared
-    Gamma(n+k+1) cancels, leaving factorial differences and prefactors.
+    Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  Its
+    one caller, the analytic route, has already checked n > m.
     """
-    if n <= m:
-        raise DomainError(f"monomial order m={m} needs operator order n > m, got n={n}")
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
     lfact = np.asarray(_log_fact_table(pair, n + k_count + m))
@@ -313,8 +312,9 @@ def baskakov_beta_monomial_exact(
 ) -> float:
     """D_n(t^m, x) through closed-form Beta values (semi-analytic route).
 
-    Independent of both the ladder quadrature and the closed moment
-    expressions: the only shared machinery is the basis row and ``_apply``.
+    The analytic route of ``baskakov_beta_apply`` for the monomial t^m, so
+    independent of both the ladder quadrature and the closed moment
+    expressions.
     """
     pair.require_strict("the Beta-weighted operator")
     if m < 0:
@@ -323,11 +323,7 @@ def baskakov_beta_monomial_exact(
         raise DomainError(f"needs n > m, got n={n}, m={m}")
     if x < 0.0:
         raise DomainError(f"operator domain is x >= 0, got x={x}")
-
-    def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        return np.exp(_log_beta_ratio_factors(pair, n, m, k_count)), True
-
-    return _apply(pair, n, x, policy, samples).value
+    return _beta_apply_analytic(pair, (0.0,) * m + (1.0,), n, x, policy).value
 
 
 def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
@@ -450,19 +446,21 @@ def _cached_weight_ratios(
 # ---------------------------------------------------------------------------
 
 
-def moments_closed(pair: PQPair, m: int, n: int, x: float) -> float:
+def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Closed first and second moments of the Beta-weighted operator.
 
     m = 0 needs n >= 1, m = 1 needs n > 1, m = 2 needs n > 2.  The second
     moment keeps the printed three-term structure, including the p^n / q
-    coefficient, rather than any algebraic rearrangement.
+    coefficient, rather than any algebraic rearrangement.  x may be a float
+    or an array (a whole grid), and the result has its shape; each element
+    is bitwise the value at that float x.
     """
     if m not in (0, 1, 2):
         raise DomainError(f"closed moments exist for m in {{0,1,2}}, got {m}")
     if m == 0:
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
-        return 1.0
+        return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
     p, q = pair.p, pair.q
     if m == 1:
         if n <= 1:
@@ -481,8 +479,9 @@ def moments_closed(pair: PQPair, m: int, n: int, x: float) -> float:
     return term_x2 + term_x + term_c
 
 
-def central_moment(pair: PQPair, order: int, n: int, x: float) -> float:
-    """Central moments D_n((t-x)^order, x) for order in {1, 2}, n > 2."""
+def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Central moments D_n((t-x)^order, x) for order in {1, 2}, n > 2, at a
+    float x or elementwise over an array of them (as ``moments_closed``)."""
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
     if n <= 2:

@@ -18,13 +18,14 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analysis import (
     EvalGrid,
     ParameterSchedule,
+    _rate_constant,
     convergence_run,
     interval_rate_bound,
 )
@@ -34,7 +35,7 @@ from .functions import FunctionSpec
 
 __all__ = ["ConfigurationError", "ExperimentConfig", "validate_config", "run_experiment", "main"]
 
-_OUTPUT_KINDS = ("curves", "moments", "convergence", "bound-report")
+_OUTPUT_KINDS = ("curves", "moments", "convergence", "bound-report")  # in the order run writes
 _DEFAULT_N_LIST = (10, 20, 50, 100)
 
 
@@ -56,26 +57,15 @@ class ExperimentConfig:
     outputs: tuple[str, ...]
     output_path: str
     kappa: float = 2.0
-    plot_script: bool = True
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _parse_numbers(convert: Callable[[str], float]) -> Callable[[str], tuple]:
+    """A parser of comma- or space-separated numbers, each through convert."""
+    return lambda text: tuple(convert(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-def _parse_bool(text: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if text.lower() not in states:
-        raise ValueError(f"Not a boolean: {text}")
-    return states[text.lower()]
 
 
 def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -89,14 +79,17 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     }
     # [function] key -> (value parser, constructor); a config gives exactly one
     targets = {
-        "coefficients": (_parse_floats, FunctionSpec.polynomial),
+        "coefficients": (_parse_numbers(float), FunctionSpec.polynomial),
         "named": (str, FunctionSpec.named),
     }
+
+    read: set[tuple[str, str]] = set()  # every (section, key) looked up
 
     def option(section, key, convert, default=...):
         """section.key through convert, or default when the key is absent.  A
         missing required key (no default) or an unparseable value is recorded
         and gives None."""
+        read.add((section, key))
         if not parser.has_option(section, key):
             if default is ...:
                 problems.append(f"[{section}] needs {key!r}")
@@ -125,6 +118,7 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     sections = [name for name in ("pair", "schedule") if parser.has_section(name)]
     if len(sections) != 1:
         problems.append("give exactly one of a [pair] or a [schedule] section")
+        read.update((name, key) for name in sections for key in parser.options(name))
     else:
         section = sections[0]
         family = "fixed" if section == "pair" else option(section, "family", str, "q_ratio")
@@ -136,6 +130,7 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
 
     function = None
     growth = option("function", "growth_bound", float, None)
+    read.update(("function", key) for key in targets)
     given = [key for key in targets if parser.has_option("function", key)]
     if not parser.has_section("function"):
         problems.append("missing [function] section")
@@ -146,7 +141,7 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         value = option("function", given[0], convert)
         function = build("function", lambda v: make(v, growth_bound_Cf=growth), value)
 
-    n_list = option("run", "n_list", _parse_ints, _DEFAULT_N_LIST)
+    n_list = option("run", "n_list", _parse_numbers(int), _DEFAULT_N_LIST)
     if n_list == ():
         problems.append("[run] n_list must be non-empty")
     elif n_list and any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -156,7 +151,6 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         if kind not in _OUTPUT_KINDS:
             problems.append(f"[run] unknown output {kind!r}; known: {_OUTPUT_KINDS}")
     kappa = option("run", "kappa", float, 2.0)
-    plot_script = option("run", "plot_script", _parse_bool, True)
 
     # moments of order 2 (and the Beta-weighted operator itself for degree-2
     # targets) exist only for n > 2
@@ -204,10 +198,25 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
                 f"[grid] stop = {grid.stop} must reach kappa + 1 = {kappa + 1.0} for bound-report"
             )
 
+    # a section or key that nothing above looked up is misspelt, or is one its
+    # section does not take (a [schedule] key of another family); a [DEFAULT]
+    # key is one problem, not one per section that inherits it
+    defaults = parser.defaults()
+    sections_read = {section for section, _ in read}
+    keys_read = {key for _, key in read}
+    for section in parser.sections():
+        if section not in sections_read:
+            problems.append(f"unknown section [{section}]")
+            continue
+        for key in parser.options(section):
+            if key not in defaults and (section, key) not in read:
+                problems.append(f"[{section}] unknown key {key!r}")
+    problems += [f"[DEFAULT] unknown key {key!r}" for key in defaults if key not in keys_read]
+
     if problems:
         raise ConfigurationError(problems)
     return ExperimentConfig(
-        schedule, function, n_list, grid, policy, outputs, output_path, kappa, plot_script
+        schedule, function, n_list, grid, policy, outputs, output_path, kappa
     )
 
 
@@ -279,22 +288,19 @@ def _curves(config: ExperimentConfig, out: Path) -> bool:
                 partial = True
         columns.append(col)
     header = ["x", "f"] + [f"D_n={n}" for n in config.n_list]
-    rows = [
-        [_fmt(x), _fmt(v)] + [columns[j][i] for j in range(len(config.n_list))]
-        for i, (x, v) in enumerate(zip(xs, fv))
-    ]
+    rows = [[_fmt(x), _fmt(v), *cells] for x, v, *cells in zip(xs, fv, *columns)]
     _write_csv(out / "curves.csv", header, rows)
     return partial
 
 
 def _moments(config: ExperimentConfig, out: Path) -> bool:
+    xs = config.grid.array()
     rows: list[list[str]] = []
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
-        for x in map(float, config.grid.array()):
-            raw = [moments_closed(pair, m, n, x) for m in (0, 1, 2)]
-            central = [central_moment(pair, m, n, x) for m in (1, 2)]
-            rows.append([str(n)] + [_fmt(v) for v in (x, *raw, *central)])
+        raw = [moments_closed(pair, m, n, xs) for m in (0, 1, 2)]
+        central = [central_moment(pair, m, n, xs) for m in (1, 2)]
+        rows.extend([str(n)] + [_fmt(v) for v in point] for point in zip(xs, *raw, *central))
     _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], rows)
     return False
 
@@ -311,19 +317,15 @@ def _convergence(config: ExperimentConfig, out: Path) -> bool:
 
 def _bound_report(config: ExperimentConfig, out: Path) -> bool:
     kappa = config.kappa
-    cf = config.function.require_growth_bound()
-    L = 6.0 * cf * (1.0 + kappa**2) * (1.0 + kappa + kappa**2)
+    L = _rate_constant(config.function.require_growth_bound(), kappa)
+    xs = config.grid.array()
     rows: list[list[str]] = []
     partial = False
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
         try:
             bound = interval_rate_bound(pair, n, config.function, kappa, config.grid)
-            mu2_max = max(
-                central_moment(pair, 2, n, float(x))
-                for x in config.grid.array()
-                if x <= kappa
-            )
+            mu2_max = central_moment(pair, 2, n, xs[xs <= kappa]).max()
             rows.append([str(n), _fmt(kappa), _fmt(L), _fmt(mu2_max), _fmt(bound)])
         except DomainError:
             rows.append([str(n), _fmt(kappa), _fmt(L), "NA", "NA"])
@@ -365,15 +367,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str | Path] = Non
         return 1
     partial = False
     try:
+        for kind, write in zip(_OUTPUT_KINDS, (_curves, _moments, _convergence, _bound_report)):
+            if kind in config.outputs:
+                partial |= write(config, out)
         if "curves" in config.outputs:
-            partial |= _curves(config, out)
-        if "moments" in config.outputs:
-            partial |= _moments(config, out)
-        if "convergence" in config.outputs:
-            partial |= _convergence(config, out)
-        if "bound-report" in config.outputs:
-            partial |= _bound_report(config, out)
-        if config.plot_script and "curves" in config.outputs:
             with open(out / "plot_curves.py", "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(_PLOT_SCRIPT)
     except OSError as exc:

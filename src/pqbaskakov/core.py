@@ -186,20 +186,17 @@ def log_pq_factorial(pair: PQPair, n: int) -> float:
 
 
 def pq_factorial(pair: PQPair, n: int) -> float:
-    """[n]! = prod_{r=1..n} [r], with [0]! = 1."""
-    n = _check_nonneg_int(n, "n")
-    out = 1.0
-    for r in range(1, n + 1):
-        out *= pq_number(pair, r)
-    return out
+    """[n]! = prod_{r=1..n} [r], with [0]! = 1; inf where it overflows a double."""
+    try:
+        return math.exp(log_pq_factorial(pair, n))
+    except OverflowError:
+        return math.inf
 
 
 def pq_binomial(pair: PQPair, n: int, r: int) -> float:
     """[n]! / ([n-r]! [r]!), for 0 <= r <= n."""
     n = _check_nonneg_int(n, "n")
     r = _check_nonneg_int(r, "r")
-    if r > n:
-        raise DomainError(f"binomial requires 0 <= r <= n, got n={n}, r={r}")
     return math.exp(log_pq_binomial(pair, n, r))
 
 

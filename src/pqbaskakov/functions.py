@@ -110,11 +110,7 @@ class FunctionSpec:
         coeffs = self.as_polynomial()
         if coeffs is None:
             return None
-        deg = 0
-        for d, c in enumerate(coeffs):
-            if c != 0.0:
-                deg = d
-        return deg
+        return max((d for d, c in enumerate(coeffs) if c != 0.0), default=0)
 
     def default_growth_bound(self) -> Optional[float]:
         """C_f for polynomials of degree <= 2: sum of |coefficients| works since

@@ -365,7 +365,7 @@ def batched_weight_ratios(
     pair: PQPair,
     n: int,
     k_count: int,
-    f: Optional[Union[FunctionSpec, Callable]],
+    f: Union[FunctionSpec, Callable],
     policy: TruncationPolicy = DEFAULT_POLICY,
     f_growth_degree: int = 2,
 ) -> tuple[np.ndarray, bool]:
@@ -394,8 +394,7 @@ def batched_weight_ratios(
     edges decide.  Rows whose bands together span more than that, or hold
     more than _RUN_NODES nodes, are split over several windows.  Returns
     (ratios, all_rows_converged), a row counting as converged when its edge
-    mass is below 1e-12.  With f None the ratios are 1 and only the
-    convergence flag matters.
+    mass is below 1e-12.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
@@ -403,10 +402,10 @@ def batched_weight_ratios(
     pair.require_strict("the Beta-weighted ladder")
     if k_count < 1:
         raise DomainError("k_count must be >= 1")
-    func = as_callable(f) if f is not None else None
+    func = as_callable(f)
     cap = 2 * policy.max_terms + 1
     peak, left, right = _band_extents(
-        -math.log(pair.q / pair.p), n, np.arange(k_count), f_growth_degree if func is not None else 0
+        -math.log(pair.q / pair.p), n, np.arange(k_count), f_growth_degree
     )
     if not np.all(left + right + 1.0 <= cap):
         # never allocate a band over the node cap; without every row the
@@ -454,7 +453,7 @@ def _band_sums(
     peaks: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    func: Optional[Callable],
+    func: Callable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each row k of rows, over its band lo..hi (around its peak node) of
     one shared window: (sum w, sum f w, edge mass over sum w, largest edge
@@ -473,12 +472,9 @@ def _band_sums(
     # a row peaking beyond the float range overflows in f; its edge mass is
     # then NaN and the row does not converge
     with np.errstate(over="ignore", invalid="ignore"):
-        if func is not None:
-            t = np.exp(window.log_t)
-            c = q * q * np.power(p, n + rows.astype(float))
-            fw = w * np.asarray(func(c[member] * t[nodes - window.i_lo]), dtype=float)
-        else:
-            fw = w
+        t = np.exp(window.log_t)
+        c = q * q * np.power(p, n + rows.astype(float))
+        fw = w * np.asarray(func(c[member] * t[nodes - window.i_lo]), dtype=float)
         weight_sums = np.add.reduceat(w, first)
         abs_fw = np.abs(fw)
         tails = (w[first] + w[last] + abs_fw[first] + abs_fw[last]) / weight_sums

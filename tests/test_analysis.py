@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqbaskakov import (
     DomainError,
@@ -19,7 +22,7 @@ from pqbaskakov import (
     weighted_sup_error,
 )
 
-from conftest import CLASSICAL, rel_err
+from conftest import CLASSICAL, STRICT_PAIRS, rel_err
 
 E1 = FunctionSpec.named("e1")
 E2 = FunctionSpec.named("e2")
@@ -301,3 +304,69 @@ class TestConvergenceRun:
         )
         assert [r.ok for r in rows] == [False, False]
         assert all(math.isnan(r.sup_error) and r.mu2_max > 0.0 for r in rows)
+
+
+def _reference_rate_bound(pair, n, f, kappa, grid):
+    """interval_rate_bound as a loop over the grid points x <= kappa, each
+    with its own central moment and its own scan over step counts."""
+    L = 6.0 * f.require_growth_bound() * (1.0 + kappa**2) * (1.0 + kappa + kappa**2)
+    xs = grid.array()
+    values = f.evaluate(xs)
+    bound = 0.0
+    for x in xs[xs <= kappa + 1e-12]:
+        mu2 = central_moment(pair, 2, n, float(x))
+        steps = min(int(math.floor(math.sqrt(L * mu2) / grid.spacing + 1e-12)), len(xs) - 1)
+        omega = 0.0
+        for s in range(1, steps + 1):
+            omega = max(omega, float(np.abs(values[s:] - values[:-s]).max()))
+        bound = max(bound, L * mu2 + (1.0 + 1.0 / math.sqrt(L)) * omega)
+    return bound
+
+
+# a strict pair with an order n > 2: a fixed pair, or the q_ratio pair at n
+pair_and_order = st.tuples(
+    st.sampled_from(STRICT_PAIRS + [None]), st.integers(3, 200)
+).map(lambda drawn: (drawn[0] or ParameterSchedule.q_ratio().pair_at(drawn[1]), drawn[1]))
+
+
+class TestWholeGridEvaluation:
+    """The closed forms and the rate bound over a whole grid equal their
+    point-by-point evaluation bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pair_n=pair_and_order,
+        xs=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40),
+    )
+    def test_closed_moments_equal_the_float_calls(self, pair_n, xs):
+        pair, n = pair_n
+        grid = np.array(xs)
+        for m in (0, 1, 2):
+            got = moments_closed(pair, m, n, grid)
+            assert got.shape == grid.shape
+            assert all(g == moments_closed(pair, m, n, x) for g, x in zip(got, xs))
+            assert isinstance(moments_closed(pair, m, n, xs[0]), float)
+        for order in (1, 2):
+            got = central_moment(pair, order, n, grid)
+            assert got.shape == grid.shape
+            assert all(g == central_moment(pair, order, n, x) for g, x in zip(got, xs))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        pair_n=pair_and_order,
+        f=st.sampled_from([E2, KINK, FIG1]),
+        stop=st.floats(2.0, 6.0),
+        points=st.integers(3, 90),
+        at=st.floats(0.0, 1.0),
+        on_grid=st.booleans(),
+    )
+    def test_rate_bound_equals_the_per_point_loop(self, pair_n, f, stop, points, at, on_grid):
+        pair, n = pair_n
+        grid = EvalGrid(0.0, stop, points)
+        xs = grid.array()
+        # kappa > 0 a grid point, or halfway between two, with kappa + 1 <= stop
+        j = 1 + int(at * (np.count_nonzero(xs + 1.0 <= stop) - 2))
+        kappa = xs[j] if on_grid else (xs[j - 1] + xs[j]) / 2.0
+        assert interval_rate_bound(pair, n, f, kappa, grid) == _reference_rate_bound(
+            pair, n, f, kappa, grid
+        )

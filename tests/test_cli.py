@@ -397,3 +397,42 @@ def test_nan_convergence_row_is_exit_two(tmp_path):
     assert run_experiment(validate_config(path), out) == 2
     rows = read_csv(out / "convergence.csv")
     assert [r["sup_error"] for r in rows] == ["NA", "NA"]
+
+
+def test_misspelt_key_and_section_are_refused(tmp_path, capsys):
+    # a typo must not fall back to the default n_list and grid
+    path = tmp_path / "typo.cfg"
+    path.write_text(
+        "[pair]\np = 0.9\nq = 0.8\n\n[function]\nnamed = e2\n\n"
+        "[run]\nn_lst = 5\noutputs = curves\n\n[grd]\npoints = 7\n"
+    )
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path)
+    assert err.value.messages == ["[run] unknown key 'n_lst'", "unknown section [grd]"]
+    assert main(["validate", str(path)]) == 1
+    assert "config OK" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "head, override",
+    [
+        ("[schedule]\nfamily = q_ratio\nalpha = 0.5", "run.outputs=curves"),
+        ("[schedule]\nfamily = harmonic_decay\nbeta = 2\np = 0.9", "run.outputs=curves"),
+        ("[DEFAULT]\nn_lst = 5\n[pair]\np = 0.9\nq = 0.8", "run.outputs=curves"),
+        ("[pair]\np = 0.9\nq = 0.8", "policy.max_term=50"),
+    ],
+    ids=["q-ratio-alpha", "harmonic-p", "default-section-once", "policy-typo"],
+)
+def test_each_unread_key_is_one_message(head, override, tmp_path):
+    path = _config(tmp_path, head, "n_list = 5, 10")
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path, overrides=[override])
+    assert len(err.value.messages) == 1
+    assert "unknown key" in err.value.messages[0]
+
+
+def test_both_schedule_sections_is_one_message(tmp_path):
+    path = _config(tmp_path, "[pair]\np = 0.9\nq = 0.8\n[schedule]\nfamily = q_ratio", "n_list = 5")
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path)
+    assert err.value.messages == ["give exactly one of a [pair] or a [schedule] section"]

@@ -102,6 +102,10 @@ class TestFactorial:
         pair = PQPair(0.9, 0.8)
         assert pq_factorial(pair, 3) == pytest.approx(1.0 * 1.7 * 2.17, rel=1e-13)
 
+    def test_overflow_is_inf(self):
+        # 200! is beyond the double range: inf, not an OverflowError
+        assert pq_factorial(CLASSICAL, 200) == math.inf
+
 
 class TestLogFactCache:
     @staticmethod
