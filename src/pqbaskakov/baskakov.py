@@ -29,11 +29,11 @@ segment, so the grown row is bitwise the one-shot row.  The x-independent
 terms of a row are cached, read-only, per (pair, n, k_count) and shared by
 every x of a grid.
 
-The two Beta routes build their samples once per (pair, n, f, policy,
-k_count) and keep them, read-only, in a bounded LRU cache, so a whole x-grid
-at one order pays for one sample vector per row length.  Only a
-``FunctionSpec`` target (a frozen value, hashed by content) is cached; a
-plain callable is sampled afresh on every call.
+The two Beta routes build their samples once per (pair, n, f, k_count) and
+keep them, read-only, in a bounded LRU cache, so a whole x-grid at one order
+pays for one sample vector per row length.  Only a ``FunctionSpec`` target
+(a frozen value, hashed by content) is cached; a plain callable is sampled
+afresh on every call.
 
 The basis is a probability distribution over k (partition of unity), so
 truncation is driven by accumulated mass plus the size of the sample-weighted
@@ -421,22 +421,17 @@ def _beta_apply_quadrature(
     ratios = _cached_weight_ratios if isinstance(f, FunctionSpec) else batched_weight_ratios
 
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        return ratios(pair, n, k_count, f, policy, degree)
+        return ratios(pair, n, k_count, f, degree)
 
     return _apply(pair, n, x, policy, samples)
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
 def _cached_weight_ratios(
-    pair: PQPair,
-    n: int,
-    k_count: int,
-    f: FunctionSpec,
-    policy: TruncationPolicy,
-    degree: int,
+    pair: PQPair, n: int, k_count: int, f: FunctionSpec, degree: int
 ) -> tuple[np.ndarray, bool]:
     """``batched_weight_ratios``, shared read-only by every x of one (pair, n, f)."""
-    ratios, converged = batched_weight_ratios(pair, n, k_count, f, policy, degree)
+    ratios, converged = batched_weight_ratios(pair, n, k_count, f, degree)
     ratios.flags.writeable = False
     return ratios, converged
 

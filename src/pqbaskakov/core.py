@@ -104,9 +104,12 @@ class PQPair:
 class TruncationPolicy:
     """Tolerances and caps for truncating the infinite series in this package.
 
-    A series direction is stopped once the current term magnitude falls below
-    max(abs_tol, rel_tol * |partial sum|) for three consecutive terms; the
-    discarded mass is then estimated by geometric extrapolation.
+    A scalar Jackson ladder direction is stopped once the current term
+    magnitude falls below max(abs_tol, rel_tol * |partial sum|) for three
+    consecutive terms, or after max_terms terms; the discarded mass is then
+    estimated by geometric extrapolation.  In the operators, max_terms caps
+    the outer basis row over k and rel_tol bounds its tail mass; the ladder
+    bands of the quadrature route have a fixed node cap and ignore the policy.
     """
 
     rel_tol: float = 1e-12
@@ -187,10 +190,8 @@ def log_pq_factorial(pair: PQPair, n: int) -> float:
 
 def pq_factorial(pair: PQPair, n: int) -> float:
     """[n]! = prod_{r=1..n} [r], with [0]! = 1; inf where it overflows a double."""
-    try:
-        return math.exp(log_pq_factorial(pair, n))
-    except OverflowError:
-        return math.inf
+    n = _check_nonneg_int(n, "n")
+    return math.prod(pq_number(pair, j) for j in range(1, n + 1))
 
 
 def pq_binomial(pair: PQPair, n: int, r: int) -> float:

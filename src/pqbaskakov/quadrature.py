@@ -29,7 +29,8 @@ small-t side, so the peak and bounds for both band edges follow in closed
 form, O(1) per row.  All bands are evaluated as one flat (row, node) gather
 on a shared prefix table, and f is evaluated on the band nodes only.  A row
 whose edges are not negligible regrows; no band, and no shared window, is
-ever wider than 2 max_terms + 1 nodes.
+ever wider than the fixed cap _LADDER_NODES = 20,001 nodes, which no
+truncation policy moves.
 """
 
 from __future__ import annotations
@@ -254,8 +255,10 @@ _SLOPES = np.array(
     [2.0 ** (e / 3) for e in range(-36, -2)] + [1.0 - 0.35 * (0.01 / 0.35) ** (j / 6) for j in range(7)]
 )[:, None]
 # At most this many band nodes (or one band) share a window, which bounds the
-# temporaries of one flat gather to a few tens of MiB.
+# temporaries of one flat gather to a few tens of MiB; no band, and no
+# window's span, is wider than _LADDER_NODES.
 _RUN_NODES = 1 << 18
+_LADDER_NODES = 20_001
 
 
 def _neg_triangle(x: np.ndarray) -> np.ndarray:
@@ -366,7 +369,6 @@ def batched_weight_ratios(
     n: int,
     k_count: int,
     f: Union[FunctionSpec, Callable],
-    policy: TruncationPolicy = DEFAULT_POLICY,
     f_growth_degree: int = 2,
 ) -> tuple[np.ndarray, bool]:
     """Normalized ladder averages for the Beta-weighted operator rows.
@@ -388,7 +390,7 @@ def batched_weight_ratios(
     weights and for the f-weighted terms, and its relative edge mass
     (w + |f w| at both edges, over sum w) is below 1e-12.  Failing rows,
     and only they, regrow by 1.6x on each side, up to four times.  No band
-    of more than 2 policy.max_terms + 1 nodes is built: when a row's first
+    of more than _LADDER_NODES = 20,001 nodes is built: when a row's first
     band does not fit, nothing is built and the ratios are NaN and not
     converged; a row whose regrowth does not fit keeps its last band, whose
     edges decide.  Rows whose bands together span more than that, or hold
@@ -403,11 +405,10 @@ def batched_weight_ratios(
     if k_count < 1:
         raise DomainError("k_count must be >= 1")
     func = as_callable(f)
-    cap = 2 * policy.max_terms + 1
     peak, left, right = _band_extents(
         -math.log(pair.q / pair.p), n, np.arange(k_count), f_growth_degree
     )
-    if not np.all(left + right + 1.0 <= cap):
+    if not np.all(left + right + 1.0 <= _LADDER_NODES):
         # never allocate a band over the node cap; without every row the
         # ratios cannot converge, so none is built
         return np.full(k_count, np.nan), False
@@ -417,14 +418,14 @@ def batched_weight_ratios(
     for _attempt in range(5):
         lo = peak[rows] - left[rows].astype(np.int64)
         hi = peak[rows] + right[rows].astype(np.int64)
-        for run in _window_runs(lo, hi, cap):
+        for run in _window_runs(lo, hi):
             sums = _band_sums(pair, n, rows[run], peak[rows[run]], lo[run], hi[run], func)
             weight_sums[rows[run]], f_sums[rows[run]], tails[rows[run]], edges[rows[run]] = sums
         rows = rows[(edges[rows] >= 1e-15) | (tails[rows] >= 1e-12)]
         left[rows] = np.floor(left[rows] * 1.6) + 8
         right[rows] = np.floor(right[rows] * 1.6) + 8
         # a row whose regrowth does not fit keeps its last band
-        rows = rows[left[rows] + right[rows] + 1.0 <= cap]
+        rows = rows[left[rows] + right[rows] + 1.0 <= _LADDER_NODES]
         if rows.size == 0:
             break
 
@@ -432,15 +433,15 @@ def batched_weight_ratios(
     return f_sums / weight_sums, converged
 
 
-def _window_runs(lo: np.ndarray, hi: np.ndarray, cap: int) -> list[slice]:
-    """Split consecutive bands [lo, hi] (each at most cap nodes) into runs
-    whose union spans at most cap nodes and whose bands hold at most
-    _RUN_NODES nodes (or are one band), one ladder window per run."""
+def _window_runs(lo: np.ndarray, hi: np.ndarray) -> list[slice]:
+    """Split consecutive bands [lo, hi] (each at most _LADDER_NODES nodes) into
+    runs whose union spans at most _LADDER_NODES nodes and whose bands hold at
+    most _RUN_NODES nodes (or are one band), one ladder window per run."""
     runs, start = [], 0
     while start < lo.size:
         spans = np.maximum.accumulate(hi[start:]) - np.minimum.accumulate(lo[start:]) + 1
         nodes = np.cumsum(hi[start:] - lo[start:] + 1)
-        stop = start + max(1, int(np.count_nonzero((spans <= cap) & (nodes <= _RUN_NODES))))
+        stop = start + max(1, int(np.count_nonzero((spans <= _LADDER_NODES) & (nodes <= _RUN_NODES))))
         runs.append(slice(start, stop))
         start = stop
     return runs

@@ -11,7 +11,6 @@ from pqbaskakov import (
     FunctionSpec,
     PQPair,
     ParameterSchedule,
-    TruncationPolicy,
     central_moment,
     convergence_run,
     interval_rate_bound,
@@ -294,13 +293,13 @@ class TestConvergenceRun:
         assert all(r.ok and math.isfinite(r.weighted_error) for r in rows)
 
     def test_non_finite_operator_value_marks_row(self):
-        # a ladder budget too small for the band of row k = 0 gives NaN samples
+        # near p = q the band of row k = 0 is wider than the ladder's node cap,
+        # so the samples are NaN
         rows = convergence_run(
-            ParameterSchedule.fixed(PQPair(0.9, 0.8)),
+            ParameterSchedule.fixed(PQPair(0.9, 0.89999)),
             KINK,
             [10, 20],
             EvalGrid(0.0, 5.0, 11),
-            TruncationPolicy(max_terms=100),
         )
         assert [r.ok for r in rows] == [False, False]
         assert all(math.isnan(r.sup_error) and r.mu2_max > 0.0 for r in rows)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
@@ -13,13 +13,14 @@ from pqbaskakov import (
     PQPair,
     RegimeError,
     TruncationPolicy,
+    baskakov_apply,
     baskakov_beta_apply,
     baskakov_beta_monomial_exact,
     central_moment,
     moments_closed,
 )
 
-from pqbaskakov import baskakov
+from pqbaskakov import baskakov, quadrature
 
 from conftest import CLASSICAL, rel_err
 
@@ -335,12 +336,58 @@ class TestSampleCache:
         assert second.value == pytest.approx(2.0 * first.value, rel=1e-13)
 
     def test_cached_samples_are_read_only(self):
-        ratios, _ = baskakov._cached_weight_ratios(self.PAIR, 5, 4, ABS, DEFAULT_POLICY, 2)
+        ratios, _ = baskakov._cached_weight_ratios(self.PAIR, 5, 4, ABS, 2)
         values = baskakov._beta_expansion(self.PAIR, ((0, 1.0), (2, 3.0)), 5, 4)
         for samples in (ratios, values):
             assert not samples.flags.writeable
             with pytest.raises(ValueError):
                 samples[0] = 0.0
+
+
+class TestLadderNodeCap:
+    """max_terms caps the outer basis row only; the ladder bands of the
+    quadrature route have a fixed node cap of their own."""
+
+    @pytest.mark.parametrize("max_terms", [40, 100, 221])
+    def test_outer_budget_does_not_reach_the_ladder(self, max_terms):
+        # the outer row needs 20-39 terms here, far below each budget
+        pair, policy = PQPair(0.9, 0.8), TruncationPolicy(max_terms=max_terms)
+        for x in (0.5, 1.0, 5.0):
+            got = baskakov_beta_apply(pair, ABS, 10, x, policy, method="quadrature")
+            want = baskakov_beta_apply(pair, ABS, 10, x, method="quadrature")
+            assert got.trusted
+            assert rel_err(got.value, want.value) < 1e-13
+
+    @pytest.mark.parametrize("q", [0.89999, 0.8999999])
+    def test_a_huge_budget_does_not_lift_the_node_cap(self, monkeypatch, q):
+        # the first band needs about 4.65e6 (q = 0.89999) or 4.65e8 nodes
+        clear_sample_caches()
+        windows = []
+        real = quadrature._LadderWindow
+
+        def recording(*args):
+            windows.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(quadrature, "_LadderWindow", recording)
+        policy = TruncationPolicy(max_terms=10**9)
+        res = baskakov_beta_apply(PQPair(0.9, q), ABS, 10, 1.0, policy, method="quadrature")
+        assert math.isnan(res.value) and not res.trusted
+        assert windows == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.floats(0.6, 1.0),
+        r=st.floats(0.5, 0.99),
+        n=st.integers(3, 60),
+        x=st.floats(0.0, 10.0),
+        max_terms=st.integers(1, 400),
+    )
+    def test_quadrature_is_finite_where_the_plain_operator_is_trusted(self, p, r, n, x, max_terms):
+        pair, policy = PQPair(p, p * r), TruncationPolicy(max_terms=max_terms)
+        assume(baskakov_apply(pair, ABS, n, x, policy).trusted)
+        res = baskakov_beta_apply(pair, ABS, n, x, policy, method="quadrature")
+        assert math.isfinite(res.value)
 
 
 class TestRowTermsCache:

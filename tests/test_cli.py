@@ -386,12 +386,13 @@ def test_pair_section_is_the_fixed_schedule(tmp_path, small_config):
 
 
 def test_nan_convergence_row_is_exit_two(tmp_path):
-    # a starved ladder budget leaves the operator values NaN at every x
-    path = tmp_path / "starved.cfg"
+    # near p = q the first ladder band is over the node cap, which leaves the
+    # operator values NaN at every x
+    path = tmp_path / "near_degenerate.cfg"
     path.write_text(
-        LADDER_TEXT.replace("n_list = 5, 8", "n_list = 10, 20")
+        LADDER_TEXT.replace("q = 0.8", "q = 0.89999")
+        .replace("n_list = 5, 8", "n_list = 10, 20")
         .replace("outputs = curves", "outputs = convergence")
-        + "\n[policy]\nmax_terms = 100\n"
     )
     out = tmp_path / "results"
     assert run_experiment(validate_config(path), out) == 2

@@ -106,6 +106,27 @@ class TestFactorial:
         # 200! is beyond the double range: inf, not an OverflowError
         assert pq_factorial(CLASSICAL, 200) == math.inf
 
+    def test_classical_170_matches_the_integer_factorial(self):
+        assert pq_factorial(CLASSICAL, 170) == pytest.approx(math.factorial(170), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "pq, n", [((1.0, 40 / 41), 170), ((0.95, 0.9), 170), ((0.9, 0.8), 100), ((0.9, 0.8), 10)]
+    )
+    def test_matches_the_exact_product_at_large_n(self, pq, n):
+        # the exact rational [n]! of the float pair: with p = A/D and q = B/D
+        # over one power of two D, [j] = (A^j - B^j) / ((A - B) D^(j-1)), so
+        # [n]! is an integer over D^(n(n-1)/2)
+        pair = PQPair(*pq)
+        (a, d_p), (b, d_q) = pair.p.as_integer_ratio(), pair.q.as_integer_ratio()
+        d = max(d_p, d_q)
+        big_a, big_b = a * (d // d_p), b * (d // d_q)
+        num = math.prod((big_a**j - big_b**j) // (big_a - big_b) for j in range(1, n + 1))
+        den = d ** (n * (n - 1) // 2)
+        got, got_den = pq_factorial(pair, n).as_integer_ratio()
+        # int / int rounds the exact ratio once
+        error = abs(got * den - num * got_den) / (num * got_den)
+        assert error < 1e-14
+
 
 class TestLogFactCache:
     @staticmethod

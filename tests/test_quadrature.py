@@ -208,7 +208,7 @@ class TestBatchedWeightRatios:
             assert np.array_equal(row, window.log_power_basis(power))
 
     @staticmethod
-    def record_widths(monkeypatch, cap):
+    def record_widths(monkeypatch, cap=quadrature._LADDER_NODES):
         real = quadrature._LadderWindow
         widths = []
 
@@ -222,10 +222,9 @@ class TestBatchedWeightRatios:
 
     def test_window_is_capped_before_allocation(self, monkeypatch):
         # at p/q = 1 + 1.1e-5 the ladder would need about 5e6 nodes
-        policy = TruncationPolicy()
-        widths = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
+        widths = self.record_widths(monkeypatch)
         ratios, converged = quadrature.batched_weight_ratios(
-            PQPair(0.9, 0.89999), 5, 1, FunctionSpec.named("abs_t_minus_1"), policy
+            PQPair(0.9, 0.89999), 5, 1, FunctionSpec.named("abs_t_minus_1")
         )
         assert widths == []
         assert not converged
@@ -248,12 +247,13 @@ class TestBatchedWeightRatios:
         # row had to stop growing at the 20,001-node cap; each row's own band
         # fits well inside it
         pair, f = PQPair(1.0, 100 / 101), FunctionSpec.named("abs_t_minus_1")
-        policy = TruncationPolicy()
-        cap = 2 * policy.max_terms + 1
-        wider, _ = quadrature.batched_weight_ratios(pair, 100, 128, f, TruncationPolicy(max_terms=20000))
+        cap = quadrature._LADDER_NODES
+        with monkeypatch.context() as wide:
+            wide.setattr(quadrature, "_LADDER_NODES", 40_001)
+            wider, _ = quadrature.batched_weight_ratios(pair, 100, 128, f)
         windows = self.record_widths(monkeypatch, cap)
         bands = self.record_bands(monkeypatch)
-        ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f, policy)
+        ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f)
         assert windows and max(windows) <= cap
         assert len(bands) >= 128 and max(bands) <= cap
         assert converged
@@ -263,11 +263,10 @@ class TestBatchedWeightRatios:
         # e2 with its growth understated as degree 0: the first band is too
         # narrow on the large-t side, and its 1.6x regrowth passes the cap
         pair, f = PQPair(0.9, 0.8), FunctionSpec.polynomial([0.0, 0.0, 1.0])
-        wide = TruncationPolicy(max_terms=10000)
-        grown, grown_ok = quadrature.batched_weight_ratios(pair, 3, 1, f, wide, 0)
-        policy = TruncationPolicy(max_terms=300)
-        windows = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
-        ratios, converged = quadrature.batched_weight_ratios(pair, 3, 1, f, policy, 0)
+        grown, grown_ok = quadrature.batched_weight_ratios(pair, 3, 1, f, 0)
+        monkeypatch.setattr(quadrature, "_LADDER_NODES", 601)
+        windows = self.record_widths(monkeypatch, 601)
+        ratios, converged = quadrature.batched_weight_ratios(pair, 3, 1, f, 0)
         assert len(windows) == 1
         assert not converged and grown_ok
         assert np.isfinite(ratios).all()
@@ -279,9 +278,9 @@ class TestBatchedWeightRatios:
         # while each fits a 461-node cap
         pair, f = PQPair(0.9, 0.8), FunctionSpec.named("abs_t_minus_1")
         one, _ = quadrature.batched_weight_ratios(pair, 10, 250, f)
-        policy = TruncationPolicy(max_terms=230)
-        windows = self.record_widths(monkeypatch, 2 * policy.max_terms + 1)
-        ratios, converged = quadrature.batched_weight_ratios(pair, 10, 250, f, policy)
+        monkeypatch.setattr(quadrature, "_LADDER_NODES", 461)
+        windows = self.record_widths(monkeypatch, 461)
+        ratios, converged = quadrature.batched_weight_ratios(pair, 10, 250, f)
         assert len(windows) > 1
         assert converged
         assert np.allclose(ratios, one, rtol=1e-13, atol=0.0)
