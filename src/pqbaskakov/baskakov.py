@@ -25,15 +25,28 @@ The closed moment expressions (``moments_closed``) share none of this.
 
 The row grows by doubling, and a longer row appends only its new terms: the
 prefix sum of log (1 (+) x)^j goes on from the last value of the previous
-segment, so the grown row is bitwise the one-shot row.  The x-independent
-terms of a row are cached, read-only, per (pair, n, k_count) and shared by
-every x of a grid.
+segment, so the grown row is bitwise the one-shot row.  The segments are
+concatenated once, when the row stops; the peak of the sample-weighted
+terms carries over between doublings, except for the ladder ratios, whose
+leading entries move by an ulp or so with the row length.  The
+x-independent terms of a row are cached, read-only, per (pair, n, k_count)
+and shared by every x of a grid.
 
 The two Beta routes build their samples once per (pair, n, f, k_count) and
 keep them, read-only, in a bounded LRU cache, so a whole x-grid at one order
 pays for one sample vector per row length.  Only a ``FunctionSpec`` target
 (a frozen value, hashed by content) is cached; a plain callable is sampled
 afresh on every call.
+
+One level up, an experiment run that writes both curves and convergence
+asks ``baskakov_beta_apply`` for every (n, x) cell twice.  ``run_experiment``
+opens a cell table (``_cell_table``) for such a run only: a context
+variable holding the results of the run, keyed by the full call (pair, f,
+n, x, policy, method).  The second call for a cell is a lookup, so every
+call still passes through ``baskakov_beta_apply``.  As with the sample
+caches, only ``FunctionSpec`` targets are kept; a call that raises is not,
+no call outside a run is, and the table is dropped when the run ends, so it
+needs no size bound and cannot go stale.
 
 The basis is a probability distribution over k (partition of unity), so
 truncation is driven by accumulated mass plus the size of the sample-weighted
@@ -43,9 +56,11 @@ terms at the edge of the row.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -108,7 +123,7 @@ def _basis_row_terms(
     j < n + k_count."""
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
-    lfact = np.asarray(_log_fact_table(pair, n + k_count - 1))
+    lfact = _log_fact_table(pair, n + k_count - 1)
     k = np.arange(k_count, dtype=float)
     ki = np.arange(k_count)
     log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
@@ -176,30 +191,41 @@ def _apply(
     x: float,
     policy: TruncationPolicy,
     samples: Callable[[int], tuple[np.ndarray, bool]],
+    stable_prefix: bool = True,
 ) -> OperatorResult:
     """sum_k b_{n,k}(x) s_k, where samples(k_count) -> (s, inner_ok) gives the
     x-independent samples for k = 0..k_count-1.
 
     The row doubles until its sample-weighted edge term is negligible (or the
     term budget is spent); the result is trusted when the inner samples are,
-    the basis tail is below rel_tol and every term is finite.
+    the basis tail is below rel_tol and every term is finite.  With
+    stable_prefix, the leading samples are bitwise the same at every k_count,
+    so the peak weighted term carries over and each doubling scans only its
+    new segment; otherwise (the ladder ratios) the whole row is rescanned.
     """
     if x == 0.0:
         row = np.zeros(1)  # b_{n,0}(0) = 1, every other weight vanishes
         s, inner_ok = samples(1)
     else:
         k_count = min(64, policy.max_terms)
-        row, carry = np.empty(0), 0.0
+        segments: list[np.ndarray] = []
+        k_done, carry, peak = 0, 0.0, -math.inf
         while True:
-            segment, carry = _log_basis_row(pair, n, x, k_count, row.size, carry)
-            row = np.concatenate([row, segment])
+            segment, carry = _log_basis_row(pair, n, x, k_count, k_done, carry)
+            segments.append(segment)
             s, inner_ok = samples(k_count)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ls = np.log(np.abs(s))
-            metric = row + np.where(np.isfinite(ls), ls, 0.0)
-            if metric[-1] < metric.max() + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
+            if stable_prefix:
+                metric = _weighted_log_terms(segment, s[k_done:])
+                top = metric.max()
+                if top > peak or top != top:  # a NaN peak stays, as in a full max
+                    peak = top
+            else:
+                metric = _weighted_log_terms(np.concatenate(segments), s)
+                peak = metric.max()
+            if metric[-1] < peak + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
                 break
-            k_count = min(2 * k_count, policy.max_terms)
+            k_done, k_count = k_count, min(2 * k_count, policy.max_terms)
+        row = np.concatenate(segments)
     b = np.exp(row)
     terms = np.where(b > 0.0, b * s, 0.0)
     tail = max(0.0, 1.0 - float(b.sum()))
@@ -207,6 +233,13 @@ def _apply(
     k_used = int(significant[-1]) + 1 if significant.size else 1
     trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
     return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
+
+
+def _weighted_log_terms(row: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log b_{n,k}(x) + log |s_k|, with a zero or non-finite sample weighing 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ls = np.log(np.abs(s))
+    return row + np.where(np.isfinite(ls), ls, 0.0)
 
 
 def baskakov_apply(
@@ -291,7 +324,7 @@ def _log_beta_ratio_factors(pair: PQPair, n: int, m: int, k_count: int) -> np.nd
     """
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
-    lfact = np.asarray(_log_fact_table(pair, n + k_count + m))
+    lfact = _log_fact_table(pair, n + k_count + m)
     k = np.arange(k_count, dtype=float)
     ki = np.arange(k_count)
     delta_log_beta = (
@@ -333,6 +366,26 @@ def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
     return 2
 
 
+# The results of the current experiment run, keyed by the full call of
+# ``baskakov_beta_apply``; None outside a run.
+_RUN_CELLS: ContextVar[Optional[dict[tuple, OperatorResult]]] = ContextVar(
+    "pqbaskakov_run_cells", default=None
+)
+
+
+@contextmanager
+def _cell_table() -> Iterator[None]:
+    """Within the block, every ``baskakov_beta_apply`` call with a
+    ``FunctionSpec`` target is kept, so that a cell asked for again (a run
+    with both curves and convergence evaluates the same grid) is a lookup.
+    A call that raises is not kept, and the table is dropped on exit."""
+    token = _RUN_CELLS.set({})
+    try:
+        yield
+    finally:
+        _RUN_CELLS.reset(token)
+
+
 def baskakov_beta_apply(
     pair: PQPair,
     f: Union[FunctionSpec, Callable],
@@ -351,7 +404,28 @@ def baskakov_beta_apply(
       * "quadrature" - force bilateral ladder quadrature of the inner
                        integrals, each row normalized by its own ladder
                        weight integral.
+
+    Inside ``_cell_table`` a call with a ``FunctionSpec`` target is computed
+    once and its result returned again for the same arguments.
     """
+    cells = _RUN_CELLS.get()
+    if cells is None or not isinstance(f, FunctionSpec):
+        return _beta_apply(pair, f, n, x, policy, method)
+    key = (pair, f, n, x, policy, method)
+    result = cells.get(key)
+    if result is None:
+        result = cells[key] = _beta_apply(pair, f, n, x, policy, method)
+    return result
+
+
+def _beta_apply(
+    pair: PQPair,
+    f: Union[FunctionSpec, Callable],
+    n: int,
+    x: float,
+    policy: TruncationPolicy,
+    method: str,
+) -> OperatorResult:
     pair.require_strict("the Beta-weighted operator")
     if n < 1:
         raise DomainError(f"operator order must satisfy n >= 1, got {n}")
@@ -423,7 +497,8 @@ def _beta_apply_quadrature(
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
         return ratios(pair, n, k_count, f, degree)
 
-    return _apply(pair, n, x, policy, samples)
+    # a longer row moves the leading ladder ratios by an ulp or so
+    return _apply(pair, n, x, policy, samples, stable_prefix=False)
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)

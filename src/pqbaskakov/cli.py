@@ -15,6 +15,7 @@ import argparse
 import configparser
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,7 +30,7 @@ from .analysis import (
     convergence_run,
     interval_rate_bound,
 )
-from .baskakov import baskakov_beta_apply, central_moment, moments_closed
+from .baskakov import _cell_table, baskakov_beta_apply, central_moment, moments_closed
 from .core import DEFAULT_POLICY, DomainError, PQPair, RegimeError, TruncationPolicy
 from .functions import FunctionSpec
 
@@ -366,10 +367,14 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str | Path] = Non
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return 1
     partial = False
+    # curves and convergence evaluate the same cells; a run that writes only
+    # one of them would pay for the table's keys and never hit it
+    shared = {"curves", "convergence"} <= set(config.outputs)
     try:
-        for kind, write in zip(_OUTPUT_KINDS, (_curves, _moments, _convergence, _bound_report)):
-            if kind in config.outputs:
-                partial |= write(config, out)
+        with _cell_table() if shared else nullcontext():
+            for kind, write in zip(_OUTPUT_KINDS, (_curves, _moments, _convergence, _bound_report)):
+                if kind in config.outputs:
+                    partial |= write(config, out)
         if "curves" in config.outputs:
             with open(out / "plot_curves.py", "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(_PLOT_SCRIPT)

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -163,35 +166,66 @@ def log_pq_number(pair: PQPair, n: int) -> float:
 
 # Per-pair prefix sums of log [j], grown on demand, for at most
 # _LOG_FACT_PAIRS pairs (a parameter schedule brings a new pair per order).
+# Each table is a read-only array, replaced by a longer one when it grows.
 # The dict is kept in least-recently-used-first order.  Recomputation under
 # concurrent access is benign: entries are pure functions of (pair, j).
 _LOG_FACT_PAIRS = 64
-_LOG_FACT_CACHE: dict[PQPair, list[float]] = {}
+_LOG_FACT_CACHE: dict[PQPair, np.ndarray] = {}
+_EMPTY_LOG_FACT = np.zeros(1)
+_EMPTY_LOG_FACT.flags.writeable = False
 
 
-def _log_fact_table(pair: PQPair, n: int) -> list[float]:
-    table = _LOG_FACT_CACHE.pop(pair, None)
-    if table is None:
-        table = [0.0]
+def _log_fact_table(pair: PQPair, n: int) -> np.ndarray:
+    """log [j]! for j = 0..n at least, shared read-only."""
+    table = _LOG_FACT_CACHE.pop(pair, _EMPTY_LOG_FACT)
+    if table.size <= n:
+        table = _grow_log_fact(pair, table, n)
     _LOG_FACT_CACHE[pair] = table
     if len(_LOG_FACT_CACHE) > _LOG_FACT_PAIRS:
         _LOG_FACT_CACHE.pop(next(iter(_LOG_FACT_CACHE)), None)
-    while len(table) <= n:
-        j = len(table)
-        table.append(table[-1] + log_pq_number(pair, j))
     return table
+
+
+def _grow_log_fact(pair: PQPair, table: np.ndarray, n: int) -> np.ndarray:
+    """table extended to j = n: the running sum goes on from its last entry
+    with the terms of ``log_pq_number``, bit for bit (math, not numpy, so
+    that no term moves by an ulp)."""
+    p, q = pair.p, pair.q
+    lp = math.log(p)
+    js = range(table.size, n + 1)
+    if p == q:
+        terms = (math.log(j) + (j - 1) * lp for j in js)
+    else:
+        r = q / p
+        log_1mr = math.log1p(-r)
+        terms = ((j - 1) * lp + math.log1p(-(r**j)) - log_1mr for j in js)
+    sums = np.fromiter(accumulate(terms, initial=float(table[-1])), float, n + 2 - table.size)
+    grown = np.concatenate([table[:-1], sums])
+    grown.flags.writeable = False
+    return grown
 
 
 def log_pq_factorial(pair: PQPair, n: int) -> float:
     """log [n]! = sum_{j<=n} log [j]."""
     n = _check_nonneg_int(n, "n")
-    return _log_fact_table(pair, n)[n]
+    return float(_log_fact_table(pair, n)[n])
 
 
 def pq_factorial(pair: PQPair, n: int) -> float:
-    """[n]! = prod_{r=1..n} [r], with [0]! = 1; inf where it overflows a double."""
+    """[n]! = prod_{r=1..n} [r], with [0]! = 1; inf where it overflows a double.
+
+    [r] rises and then falls with r when p < 1, so the running product can
+    overflow and shrink back (to a finite value or to 0); it is then
+    exp(log [n]!), 0.0 below the smallest double and inf above the largest.
+    """
     n = _check_nonneg_int(n, "n")
-    return math.prod(pq_number(pair, j) for j in range(1, n + 1))
+    product = math.prod(pq_number(pair, j) for j in range(1, n + 1))
+    if math.isfinite(product):
+        return product
+    try:
+        return math.exp(log_pq_factorial(pair, n))
+    except OverflowError:
+        return math.inf
 
 
 def pq_binomial(pair: PQPair, n: int, r: int) -> float:
@@ -205,7 +239,7 @@ def log_pq_binomial(pair: PQPair, n: int, r: int) -> float:
     if r > n:
         raise DomainError(f"binomial requires 0 <= r <= n, got n={n}, r={r}")
     table = _log_fact_table(pair, n)
-    return table[n] - table[n - r] - table[r]
+    return float(table[n] - table[n - r] - table[r])
 
 
 def pq_gamma(pair: PQPair, n_plus_1: int) -> float:
@@ -266,7 +300,7 @@ def log_pq_beta(pair: PQPair, m: int, n: int) -> float:
     m, n = _check_beta_args(m, n)
     lp, lq = math.log(pair.p), math.log(pair.q)
     table = _log_fact_table(pair, m + n - 1)
-    return (
+    return float(
         (1 - m * (m - 1) / 2) * lq
         - (m * (m + 1) / 2) * lp
         + table[m - 1]

@@ -430,6 +430,106 @@ class TestRowTermsCache:
                 array[0] = 0.0
 
 
+class TestCarriedPeak:
+    """The doubling loop carries the peak weighted term over for samples
+    whose leading entries do not move with the row length; a full rescan at
+    every doubling must stop at the same row and give the same result."""
+
+    @pytest.mark.parametrize("apply", [baskakov_apply, baskakov_beta_apply])
+    @pytest.mark.parametrize(
+        "pair, n", [(PQPair(0.9, 0.8), 10), (PQPair(1.0, 150 / 151), 150), (PQPair(0.95, 0.9), 40)]
+    )
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 1.0, 5.0, 20.0, 80.0])
+    @pytest.mark.parametrize("max_terms", [1, 100, 10000])
+    def test_equals_a_full_rescan(self, monkeypatch, apply, pair, n, x, max_terms):
+        self.check(monkeypatch, apply, pair, n, x, max_terms)
+
+    @pytest.mark.parametrize("apply", [baskakov_apply, baskakov_beta_apply])
+    @pytest.mark.parametrize("x", [0.4, 0.404])
+    def test_a_peak_in_an_earlier_segment_decides_the_stop(self, monkeypatch, apply, x):
+        # near p = q the row is wide and flat: at k_count = 128 its edge is
+        # more than 1e-18 below the peak of the first segment, but not below
+        # the top of its own segment, so only the carried peak stops it there
+        self.check(monkeypatch, apply, PQPair(0.5264, 0.524), 216, x, 200)
+
+    @staticmethod
+    def check(monkeypatch, apply, pair, n, x, max_terms):
+        f = FunctionSpec.polynomial([7.0, -2.0, 25.0])
+        args = (pair, f, n, x, TruncationPolicy(max_terms=max_terms))
+        carried = apply(*args)
+        real = baskakov._apply
+        monkeypatch.setattr(
+            baskakov, "_apply", lambda *a, **kw: real(*a, **{**kw, "stable_prefix": False})
+        )
+        assert apply(*args) == carried
+
+
+def _counting_route(monkeypatch, name="_beta_apply_analytic"):
+    """Replace a route function of baskakov by one that records its calls'
+    (n, x) and whether a cell table was open."""
+    calls = []
+    real = getattr(baskakov, name)
+
+    def route(pair, f, n, x, policy):
+        calls.append((n, x, baskakov._RUN_CELLS.get() is not None))
+        return real(pair, f, n, x, policy)
+
+    monkeypatch.setattr(baskakov, name, route)
+    return calls
+
+
+class TestCellTable:
+    PAIR = PQPair(0.95, 0.9)
+    F = FunctionSpec.polynomial([7.0, -2.0, 25.0])
+
+    def test_inside_a_table_a_repeated_cell_is_a_lookup(self, monkeypatch):
+        calls = _counting_route(monkeypatch)
+        with baskakov._cell_table():
+            first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+            again = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+            other = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5, TruncationPolicy(rel_tol=1e-10))
+        assert again is first and other == first
+        assert len(calls) == 2  # the other policy is another key
+        assert baskakov._RUN_CELLS.get() is None  # dropped on exit
+
+    def test_calls_outside_a_run_both_recompute(self, monkeypatch):
+        calls = _counting_route(monkeypatch)
+        baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+        baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+        assert calls == [(10, 1.5, False)] * 2
+        # a result kept across direct calls would hide this change
+        clear_sample_caches()
+        before = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
+        monkeypatch.setattr(quadrature, "_LADDER_NODES", 5)
+        clear_sample_caches()
+        after = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
+        clear_sample_caches()
+        assert before.trusted and math.isfinite(before.value)
+        assert not after.trusted and math.isnan(after.value)
+
+    def test_a_plain_callable_is_never_stored(self):
+        calls = []
+
+        def f(t):
+            calls.append(1)
+            return np.abs(np.asarray(t) - 1.0)
+
+        with baskakov._cell_table():
+            first = baskakov_beta_apply(self.PAIR, f, 8, 1.0, method="quadrature")
+            evaluations = len(calls)
+            second = baskakov_beta_apply(self.PAIR, f, 8, 1.0, method="quadrature")
+            assert baskakov._RUN_CELLS.get() == {}
+        assert evaluations > 0 and len(calls) == 2 * evaluations
+        assert second == first
+
+    def test_a_call_that_raises_is_not_stored(self):
+        with baskakov._cell_table():
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    baskakov_beta_apply(self.PAIR, self.F, 2, 1.0)  # n must exceed the degree
+            assert baskakov._RUN_CELLS.get() == {}
+
+
 class TestCentralMoments:
     def test_first_central_moment_at_origin_classical(self):
         # q p^{n-2} / [n-1] -> 1/4 at n = 5, p = q = 1

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +441,68 @@ def test_both_schedule_sections_is_one_message(tmp_path):
     with pytest.raises(ConfigurationError) as err:
         validate_config(path)
     assert err.value.messages == ["give exactly one of a [pair] or a [schedule] section"]
+
+
+@pytest.mark.parametrize(
+    "text, overrides, route",
+    [
+        (FIGURE1_TEXT, [], "_beta_apply_analytic"),
+        (LADDER_TEXT, [], "_beta_apply_quadrature"),
+        # NA cells: the starved budget leaves the ladder unconverged
+        (LADDER_TEXT, ["policy.max_terms=10"], "_beta_apply_quadrature"),
+    ],
+    ids=["analytic", "quadrature", "starved"],
+)
+def test_curves_and_convergence_share_one_evaluation_per_cell(
+    text, overrides, route, tmp_path, monkeypatch
+):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+
+    def run(outputs, out):
+        config = validate_config(path, [*overrides, f"run.outputs={outputs}"])
+        return run_experiment(config, tmp_path / out)
+
+    singles = (run("curves", "curves"), run("convergence", "convergence"))
+    real = getattr(baskakov, route)
+    cells = []
+
+    def counting(pair, f, n, x, policy):
+        cells.append((n, x))
+        return real(pair, f, n, x, policy)
+
+    monkeypatch.setattr(baskakov, route, counting)
+    code = run("curves, convergence", "shared")
+    config = validate_config(path)
+    assert len(cells) == len(set(cells)) == len(config.n_list) * config.grid.points
+    assert code == max(singles)
+    for name, single in (("curves.csv", "curves"), ("convergence.csv", "convergence")):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / single / name).read_bytes()
+
+
+def test_a_single_evaluating_output_opens_no_cell_table(small_config, tmp_path, monkeypatch):
+    real = baskakov._beta_apply_analytic
+    tables = []
+
+    def recording(*args):
+        tables.append(baskakov._RUN_CELLS.get())
+        return real(*args)
+
+    monkeypatch.setattr(baskakov, "_beta_apply_analytic", recording)
+    for outputs in ("curves", "convergence", "curves, moments, bound-report"):
+        config = validate_config(small_config, [f"run.outputs={outputs}", "grid.stop=3"])
+        run_experiment(config, tmp_path / "out")
+    assert tables and all(table is None for table in tables)
+    assert baskakov._RUN_CELLS.get() is None
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqbaskakov", "validate", str(cli._builtin_config_path("figure1"))],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("config OK:")
+    assert proc.stderr == ""

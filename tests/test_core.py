@@ -106,6 +106,20 @@ class TestFactorial:
         # 200! is beyond the double range: inf, not an OverflowError
         assert pq_factorial(CLASSICAL, 200) == math.inf
 
+    @pytest.mark.parametrize("n, want", [(5_000, math.inf), (9_365, None), (20_000, 0.0), (800_000, 0.0)])
+    def test_a_product_that_overflows_and_shrinks_follows_the_log(self, n, want):
+        # at (0.999, 0.99) [j] peaks at j = 255 and falls below 1 after
+        # j = 4,708, where log [n]! peaks (10,908); the running product
+        # overflows long before n = 9,365, where [n]! is e^57.39 again, and
+        # log [20,000]! = -106,078
+        pair = PQPair(0.999, 0.99)
+        log_value = core.log_pq_factorial(pair, n)
+        if want is None:
+            assert rel_err(pq_factorial(pair, n), math.exp(log_value)) < 1e-15
+        else:
+            assert abs(log_value) > 745.2  # beyond both ends of the double range
+            assert pq_factorial(pair, n) == want
+
     def test_classical_170_matches_the_integer_factorial(self):
         assert pq_factorial(CLASSICAL, 170) == pytest.approx(math.factorial(170), rel=1e-14)
 
@@ -148,6 +162,17 @@ class TestLogFactCache:
         for pair in (pairs[0], pairs[-1]):
             got = core.log_pq_factorial(pair, 9)
             assert rel_err(got, self.log_factorial(pair, 9)) < 1e-13
+
+    @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(1.0, 150 / 151), PQPair(0.7, 0.7), CLASSICAL])
+    def test_grown_in_pieces_is_bitwise_the_running_sum_of_log_numbers(self, pair):
+        core._LOG_FACT_CACHE.pop(pair, None)
+        for n in (3, 64, 65, 67, 300):
+            table = core._log_fact_table(pair, n)
+        want = [0.0]
+        for j in range(1, 301):
+            want.append(want[-1] + core.log_pq_number(pair, j))
+        assert table.tolist() == want
+        assert not table.flags.writeable
 
     def test_evicts_the_least_recently_used_pair(self):
         bound = core._LOG_FACT_PAIRS
