@@ -25,12 +25,9 @@ The closed moment expressions (``moments_closed``) share none of this.
 
 The row grows by doubling, and a longer row appends only its new terms: the
 prefix sum of log (1 (+) x)^j goes on from the last value of the previous
-segment, so the grown row is bitwise the one-shot row.  The segments are
-concatenated once, when the row stops; the peak of the sample-weighted
-terms carries over between doublings, except for the ladder ratios, whose
-leading entries move by an ulp or so with the row length.  The
-x-independent terms of a row are cached, read-only, per (pair, n, k_count)
-and shared by every x of a grid.
+segment, so the grown row is bitwise the one-shot row.  The x-independent
+terms of a row are cached, read-only, per (pair, n, k_count) and shared by
+every x of a grid.
 
 The two Beta routes build their samples once per (pair, n, f, k_count) and
 keep them, read-only, in a bounded LRU cache, so a whole x-grid at one order
@@ -191,41 +188,30 @@ def _apply(
     x: float,
     policy: TruncationPolicy,
     samples: Callable[[int], tuple[np.ndarray, bool]],
-    stable_prefix: bool = True,
 ) -> OperatorResult:
     """sum_k b_{n,k}(x) s_k, where samples(k_count) -> (s, inner_ok) gives the
     x-independent samples for k = 0..k_count-1.
 
     The row doubles until its sample-weighted edge term is negligible (or the
     term budget is spent); the result is trusted when the inner samples are,
-    the basis tail is below rel_tol and every term is finite.  With
-    stable_prefix, the leading samples are bitwise the same at every k_count,
-    so the peak weighted term carries over and each doubling scans only its
-    new segment; otherwise (the ladder ratios) the whole row is rescanned.
+    the basis tail is below rel_tol and every term is finite.
     """
     if x == 0.0:
         row = np.zeros(1)  # b_{n,0}(0) = 1, every other weight vanishes
         s, inner_ok = samples(1)
     else:
         k_count = min(64, policy.max_terms)
-        segments: list[np.ndarray] = []
-        k_done, carry, peak = 0, 0.0, -math.inf
+        row, carry = np.empty(0), 0.0
         while True:
-            segment, carry = _log_basis_row(pair, n, x, k_count, k_done, carry)
-            segments.append(segment)
+            segment, carry = _log_basis_row(pair, n, x, k_count, row.size, carry)
+            row = np.concatenate([row, segment])
             s, inner_ok = samples(k_count)
-            if stable_prefix:
-                metric = _weighted_log_terms(segment, s[k_done:])
-                top = metric.max()
-                if top > peak or top != top:  # a NaN peak stays, as in a full max
-                    peak = top
-            else:
-                metric = _weighted_log_terms(np.concatenate(segments), s)
-                peak = metric.max()
-            if metric[-1] < peak + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ls = np.log(np.abs(s))
+            metric = row + np.where(np.isfinite(ls), ls, 0.0)
+            if metric[-1] < metric.max() + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
                 break
-            k_done, k_count = k_count, min(2 * k_count, policy.max_terms)
-        row = np.concatenate(segments)
+            k_count = min(2 * k_count, policy.max_terms)
     b = np.exp(row)
     terms = np.where(b > 0.0, b * s, 0.0)
     tail = max(0.0, 1.0 - float(b.sum()))
@@ -233,13 +219,6 @@ def _apply(
     k_used = int(significant[-1]) + 1 if significant.size else 1
     trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
     return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
-
-
-def _weighted_log_terms(row: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """log b_{n,k}(x) + log |s_k|, with a zero or non-finite sample weighing 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ls = np.log(np.abs(s))
-    return row + np.where(np.isfinite(ls), ls, 0.0)
 
 
 def baskakov_apply(
@@ -497,8 +476,7 @@ def _beta_apply_quadrature(
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
         return ratios(pair, n, k_count, f, degree)
 
-    # a longer row moves the leading ladder ratios by an ulp or so
-    return _apply(pair, n, x, policy, samples, stable_prefix=False)
+    return _apply(pair, n, x, policy, samples)
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)

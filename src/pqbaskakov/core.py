@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -156,12 +156,20 @@ def log_pq_number(pair: PQPair, n: int) -> float:
     n = _check_nonneg_int(n, "n")
     if n == 0:
         raise DomainError("log of [0] = 0 is undefined")
+    return next(_log_pq_terms(pair, (n,)))
+
+
+def _log_pq_terms(pair: PQPair, js: Iterable[int]) -> Iterator[float]:
+    """log [j]_{p,q} for each j >= 1 of js, with log p and log(1 - q/p)
+    computed once (in math, not numpy, so that no term moves by an ulp)."""
     p, q = pair.p, pair.q
+    lp = math.log(p)
     if p == q:
-        return math.log(n) + (n - 1) * math.log(p)
-    # [n] = p^{n-1} (1 - r^n) / (1 - r) with r = q/p < 1
+        return (math.log(j) + (j - 1) * lp for j in js)
+    # [j] = p^{j-1} (1 - r^j) / (1 - r) with r = q/p < 1
     r = q / p
-    return (n - 1) * math.log(p) + math.log1p(-(r**n)) - math.log1p(-r)
+    log_1mr = math.log1p(-r)
+    return ((j - 1) * lp + math.log1p(-(r**j)) - log_1mr for j in js)
 
 
 # Per-pair prefix sums of log [j], grown on demand, for at most
@@ -187,19 +195,12 @@ def _log_fact_table(pair: PQPair, n: int) -> np.ndarray:
 
 
 def _grow_log_fact(pair: PQPair, table: np.ndarray, n: int) -> np.ndarray:
-    """table extended to j = n: the running sum goes on from its last entry
-    with the terms of ``log_pq_number``, bit for bit (math, not numpy, so
-    that no term moves by an ulp)."""
-    p, q = pair.p, pair.q
-    lp = math.log(p)
-    js = range(table.size, n + 1)
-    if p == q:
-        terms = (math.log(j) + (j - 1) * lp for j in js)
-    else:
-        r = q / p
-        log_1mr = math.log1p(-r)
-        terms = ((j - 1) * lp + math.log1p(-(r**j)) - log_1mr for j in js)
-    sums = np.fromiter(accumulate(terms, initial=float(table[-1])), float, n + 2 - table.size)
+    """table extended to j = max(n, 2 * table.size): the running sum goes on
+    from its last entry, so that a table grown in pieces is bitwise the one
+    grown at once, and growing by doubling copies each entry O(1) times."""
+    stop = max(n, 2 * table.size)
+    terms = _log_pq_terms(pair, range(table.size, stop + 1))
+    sums = np.fromiter(accumulate(terms, initial=float(table[-1])), float, stop + 2 - table.size)
     grown = np.concatenate([table[:-1], sums])
     grown.flags.writeable = False
     return grown
@@ -217,6 +218,9 @@ def pq_factorial(pair: PQPair, n: int) -> float:
     [r] rises and then falls with r when p < 1, so the running product can
     overflow and shrink back (to a finite value or to 0); it is then
     exp(log [n]!), 0.0 below the smallest double and inf above the largest.
+    A finite value of that fallback carries the rounding error of the summed
+    log: its relative error is at most about n 2^-53 max_{j<=n} |log [j]!|
+    (1.1e-8 at (0.999, 0.99), n = 9,365, where it is 6e-12).
     """
     n = _check_nonneg_int(n, "n")
     product = math.prod(pq_number(pair, j) for j in range(1, n + 1))

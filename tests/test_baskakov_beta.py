@@ -430,40 +430,6 @@ class TestRowTermsCache:
                 array[0] = 0.0
 
 
-class TestCarriedPeak:
-    """The doubling loop carries the peak weighted term over for samples
-    whose leading entries do not move with the row length; a full rescan at
-    every doubling must stop at the same row and give the same result."""
-
-    @pytest.mark.parametrize("apply", [baskakov_apply, baskakov_beta_apply])
-    @pytest.mark.parametrize(
-        "pair, n", [(PQPair(0.9, 0.8), 10), (PQPair(1.0, 150 / 151), 150), (PQPair(0.95, 0.9), 40)]
-    )
-    @pytest.mark.parametrize("x", [0.0, 1e-3, 1.0, 5.0, 20.0, 80.0])
-    @pytest.mark.parametrize("max_terms", [1, 100, 10000])
-    def test_equals_a_full_rescan(self, monkeypatch, apply, pair, n, x, max_terms):
-        self.check(monkeypatch, apply, pair, n, x, max_terms)
-
-    @pytest.mark.parametrize("apply", [baskakov_apply, baskakov_beta_apply])
-    @pytest.mark.parametrize("x", [0.4, 0.404])
-    def test_a_peak_in_an_earlier_segment_decides_the_stop(self, monkeypatch, apply, x):
-        # near p = q the row is wide and flat: at k_count = 128 its edge is
-        # more than 1e-18 below the peak of the first segment, but not below
-        # the top of its own segment, so only the carried peak stops it there
-        self.check(monkeypatch, apply, PQPair(0.5264, 0.524), 216, x, 200)
-
-    @staticmethod
-    def check(monkeypatch, apply, pair, n, x, max_terms):
-        f = FunctionSpec.polynomial([7.0, -2.0, 25.0])
-        args = (pair, f, n, x, TruncationPolicy(max_terms=max_terms))
-        carried = apply(*args)
-        real = baskakov._apply
-        monkeypatch.setattr(
-            baskakov, "_apply", lambda *a, **kw: real(*a, **{**kw, "stable_prefix": False})
-        )
-        assert apply(*args) == carried
-
-
 def _counting_route(monkeypatch, name="_beta_apply_analytic"):
     """Replace a route function of baskakov by one that records its calls'
     (n, x) and whether a cell table was open."""

@@ -478,6 +478,7 @@ def test_curves_and_convergence_share_one_evaluation_per_cell(
     assert code == max(singles)
     for name, single in (("curves.csv", "curves"), ("convergence.csv", "convergence")):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / single / name).read_bytes()
+    assert baskakov._RUN_CELLS.get() is None  # dropped when the run ends
 
 
 def test_a_single_evaluating_output_opens_no_cell_table(small_config, tmp_path, monkeypatch):

@@ -106,19 +106,25 @@ class TestFactorial:
         # 200! is beyond the double range: inf, not an OverflowError
         assert pq_factorial(CLASSICAL, 200) == math.inf
 
-    @pytest.mark.parametrize("n, want", [(5_000, math.inf), (9_365, None), (20_000, 0.0), (800_000, 0.0)])
+    # at (0.999, 0.99) [j] peaks at j = 255 and falls below 1 after j = 4,708,
+    # where log [n]! peaks (10,908); the running product overflows long
+    # before n = 9,365, where [n]! is e^57.39 again, and log [20,000]! = -106,078
+    @pytest.mark.parametrize("n, want", [(5_000, math.inf), (20_000, 0.0), (800_000, 0.0)])
     def test_a_product_that_overflows_and_shrinks_follows_the_log(self, n, want):
-        # at (0.999, 0.99) [j] peaks at j = 255 and falls below 1 after
-        # j = 4,708, where log [n]! peaks (10,908); the running product
-        # overflows long before n = 9,365, where [n]! is e^57.39 again, and
-        # log [20,000]! = -106,078
         pair = PQPair(0.999, 0.99)
-        log_value = core.log_pq_factorial(pair, n)
-        if want is None:
-            assert rel_err(pq_factorial(pair, n), math.exp(log_value)) < 1e-15
-        else:
-            assert abs(log_value) > 745.2  # beyond both ends of the double range
-            assert pq_factorial(pair, n) == want
+        assert abs(core.log_pq_factorial(pair, n)) > 745.2  # beyond both ends of the double range
+        assert pq_factorial(pair, n) == want
+
+    def test_a_product_that_overflows_and_shrinks_back_into_range(self):
+        mp = pytest.importorskip("mpmath")
+        pair, n = PQPair(0.999, 0.99), 9_365
+        with mp.workdps(30):
+            p, q = mp.mpf(pair.p), mp.mpf(pair.q)
+            want = mp.exp(mp.fsum(mp.log((p**j - q**j) / (p - q)) for j in range(1, n + 1)))
+            error = float(abs(mp.mpf(pq_factorial(pair, n)) - want) / want)
+        # the bound of the pq_factorial docstring; about 6e-12 is seen here
+        bound = n * 2.0**-53 * max(abs(core.log_pq_factorial(pair, j)) for j in range(n + 1))
+        assert error < bound < 1.2e-8
 
     def test_classical_170_matches_the_integer_factorial(self):
         assert pq_factorial(CLASSICAL, 170) == pytest.approx(math.factorial(170), rel=1e-14)
@@ -171,8 +177,25 @@ class TestLogFactCache:
         want = [0.0]
         for j in range(1, 301):
             want.append(want[-1] + core.log_pq_number(pair, j))
-        assert table.tolist() == want
+        assert table[:301].tolist() == want
         assert not table.flags.writeable
+
+    def test_grown_one_step_at_a_time_it_doubles(self, monkeypatch):
+        # each growth at least doubles the table, so raising n one step at a
+        # time copies every entry O(1) times on average
+        pair = PQPair(0.97, 0.91)
+        core._LOG_FACT_CACHE.pop(pair, None)
+        real, sizes = core._grow_log_fact, []
+
+        def recording(*args):
+            grown = real(*args)
+            sizes.append(grown.size)
+            return grown
+
+        monkeypatch.setattr(core, "_grow_log_fact", recording)
+        for n in range(1, 5001):
+            core.log_pq_factorial(pair, n)
+        assert sizes == [2 ** (k + 2) - 1 for k in range(12)]  # up to 8,191 entries
 
     def test_evicts_the_least_recently_used_pair(self):
         bound = core._LOG_FACT_PAIRS
