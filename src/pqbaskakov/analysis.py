@@ -50,10 +50,10 @@ class EvalGrid:
     points: int
 
     def __post_init__(self) -> None:
-        if self.start < 0.0:
-            raise DomainError(f"grid start must be >= 0, got {self.start}")
-        if not self.stop > self.start:
-            raise DomainError(f"grid needs stop > start, got [{self.start}, {self.stop}]")
+        if not 0.0 <= self.start < self.stop < math.inf:
+            raise DomainError(
+                f"grid needs 0 <= start < stop < inf, got [{self.start}, {self.stop}]"
+            )
         if self.points < 2:
             raise DomainError(f"grid needs at least 2 points, got {self.points}")
 
@@ -214,8 +214,26 @@ def pointwise_bound_terms(
     return BoundTerms(omega_term=omega, omega2_arg=math.sqrt(mu2 + mu1 * mu1))
 
 
-def _rate_constant(cf: float, kappa: float) -> float:
-    """L = 6 C_f (1 + kappa^2)(1 + kappa + kappa^2) of ``interval_rate_bound``."""
+def _rate_constant(f: FunctionSpec, kappa: float, grid: EvalGrid) -> float:
+    """L = 6 C_f (1 + kappa^2)(1 + kappa + kappa^2) of ``interval_rate_bound``.
+
+    The one check of the bound's inputs: 0 < kappa < inf, a ``FunctionSpec``
+    with a growth bound C_f > 0 (1 / sqrt(L) enters the bound), and a grid
+    that covers [0, kappa + 1] for the moduli.
+    """
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"the rate bound needs 0 < kappa < inf, got kappa = {kappa}")
+    cf = f.default_growth_bound() if isinstance(f, FunctionSpec) else None
+    if cf is None or not cf > 0.0:
+        raise DomainError(
+            f"the rate bound needs a FunctionSpec f with a growth bound C_f > 0, got C_f = {cf} "
+            "(give f a growth bound, or use a nonzero polynomial of degree <= 2)"
+        )
+    if grid.start > 1e-12 or grid.stop < kappa + 1.0:
+        raise DomainError(
+            f"the rate bound needs a grid covering [0, {kappa + 1.0}] for the moduli, "
+            f"got [{grid.start}, {grid.stop}]"
+        )
     return 6.0 * cf * (1.0 + kappa**2) * (1.0 + kappa + kappa**2)
 
 
@@ -236,18 +254,9 @@ def interval_rate_bound(
     and the maximum over x is returned.  The moduli arguments both use
     delta = sqrt(L mu2(x)), the choice that closes the underlying proof.
     """
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    L = _rate_constant(f, kappa, grid)
     if n <= 2:
         raise DomainError(f"rate bound needs n > 2, got {n}")
-    if not isinstance(f, FunctionSpec):
-        raise DomainError("interval_rate_bound needs a FunctionSpec with a growth bound")
-    cf = f.require_growth_bound()
-    if grid.start > 1e-12 or grid.stop < kappa + 1.0:
-        raise DomainError(
-            f"grid [{grid.start}, {grid.stop}] must cover [0, {kappa + 1.0}] for the moduli"
-        )
-    L = _rate_constant(cf, kappa)
     xs = grid.array()
     values = np.asarray(as_callable(f)(xs), dtype=float)
     mu2 = central_moment(pair, 2, n, xs[xs <= kappa + 1e-12])

@@ -66,6 +66,7 @@ from .core import (
     DomainError,
     PQPair,
     TruncationPolicy,
+    _check_nonneg_int,
     _log_fact_table,
     pq_number,
 )
@@ -156,13 +157,22 @@ def _log_basis_row(
     return row, float(prefix[-1])
 
 
+def _check_point(n: int, x: float) -> int:
+    """The order n as an int: every operator entry takes a whole n >= 1 and a
+    point 0 <= x < inf (a NaN or infinite x would lose its NaN basis row)."""
+    n = _check_nonneg_int(n, "operator order n")
+    if n < 1:
+        raise DomainError(f"operator order must satisfy n >= 1, got {n}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"operator domain is 0 <= x < inf, got x={x}")
+    return n
+
+
 def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
     """One basis weight b_{n,k}(x), computed through the log-domain row."""
     _require_basis_regime(pair)
-    if n < 1 or k < 0:
-        raise DomainError(f"basis needs n >= 1 and k >= 0, got n={n}, k={k}")
-    if x < 0.0:
-        raise DomainError(f"basis is defined for x >= 0, got x={x}")
+    n = _check_point(n, x)
+    k = _check_nonneg_int(k, "basis index k")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
     row, _ = _log_basis_row(pair, n, x, k + 1)
@@ -230,10 +240,7 @@ def baskakov_apply(
 ) -> OperatorResult:
     """B_n(f, x) by direct summation of basis weights against node samples."""
     _require_basis_regime(pair)
-    if n < 1:
-        raise DomainError(f"operator order must satisfy n >= 1, got {n}")
-    if x < 0.0:
-        raise DomainError(f"operator domain is x >= 0, got x={x}")
+    n = _check_point(n, x)
     func = as_callable(f)
 
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
@@ -298,8 +305,8 @@ def _log_beta_ratio_factors(pair: PQPair, n: int, m: int, k_count: int) -> np.nd
     """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for k = 0..k_count-1.
 
     This is the exact inner-integral factor for the monomial t^m: the shared
-    Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  Its
-    one caller, the analytic route, has already checked n > m.
+    Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  The
+    entries to the analytic route have already checked n > m.
     """
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
@@ -329,12 +336,10 @@ def baskakov_beta_monomial_exact(
     expressions.
     """
     pair.require_strict("the Beta-weighted operator")
-    if m < 0:
-        raise DomainError(f"monomial order must be >= 0, got {m}")
+    n = _check_point(n, x)
+    m = _check_nonneg_int(m, "monomial order m")
     if n <= m:
         raise DomainError(f"needs n > m, got n={n}, m={m}")
-    if x < 0.0:
-        raise DomainError(f"operator domain is x >= 0, got x={x}")
     return _beta_apply_analytic(pair, (0.0,) * m + (1.0,), n, x, policy).value
 
 
@@ -406,10 +411,7 @@ def _beta_apply(
     method: str,
 ) -> OperatorResult:
     pair.require_strict("the Beta-weighted operator")
-    if n < 1:
-        raise DomainError(f"operator order must satisfy n >= 1, got {n}")
-    if x < 0.0:
-        raise DomainError(f"operator domain is x >= 0, got x={x}")
+    n = _check_point(n, x)
     if method not in ("auto", "analytic", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
 
@@ -417,6 +419,10 @@ def _beta_apply(
     if method == "analytic" and coeffs is None:
         raise DomainError("analytic evaluation needs a polynomial FunctionSpec")
     use_analytic = method == "analytic" or (method == "auto" and coeffs is not None)
+    # a polynomial's growth degree is its degree, so this is every route's rule
+    degree = _growth_degree(f)
+    if n <= degree:
+        raise DomainError(f"operator order n={n} must exceed the growth degree {degree} of f")
 
     if use_analytic:
         return _beta_apply_analytic(pair, coeffs, n, x, policy)
@@ -430,11 +436,6 @@ def _beta_apply_analytic(
     x: float,
     policy: TruncationPolicy,
 ) -> OperatorResult:
-    degree = max((d for d, c in enumerate(coeffs) if c != 0.0), default=0)
-    if n <= degree:
-        raise DomainError(
-            f"operator order n={n} must exceed the polynomial degree {degree}"
-        )
     active = tuple((d, c) for d, c in enumerate(coeffs) if c != 0.0)
 
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
@@ -464,11 +465,6 @@ def _beta_apply_quadrature(
     policy: TruncationPolicy,
 ) -> OperatorResult:
     degree = _growth_degree(f)
-    if n <= degree:
-        raise DomainError(
-            f"quadrature route needs n > {degree} (growth degree of f), got n={n}"
-        )
-
     # a FunctionSpec is a frozen value, so its ladder ratios can be shared
     # across x; a plain callable may carry state and is sampled afresh
     ratios = _cached_weight_ratios if isinstance(f, FunctionSpec) else batched_weight_ratios

@@ -188,16 +188,9 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     )
     output_path = option("output", "path", str, "out")
 
+    # the bound report's inputs pass the one check the rate bound itself runs
     if "bound-report" in outputs:
-        if function is not None and function.default_growth_bound() is None:
-            problems.append(
-                "[function] bound-report needs a growth bound C_f "
-                "(set growth_bound, or use a polynomial of degree <= 2)"
-            )
-        if None not in (grid, kappa) and grid.stop < kappa + 1.0:
-            problems.append(
-                f"[grid] stop = {grid.stop} must reach kappa + 1 = {kappa + 1.0} for bound-report"
-            )
+        build("run", _rate_constant, function, kappa, grid)
 
     # a section or key that nothing above looked up is misspelt, or is one its
     # section does not take (a [schedule] key of another family); a [DEFAULT]
@@ -318,7 +311,7 @@ def _convergence(config: ExperimentConfig, out: Path) -> bool:
 
 def _bound_report(config: ExperimentConfig, out: Path) -> bool:
     kappa = config.kappa
-    L = _rate_constant(config.function.require_growth_bound(), kappa)
+    L = _rate_constant(config.function, kappa, config.grid)
     xs = config.grid.array()
     rows: list[list[str]] = []
     partial = False

@@ -233,13 +233,14 @@ def pq_factorial(pair: PQPair, n: int) -> float:
 
 
 def pq_binomial(pair: PQPair, n: int, r: int) -> float:
-    """[n]! / ([n-r]! [r]!), for 0 <= r <= n."""
-    n = _check_nonneg_int(n, "n")
-    r = _check_nonneg_int(r, "r")
+    """[n]! / ([n-r]! [r]!), for whole 0 <= r <= n."""
     return math.exp(log_pq_binomial(pair, n, r))
 
 
 def log_pq_binomial(pair: PQPair, n: int, r: int) -> float:
+    """log [n]! - log [n-r]! - log [r]!, for whole 0 <= r <= n."""
+    n = _check_nonneg_int(n, "n")
+    r = _check_nonneg_int(r, "r")
     if r > n:
         raise DomainError(f"binomial requires 0 <= r <= n, got n={n}, r={r}")
     table = _log_fact_table(pair, n)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ class TestGridAndWeight:
             EvalGrid(1.0, 1.0, 10)
         with pytest.raises(DomainError):
             EvalGrid(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("start, stop", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
+    def test_grid_ends_must_be_finite(self, start, stop):
+        with pytest.raises(DomainError):
+            EvalGrid(start, stop, 11)
 
     def test_grid_spacing(self):
         grid = EvalGrid(0.0, 10.0, 101)
@@ -167,6 +173,24 @@ class TestIntervalRateBound:
         with pytest.raises(DomainError):
             interval_rate_bound(PQPair(0.9, 0.8), 6, E2, 2.0, EvalGrid(0.0, 2.5, 251))
 
+    @pytest.mark.parametrize(
+        "f, kappa, grid",
+        [
+            (E2, math.nan, EvalGrid(0.0, 3.0, 301)),
+            (E2, math.inf, EvalGrid(0.0, 3.0, 301)),
+            (E2, 0.0, EvalGrid(0.0, 3.0, 301)),
+            (E2, -1.0, EvalGrid(0.0, 3.0, 301)),
+            (FunctionSpec.polynomial([0.0, 0.0]), 2.0, EvalGrid(0.0, 3.0, 301)),
+            (lambda t: t * t, 2.0, EvalGrid(0.0, 3.0, 301)),
+            (E2, 2.0, EvalGrid(0.5, 3.0, 251)),
+        ],
+        ids=["kappa-nan", "kappa-inf", "kappa-zero", "kappa-negative", "zero-target",
+             "plain-callable", "grid-from-half"],
+    )
+    def test_refuses_inputs_outside_the_theorem(self, f, kappa, grid):
+        with pytest.raises(DomainError):
+            interval_rate_bound(PQPair(0.9, 0.8), 6, f, kappa, grid)
+
 
 class TestWeightedSupError:
     def test_constant_target_is_exact(self):
@@ -192,6 +216,40 @@ class TestWeightedSupError:
         errs = [weighted_sup_error(sched.pair_at(n), n, E2, grid) for n in (5, 10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] > errs[3]
         assert errs[-1] < 0.2
+
+
+def closed_weighted_e1_error(n):
+    """sup over criterion 8's grid (201 points on [0, 10]) of |D_n(t, x) - x| / (1 + x^2)
+    on q_ratio, exactly: at p = 1, [n] - [n-1] = q^{n-1}, so the closed first
+    moment gives D_n(t, x) - x = (q + x q^{n-1}) / [n-1]."""
+    q = Fraction(n, n + 1)
+    n_minus_1 = sum(q**j for j in range(n - 1))
+    xs = [Fraction(i, 20) for i in range(201)]
+    return max((q + x * q ** (n - 1)) / (n_minus_1 * (1 + x * x)) for x in xs)
+
+
+class TestCriterion8Explanation:
+    """Why criterion 8 (n = 80 below 10% of n = 10) stays red for e1: along
+    q_ratio the error is Theta(1/n) with n err rising, so err(8n)/err(n) > 1/8."""
+
+    ORDERS = (10, 20, 40, 80)
+
+    def test_n_times_the_e1_error_rises_below_its_limit(self):
+        errs = {n: closed_weighted_e1_error(n) for n in self.ORDERS}
+        assert float(errs[80] / errs[10]) == pytest.approx(0.13374, abs=5e-6)
+        scaled = [float(n * errs[n]) for n in self.ORDERS]
+        assert scaled == pytest.approx([1.50859, 1.56326, 1.59614, 1.61407], abs=5e-6)
+        assert scaled == sorted(scaled)
+        xs = np.linspace(0.0, 10.0, 201)
+        limit = np.max((1.0 + xs / math.e) / ((1.0 - 1.0 / math.e) * (1.0 + xs**2)))
+        assert limit == pytest.approx(1.63305, abs=5e-6)
+        assert scaled[-1] < limit
+        assert errs[80] / errs[10] > Fraction(1, 8)
+
+    def test_the_operator_e1_error_is_the_closed_form(self):
+        sched = ParameterSchedule.q_ratio()
+        got = weighted_sup_error(sched.pair_at(80), 80, E1, EvalGrid(0.0, 10.0, 201))
+        assert rel_err(got, float(closed_weighted_e1_error(80))) < 1e-12
 
 
 class TestSchedules:

@@ -496,6 +496,46 @@ class TestCellTable:
             assert baskakov._RUN_CELLS.get() == {}
 
 
+# every operator entry point, called at order n and point x
+ENTRIES = {
+    "basis": lambda n, x: baskakov.baskakov_basis(PQPair(0.9, 0.8), n, 1, x),
+    "plain": lambda n, x: baskakov_apply(PQPair(0.9, 0.8), E[1], n, x),
+    "beta": lambda n, x: baskakov_beta_apply(PQPair(0.9, 0.8), E[1], n, x),
+    "monomial": lambda n, x: baskakov_beta_monomial_exact(PQPair(0.9, 0.8), 1, n, x),
+}
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize(
+        "n, x", [(0, 1.0), (10.5, 1.0), (10, -1.0), (10, math.inf), (10, math.nan)]
+    )
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_each_entry_refuses_an_order_or_point_outside_the_domain(self, entry, n, x):
+        with pytest.raises(DomainError):
+            ENTRIES[entry](n, x)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_a_whole_float_order_is_the_integer_order(self, entry):
+        assert ENTRIES[entry](10.0, 2.0) == ENTRIES[entry](10, 2.0)
+
+    @pytest.mark.parametrize(
+        "f, n, method",
+        [
+            (FunctionSpec.polynomial([1.0, 0.0, 0.0, 2.0]), 3, "auto"),
+            (FunctionSpec.polynomial([1.0, 0.0, 0.0, 2.0]), 3, "analytic"),
+            (FunctionSpec.polynomial([1.0, 0.0, 0.0, 2.0]), 3, "quadrature"),
+            (FunctionSpec.named("abs_t_minus_1"), 2, "auto"),
+            (lambda t: np.abs(t - 1.0), 2, "quadrature"),
+        ],
+        ids=["cubic-auto", "cubic-analytic", "cubic-quadrature", "named-kink", "callable"],
+    )
+    def test_every_route_needs_n_above_the_growth_degree(self, f, n, method):
+        pair = PQPair(0.9, 0.8)
+        with pytest.raises(DomainError):
+            baskakov_beta_apply(pair, f, n, 1.0, method=method)
+        assert math.isfinite(baskakov_beta_apply(pair, f, n + 1, 1.0, method=method).value)
+
+
 class TestCentralMoments:
     def test_first_central_moment_at_origin_classical(self):
         # q p^{n-2} / [n-1] -> 1/4 at n = 5, p = q = 1

@@ -1,10 +1,14 @@
 import csv
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqbaskakov import (
     ConfigurationError,
@@ -14,7 +18,7 @@ from pqbaskakov import (
     run_experiment,
     validate_config,
 )
-from pqbaskakov import baskakov, cli
+from pqbaskakov import NAMED_FUNCTIONS, baskakov, cli
 from pqbaskakov.cli import main
 
 
@@ -345,6 +349,30 @@ def test_validate_refuses_what_run_cannot_finish(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# each override below gives a config that parses, but whose bound report or
+# grid run cannot finish; the grid of _config is [0, 3] and kappa defaults to 2
+REFUSED_INPUTS = {
+    "kappa-nan": ["run.kappa=nan"],
+    "kappa-zero": ["run.kappa=0"],
+    "kappa-negative": ["run.kappa=-1"],
+    "grid-from-half": ["grid.start=0.5"],
+    "zero-target": ["function.named=", "function.coefficients=0"],
+    "grid-to-inf": ["grid.stop=inf", "run.outputs=curves"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_validate_refuses_bound_report_and_grid_inputs(case, tmp_path):
+    path = _config(tmp_path, "[pair]\np = 0.9\nq = 0.8", "n_list = 5, 10\noutputs = bound-report")
+    overrides = REFUSED_INPUTS[case]
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(path, overrides)
+    assert len(err.value.messages) == 1
+    flags = [arg for item in overrides for arg in ("--override", item)]
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), *flags]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_each_refused_order_is_its_own_message(tmp_path):
     path = _config(tmp_path, "[pair]\np = 0.9\nq = 0.8", "n_list = -3, 0, 5\noutputs = curves")
     with pytest.raises(ConfigurationError) as err:
@@ -507,3 +535,64 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("config OK:")
     assert proc.stderr == ""
+
+
+_SCHEDULES = st.one_of(
+    st.sampled_from([(0.9, 0.8), (1.0, 1.0), (0.9, 0.9), (0.9, 0.89999), (1.0, 0.9), (0.8, 0.9)])
+    .map(lambda pq: f"[pair]\np = {pq[0]!r}\nq = {pq[1]!r}"),
+    st.just("[schedule]\nfamily = q_ratio"),
+    st.tuples(st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 5.0]))
+    .map(lambda ab: f"[schedule]\nfamily = harmonic_decay\nalpha = {ab[0]!r}\nbeta = {ab[1]!r}"),
+)
+_TARGETS = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0, -2.5, 18.0]), min_size=1, max_size=4)
+    .map(lambda cs: "coefficients = " + ", ".join(map(repr, cs))),
+    st.integers(1, 4).map(lambda size: "coefficients = " + ", ".join(["0"] * size)),
+    st.sampled_from(sorted(NAMED_FUNCTIONS)).map(lambda name: f"named = {name}"),
+)
+
+
+# two bound reports run cannot finish, so validate must refuse them: a NaN
+# kappa, and a zero target, whose C_f = 0 would enter the bound as 1 / sqrt(L)
+_BOUND_REPORT = dict(
+    schedule="[pair]\np = 0.9\nq = 0.8", n_list=[5, 10], outputs={"bound-report"},
+    grid=(0.0, 3.0, 7), max_terms=10000,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(target="named = e2", kappa=math.nan, **_BOUND_REPORT)
+@example(target="coefficients = 0", kappa=2.0, **_BOUND_REPORT)
+@given(
+    schedule=_SCHEDULES,
+    target=_TARGETS,
+    # mostly orders every output takes, sometimes one that some outputs refuse
+    n_list=st.tuples(
+        st.lists(st.sampled_from([-3, 0, 1, 2]), max_size=1),
+        st.lists(st.sampled_from([3, 5, 10, 20]), min_size=1, max_size=3, unique=True),
+    ).map(lambda parts: sorted(parts[0] + parts[1])),
+    outputs=st.sets(st.sampled_from(cli._OUTPUT_KINDS), min_size=1),
+    kappa=st.sampled_from([math.nan, -1.0, 0.0, 0.5, 2.0]),
+    grid=st.tuples(
+        st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 3.0, 5.0, math.inf]), st.integers(2, 11)
+    ),
+    max_terms=st.sampled_from([1, 40, 10000]),
+)
+def test_a_config_is_refused_or_runs_to_the_end(
+    schedule, target, n_list, outputs, kappa, grid, max_terms
+):
+    """validate refuses the config, or run finishes it with exit 0 or 2."""
+    text = (
+        f"{schedule}\n[function]\n{target}\n[run]\n"
+        f"n_list = {', '.join(map(str, n_list))}\noutputs = {', '.join(sorted(outputs))}\n"
+        f"kappa = {kappa!r}\n[grid]\nstart = {grid[0]!r}\nstop = {grid[1]!r}\npoints = {grid[2]}\n"
+        f"[policy]\nmax_terms = {max_terms}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text)
+        try:
+            config = validate_config(path)
+        except ConfigurationError:
+            return
+        assert run_experiment(config, Path(tmp) / "out") in (0, 2)

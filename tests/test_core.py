@@ -223,6 +223,12 @@ class TestBinomial:
         with pytest.raises(DomainError):
             pq_binomial(CLASSICAL, 3, 4)
 
+    @pytest.mark.parametrize("n, r", [(5, -1), (5.5, 2), (0, -2), (3, 4)])
+    @pytest.mark.parametrize("binomial", [pq_binomial, core.log_pq_binomial])
+    def test_rejects_anything_but_whole_r_in_zero_to_n(self, binomial, n, r):
+        with pytest.raises(DomainError):
+            binomial(PQPair(0.9, 0.8), n, r)
+
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(0, 40), r=st.integers(0, 40))
     def test_symmetry(self, n, r):
