@@ -21,7 +21,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, DomainError, PQPair, RegimeError, TruncationPolicy
+from .core import (
+    DEFAULT_POLICY,
+    DomainError,
+    PQPair,
+    RegimeError,
+    TruncationPolicy,
+    _check_nonneg_int,
+)
 from .baskakov import baskakov_beta_apply, central_moment
 from .functions import FunctionSpec, as_callable
 
@@ -129,8 +136,9 @@ class ParameterSchedule:
         return float(self.p == 1.0), float(self.q == 1.0)
 
     def pair_at(self, n: int) -> PQPair:
-        if n < 1:
+        if not n >= 1:
             raise DomainError(f"schedule index must satisfy n >= 1, got {n}")
+        n = _check_nonneg_int(n, "schedule index n")
         if self.family == "fixed":
             return PQPair(self.p, self.q)
         if self.family == "q_ratio":
@@ -323,7 +331,8 @@ def convergence_run(
 
     A failing row is marked (NaN fields, ok=False) without aborting the run,
     and so is a row with a non-finite operator value (its error fields are
-    then non-finite too); the output order follows n_list.
+    then non-finite too); the output order follows n_list.  A row whose n is
+    not a whole number fails and keeps that n as given.
     """
     rows: list[ConvergenceRow] = []
     xs = grid.array()
@@ -331,18 +340,19 @@ def convergence_run(
     for n in n_list:
         pair = None
         try:
-            pair = schedule.pair_at(int(n))
-            if n <= 2:
-                raise DomainError(f"convergence rows need n > 2, got n={n}")
-            dv, err, weighted = _grid_errors(pair, int(n), f, xs, fv, policy)
+            order = _check_nonneg_int(n, "convergence order n")
+            pair = schedule.pair_at(order)
+            if order <= 2:
+                raise DomainError(f"convergence rows need n > 2, got n={order}")
+            dv, err, weighted = _grid_errors(pair, order, f, xs, fv, policy)
             rows.append(
                 ConvergenceRow(
-                    n=int(n),
+                    n=order,
                     p_n=pair.p,
                     q_n=pair.q,
                     sup_error=float(err.max()),
                     weighted_error=float(weighted.max()),
-                    mu2_max=float(central_moment(pair, 2, int(n), xs).max()),
+                    mu2_max=float(central_moment(pair, 2, order, xs).max()),
                     ok=bool(np.isfinite(dv).all()),
                 )
             )
@@ -350,5 +360,5 @@ def convergence_run(
             logger.warning("convergence row n=%s failed: %s", n, exc)
             nan = float("nan")
             p_n, q_n = (nan, nan) if pair is None else (pair.p, pair.q)
-            rows.append(ConvergenceRow(int(n), p_n, q_n, nan, nan, nan, ok=False))
+            rows.append(ConvergenceRow(n, p_n, q_n, nan, nan, nan, ok=False))
     return rows

@@ -23,27 +23,36 @@ the routes stay independent of one another in those samples:
     value of its own weight integral, so that D_n(1, x) = 1 identically.
 The closed moment expressions (``moments_closed``) share none of this.
 
-The row grows by doubling, and a longer row appends only its new terms: the
-prefix sum of log (1 (+) x)^j goes on from the last value of the previous
-segment, so the grown row is bitwise the one-shot row.  The x-independent
-terms of a row are cached, read-only, per (pair, n, k_count) and shared by
-every x of a grid.
+The kernel works on a whole x-grid at once: a matrix of basis rows, one per
+point, grows by doubling (64, 128, ... terms, up to max_terms), and each row
+stops at the first length at which its own edge test passes and is summed at
+that length, so every cell is bitwise the value of that point evaluated
+alone (a 1-point grid, which is what the scalar entries pass).  A longer row
+appends only its new terms: the prefix sum of log (1 (+) x)^j goes on from
+the last value of the previous segment, so the grown row is bitwise the
+one-shot row.  The points are taken in blocks of at most _ROW_ENTRIES = 2^18
+row entries (2 MiB of float64 per matrix; a few such matrices are alive at
+once), so a long grid costs memory independent of its length.  The
+x-independent terms of a row are cached, read-only, per (pair, n, k_count)
+and shared by every x of a grid.
 
 The two Beta routes build their samples once per (pair, n, f, k_count) and
-keep them, read-only, in a bounded LRU cache, so a whole x-grid at one order
-pays for one sample vector per row length.  Only a ``FunctionSpec`` target
-(a frozen value, hashed by content) is cached; a plain callable is sampled
-afresh on every call.
+keep them, read-only, in a bounded LRU cache, so direct calls over an x-grid
+at one order pay for one sample vector per row length.  Only a
+``FunctionSpec`` target (a frozen value, hashed by content) is cached; a
+plain callable is sampled afresh on every call.
 
-One level up, an experiment run that writes both curves and convergence
-asks ``baskakov_beta_apply`` for every (n, x) cell twice.  ``run_experiment``
-opens a cell table (``_cell_table``) for such a run only: a context
-variable holding the results of the run, keyed by the full call (pair, f,
-n, x, policy, method).  The second call for a cell is a lookup, so every
-call still passes through ``baskakov_beta_apply``.  As with the sample
-caches, only ``FunctionSpec`` targets are kept; a call that raises is not,
-no call outside a run is, and the table is dropped when the run ends, so it
-needs no size bound and cannot go stale.
+One level up, an experiment run asks ``baskakov_beta_apply`` for the cells
+of whole grid rows, one (n, x) at a time, and twice when it writes both
+curves and convergence.  ``run_experiment`` opens a cell table
+(``_cell_table``) for every run: a context variable holding the run's grid
+and its evaluated rows, keyed by (pair, f, n, policy, method).  The first
+call for a grid point of a row evaluates the whole row in one kernel call;
+every other call is an index lookup, so every call still passes through
+``baskakov_beta_apply``.  As with the sample caches, only ``FunctionSpec``
+targets are kept; a point off the grid, a row that raises and any call
+outside a run are computed afresh, and the table is dropped when the run
+ends, so it needs no size bound and cannot go stale.
 
 The basis is a probability distribution over k (partition of unity), so
 truncation is driven by accumulated mass plus the size of the sample-weighted
@@ -57,7 +66,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -88,6 +97,7 @@ __all__ = [
 
 _EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
 _SAMPLE_CACHE_SIZE = 32  # entries held per cache: row terms, and samples per Beta route
+_ROW_ENTRIES = 1 << 18  # most basis-row entries a block of grid points holds (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -136,35 +146,57 @@ def _basis_row_terms(
 
 
 def _log_basis_row(
-    pair: PQPair, n: int, x: float, k_count: int, k_start: int = 0, carry: float = 0.0
-) -> tuple[np.ndarray, float]:
-    """log b_{n,k}(x) for k = k_start..k_count-1 (requires x > 0), and the
-    prefix sum of log (1 (+) x)^j over j < n + k_count.
+    pair: PQPair,
+    n: int,
+    x: np.ndarray,
+    k_count: int,
+    k_start: int = 0,
+    carry: Union[np.ndarray, float] = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """log b_{n,k}(x) for k = k_start..k_count-1 at each point of the 1-D
+    array x (every x > 0), as a (len(x), k_count - k_start) matrix, and per
+    point the prefix sum of log (1 (+) x)^j over j < n + k_count.
 
     A longer row continues from k_start = k_count with that prefix sum as its
     carry; the segments concatenate to the one-shot row bit for bit, since the
-    prefix sum goes on in the same order.
+    prefix sum goes on in the same order.  The logs of x itself are taken in
+    math, one point at a time: numpy's vectorized log and log1p round some
+    points differently, and the rows stay bitwise those of math.
     """
     k, base, jlp, powers = _basis_row_terms(pair, n, k_count)
+    points = x.tolist()
     # the first segment also sums the n leading factors, which depend on x
     j_lo = n + k_start if k_start else 0
     if powers is None:
-        factors = jlp[j_lo:] + math.log1p(x)
+        factors = jlp[j_lo:] + np.array([[math.log1p(v)] for v in points])
     else:
-        factors = jlp[j_lo:] + np.log1p(powers[j_lo:] * x)
-    prefix = np.cumsum(np.concatenate([[carry], factors]))
-    row = base[k_start:] + k[k_start:] * math.log(x) - prefix[n + k_start - j_lo : -1]
-    return row, float(prefix[-1])
+        factors = jlp[j_lo:] + np.log1p(powers[j_lo:] * x[:, None])
+    prefix = np.empty((x.size, factors.shape[1] + 1))
+    prefix[:, 0] = carry
+    prefix[:, 1:] = factors
+    np.cumsum(prefix, axis=1, out=prefix)
+    log_x = np.array([[math.log(v)] for v in points])
+    row = base[k_start:] + k[k_start:] * log_x - prefix[:, n + k_start - j_lo : -1]
+    return row, prefix[:, -1].copy()
 
 
-def _check_point(n: int, x: float) -> int:
-    """The order n as an int: every operator entry takes a whole n >= 1 and a
-    point 0 <= x < inf (a NaN or infinite x would lose its NaN basis row)."""
+def _check_order(n: int) -> int:
+    """The operator order n as an int: a whole n >= 1."""
     n = _check_nonneg_int(n, "operator order n")
     if n < 1:
         raise DomainError(f"operator order must satisfy n >= 1, got {n}")
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"operator domain is 0 <= x < inf, got x={x}")
+    return n
+
+
+def _check_point(n: int, x: Union[float, np.ndarray]) -> int:
+    """The order n as an int: every operator entry takes a whole n >= 1 and
+    points 0 <= x < inf, one or a 1-D array of them (a NaN or infinite x
+    would lose its NaN basis row)."""
+    n = _check_order(n)
+    inside = (0.0 <= x) & (x < math.inf)
+    if not np.all(inside):
+        bad = x if np.ndim(x) == 0 else x[~inside][0]
+        raise DomainError(f"operator domain is 0 <= x < inf, got x={bad}")
     return n
 
 
@@ -175,12 +207,14 @@ def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
     k = _check_nonneg_int(k, "basis index k")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
-    row, _ = _log_basis_row(pair, n, x, k + 1)
-    return float(np.exp(row[k]))
+    row, _ = _log_basis_row(pair, n, np.array([x], dtype=float), k + 1)
+    return float(np.exp(row[0, k]))
 
 
 def baskakov_node(pair: PQPair, n: int, k: int) -> float:
     """The sample node p^{n-1} [k] / (q^{k-1} [n]), in overflow-safe form."""
+    n = _check_order(n)
+    k = _check_nonneg_int(k, "basis index k")
     return float(_nodes(pair, n, np.float64(k)))
 
 
@@ -195,40 +229,73 @@ def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
 def _apply(
     pair: PQPair,
     n: int,
-    x: float,
+    xs: np.ndarray,
     policy: TruncationPolicy,
     samples: Callable[[int], tuple[np.ndarray, bool]],
-) -> OperatorResult:
-    """sum_k b_{n,k}(x) s_k, where samples(k_count) -> (s, inner_ok) gives the
-    x-independent samples for k = 0..k_count-1.
+) -> list[OperatorResult]:
+    """sum_k b_{n,k}(x) s_k at each point of the 1-D array xs, where
+    samples(k_count) -> (s, inner_ok) gives the x-independent samples for
+    k = 0..k_count-1.
 
-    The row doubles until its sample-weighted edge term is negligible (or the
-    term budget is spent); the result is trusted when the inner samples are,
-    the basis tail is below rel_tol and every term is finite.
+    The rows of all points double together; each row stops at the first
+    length at which its sample-weighted edge term is negligible (or the term
+    budget is spent) and is summed at that length, so a point's result does
+    not depend on the other points.  Points are taken in blocks of at most
+    _ROW_ENTRIES row entries.  A result is trusted when the inner samples
+    are, the basis tail is below rel_tol and every term is finite.
     """
-    if x == 0.0:
-        row = np.zeros(1)  # b_{n,0}(0) = 1, every other weight vanishes
-        s, inner_ok = samples(1)
-    else:
-        k_count = min(64, policy.max_terms)
-        row, carry = np.empty(0), 0.0
-        while True:
-            segment, carry = _log_basis_row(pair, n, x, k_count, row.size, carry)
-            row = np.concatenate([row, segment])
+    results: list = [None] * xs.size
+    zero = np.flatnonzero(xs == 0.0)
+    if zero.size:
+        # b_{n,0}(0) = 1, every other weight vanishes
+        result = _sum_rows(np.zeros((1, 1)), *samples(1), policy)[0]
+        for i in zero.tolist():
+            results[i] = result
+    positive = np.flatnonzero(xs)
+    pending = [(positive, np.empty((positive.size, 0)), np.zeros(positive.size))]
+    while pending:
+        idx, rows, carry = pending.pop()
+        while idx.size:
+            built = rows.shape[1]
+            k_count = min(2 * built if built else 64, policy.max_terms)
+            # the first segment also holds the n leading factors of each row
+            fit = max(1, _ROW_ENTRIES // (k_count + (0 if built else n)))
+            if idx.size > fit:
+                pending.append((idx[fit:], rows[fit:], carry[fit:]))
+                idx, rows, carry = idx[:fit], rows[:fit], carry[:fit]
+            segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
+            rows = np.concatenate([rows, segment], axis=1)
             s, inner_ok = samples(k_count)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = np.log(np.abs(s))
-            metric = row + np.where(np.isfinite(ls), ls, 0.0)
-            if metric[-1] < metric.max() + math.log(_EDGE_FRACTION) or k_count >= policy.max_terms:
-                break
-            k_count = min(2 * k_count, policy.max_terms)
-    b = np.exp(row)
+            metric = rows + np.where(np.isfinite(ls), ls, 0.0)
+            done = metric[:, -1] < metric.max(axis=1) + math.log(_EDGE_FRACTION)
+            if k_count >= policy.max_terms:
+                done[:] = True
+            for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s, inner_ok, policy)):
+                results[i] = result
+            idx, rows, carry = idx[~done], rows[~done], carry[~done]
+    return results
+
+
+def _sum_rows(
+    rows: np.ndarray, s: np.ndarray, inner_ok: bool, policy: TruncationPolicy
+) -> list[OperatorResult]:
+    """One result per row of log weights, summed against the samples s."""
+    b = np.exp(rows)
     terms = np.where(b > 0.0, b * s, 0.0)
-    tail = max(0.0, 1.0 - float(b.sum()))
-    significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
-    k_used = int(significant[-1]) + 1 if significant.size else 1
-    trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
-    return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
+    tail = 1.0 - b.sum(axis=1)
+    tail = np.where(tail > 0.0, tail, 0.0)  # max(0, 1 - sum b), and 0 for a NaN sum
+    significant = np.abs(terms) > policy.abs_tol
+    last = terms.shape[1] - np.argmax(significant[:, ::-1], axis=1)
+    k_used = np.where(significant.any(axis=1), last, 1)
+    finite = np.isfinite(terms).all(axis=1)
+    return [
+        OperatorResult(value, k, t, inner_ok, inner_ok and t <= policy.rel_tol and ok)
+        for value, k, t, ok in zip(
+            terms.sum(axis=1).tolist(), k_used.tolist(), tail.tolist(), finite.tolist()
+        )
+    ]
 
 
 def baskakov_apply(
@@ -246,15 +313,14 @@ def baskakov_apply(
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
         return np.asarray(func(_nodes(pair, n, np.arange(k_count, dtype=float))), dtype=float), True
 
-    return _apply(pair, n, x, policy, samples)
+    return _apply(pair, n, np.array([x], dtype=float), policy, samples)[0]
 
 
 def baskakov_moment_closed(pair: PQPair, m: int, n: int, x: float) -> float:
     """Closed moments of the plain operator: 1, x, ([n+1]x^2 + p^{n-1} q x)/(q [n])."""
     if m not in (0, 1, 2):
         raise DomainError(f"closed Baskakov moments exist for m in {{0,1,2}}, got {m}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _check_order(n)
     if m == 0:
         return 1.0
     if m == 1:
@@ -340,7 +406,8 @@ def baskakov_beta_monomial_exact(
     m = _check_nonneg_int(m, "monomial order m")
     if n <= m:
         raise DomainError(f"needs n > m, got n={n}, m={m}")
-    return _beta_apply_analytic(pair, (0.0,) * m + (1.0,), n, x, policy).value
+    coeffs = (0.0,) * m + (1.0,)
+    return _beta_apply_analytic(pair, coeffs, n, np.array([x], dtype=float), policy)[0].value
 
 
 def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
@@ -350,20 +417,28 @@ def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
     return 2
 
 
-# The results of the current experiment run, keyed by the full call of
-# ``baskakov_beta_apply``; None outside a run.
-_RUN_CELLS: ContextVar[Optional[dict[tuple, OperatorResult]]] = ContextVar(
-    "pqbaskakov_run_cells", default=None
-)
+class _RunCells(NamedTuple):
+    """The evaluated grid rows of one experiment run."""
+
+    xs: np.ndarray  # the run's grid
+    index: dict[float, int]  # grid point -> its position in xs
+    rows: dict[tuple, list[OperatorResult]]  # (pair, f, n, policy, method) -> results over xs
+
+
+# The cell table of the current experiment run; None outside a run.
+_RUN_CELLS: ContextVar[Optional[_RunCells]] = ContextVar("pqbaskakov_run_cells", default=None)
 
 
 @contextmanager
-def _cell_table() -> Iterator[None]:
-    """Within the block, every ``baskakov_beta_apply`` call with a
-    ``FunctionSpec`` target is kept, so that a cell asked for again (a run
-    with both curves and convergence evaluates the same grid) is a lookup.
-    A call that raises is not kept, and the table is dropped on exit."""
-    token = _RUN_CELLS.set({})
+def _cell_table(grid: np.ndarray) -> Iterator[None]:
+    """Within the block, a ``baskakov_beta_apply`` call with a
+    ``FunctionSpec`` target at a point of grid is answered from the whole
+    grid row of its (pair, f, n, policy, method), which the first such call
+    evaluates in one kernel pass (every grid point lies in [0, inf), as
+    those of an ``EvalGrid`` do).  A row whose evaluation raises is not
+    kept, and the table is dropped on exit."""
+    xs = np.asarray(grid, dtype=float)
+    token = _RUN_CELLS.set(_RunCells(xs, dict(zip(xs.tolist(), range(xs.size))), {}))
     try:
         yield
     finally:
@@ -389,29 +464,31 @@ def baskakov_beta_apply(
                        integrals, each row normalized by its own ladder
                        weight integral.
 
-    Inside ``_cell_table`` a call with a ``FunctionSpec`` target is computed
-    once and its result returned again for the same arguments.
+    Inside ``_cell_table``, a call with a ``FunctionSpec`` target at a grid
+    point is looked up in its grid row, evaluated once for all points.
     """
     cells = _RUN_CELLS.get()
-    if cells is None or not isinstance(f, FunctionSpec):
-        return _beta_apply(pair, f, n, x, policy, method)
-    key = (pair, f, n, x, policy, method)
-    result = cells.get(key)
-    if result is None:
-        result = cells[key] = _beta_apply(pair, f, n, x, policy, method)
-    return result
+    i = cells.index.get(x) if cells is not None and isinstance(f, FunctionSpec) else None
+    if i is None:
+        return _beta_apply(pair, f, n, np.array([x], dtype=float), policy, method)[0]
+    key = (pair, f, n, policy, method)
+    row = cells.rows.get(key)
+    if row is None:
+        row = cells.rows[key] = _beta_apply(pair, f, n, cells.xs, policy, method)
+    return row[i]
 
 
 def _beta_apply(
     pair: PQPair,
     f: Union[FunctionSpec, Callable],
     n: int,
-    x: float,
+    xs: np.ndarray,
     policy: TruncationPolicy,
     method: str,
-) -> OperatorResult:
+) -> list[OperatorResult]:
+    """D_n(f, x) at each point of the 1-D array xs."""
     pair.require_strict("the Beta-weighted operator")
-    n = _check_point(n, x)
+    n = _check_point(n, xs)
     if method not in ("auto", "analytic", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
 
@@ -425,23 +502,23 @@ def _beta_apply(
         raise DomainError(f"operator order n={n} must exceed the growth degree {degree} of f")
 
     if use_analytic:
-        return _beta_apply_analytic(pair, coeffs, n, x, policy)
-    return _beta_apply_quadrature(pair, f, n, x, policy)
+        return _beta_apply_analytic(pair, coeffs, n, xs, policy)
+    return _beta_apply_quadrature(pair, f, n, xs, policy)
 
 
 def _beta_apply_analytic(
     pair: PQPair,
     coeffs: tuple[float, ...],
     n: int,
-    x: float,
+    xs: np.ndarray,
     policy: TruncationPolicy,
-) -> OperatorResult:
+) -> list[OperatorResult]:
     active = tuple((d, c) for d, c in enumerate(coeffs) if c != 0.0)
 
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
         return _beta_expansion(pair, active, n, k_count), True
 
-    return _apply(pair, n, x, policy, samples)
+    return _apply(pair, n, xs, policy, samples)
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
@@ -461,9 +538,9 @@ def _beta_apply_quadrature(
     pair: PQPair,
     f: Union[FunctionSpec, Callable],
     n: int,
-    x: float,
+    xs: np.ndarray,
     policy: TruncationPolicy,
-) -> OperatorResult:
+) -> list[OperatorResult]:
     degree = _growth_degree(f)
     # a FunctionSpec is a frozen value, so its ladder ratios can be shared
     # across x; a plain callable may carry state and is sampled afresh
@@ -472,7 +549,7 @@ def _beta_apply_quadrature(
     def samples(k_count: int) -> tuple[np.ndarray, bool]:
         return ratios(pair, n, k_count, f, degree)
 
-    return _apply(pair, n, x, policy, samples)
+    return _apply(pair, n, xs, policy, samples)
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
@@ -501,9 +578,8 @@ def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float
     """
     if m not in (0, 1, 2):
         raise DomainError(f"closed moments exist for m in {{0,1,2}}, got {m}")
+    n = _check_order(n)
     if m == 0:
-        if n < 1:
-            raise DomainError(f"need n >= 1, got {n}")
         return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
     p, q = pair.p, pair.q
     if m == 1:
@@ -528,6 +604,7 @@ def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> f
     float x or elementwise over an array of them (as ``moments_closed``)."""
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
+    n = _check_order(n)
     if n <= 2:
         raise DomainError(f"central moments need n > 2, got {n}")
     p, q = pair.p, pair.q

@@ -15,7 +15,6 @@ import argparse
 import configparser
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -360,12 +359,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str | Path] = Non
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return 1
     partial = False
-    # curves and convergence evaluate the same cells; a run that writes only
-    # one of them never hits the table, and filling it costs such a run
-    # about 4 us a call (5% of wall time on the two built-in demos)
-    shared = {"curves", "convergence"} <= set(config.outputs)
     try:
-        with _cell_table() if shared else nullcontext():
+        # curves and convergence ask for the cells of whole grid rows
+        with _cell_table(config.grid.array()):
             for kind, write in zip(_OUTPUT_KINDS, (_curves, _moments, _convergence, _bound_report)):
                 if kind in config.outputs:
                     partial |= write(config, out)

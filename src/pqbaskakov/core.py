@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -135,9 +135,13 @@ DEFAULT_POLICY = TruncationPolicy()
 
 
 def _check_nonneg_int(n: int, what: str) -> int:
-    if n != int(n) or n < 0:
+    try:
+        whole = int(n)
+    except (OverflowError, ValueError):  # an infinite or NaN n
+        whole = None
+    if whole is None or n != whole or n < 0:
         raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
-    return int(n)
+    return whole
 
 
 def pq_number(pair: PQPair, n: int) -> float:
@@ -238,22 +242,30 @@ def pq_binomial(pair: PQPair, n: int, r: int) -> float:
 
 
 def log_pq_binomial(pair: PQPair, n: int, r: int) -> float:
-    """log [n]! - log [n-r]! - log [r]!, for whole 0 <= r <= n."""
+    """log [n]! - log [n-r]! - log [r]!, for whole 0 <= r <= n: the exact
+    sum of log [j] over n-s < j <= n minus that over 0 < j <= s, with
+    s = min(r, n - r), so that only 2 s rounded logs enter."""
     n = _check_nonneg_int(n, "n")
     r = _check_nonneg_int(r, "r")
     if r > n:
         raise DomainError(f"binomial requires 0 <= r <= n, got n={n}, r={r}")
-    table = _log_fact_table(pair, n)
-    return float(table[n] - table[n - r] - table[r])
+    s = min(r, n - r)
+    return _log_ratio_of_products(pair, range(n - s + 1, n + 1), range(1, s + 1))
+
+
+def _log_ratio_of_products(pair: PQPair, upper: range, lower: range) -> float:
+    """log of prod_{j in upper} [j] / prod_{j in lower} [j], summed exactly
+    (``math.fsum``) from the rounded log [j]."""
+    terms = _log_pq_terms(pair, upper)
+    return math.fsum(chain(terms, (-t for t in _log_pq_terms(pair, lower))))
 
 
 def pq_gamma(pair: PQPair, n_plus_1: int) -> float:
     """Gamma(n+1) = [n]!, defined at integer arguments >= 1 only."""
-    if n_plus_1 != int(n_plus_1) or n_plus_1 < 1:
-        raise DomainError(
-            f"Gamma is defined at integer arguments >= 1, got {n_plus_1!r}"
-        )
-    return pq_factorial(pair, int(n_plus_1) - 1)
+    whole = _check_nonneg_int(n_plus_1, "Gamma argument")
+    if whole < 1:
+        raise DomainError(f"Gamma is defined at integer arguments >= 1, got {n_plus_1!r}")
+    return pq_factorial(pair, whole - 1)
 
 
 def pq_power_basis(pair: PQPair, x: float, n: int) -> float:
@@ -291,9 +303,10 @@ def pq_power_basis_log(pair: PQPair, x: float, n: int) -> float:
 
 
 def _check_beta_args(m: int, n: int) -> tuple[int, int]:
-    if m != int(m) or m < 1 or n != int(n) or n < 1:
+    m, n = _check_nonneg_int(m, "Beta argument m"), _check_nonneg_int(n, "Beta argument n")
+    if m < 1 or n < 1:
         raise DomainError(f"Beta requires integer arguments m, n >= 1, got {m!r}, {n!r}")
-    return int(m), int(n)
+    return m, n
 
 
 def log_pq_beta(pair: PQPair, m: int, n: int) -> float:
@@ -301,17 +314,14 @@ def log_pq_beta(pair: PQPair, m: int, n: int) -> float:
 
     The prefactor is q^{1 - m(m-1)/2} p^{-m(m+1)/2}; it collapses to 1 at
     p = q = 1, where B reduces to the classical Beta at integer arguments.
+    [m-1]! [n-1]! / [m+n-1]! is the exact sum of 2 min(m, n) - 1 rounded
+    log [j], as in ``log_pq_binomial``.
     """
     m, n = _check_beta_args(m, n)
     lp, lq = math.log(pair.p), math.log(pair.q)
-    table = _log_fact_table(pair, m + n - 1)
-    return float(
-        (1 - m * (m - 1) / 2) * lq
-        - (m * (m + 1) / 2) * lp
-        + table[m - 1]
-        + table[n - 1]
-        - table[m + n - 1]
-    )
+    s, t = min(m, n), max(m, n)
+    log_gammas = _log_ratio_of_products(pair, range(1, s), range(t, m + n))
+    return (1 - m * (m - 1) / 2) * lq - (m * (m + 1) / 2) * lp + log_gammas
 
 
 def pq_beta(pair: PQPair, m: int, n: int) -> float:

@@ -187,7 +187,7 @@ def beta_kernel(pair: PQPair, m: int, n: int) -> Callable[[float], float]:
     Assembled in log space so that huge ladder nodes cannot overflow the
     numerator before the (larger) denominator tames it.
     """
-    if m < 1 or n < 1:
+    if not (m >= 1 and n >= 1):
         raise DomainError(f"Beta integrand requires m, n >= 1, got m={m}, n={n}")
     p = pair.p
 

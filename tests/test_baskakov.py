@@ -1,17 +1,21 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
     DomainError,
     FunctionSpec,
+    OperatorResult,
     PQPair,
     TruncationPolicy,
     baskakov_apply,
     baskakov_basis,
+    baskakov_beta_apply,
     baskakov_moment_closed,
     baskakov_node,
     pq_binomial,
@@ -113,14 +117,112 @@ class TestRowGrowth:
     @given(
         pair=st.one_of(st.just(CLASSICAL), strict_pairs),
         n=st.integers(1, 200),
-        x=st.floats(1e-6, 50.0),
+        xs=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=4),
     )
-    def test_appended_segments_equal_the_one_shot_row(self, pair, n, x):
-        row, carry = np.empty(0), 0.0
+    def test_appended_segments_equal_the_one_shot_row(self, pair, n, xs):
+        x = np.array(xs)
+        rows, carry = np.empty((x.size, 0)), 0.0
         for k_count in (64, 128, 256, 512, 1024):
-            segment, carry = baskakov._log_basis_row(pair, n, x, k_count, row.size, carry)
-            row = np.concatenate([row, segment])
-            assert np.array_equal(row, one_shot_log_row(pair, n, x, k_count))
+            segment, carry = baskakov._log_basis_row(pair, n, x, k_count, rows.shape[1], carry)
+            rows = np.concatenate([rows, segment], axis=1)
+            for row, point in zip(rows, xs):
+                assert np.array_equal(row, one_shot_log_row(pair, n, point, k_count))
+
+
+def reference_apply(pair, n, x, policy, samples):
+    """The kernel at one point, as a loop: the row doubles until its
+    sample-weighted edge term is negligible or the budget is spent."""
+    if x == 0.0:
+        row = np.zeros(1)
+        s, inner_ok = samples(1)
+    else:
+        k_count = min(64, policy.max_terms)
+        while True:
+            row = one_shot_log_row(pair, n, x, k_count)
+            s, inner_ok = samples(k_count)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ls = np.log(np.abs(s))
+            metric = row + np.where(np.isfinite(ls), ls, 0.0)
+            edge = metric.max() + math.log(baskakov._EDGE_FRACTION)
+            if metric[-1] < edge or k_count >= policy.max_terms:
+                break
+            k_count = min(2 * k_count, policy.max_terms)
+    b = np.exp(row)
+    terms = np.where(b > 0.0, b * s, 0.0)
+    tail = max(0.0, 1.0 - float(b.sum()))
+    significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
+    k_used = int(significant[-1]) + 1 if significant.size else 1
+    trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
+    return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
+
+
+# grid points: the origin, points close to it and points far out, so that the
+# rows of one grid stop at different lengths
+grid_points = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 60.0))
+
+
+class TestGridKernel:
+    F = FunctionSpec.polynomial([1.0, -2.0, 3.0])
+
+    @settings(deadline=None, max_examples=80)
+    # np.log and np.log1p differ from math.log and math.log1p by an ulp at
+    # these points, so the row must take the logs of x in math
+    @example(pair=PQPair(0.9, 0.8), n=3, xs=[0.7823501688599585], max_terms=10000, row_entries=150)
+    @example(pair=CLASSICAL, n=1, xs=[0.5882328908161044], max_terms=10000, row_entries=150)
+    # summed at the length of the longest row, the short row's value moves
+    @example(pair=CLASSICAL, n=99, xs=[0.5, 37.0], max_terms=10000, row_entries=1 << 18)
+    @given(
+        pair=st.one_of(st.just(CLASSICAL), strict_pairs),
+        n=st.integers(1, 200),
+        xs=st.lists(grid_points, min_size=1, max_size=8),
+        max_terms=st.sampled_from([3, 40, 64, 100, 10000]),
+        row_entries=st.sampled_from([150, 1000, baskakov._ROW_ENTRIES]),
+    )
+    def test_each_cell_of_a_grid_is_its_one_point_result(self, pair, n, xs, max_terms, row_entries):
+        """Every OperatorResult field of a grid cell equals, exactly, that of
+        the same point evaluated alone and that of the per-point loop,
+        however the grid is split in blocks."""
+        grid, policy = np.array(xs), TruncationPolicy(max_terms=max_terms)
+
+        def node_samples(k_count):  # the samples of baskakov_apply
+            nodes = baskakov._nodes(pair, n, np.arange(k_count, dtype=float))
+            return np.asarray(self.F.evaluate(nodes), dtype=float), True
+
+        def beta_samples(k_count):  # the samples of the analytic Beta route
+            active = tuple(enumerate(self.F.as_polynomial()))
+            return baskakov._beta_expansion(pair, active, n, k_count), True
+
+        routes = [
+            (lambda points: baskakov._apply(pair, n, points, policy, node_samples), node_samples)
+        ]
+        if pair.is_strict and n > 2:
+            routes.append((
+                lambda points: baskakov._beta_apply(pair, self.F, n, points, policy, "auto"),
+                beta_samples,
+            ))
+        with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
+            for grid_route, samples in routes:
+                want = [reference_apply(pair, n, x, policy, samples) for x in xs]
+                assert grid_route(grid) == want
+                assert [grid_route(grid[i : i + 1])[0] for i in range(grid.size)] == want
+
+    def test_a_large_grid_row_is_evaluated_in_bounded_blocks(self):
+        """6,000 points at n = 300 grow rows of 1,024 terms; in one block
+        this row peaked at 98 MiB, in blocks at about 18 MiB."""
+        n, f = 300, FunctionSpec.polynomial([7.0, -2.0, 25.0])
+        pair, xs = PQPair(1.0, n / (n + 1.0)), np.linspace(0.0, 5.0, 6000)
+        baskakov_beta_apply(pair, f, n, 5.0)  # the samples, outside the measurement
+        with baskakov._cell_table(xs):
+            tracemalloc.start()
+            try:
+                cell = baskakov_beta_apply(pair, f, n, xs[-1])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(baskakov._RUN_CELLS.get().rows) == 1  # the whole row was evaluated
+        assert cell == baskakov_beta_apply(pair, f, n, xs[-1])
+        assert cell.k_terms_used > 500
+        assert peak < 32 * 2**20
 
 
 class TestNodes:

@@ -432,13 +432,13 @@ class TestRowTermsCache:
 
 def _counting_route(monkeypatch, name="_beta_apply_analytic"):
     """Replace a route function of baskakov by one that records its calls'
-    (n, x) and whether a cell table was open."""
+    (n, grid points) and whether a cell table was open."""
     calls = []
     real = getattr(baskakov, name)
 
-    def route(pair, f, n, x, policy):
-        calls.append((n, x, baskakov._RUN_CELLS.get() is not None))
-        return real(pair, f, n, x, policy)
+    def route(pair, f, n, xs, policy):
+        calls.append((n, tuple(xs.tolist()), baskakov._RUN_CELLS.get() is not None))
+        return real(pair, f, n, xs, policy)
 
     monkeypatch.setattr(baskakov, name, route)
     return calls
@@ -447,22 +447,35 @@ def _counting_route(monkeypatch, name="_beta_apply_analytic"):
 class TestCellTable:
     PAIR = PQPair(0.95, 0.9)
     F = FunctionSpec.polynomial([7.0, -2.0, 25.0])
+    GRID = (0.0, 1.5, 3.0)
 
     def test_inside_a_table_a_repeated_cell_is_a_lookup(self, monkeypatch):
         calls = _counting_route(monkeypatch)
-        with baskakov._cell_table():
+        with baskakov._cell_table(np.array(self.GRID)):
             first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
             again = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+            origin = baskakov_beta_apply(self.PAIR, self.F, 10, 0.0)
             other = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5, TruncationPolicy(rel_tol=1e-10))
         assert again is first and other == first
-        assert len(calls) == 2  # the other policy is another key
+        # one kernel call per grid row; the other policy is another row
+        assert calls == [(10, self.GRID, True)] * 2
+        assert first == baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+        assert origin == baskakov_beta_apply(self.PAIR, self.F, 10, 0.0)
         assert baskakov._RUN_CELLS.get() is None  # dropped on exit
+
+    def test_a_point_off_the_grid_is_computed_afresh(self, monkeypatch):
+        calls = _counting_route(monkeypatch)
+        with baskakov._cell_table(np.array(self.GRID)):
+            for _ in range(2):
+                baskakov_beta_apply(self.PAIR, self.F, 10, 2.0)
+            assert baskakov._RUN_CELLS.get().rows == {}
+        assert calls == [(10, (2.0,), True)] * 2
 
     def test_calls_outside_a_run_both_recompute(self, monkeypatch):
         calls = _counting_route(monkeypatch)
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
-        assert calls == [(10, 1.5, False)] * 2
+        assert calls == [(10, (1.5,), False)] * 2
         # a result kept across direct calls would hide this change
         clear_sample_caches()
         before = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
@@ -480,20 +493,20 @@ class TestCellTable:
             calls.append(1)
             return np.abs(np.asarray(t) - 1.0)
 
-        with baskakov._cell_table():
+        with baskakov._cell_table(np.array(self.GRID + (1.0,))):
             first = baskakov_beta_apply(self.PAIR, f, 8, 1.0, method="quadrature")
             evaluations = len(calls)
             second = baskakov_beta_apply(self.PAIR, f, 8, 1.0, method="quadrature")
-            assert baskakov._RUN_CELLS.get() == {}
+            assert baskakov._RUN_CELLS.get().rows == {}
         assert evaluations > 0 and len(calls) == 2 * evaluations
         assert second == first
 
     def test_a_call_that_raises_is_not_stored(self):
-        with baskakov._cell_table():
+        with baskakov._cell_table(np.array(self.GRID)):
             for _ in range(2):
                 with pytest.raises(DomainError):
-                    baskakov_beta_apply(self.PAIR, self.F, 2, 1.0)  # n must exceed the degree
-            assert baskakov._RUN_CELLS.get() == {}
+                    baskakov_beta_apply(self.PAIR, self.F, 2, 1.5)  # n must exceed the degree
+            assert baskakov._RUN_CELLS.get().rows == {}
 
 
 # every operator entry point, called at order n and point x

@@ -471,7 +471,7 @@ def test_both_schedule_sections_is_one_message(tmp_path):
     assert err.value.messages == ["give exactly one of a [pair] or a [schedule] section"]
 
 
-@pytest.mark.parametrize(
+_EVALUATING = pytest.mark.parametrize(
     "text, overrides, route",
     [
         (FIGURE1_TEXT, [], "_beta_apply_analytic"),
@@ -481,9 +481,38 @@ def test_both_schedule_sections_is_one_message(tmp_path):
     ],
     ids=["analytic", "quadrature", "starved"],
 )
-def test_curves_and_convergence_share_one_evaluation_per_cell(
-    text, overrides, route, tmp_path, monkeypatch
-):
+
+
+def _counting_cells(monkeypatch, route):
+    """Replace a route function of baskakov by one that records the (n, x)
+    cells of each of its calls."""
+    real = getattr(baskakov, route)
+    calls = []
+
+    def counting(pair, f, n, xs, policy):
+        calls.append([(n, x) for x in xs.tolist()])
+        return real(pair, f, n, xs, policy)
+
+    monkeypatch.setattr(baskakov, route, counting)
+    return calls
+
+
+@_EVALUATING
+@pytest.mark.parametrize("outputs", ["curves", "convergence", "curves, convergence"])
+def test_a_run_evaluates_each_grid_row_once(text, overrides, route, outputs, tmp_path, monkeypatch):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    config = validate_config(path, [*overrides, f"run.outputs={outputs}"])
+    calls = _counting_cells(monkeypatch, route)
+    assert run_experiment(config, tmp_path / "out") in (0, 2)
+    # one evaluation of each grid row, and so of each cell
+    xs = config.grid.array().tolist()
+    assert calls == [[(n, x) for x in xs] for n in config.n_list]
+    assert baskakov._RUN_CELLS.get() is None  # dropped when the run ends
+
+
+@_EVALUATING
+def test_a_shared_run_writes_the_bytes_of_single_runs(text, overrides, route, tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
 
@@ -492,36 +521,17 @@ def test_curves_and_convergence_share_one_evaluation_per_cell(
         return run_experiment(config, tmp_path / out)
 
     singles = (run("curves", "curves"), run("convergence", "convergence"))
-    real = getattr(baskakov, route)
-    cells = []
-
-    def counting(pair, f, n, x, policy):
-        cells.append((n, x))
-        return real(pair, f, n, x, policy)
-
-    monkeypatch.setattr(baskakov, route, counting)
-    code = run("curves, convergence", "shared")
-    config = validate_config(path)
-    assert len(cells) == len(set(cells)) == len(config.n_list) * config.grid.points
-    assert code == max(singles)
+    assert run("curves, convergence", "shared") == max(singles)
     for name, single in (("curves.csv", "curves"), ("convergence.csv", "convergence")):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / single / name).read_bytes()
-    assert baskakov._RUN_CELLS.get() is None  # dropped when the run ends
+    assert baskakov._RUN_CELLS.get() is None
 
 
-def test_a_single_evaluating_output_opens_no_cell_table(small_config, tmp_path, monkeypatch):
-    real = baskakov._beta_apply_analytic
-    tables = []
-
-    def recording(*args):
-        tables.append(baskakov._RUN_CELLS.get())
-        return real(*args)
-
-    monkeypatch.setattr(baskakov, "_beta_apply_analytic", recording)
-    for outputs in ("curves", "convergence", "curves, moments, bound-report"):
-        config = validate_config(small_config, [f"run.outputs={outputs}", "grid.stop=3"])
-        run_experiment(config, tmp_path / "out")
-    assert tables and all(table is None for table in tables)
+def test_outputs_without_operator_cells_evaluate_none(small_config, tmp_path, monkeypatch):
+    calls = _counting_cells(monkeypatch, "_beta_apply_analytic")
+    config = validate_config(small_config, ["run.outputs=moments, bound-report", "grid.stop=3"])
+    assert run_experiment(config, tmp_path / "out") == 0
+    assert calls == []
     assert baskakov._RUN_CELLS.get() is None
 
 

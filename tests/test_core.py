@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,22 @@ class TestBinomial:
             rhs = pq_binomial(pair, n, n - r)
             assert rel_err(lhs, rhs) < 1e-12
 
+    def test_classical_170_choose_85_matches_the_integer(self):
+        want = math.comb(170, 85)
+        assert abs(Fraction(pq_binomial(CLASSICAL, 170, 85)) - want) / want < 1e-13
+
+    def test_matches_the_exact_ratio_of_products(self):
+        pair = PQPair(1.0, 0.9)
+        want = exact_factorial(pair, 80) / exact_factorial(pair, 40) ** 2
+        assert abs(Fraction(pq_binomial(pair, 80, 40)) - want) / want < 5e-15
+
+
+def exact_factorial(pair, n):
+    """[n]! of the float pair's exact binary values, as a Fraction."""
+    p, q = Fraction(pair.p), Fraction(pair.q)
+    return math.prod((sum(p ** (j - 1 - i) * q**i for i in range(j)) for j in range(1, n + 1)),
+                     start=Fraction(1))
+
 
 class TestGamma:
     def test_gamma_one(self):
@@ -317,6 +334,17 @@ class TestBeta:
     def test_rejects_arguments_below_one(self):
         with pytest.raises(DomainError):
             pq_beta(CLASSICAL, 0, 3)
+
+    def test_classical_85_85_matches_the_exact_value(self):
+        want = Fraction(math.factorial(84) ** 2, math.factorial(169))
+        assert abs(Fraction(pq_beta(CLASSICAL, 85, 85)) - want) / want < 1e-14
+
+    def test_matches_the_exact_value(self):
+        pair, m, n = PQPair(1.0, 0.9), 40, 40
+        q = Fraction(pair.q)
+        gammas = exact_factorial(pair, m - 1) * exact_factorial(pair, n - 1)
+        want = q ** (1 - m * (m - 1) // 2) * gammas / exact_factorial(pair, m + n - 1)
+        assert abs(Fraction(pq_beta(pair, m, n)) - want) / want < 1e-14
 
 
 class TestDerivative:
