@@ -29,18 +29,18 @@ stops at the first length at which its own edge test passes and is summed at
 that length, so every cell is bitwise the value of that point evaluated
 alone (a 1-point grid, which is what the scalar entries pass).  A longer row
 appends only its new terms: the prefix sum of log (1 (+) x)^j goes on from
-the last value of the previous segment, so the grown row is bitwise the
-one-shot row.  The points are taken in blocks of at most _ROW_ENTRIES = 2^18
-row entries (2 MiB of float64 per matrix; a few such matrices are alive at
-once), so a long grid costs memory independent of its length.  The
-x-independent terms of a row are cached, read-only, per (pair, n, k_count)
-and shared by every x of a grid.
+the last value of the previous segment, and the x-independent terms are
+built for the new k only, so the grown row is bitwise the one-shot row.  The
+points are taken in blocks of at most _ROW_ENTRIES = 2^18 row entries (2 MiB
+of float64 per matrix; a few such matrices are alive at once), so a long
+grid costs memory independent of its length.
 
-The two Beta routes build their samples once per (pair, n, f, k_count) and
-keep them, read-only, in a bounded LRU cache, so direct calls over an x-grid
-at one order pay for one sample vector per row length.  Only a
-``FunctionSpec`` target (a frozen value, hashed by content) is cached; a
-plain callable is sampled afresh on every call.
+The samples grow the same way: a ``_Samples`` source appends only the new
+k, so each s_k is computed once, and x = 0 reads row 0 of the first
+segment.  Sources of ``FunctionSpec`` targets are kept in one bounded LRU
+keyed by (pair, n, f, route, max_terms); max_terms fixes the segment
+lengths, so a cell never depends on earlier calls.  A plain callable is
+sampled afresh on every call.
 
 One level up, an experiment run asks ``baskakov_beta_apply`` for the cells
 of whole grid rows, one (n, x) at a time, and twice when it writes both
@@ -49,7 +49,7 @@ curves and convergence.  ``run_experiment`` opens a cell table
 and its evaluated rows, keyed by (pair, f, n, policy, method).  The first
 call for a grid point of a row evaluates the whole row in one kernel call;
 every other call is an index lookup, so every call still passes through
-``baskakov_beta_apply``.  As with the sample caches, only ``FunctionSpec``
+``baskakov_beta_apply``.  As with the sample cache, only ``FunctionSpec``
 targets are kept; a point off the grid, a row that raises and any call
 outside a run are computed afresh, and the table is dropped when the run
 ends, so it needs no size bound and cannot go stale.
@@ -96,7 +96,7 @@ __all__ = [
 ]
 
 _EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
-_SAMPLE_CACHE_SIZE = 32  # entries held per cache: row terms, and samples per Beta route
+_SAMPLE_CACHE_SIZE = 32  # growing sample vectors held by the one sample cache
 _ROW_ENTRIES = 1 << 18  # most basis-row entries a block of grid points holds (2 MiB)
 
 
@@ -121,30 +121,6 @@ def _require_basis_regime(pair: PQPair) -> None:
         )
 
 
-@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _basis_row_terms(
-    pair: PQPair, n: int, k_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Union[np.ndarray, None]]:
-    """The x-independent parts of log b_{n,k}(x), shared read-only by every x
-    of one (pair, n): k and log_binom + (k + n(n-1)/2) log p + (k(k-1)/2) log q
-    for k < k_count, then j log p and (q/p)^j (None when p == q) for
-    j < n + k_count."""
-    p, q = pair.p, pair.q
-    lp, lq = math.log(p), math.log(q)
-    lfact = _log_fact_table(pair, n + k_count - 1)
-    k = np.arange(k_count, dtype=float)
-    ki = np.arange(k_count)
-    log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
-    base = log_binom + (k + n * (n - 1) / 2) * lp + (k * (k - 1) / 2) * lq
-    j = np.arange(n + k_count, dtype=float)
-    powers = None if p == q else pair.ratio**j
-    terms = (k, base, j * lp, powers)
-    for array in terms:
-        if array is not None:
-            array.flags.writeable = False
-    return terms
-
-
 def _log_basis_row(
     pair: PQPair,
     n: int,
@@ -159,24 +135,32 @@ def _log_basis_row(
 
     A longer row continues from k_start = k_count with that prefix sum as its
     carry; the segments concatenate to the one-shot row bit for bit, since the
-    prefix sum goes on in the same order.  The logs of x itself are taken in
+    prefix sum goes on in the same order and the x-independent terms are
+    elementwise in k or j.  The logs of x itself are taken in
     math, one point at a time: numpy's vectorized log and log1p round some
     points differently, and the rows stay bitwise those of math.
     """
-    k, base, jlp, powers = _basis_row_terms(pair, n, k_count)
+    p, q = pair.p, pair.q
+    lp, lq = math.log(p), math.log(q)
+    lfact = _log_fact_table(pair, n + k_count - 1)
+    ki = np.arange(k_start, k_count)
+    k = ki.astype(float)
+    log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
+    base = log_binom + (k + n * (n - 1) / 2) * lp + (k * (k - 1) / 2) * lq
     points = x.tolist()
     # the first segment also sums the n leading factors, which depend on x
     j_lo = n + k_start if k_start else 0
-    if powers is None:
-        factors = jlp[j_lo:] + np.array([[math.log1p(v)] for v in points])
+    j = np.arange(j_lo, n + k_count, dtype=float)
+    if p == q:
+        factors = j * lp + np.array([[math.log1p(v)] for v in points])
     else:
-        factors = jlp[j_lo:] + np.log1p(powers[j_lo:] * x[:, None])
+        factors = j * lp + np.log1p(pair.ratio**j * x[:, None])
     prefix = np.empty((x.size, factors.shape[1] + 1))
     prefix[:, 0] = carry
     prefix[:, 1:] = factors
     np.cumsum(prefix, axis=1, out=prefix)
     log_x = np.array([[math.log(v)] for v in points])
-    row = base[k_start:] + k[k_start:] * log_x - prefix[:, n + k_start - j_lo : -1]
+    row = base + k * log_x - prefix[:, n + k_start - j_lo : -1]
     return row, prefix[:, -1].copy()
 
 
@@ -226,29 +210,51 @@ def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
     return p ** (n - 1) * q * (np.power(p / q, k) - 1.0) / ((p - q) * pq_number(pair, n))
 
 
+class _Samples:
+    """The samples s_k of one (pair, n, f) row, with a trust flag per k, as
+    one read-only vector that grows by build(k_start, k_count) of the new
+    rows only.  It is replaced in one assignment, never written, so a read
+    racing a growth sees one whole vector or the other."""
+
+    def __init__(self, build: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> None:
+        self._build = build
+        self._vector = (np.empty(0), np.empty(0, dtype=bool))
+
+    def upto(self, k_count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(s, ok) for k = 0..k_count-1."""
+        s, ok = self._vector
+        if s.size < k_count:
+            new_s, new_ok = self._build(s.size, k_count)
+            s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
+            s.flags.writeable = ok.flags.writeable = False
+            self._vector = (s, ok)
+        return s[:k_count], ok[:k_count]
+
+
 def _apply(
     pair: PQPair,
     n: int,
     xs: np.ndarray,
     policy: TruncationPolicy,
-    samples: Callable[[int], tuple[np.ndarray, bool]],
+    samples: _Samples,
 ) -> list[OperatorResult]:
-    """sum_k b_{n,k}(x) s_k at each point of the 1-D array xs, where
-    samples(k_count) -> (s, inner_ok) gives the x-independent samples for
-    k = 0..k_count-1.
+    """sum_k b_{n,k}(x) s_k at each point of the 1-D array xs, with the
+    x-independent samples s_k read from samples.
 
-    The rows of all points double together; each row stops at the first
-    length at which its sample-weighted edge term is negligible (or the term
-    budget is spent) and is summed at that length, so a point's result does
-    not depend on the other points.  Points are taken in blocks of at most
-    _ROW_ENTRIES row entries.  A result is trusted when the inner samples
-    are, the basis tail is below rel_tol and every term is finite.
+    The rows of all points double together (64, 128, ... up to max_terms);
+    each row stops at the first length at which its sample-weighted edge
+    term is negligible (or the term budget is spent) and is summed at that
+    length, so a point's result does not depend on the other points.  Points
+    are taken in blocks of at most _ROW_ENTRIES row entries.  A result is
+    trusted when the samples it sums are, the basis tail is below rel_tol
+    and every term is finite.
     """
     results: list = [None] * xs.size
     zero = np.flatnonzero(xs == 0.0)
     if zero.size:
         # b_{n,0}(0) = 1, every other weight vanishes
-        result = _sum_rows(np.zeros((1, 1)), *samples(1), policy)[0]
+        s, ok = samples.upto(min(64, policy.max_terms))
+        result = _sum_rows(np.zeros((1, 1)), s[:1], bool(ok[0]), policy)[0]
         for i in zero.tolist():
             results[i] = result
     positive = np.flatnonzero(xs)
@@ -265,14 +271,14 @@ def _apply(
                 idx, rows, carry = idx[:fit], rows[:fit], carry[:fit]
             segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
             rows = np.concatenate([rows, segment], axis=1)
-            s, inner_ok = samples(k_count)
+            s, ok = samples.upto(k_count)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = np.log(np.abs(s))
             metric = rows + np.where(np.isfinite(ls), ls, 0.0)
             done = metric[:, -1] < metric.max(axis=1) + math.log(_EDGE_FRACTION)
             if k_count >= policy.max_terms:
                 done[:] = True
-            for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s, inner_ok, policy)):
+            for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s, bool(ok.all()), policy)):
                 results[i] = result
             idx, rows, carry = idx[~done], rows[~done], carry[~done]
     return results
@@ -308,11 +314,7 @@ def baskakov_apply(
     """B_n(f, x) by direct summation of basis weights against node samples."""
     _require_basis_regime(pair)
     n = _check_point(n, x)
-    func = as_callable(f)
-
-    def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        return np.asarray(func(_nodes(pair, n, np.arange(k_count, dtype=float))), dtype=float), True
-
+    samples = _sample_source(pair, n, f, "nodes", policy)
     return _apply(pair, n, np.array([x], dtype=float), policy, samples)[0]
 
 
@@ -367,8 +369,11 @@ def verify_baskakov_recurrence(
 # ---------------------------------------------------------------------------
 
 
-def _log_beta_ratio_factors(pair: PQPair, n: int, m: int, k_count: int) -> np.ndarray:
-    """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for k = 0..k_count-1.
+def _log_beta_ratio_factors(
+    pair: PQPair, n: int, m: int, k_count: int, k_start: int = 0
+) -> np.ndarray:
+    """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for
+    k = k_start..k_count-1.
 
     This is the exact inner-integral factor for the monomial t^m: the shared
     Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  The
@@ -377,8 +382,8 @@ def _log_beta_ratio_factors(pair: PQPair, n: int, m: int, k_count: int) -> np.nd
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
     lfact = _log_fact_table(pair, n + k_count + m)
-    k = np.arange(k_count, dtype=float)
-    ki = np.arange(k_count)
+    ki = np.arange(k_start, k_count)
+    k = ki.astype(float)
     delta_log_beta = (
         lq * (-m * (2.0 * k + m + 1.0) / 2.0)
         + lp * (-m * (2.0 * k + m + 3.0) / 2.0)
@@ -514,24 +519,7 @@ def _beta_apply_analytic(
     policy: TruncationPolicy,
 ) -> list[OperatorResult]:
     active = tuple((d, c) for d, c in enumerate(coeffs) if c != 0.0)
-
-    def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        return _beta_expansion(pair, active, n, k_count), True
-
-    return _apply(pair, n, xs, policy, samples)
-
-
-@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _beta_expansion(
-    pair: PQPair, active: tuple[tuple[int, float], ...], n: int, k_count: int
-) -> np.ndarray:
-    """sum_d c_d q^{2d} p^{d(n+k)} B(k+d+1, n-d) / B(k+1, n) for k < k_count,
-    shared read-only by every x of one (pair, polynomial, n)."""
-    vals = np.zeros(k_count)
-    for d, c in active:
-        vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count))
-    vals.flags.writeable = False
-    return vals
+    return _apply(pair, n, xs, policy, _sample_source(pair, n, active, "analytic", policy))
 
 
 def _beta_apply_quadrature(
@@ -541,25 +529,60 @@ def _beta_apply_quadrature(
     xs: np.ndarray,
     policy: TruncationPolicy,
 ) -> list[OperatorResult]:
-    degree = _growth_degree(f)
-    # a FunctionSpec is a frozen value, so its ladder ratios can be shared
-    # across x; a plain callable may carry state and is sampled afresh
-    ratios = _cached_weight_ratios if isinstance(f, FunctionSpec) else batched_weight_ratios
+    return _apply(pair, n, xs, policy, _sample_source(pair, n, f, "quadrature", policy))
 
-    def samples(k_count: int) -> tuple[np.ndarray, bool]:
-        return ratios(pair, n, k_count, f, degree)
 
-    return _apply(pair, n, xs, policy, samples)
+def _sample_source(
+    pair: PQPair,
+    n: int,
+    f: Union[FunctionSpec, Callable, tuple],
+    route: str,
+    policy: TruncationPolicy,
+) -> _Samples:
+    """The samples of a route at (pair, n): shared for a frozen f (a
+    FunctionSpec, or the analytic route's (degree, coefficient) pairs), fresh
+    for a plain callable, which may carry state."""
+    if isinstance(f, (FunctionSpec, tuple)):
+        return _shared_samples(pair, n, f, route, policy.max_terms)
+    return _Samples(_sample_builder(pair, n, f, route))
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _cached_weight_ratios(
-    pair: PQPair, n: int, k_count: int, f: FunctionSpec, degree: int
-) -> tuple[np.ndarray, bool]:
-    """``batched_weight_ratios``, shared read-only by every x of one (pair, n, f)."""
-    ratios, converged = batched_weight_ratios(pair, n, k_count, f, degree)
-    ratios.flags.writeable = False
-    return ratios, converged
+def _shared_samples(
+    pair: PQPair, n: int, f: Union[FunctionSpec, tuple], route: str, max_terms: int
+) -> _Samples:
+    """max_terms fixes the lengths at which ``_apply`` grows the samples, so
+    every segment is the same whatever the calls before asked for."""
+    return _Samples(_sample_builder(pair, n, f, route))
+
+
+def _sample_builder(
+    pair: PQPair, n: int, f: Union[FunctionSpec, Callable, tuple], route: str
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """build(k_start, k_count) of a route's samples: f at the nodes
+    ("nodes"), sum_d c_d q^{2d} p^{d(n+k)} B(k+d+1, n-d) / B(k+1, n) over
+    the pairs (d, c_d) of f ("analytic"), or the ladder ratios."""
+    if route == "quadrature":
+        degree = _growth_degree(f)
+        return lambda k_start, k_count: batched_weight_ratios(
+            pair, n, k_count, f, degree, k_start
+        )
+    if route == "analytic":
+
+        def values(k_start: int, k_count: int) -> np.ndarray:
+            vals = np.zeros(k_count - k_start)
+            for d, c in f:
+                vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count, k_start))
+            return vals
+
+    else:
+        func = as_callable(f)
+
+        def values(k_start: int, k_count: int) -> np.ndarray:
+            nodes = _nodes(pair, n, np.arange(k_start, k_count, dtype=float))
+            return np.asarray(func(nodes), dtype=float)
+
+    return lambda k_start, k_count: (values(k_start, k_count), np.ones(k_count - k_start, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

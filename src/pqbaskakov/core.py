@@ -145,14 +145,16 @@ def _check_nonneg_int(n: int, what: str) -> int:
 
 
 def pq_number(pair: PQPair, n: int) -> float:
-    """[n]_{p,q}; the limit n p^{n-1} is used on the degenerate line p == q."""
+    """[n]_{p,q}; the limit n p^{n-1} is used on the degenerate line p == q.
+    p^n - q^n is taken through expm1 of the exact q - p, so nothing cancels
+    near p = q."""
     n = _check_nonneg_int(n, "n")
     if n == 0:
         return 0.0
     p, q = pair.p, pair.q
     if p == q:
         return n * p ** (n - 1)
-    return (p**n - q**n) / (p - q)
+    return -(p**n) * math.expm1(n * math.log1p((q - p) / p)) / (p - q)
 
 
 def log_pq_number(pair: PQPair, n: int) -> float:

@@ -370,10 +370,11 @@ def batched_weight_ratios(
     k_count: int,
     f: Union[FunctionSpec, Callable],
     f_growth_degree: int = 2,
-) -> tuple[np.ndarray, bool]:
+    k_start: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
     """Normalized ladder averages for the Beta-weighted operator rows.
 
-    For every k in 0..k_count-1, with N = n + k + 1 and c_k = q^2 p^{n+k}:
+    For k = k_start..k_count-1, with N = n + k + 1 and c_k = q^2 p^{n+k}:
 
         ratio_k = sum_i w_{k,i} f(c_k t_i) / sum_i w_{k,i},
         w_{k,i} = t_i^{k+1} / (1 (+) p t_i)^N
@@ -384,42 +385,43 @@ def batched_weight_ratios(
     The bands are evaluated together as one flat (row, node) gather, with
     each row's maximum shifted out of the exponent, so rows whose raw
     integrals overflow a double are still exact ratios; f is evaluated on
-    the band nodes only.
+    the band nodes only.  Bands and windows are sized for the rows
+    k_start.. alone, so a longer vector grows by appending; a row then
+    differs from its one-shot value by a few ulps of window rounding.
 
     A row passes when both edges are below 1e-15 of its peak, for the
     weights and for the f-weighted terms, and its relative edge mass
     (w + |f w| at both edges, over sum w) is below 1e-12.  Failing rows,
     and only they, regrow by 1.6x on each side, up to four times.  No band
-    of more than _LADDER_NODES = 20,001 nodes is built: when a row's first
-    band does not fit, nothing is built and the ratios are NaN and not
-    converged; a row whose regrowth does not fit keeps its last band, whose
-    edges decide.  Rows whose bands together span more than that, or hold
-    more than _RUN_NODES nodes, are split over several windows.  Returns
-    (ratios, all_rows_converged), a row counting as converged when its edge
-    mass is below 1e-12.
+    of more than _LADDER_NODES = 20,001 nodes is built: when a requested
+    row's first band does not fit, nothing is built and the ratios are NaN
+    and not converged; a row whose regrowth does not fit keeps its last
+    band, whose edges decide.  Rows whose bands together span more than
+    that, or hold more than _RUN_NODES nodes, are split over several
+    windows.  Returns (ratios, converged) per row, a row counting as
+    converged when its edge mass is below 1e-12.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
     """
     pair.require_strict("the Beta-weighted ladder")
-    if k_count < 1:
-        raise DomainError("k_count must be >= 1")
+    if not 0 <= k_start < k_count:
+        raise DomainError(f"need 0 <= k_start < k_count, got {k_start} and {k_count}")
     func = as_callable(f)
-    peak, left, right = _band_extents(
-        -math.log(pair.q / pair.p), n, np.arange(k_count), f_growth_degree
-    )
+    ks = np.arange(k_start, k_count)
+    peak, left, right = _band_extents(-math.log(pair.q / pair.p), n, ks, f_growth_degree)
     if not np.all(left + right + 1.0 <= _LADDER_NODES):
         # never allocate a band over the node cap; without every row the
-        # ratios cannot converge, so none is built
-        return np.full(k_count, np.nan), False
-    weight_sums, f_sums, tails, edges = (np.empty(k_count) for _ in range(4))
+        # segment cannot converge, so none of it is built
+        return np.full(ks.size, np.nan), np.zeros(ks.size, dtype=bool)
+    weight_sums, f_sums, tails, edges = (np.empty(ks.size) for _ in range(4))
 
-    rows = np.arange(k_count)
+    rows = np.arange(ks.size)
     for _attempt in range(5):
         lo = peak[rows] - left[rows].astype(np.int64)
         hi = peak[rows] + right[rows].astype(np.int64)
         for run in _window_runs(lo, hi):
-            sums = _band_sums(pair, n, rows[run], peak[rows[run]], lo[run], hi[run], func)
+            sums = _band_sums(pair, n, ks[rows[run]], peak[rows[run]], lo[run], hi[run], func)
             weight_sums[rows[run]], f_sums[rows[run]], tails[rows[run]], edges[rows[run]] = sums
         rows = rows[(edges[rows] >= 1e-15) | (tails[rows] >= 1e-12)]
         left[rows] = np.floor(left[rows] * 1.6) + 8
@@ -429,8 +431,7 @@ def batched_weight_ratios(
         if rows.size == 0:
             break
 
-    converged = bool(np.all(tails < 1e-12))
-    return f_sums / weight_sums, converged
+    return f_sums / weight_sums, tails < 1e-12
 
 
 def _window_runs(lo: np.ndarray, hi: np.ndarray) -> list[slice]:

@@ -23,7 +23,7 @@ from pqbaskakov import (
     pq_power_basis,
     verify_baskakov_recurrence,
 )
-from pqbaskakov import baskakov
+from pqbaskakov import baskakov, quadrature
 from pqbaskakov.core import _log_fact_table
 
 from conftest import CLASSICAL, rel_err
@@ -131,15 +131,17 @@ class TestRowGrowth:
 
 def reference_apply(pair, n, x, policy, samples):
     """The kernel at one point, as a loop: the row doubles until its
-    sample-weighted edge term is negligible or the budget is spent."""
+    sample-weighted edge term is negligible or the budget is spent, and the
+    samples are read from the source samples at each length."""
     if x == 0.0:
         row = np.zeros(1)
-        s, inner_ok = samples(1)
+        s, ok = samples.upto(min(64, policy.max_terms))
+        s, ok = s[:1], ok[:1]
     else:
         k_count = min(64, policy.max_terms)
         while True:
             row = one_shot_log_row(pair, n, x, k_count)
-            s, inner_ok = samples(k_count)
+            s, ok = samples.upto(k_count)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = np.log(np.abs(s))
             metric = row + np.where(np.isfinite(ls), ls, 0.0)
@@ -152,59 +154,101 @@ def reference_apply(pair, n, x, policy, samples):
     tail = max(0.0, 1.0 - float(b.sum()))
     significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
     k_used = int(significant[-1]) + 1 if significant.size else 1
+    inner_ok = bool(ok.all())
     trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
     return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
+
+
+def route_builders(pair, n, f):
+    """build(k_start, k_count) of each route's samples for the polynomial f
+    (and for |t - 1| on the ladder), written out from the route's parts."""
+    def ones(s):  # every plain and analytic sample is trusted
+        return s, np.ones(s.size, dtype=bool)
+
+    def nodes(k_start, k_count):
+        at = baskakov._nodes(pair, n, np.arange(k_start, k_count, dtype=float))
+        return ones(np.asarray(f.evaluate(at), dtype=float))
+
+    def analytic(k_start, k_count):
+        return ones(sum(
+            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, d, k_count, k_start))
+            for d, c in enumerate(f.as_polynomial()) if c != 0.0
+        ))
+
+    def ladder(k_start, k_count):
+        return quadrature.batched_weight_ratios(pair, n, k_count, ABS, 2, k_start)
+
+    return {"nodes": nodes, "analytic": analytic, "quadrature": ladder}
 
 
 # grid points: the origin, points close to it and points far out, so that the
 # rows of one grid stop at different lengths
 grid_points = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 60.0))
+ABS = FunctionSpec.named("abs_t_minus_1")
+BUDGETS = [3, 40, 64, 100, 10000]
 
 
 class TestGridKernel:
     F = FunctionSpec.polynomial([1.0, -2.0, 3.0])
 
-    @settings(deadline=None, max_examples=80)
+    @settings(deadline=None, max_examples=150)
     # np.log and np.log1p differ from math.log and math.log1p by an ulp at
     # these points, so the row must take the logs of x in math
-    @example(pair=PQPair(0.9, 0.8), n=3, xs=[0.7823501688599585], max_terms=10000, row_entries=150)
-    @example(pair=CLASSICAL, n=1, xs=[0.5882328908161044], max_terms=10000, row_entries=150)
+    @example(pair=PQPair(0.9, 0.8), n=3, xs=[0.7823501688599585], max_terms=10000,
+             row_entries=150, earlier=3)
+    @example(pair=CLASSICAL, n=1, xs=[0.5882328908161044], max_terms=10000, row_entries=150,
+             earlier=3)
     # summed at the length of the longest row, the short row's value moves
-    @example(pair=CLASSICAL, n=99, xs=[0.5, 37.0], max_terms=10000, row_entries=1 << 18)
+    @example(pair=CLASSICAL, n=99, xs=[0.5, 37.0], max_terms=10000, row_entries=1 << 18,
+             earlier=3)
+    # a ladder whose samples were first grown to another budget's lengths
+    @example(pair=PQPair(0.9, 0.8), n=10, xs=[0.0, 40.0], max_terms=10000, row_entries=150,
+             earlier=100)
     @given(
         pair=st.one_of(st.just(CLASSICAL), strict_pairs),
         n=st.integers(1, 200),
         xs=st.lists(grid_points, min_size=1, max_size=8),
-        max_terms=st.sampled_from([3, 40, 64, 100, 10000]),
+        max_terms=st.sampled_from(BUDGETS),
         row_entries=st.sampled_from([150, 1000, baskakov._ROW_ENTRIES]),
+        earlier=st.sampled_from(BUDGETS),
     )
-    def test_each_cell_of_a_grid_is_its_one_point_result(self, pair, n, xs, max_terms, row_entries):
+    def test_each_cell_of_a_grid_is_its_one_point_result(
+        self, pair, n, xs, max_terms, row_entries, earlier
+    ):
         """Every OperatorResult field of a grid cell equals, exactly, that of
-        the same point evaluated alone and that of the per-point loop,
-        however the grid is split in blocks."""
+        the same point evaluated alone and that of the per-point loop over a
+        fresh sample source, with or without the origin in the grid, however
+        the grid is split in blocks, and after the shared samples were grown
+        for another max_terms."""
         grid, policy = np.array(xs), TruncationPolicy(max_terms=max_terms)
+        builders = route_builders(pair, n, self.F)
 
-        def node_samples(k_count):  # the samples of baskakov_apply
-            nodes = baskakov._nodes(pair, n, np.arange(k_count, dtype=float))
-            return np.asarray(self.F.evaluate(nodes), dtype=float), True
+        def route(name, f, method=None):
+            if method is None:  # the plain operator
+                return lambda points, policy: baskakov._apply(
+                    pair, n, points, policy, baskakov._sample_source(pair, n, f, name, policy)
+                )
+            return lambda points, policy: baskakov._beta_apply(pair, f, n, points, policy, method)
 
-        def beta_samples(k_count):  # the samples of the analytic Beta route
-            active = tuple(enumerate(self.F.as_polynomial()))
-            return baskakov._beta_expansion(pair, active, n, k_count), True
-
-        routes = [
-            (lambda points: baskakov._apply(pair, n, points, policy, node_samples), node_samples)
-        ]
+        routes = [("nodes", route("nodes", self.F))]
         if pair.is_strict and n > 2:
-            routes.append((
-                lambda points: baskakov._beta_apply(pair, self.F, n, points, policy, "auto"),
-                beta_samples,
-            ))
+            routes.append(("analytic", route("analytic", self.F, "auto")))
+            # the ladder's bands widen as q/p nears 1; keep its cost small
+            if n <= 40 and pair.ratio <= 0.95:
+                routes.append(("quadrature", route("quadrature", ABS, "quadrature")))
+        baskakov._shared_samples.cache_clear()
+        positive = grid[grid > 0.0]
         with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
-            for grid_route, samples in routes:
-                want = [reference_apply(pair, n, x, policy, samples) for x in xs]
-                assert grid_route(grid) == want
-                assert [grid_route(grid[i : i + 1])[0] for i in range(grid.size)] == want
+            for name, grid_route in routes:
+                grid_route(grid, TruncationPolicy(max_terms=earlier))
+                source = baskakov._Samples(builders[name])
+                want = [repr(reference_apply(pair, n, x, policy, source)) for x in xs]
+                # repr is exact for floats and equal for NaN cells of the ladder
+                assert [repr(r) for r in grid_route(grid, policy)] == want
+                assert [repr(grid_route(grid[i : i + 1], policy)[0]) for i in range(grid.size)] == want
+                assert [repr(r) for r in grid_route(positive, policy)] == [
+                    w for w, x in zip(want, xs) if x > 0.0
+                ]
 
     def test_a_large_grid_row_is_evaluated_in_bounded_blocks(self):
         """6,000 points at n = 300 grow rows of 1,024 terms; in one block

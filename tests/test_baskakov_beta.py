@@ -274,33 +274,33 @@ def fraction_moment(q, m, n, x):
 
 
 ABS = FunctionSpec.named("abs_t_minus_1")
-SAMPLE_CACHES = (baskakov._beta_expansion, baskakov._cached_weight_ratios)
+POLY = FunctionSpec.polynomial([7.0, -2.0, 25.0])
 
 
-def clear_sample_caches():
-    for cache in SAMPLE_CACHES:
-        cache.cache_clear()
+def clear_sample_cache():
+    baskakov._shared_samples.cache_clear()
+
+
+def built_rows(pair, n, f, route, policy=DEFAULT_POLICY):
+    """How many rows the shared sample source of (pair, n, f, route) holds."""
+    return baskakov._shared_samples(pair, n, f, route, policy.max_terms)._vector[0].size
 
 
 class TestSampleCache:
     PAIR = PQPair(0.95, 0.9)
 
     @pytest.mark.parametrize(
-        "f, method, cache",
-        [
-            (FunctionSpec.polynomial([7.0, -2.0, 25.0]), "analytic", baskakov._beta_expansion),
-            (ABS, "quadrature", baskakov._cached_weight_ratios),
-        ],
-        ids=["analytic", "quadrature"],
+        "f, method", [(POLY, "analytic"), (ABS, "quadrature")], ids=["analytic", "quadrature"]
     )
     @pytest.mark.parametrize("x", [0.0, 0.05, 20.0])
-    def test_warm_result_equals_cold(self, f, method, cache, x):
-        clear_sample_caches()
+    def test_warm_result_equals_cold(self, f, method, x):
+        cache = baskakov._shared_samples
+        clear_sample_cache()
         cold = baskakov_beta_apply(self.PAIR, f, 20, x, method=method)
-        if x == 20.0:
-            assert cache.cache_info().misses == 2  # the row regrew from 64 to 128
+        # one growing source, also where the row regrew from 64 to 128 terms
+        assert cache.cache_info().misses == 1
         # warm the cache from other points first, then repeat x
-        clear_sample_caches()
+        clear_sample_cache()
         for other in (0.0, 0.05, 20.0, 3.0):
             baskakov_beta_apply(self.PAIR, f, 20, other, method=method)
         hits = cache.cache_info().hits
@@ -308,17 +308,31 @@ class TestSampleCache:
         assert cache.cache_info().hits > hits
         assert warm == cold  # every OperatorResult field, exactly
 
+    @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, baskakov_beta_apply])
+    @pytest.mark.parametrize("x, k_count", [(1e-3, 64), (1.0, 256), (5.0, 512), (20.0, 1024)])
+    def test_long_rows_warm_equal_cold(self, apply, x, k_count):
+        # the q_ratio schedule at n = 150, where rows grow to 1,024 terms
+        pair = PQPair(1.0, 150 / 151)
+        route = "nodes" if apply is baskakov.baskakov_apply else "analytic"
+        f = POLY if route == "nodes" else tuple(enumerate(POLY.as_polynomial()))
+        clear_sample_cache()
+        cold = apply(pair, POLY, 150, x)
+        assert built_rows(pair, 150, f, route) == k_count  # grown to the row's length only
+        clear_sample_cache()
+        for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
+            apply(pair, POLY, 150, other)
+        assert apply(pair, POLY, 150, x) == cold
+
     def test_size_stays_bounded(self):
-        clear_sample_caches()
-        f = FunctionSpec.polynomial([1.0, 2.0, 3.0])
-        for n in range(3, 3 + 2 * baskakov._SAMPLE_CACHE_SIZE):
-            baskakov_beta_apply(self.PAIR, f, n, 20.0)
+        cache = baskakov._shared_samples
+        clear_sample_cache()
+        for n in range(3, 3 + baskakov._SAMPLE_CACHE_SIZE):
+            baskakov_beta_apply(self.PAIR, POLY, n, 20.0)
             baskakov_beta_apply(self.PAIR, ABS, n, 0.0)
-            for cache in SAMPLE_CACHES:
-                info = cache.cache_info()
-                assert info.maxsize == baskakov._SAMPLE_CACHE_SIZE
-                assert info.currsize <= info.maxsize
-        assert all(c.cache_info().currsize == baskakov._SAMPLE_CACHE_SIZE for c in SAMPLE_CACHES)
+            info = cache.cache_info()
+            assert info.maxsize == baskakov._SAMPLE_CACHE_SIZE
+            assert info.currsize <= info.maxsize
+        assert cache.cache_info().currsize == baskakov._SAMPLE_CACHE_SIZE
 
     def test_plain_callable_is_sampled_on_every_call(self):
         scale = [1.0]
@@ -335,13 +349,79 @@ class TestSampleCache:
         assert evaluations > 0 and len(calls) == 2 * evaluations
         assert second.value == pytest.approx(2.0 * first.value, rel=1e-13)
 
-    def test_cached_samples_are_read_only(self):
-        ratios, _ = baskakov._cached_weight_ratios(self.PAIR, 5, 4, ABS, 2)
-        values = baskakov._beta_expansion(self.PAIR, ((0, 1.0), (2, 3.0)), 5, 4)
-        for samples in (ratios, values):
-            assert not samples.flags.writeable
+    @pytest.mark.parametrize(
+        "f, route", [(ABS, "quadrature"), (((0, 1.0), (2, 3.0)), "analytic"), (POLY, "nodes")]
+    )
+    def test_cached_samples_are_read_only(self, f, route):
+        for array in baskakov._shared_samples(self.PAIR, 5, f, route, 100).upto(4):
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                samples[0] = 0.0
+                array[0] = 0
+
+
+class TestNoRework:
+    """Each sample of a (pair, n, f) row is built once, by appending the new
+    rows of each longer segment, and the segments concatenate to the
+    one-shot vector."""
+
+    PAIR, N = PQPair(0.95, 0.9), 20
+    GRID = np.linspace(0.0, 60.0, 21)
+
+    def evaluate_row(self, f, method, grid_call):
+        clear_sample_cache()
+        if grid_call:
+            return baskakov._beta_apply(self.PAIR, f, self.N, self.GRID, DEFAULT_POLICY, method)
+        return [baskakov_beta_apply(self.PAIR, f, self.N, x, method=method) for x in self.GRID]
+
+    @pytest.mark.parametrize("grid_call", [True, False], ids=["grid", "per-point"])
+    def test_ladder_rows_are_built_once(self, monkeypatch, grid_call):
+        rows = []
+        real = quadrature._band_sums
+
+        def recording(pair, n, ks, *rest):
+            rows.extend(ks.tolist())
+            return real(pair, n, ks, *rest)
+
+        monkeypatch.setattr(quadrature, "_band_sums", recording)
+        cells = self.evaluate_row(ABS, "quadrature", grid_call)
+        final = built_rows(self.PAIR, self.N, ABS, "quadrature")
+        assert final == 128 and max(c.k_terms_used for c in cells) > 64  # two segments
+        assert sorted(rows) == list(range(final))
+
+    @pytest.mark.parametrize("grid_call", [True, False], ids=["grid", "per-point"])
+    def test_beta_factors_are_built_once(self, monkeypatch, grid_call):
+        rows = {}
+        real = baskakov._log_beta_ratio_factors
+
+        def recording(pair, n, m, k_count, k_start=0):
+            rows[m] = rows.get(m, 0) + k_count - k_start
+            return real(pair, n, m, k_count, k_start)
+
+        monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
+        self.evaluate_row(POLY, "analytic", grid_call)
+        final = built_rows(self.PAIR, self.N, tuple(enumerate(POLY.as_polynomial())), "analytic")
+        assert final == 128
+        assert rows == {0: final, 1: final, 2: final}
+
+    def test_segments_equal_the_one_shot_vectors(self):
+        pair, n, k_count = self.PAIR, self.N, 512
+        coeffs = tuple(enumerate(POLY.as_polynomial()))
+        one_shot = {
+            "nodes": np.asarray(POLY.evaluate(baskakov._nodes(pair, n, np.arange(k_count, dtype=float)))),
+            "analytic": sum(c * np.exp(baskakov._log_beta_ratio_factors(pair, n, d, k_count))
+                            for d, c in coeffs),
+        }
+        for f, route in ((POLY, "nodes"), (coeffs, "analytic"), (ABS, "quadrature")):
+            source = baskakov._Samples(baskakov._sample_builder(pair, n, f, route))
+            for length in (64, 128, 256, 512):
+                s, ok = source.upto(length)
+            if route == "quadrature":
+                want, want_ok = quadrature.batched_weight_ratios(pair, n, k_count, ABS)
+                assert np.array_equal(ok, want_ok)
+                assert np.allclose(s, want, rtol=1e-15, atol=0.0)
+            else:
+                assert ok.all()
+                assert np.array_equal(s, one_shot[route])
 
 
 class TestLadderNodeCap:
@@ -361,7 +441,7 @@ class TestLadderNodeCap:
     @pytest.mark.parametrize("q", [0.89999, 0.8999999])
     def test_a_huge_budget_does_not_lift_the_node_cap(self, monkeypatch, q):
         # the first band needs about 4.65e6 (q = 0.89999) or 4.65e8 nodes
-        clear_sample_caches()
+        clear_sample_cache()
         windows = []
         real = quadrature._LadderWindow
 
@@ -388,46 +468,6 @@ class TestLadderNodeCap:
         assume(baskakov_apply(pair, ABS, n, x, policy).trusted)
         res = baskakov_beta_apply(pair, ABS, n, x, policy, method="quadrature")
         assert math.isfinite(res.value)
-
-
-class TestRowTermsCache:
-    PAIR = PQPair(1.0, 150 / 151)  # the q_ratio schedule at n = 150
-    F = FunctionSpec.polynomial([7.0, -2.0, 25.0])
-
-    @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, baskakov_beta_apply])
-    @pytest.mark.parametrize("x, k_count", [(1e-3, 64), (1.0, 256), (5.0, 512), (20.0, 1024)])
-    def test_warm_result_equals_cold(self, apply, x, k_count):
-        cache = baskakov._basis_row_terms
-        cache.cache_clear()
-        cold = apply(self.PAIR, self.F, 150, x)
-        assert cache.cache_info().misses == k_count.bit_length() - 6  # 64, 128, ...
-        # warm the cache from other points first, then repeat x
-        cache.cache_clear()
-        for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
-            apply(self.PAIR, self.F, 150, other)
-        hits = cache.cache_info().hits
-        warm = apply(self.PAIR, self.F, 150, x)
-        assert cache.cache_info().hits > hits
-        assert warm == cold  # every OperatorResult field, exactly
-
-    def test_size_stays_bounded(self):
-        cache = baskakov._basis_row_terms
-        cache.cache_clear()
-        for n in range(3, 3 + 2 * baskakov._SAMPLE_CACHE_SIZE):
-            baskakov_beta_apply(PQPair(1.0, n / (n + 1)), self.F, n, 20.0)
-            info = cache.cache_info()
-            assert info.maxsize == baskakov._SAMPLE_CACHE_SIZE
-            assert info.currsize <= info.maxsize
-        assert cache.cache_info().currsize == baskakov._SAMPLE_CACHE_SIZE
-
-    @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), CLASSICAL])
-    def test_cached_terms_are_read_only(self, pair):
-        terms = [t for t in baskakov._basis_row_terms(pair, 5, 4) if t is not None]
-        assert len(terms) == (3 if pair == CLASSICAL else 4)
-        for array in terms:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
 
 
 def _counting_route(monkeypatch, name="_beta_apply_analytic"):
@@ -477,12 +517,12 @@ class TestCellTable:
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         assert calls == [(10, (1.5,), False)] * 2
         # a result kept across direct calls would hide this change
-        clear_sample_caches()
+        clear_sample_cache()
         before = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
         monkeypatch.setattr(quadrature, "_LADDER_NODES", 5)
-        clear_sample_caches()
+        clear_sample_cache()
         after = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
-        clear_sample_caches()
+        clear_sample_cache()
         assert before.trusted and math.isfinite(before.value)
         assert not after.trusted and math.isnan(after.value)
 

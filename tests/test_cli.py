@@ -306,9 +306,7 @@ def test_curves_do_not_depend_on_the_sample_caches(tmp_path, monkeypatch):
     apply = cli.baskakov_beta_apply
 
     def cold_apply(*args, **kwargs):
-        baskakov._beta_expansion.cache_clear()
-        baskakov._cached_weight_ratios.cache_clear()
-        baskakov._basis_row_terms.cache_clear()
+        baskakov._shared_samples.cache_clear()
         return apply(*args, **kwargs)
 
     monkeypatch.setattr(cli, "baskakov_beta_apply", cold_apply)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
@@ -85,6 +85,29 @@ class TestNumbers:
             val = pq_number(pair, n)
             assert val == pytest.approx(pair.p * prev + pair.q ** (n - 1), rel=1e-12, abs=1e-300)
             assert val == pytest.approx(pair.q * prev + pair.p ** (n - 1), rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.floats(0.9, 1.0),
+        gap=st.one_of(st.floats(1e-15, 1e-9), st.floats(1e-9, 0.5)),
+        n=st.one_of(st.integers(1, 50), st.integers(50, 1000)),
+    )
+    def test_matches_exact_near_p_equals_q_and_at_large_n(self, p, gap, n):
+        # p^n - q^n cancels near p = q: at q/p = 1 - 1.1e-11 the plain
+        # difference quotient was 1.2e-6 off at n = 2 and 2.7e-9 at n = 1,000
+        q = p * (1.0 - gap)
+        assume(q < p)
+        fp, fq = Fraction(p), Fraction(q)
+        exact = (fp**n - fq**n) / (fp - fq)
+        assert abs(Fraction(pq_number(PQPair(p, q), n)) / exact - 1) < 2e-15
+
+    @pytest.mark.parametrize("n", [2, 1000])
+    def test_near_p_equals_q_example(self, n):
+        p = 0.9
+        q = p * (1.0 - 1.1e-11)
+        fp, fq = Fraction(p), Fraction(q)
+        exact = (fp**n - fq**n) / (fp - fq)
+        assert abs(Fraction(pq_number(PQPair(p, q), n)) / exact - 1) < 1e-15
 
     def test_classical_limit_along_q_equals_p_squared(self):
         n = 7

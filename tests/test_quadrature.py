@@ -227,7 +227,7 @@ class TestBatchedWeightRatios:
             PQPair(0.9, 0.89999), 5, 1, FunctionSpec.named("abs_t_minus_1")
         )
         assert widths == []
-        assert not converged
+        assert not converged.any()
         assert np.isnan(ratios).all()
 
     @staticmethod
@@ -256,7 +256,7 @@ class TestBatchedWeightRatios:
         ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f)
         assert windows and max(windows) <= cap
         assert len(bands) >= 128 and max(bands) <= cap
-        assert converged
+        assert converged.all()
         assert np.allclose(ratios, wider, rtol=1e-12, atol=0.0)
 
     def test_a_row_whose_regrowth_does_not_fit_keeps_its_last_band(self, monkeypatch):
@@ -268,7 +268,7 @@ class TestBatchedWeightRatios:
         windows = self.record_widths(monkeypatch, 601)
         ratios, converged = quadrature.batched_weight_ratios(pair, 3, 1, f, 0)
         assert len(windows) == 1
-        assert not converged and grown_ok
+        assert not converged.any() and grown_ok.all()
         assert np.isfinite(ratios).all()
         assert ratios[0] == pytest.approx(grown[0], rel=1e-5)
         assert ratios[0] != grown[0]
@@ -282,7 +282,7 @@ class TestBatchedWeightRatios:
         windows = self.record_widths(monkeypatch, 461)
         ratios, converged = quadrature.batched_weight_ratios(pair, 10, 250, f)
         assert len(windows) > 1
-        assert converged
+        assert converged.all()
         assert np.allclose(ratios, one, rtol=1e-13, atol=0.0)
 
 
@@ -324,9 +324,30 @@ class TestBandedRatiosAgainstReferences:
         ratios, converged = quadrature.batched_weight_ratios(
             pair, n, k_count, FunctionSpec.named("abs_t_minus_1")
         )
-        assert converged
+        assert converged.all()
         want = dense_weight_ratios(pair, n, k_count)
         assert np.allclose(ratios, want, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.floats(0.5, 1.0),
+        r=st.floats(0.5, 0.95),
+        n=st.integers(3, 60),
+        split=st.integers(1, 127),
+    )
+    def test_appended_rows_match_the_one_shot_vector(self, p, r, n, split):
+        pair, f = PQPair(p, p * r), FunctionSpec.named("abs_t_minus_1")
+        whole, whole_ok = quadrature.batched_weight_ratios(pair, n, 128, f)
+        head, head_ok = quadrature.batched_weight_ratios(pair, n, split, f)
+        tail, tail_ok = quadrature.batched_weight_ratios(pair, n, 128, f, 2, split)
+        assert tail.size == tail_ok.size == 128 - split
+        assert np.array_equal(np.concatenate([head_ok, tail_ok]), whole_ok)
+        # a row shares its window with other rows, which rounds it by a few ulps
+        assert np.allclose(np.concatenate([head, tail]), whole, rtol=2e-15, atol=0.0)
+
+    def test_an_empty_row_range_is_refused(self):
+        with pytest.raises(DomainError):
+            quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 5, 8, FunctionSpec.named("e1"), 1, 8)
 
     @pytest.mark.parametrize("pq", [(0.9, 0.8), (1.0, 0.9)])
     @pytest.mark.parametrize("n", [5, 10, 20])
@@ -338,7 +359,7 @@ class TestBandedRatiosAgainstReferences:
             want = self.mpmath_ratios(mp, *pq, n, 16)
         for name, spec in specs.items():
             got, converged = quadrature.batched_weight_ratios(PQPair(*pq), n, 16, spec)
-            assert converged
+            assert converged.all()
             for g, v in zip(got, want[name]):
                 assert abs((mp.mpf(g) - v) / v) < 1e-13, name
 
