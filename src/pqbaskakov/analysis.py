@@ -245,6 +245,11 @@ def _rate_constant(f: FunctionSpec, kappa: float, grid: EvalGrid) -> float:
     return 6.0 * cf * (1.0 + kappa**2) * (1.0 + kappa + kappa**2)
 
 
+def _rate_window(xs: np.ndarray, kappa: float) -> np.ndarray:
+    """The grid points x <= kappa of the rate bound, up to 1e-12 of rounding."""
+    return xs[xs <= kappa + 1e-12]
+
+
 def interval_rate_bound(
     pair: PQPair,
     n: int,
@@ -267,7 +272,7 @@ def interval_rate_bound(
         raise DomainError(f"rate bound needs n > 2, got {n}")
     xs = grid.array()
     values = np.asarray(as_callable(f)(xs), dtype=float)
-    mu2 = central_moment(pair, 2, n, xs[xs <= kappa + 1e-12])
+    mu2 = central_moment(pair, 2, n, _rate_window(xs, kappa))
     steps = _max_steps(np.sqrt(L * mu2), grid.spacing, len(values))
     omega = _moduli(values, int(steps.max()), order=1)[steps]
     return float(np.max(L * mu2 + (1.0 + 1.0 / math.sqrt(L)) * omega, initial=0.0))

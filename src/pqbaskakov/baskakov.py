@@ -11,16 +11,17 @@ Beta-weighted operator (sample integrals instead of point samples):
     D_n(f, x) = sum_k b_{n,k}(x) / B(k+1, n)
                 * int_0^inf t^k / (1 (+) pt)^{n+k+1} f(q^2 p^{n+k} t) dt
 
-Both operators are sum_k b_{n,k}(x) s_k with x-independent samples s_k.  One
-kernel, ``_apply``, grows the basis row, sums it against the samples and
-decides truncation and trust; each route only supplies its own samples, and
-the routes stay independent of one another in those samples:
-  * ``baskakov_apply`` - f at the nodes (plain operator B_n),
-  * ``baskakov_beta_monomial_exact`` and the analytic route of
-    ``baskakov_beta_apply`` - closed-form Beta ratios (polynomials),
-  * ``baskakov_beta_apply(method="quadrature")`` - bilateral ladder
-    quadrature of the inner integrals, each row normalized by the ladder
-    value of its own weight integral, so that D_n(1, x) = 1 identically.
+Both operators are sum_k b_{n,k}(x) s_k with x-independent samples s_k, so
+every entry checks its arguments, resolves its route once and calls the one
+kernel, ``_apply``, with that route's ``_sample_source``; the kernel grows
+the basis row, sums it against the samples and decides truncation and trust.
+The routes differ only in their samples, and share none of them:
+  * "nodes" (``baskakov_apply``, the plain B_n) - f at the nodes,
+  * "analytic" (``baskakov_beta_apply`` of a polynomial ``FunctionSpec`` by
+    default, and ``baskakov_beta_monomial_exact``) - closed-form Beta ratios,
+  * "quadrature" (``baskakov_beta_apply`` of anything else, or on request) -
+    bilateral ladder quadrature of the inner integrals, each row normalized
+    by the ladder value of its own weight integral, so that D_n(1, x) = 1.
 The closed moment expressions (``moments_closed``) share none of this.
 
 The kernel works on a whole x-grid at once: a matrix of basis rows, one per
@@ -38,9 +39,9 @@ grid costs memory independent of its length.
 The samples grow the same way: a ``_Samples`` source appends only the new
 k, so each s_k is computed once, and x = 0 reads row 0 of the first
 segment.  Sources of ``FunctionSpec`` targets are kept in one bounded LRU
-keyed by (pair, n, f, route, max_terms); max_terms fixes the segment
-lengths, so a cell never depends on earlier calls.  A plain callable is
-sampled afresh on every call.
+keyed by (pair, n, f, route, max_terms), with f the spec itself; max_terms
+fixes the segment lengths, so a cell never depends on earlier calls.  A
+plain callable is sampled afresh on every call.
 
 One level up, an experiment run asks ``baskakov_beta_apply`` for the cells
 of whole grid rows, one (n, x) at a time, and twice when it writes both
@@ -206,8 +207,10 @@ def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
     p, q = pair.p, pair.q
     if p == q:
         return k / n
-    # [k]/q^{k-1} = q ((p/q)^k - 1) / (p - q), exactly 0 at k = 0
-    return p ** (n - 1) * q * (np.power(p / q, k) - 1.0) / ((p - q) * pq_number(pair, n))
+    # [k]/q^{k-1} = q ((p/q)^k - 1) / (p - q), exactly 0 at k = 0; (p/q)^k - 1 is
+    # expm1(k log1p((p - q)/q)), which does not cancel near p = q
+    growth = np.expm1(k * math.log1p((p - q) / q))
+    return p ** (n - 1) * q * growth / ((p - q) * pq_number(pair, n))
 
 
 class _Samples:
@@ -406,13 +409,11 @@ def baskakov_beta_monomial_exact(
     independent of both the ladder quadrature and the closed moment
     expressions.
     """
-    pair.require_strict("the Beta-weighted operator")
-    n = _check_point(n, x)
     m = _check_nonneg_int(m, "monomial order m")
-    if n <= m:
-        raise DomainError(f"needs n > m, got n={n}, m={m}")
-    coeffs = (0.0,) * m + (1.0,)
-    return _beta_apply_analytic(pair, coeffs, n, np.array([x], dtype=float), policy)[0].value
+    # the degree rule first, so that no m beyond the order builds m + 1 coefficients
+    _check_degree(_check_order(n), m)
+    e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
+    return _beta_apply(pair, e_m, n, np.array([x], dtype=float), policy, "analytic")[0].value
 
 
 def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
@@ -420,6 +421,12 @@ def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
         deg = f.degree
         return deg if deg is not None else 2
     return 2
+
+
+def _check_degree(n: int, degree: int) -> None:
+    # a polynomial's growth degree is its degree, so this is every route's rule
+    if n <= degree:
+        raise DomainError(f"operator order n={n} must exceed the growth degree {degree} of f")
 
 
 class _RunCells(NamedTuple):
@@ -496,82 +503,49 @@ def _beta_apply(
     n = _check_point(n, xs)
     if method not in ("auto", "analytic", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
-
-    coeffs = f.as_polynomial() if isinstance(f, FunctionSpec) else None
-    if method == "analytic" and coeffs is None:
+    polynomial = isinstance(f, FunctionSpec) and f.as_polynomial() is not None
+    if method == "analytic" and not polynomial:
         raise DomainError("analytic evaluation needs a polynomial FunctionSpec")
-    use_analytic = method == "analytic" or (method == "auto" and coeffs is not None)
-    # a polynomial's growth degree is its degree, so this is every route's rule
-    degree = _growth_degree(f)
-    if n <= degree:
-        raise DomainError(f"operator order n={n} must exceed the growth degree {degree} of f")
-
-    if use_analytic:
-        return _beta_apply_analytic(pair, coeffs, n, xs, policy)
-    return _beta_apply_quadrature(pair, f, n, xs, policy)
-
-
-def _beta_apply_analytic(
-    pair: PQPair,
-    coeffs: tuple[float, ...],
-    n: int,
-    xs: np.ndarray,
-    policy: TruncationPolicy,
-) -> list[OperatorResult]:
-    active = tuple((d, c) for d, c in enumerate(coeffs) if c != 0.0)
-    return _apply(pair, n, xs, policy, _sample_source(pair, n, active, "analytic", policy))
-
-
-def _beta_apply_quadrature(
-    pair: PQPair,
-    f: Union[FunctionSpec, Callable],
-    n: int,
-    xs: np.ndarray,
-    policy: TruncationPolicy,
-) -> list[OperatorResult]:
-    return _apply(pair, n, xs, policy, _sample_source(pair, n, f, "quadrature", policy))
+    _check_degree(n, _growth_degree(f))
+    route = "quadrature" if method == "quadrature" or not polynomial else "analytic"
+    return _apply(pair, n, xs, policy, _sample_source(pair, n, f, route, policy))
 
 
 def _sample_source(
-    pair: PQPair,
-    n: int,
-    f: Union[FunctionSpec, Callable, tuple],
-    route: str,
-    policy: TruncationPolicy,
+    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, policy: TruncationPolicy
 ) -> _Samples:
-    """The samples of a route at (pair, n): shared for a frozen f (a
-    FunctionSpec, or the analytic route's (degree, coefficient) pairs), fresh
-    for a plain callable, which may carry state."""
-    if isinstance(f, (FunctionSpec, tuple)):
+    """The samples of a route at (pair, n): shared for a FunctionSpec, which
+    is frozen, fresh for a plain callable, which may carry state."""
+    if isinstance(f, FunctionSpec):
         return _shared_samples(pair, n, f, route, policy.max_terms)
     return _Samples(_sample_builder(pair, n, f, route))
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _shared_samples(
-    pair: PQPair, n: int, f: Union[FunctionSpec, tuple], route: str, max_terms: int
-) -> _Samples:
+def _shared_samples(pair: PQPair, n: int, f: FunctionSpec, route: str, max_terms: int) -> _Samples:
     """max_terms fixes the lengths at which ``_apply`` grows the samples, so
     every segment is the same whatever the calls before asked for."""
     return _Samples(_sample_builder(pair, n, f, route))
 
 
 def _sample_builder(
-    pair: PQPair, n: int, f: Union[FunctionSpec, Callable, tuple], route: str
+    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str
 ) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
     """build(k_start, k_count) of a route's samples: f at the nodes
     ("nodes"), sum_d c_d q^{2d} p^{d(n+k)} B(k+d+1, n-d) / B(k+1, n) over
-    the pairs (d, c_d) of f ("analytic"), or the ladder ratios."""
+    the nonzero coefficients c_d of the polynomial f ("analytic"), or the
+    ladder ratios."""
     if route == "quadrature":
         degree = _growth_degree(f)
         return lambda k_start, k_count: batched_weight_ratios(
             pair, n, k_count, f, degree, k_start
         )
     if route == "analytic":
+        terms = [(d, c) for d, c in enumerate(f.as_polynomial()) if c != 0.0]
 
         def values(k_start: int, k_count: int) -> np.ndarray:
             vals = np.zeros(k_count - k_start)
-            for d, c in f:
+            for d, c in terms:
                 vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count, k_start))
             return vals
 

@@ -26,6 +26,7 @@ from .analysis import (
     EvalGrid,
     ParameterSchedule,
     _rate_constant,
+    _rate_window,
     convergence_run,
     interval_rate_bound,
 )
@@ -318,7 +319,7 @@ def _bound_report(config: ExperimentConfig, out: Path) -> bool:
         pair = config.schedule.pair_at(n)
         try:
             bound = interval_rate_bound(pair, n, config.function, kappa, config.grid)
-            mu2_max = central_moment(pair, 2, n, xs[xs <= kappa]).max()
+            mu2_max = central_moment(pair, 2, n, _rate_window(xs, kappa)).max()
             rows.append([str(n), _fmt(kappa), _fmt(L), _fmt(mu2_max), _fmt(bound)])
         except DomainError:
             rows.append([str(n), _fmt(kappa), _fmt(L), "NA", "NA"])

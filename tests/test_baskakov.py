@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
@@ -286,6 +287,34 @@ class TestNodes:
                     / (q ** (k - 1) * pq_number(strict_pair, n))
                 )
                 assert rel_err(baskakov_node(strict_pair, n, k), want) < 1e-12
+
+    @staticmethod
+    def exact_node(p, q, n, k):
+        """p^{n-1} [k] / (q^{k-1} [n]) of the floats' exact binary values."""
+        p, q = Fraction(p), Fraction(q)
+        return p ** (n - 1) * (p**k - q**k) / (q ** (k - 1) * (p**n - q**n))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 50])
+    def test_near_p_equals_q_example(self, k):
+        # (p/q)^k - 1 cancels near p = q: at q/p = 1 - 1.1e-11 each of these
+        # nodes was 9.0e-6 off when that difference was taken as written
+        p, n = 0.9, 10
+        q = p * (1.0 - 1.1e-11)
+        got = Fraction(baskakov_node(PQPair(p, q), n, k))
+        assert abs(got / self.exact_node(p, q, n, k) - 1) < 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.floats(0.9, 1.0),
+        gap=st.floats(1e-15, 1e-3),
+        n=st.integers(1, 100),
+        k=st.integers(1, 200),
+    )
+    def test_matches_exact_near_p_equals_q(self, p, gap, n, k):
+        q = p * (1.0 - gap)
+        assume(q < p)
+        got = Fraction(baskakov_node(PQPair(p, q), n, k))
+        assert abs(got / self.exact_node(p, q, n, k) - 1) < 2e-15
 
 
 class TestOperator:

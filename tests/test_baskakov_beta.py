@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,41 @@ class TestMonomialExact:
     def test_classical_pair_rejected(self):
         with pytest.raises(RegimeError):
             baskakov_beta_monomial_exact(CLASSICAL, 1, 5, 1.0)
+
+    def test_is_the_analytic_route_of_t_to_the_m(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            p = rng.uniform(0.6, 1.0)
+            pair = PQPair(p, p * rng.uniform(0.5, 0.99))
+            m = rng.randrange(5)
+            n = rng.randint(m + 1, 60)
+            x = rng.choice([0.0, rng.uniform(0.0, 1.0), rng.uniform(1.0, 20.0)])
+            e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
+            want = baskakov_beta_apply(pair, e_m, n, x, method="analytic").value
+            got = baskakov_beta_monomial_exact(pair, m, n, x)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize(
+        "pair, m, n, x, error",
+        [
+            (CLASSICAL, 1, 5, 1.0, RegimeError),
+            (PQPair(0.8, 0.8), 1, 5, 1.0, RegimeError),
+            (PQPair(0.9, 0.8), 3, 3, 1.0, DomainError),  # n must exceed m
+            (PQPair(0.9, 0.8), 10**12, 10, 1.0, DomainError),  # refused before t^m is built
+            (PQPair(0.9, 0.8), -1, 5, 1.0, DomainError),
+            (PQPair(0.9, 0.8), 1.5, 5, 1.0, DomainError),
+            (PQPair(0.9, 0.8), math.nan, 5, 1.0, DomainError),
+            (PQPair(0.9, 0.8), 1, 0, 1.0, DomainError),
+            (PQPair(0.9, 0.8), 1, 5.5, 1.0, DomainError),
+            (PQPair(0.9, 0.8), 1, math.inf, 1.0, DomainError),
+            (PQPair(0.9, 0.8), 1, 5, -1.0, DomainError),
+            (PQPair(0.9, 0.8), 1, 5, math.nan, DomainError),
+            (PQPair(0.9, 0.8), 1, 5, math.inf, DomainError),
+        ],
+    )
+    def test_each_invalid_argument_is_refused(self, pair, m, n, x, error):
+        with pytest.raises(error):
+            baskakov_beta_monomial_exact(pair, m, n, x)
 
 
 class TestBetaOperator:
@@ -257,6 +293,49 @@ class TestQuadratureRoute:
             assert rel_err(got.value, float(want)) < 5e-12
 
 
+def exact_beta_factors(pair, n, m, k_count):
+    """q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for k < k_count, of the
+    pair's exact binary values, with B(a, b) = q^{1-a(a-1)/2} p^{-a(a+1)/2}
+    [a-1]! [b-1]! / [a+b-1]!: the two [n+k]! cancel, and of the other
+    factorials only m factors [j] each are left."""
+    p, q = Fraction(pair.p), Fraction(pair.q)
+
+    def numbers(lo, hi):  # [lo] [lo+1] ... [hi-1]
+        return math.prod((p**j - q**j) / (p - q) for j in range(lo, hi))
+
+    def prefactor(a):
+        return q ** (1 - a * (a - 1) // 2) / p ** (a * (a + 1) // 2)
+
+    return [
+        q ** (2 * m) * p ** (m * (n + k)) * prefactor(k + m + 1) / prefactor(k + 1)
+        * numbers(k + 1, k + m + 1) / numbers(n - m, n)
+        for k in range(k_count)
+    ]
+
+
+class TestLadderBetaIdentity:
+    """For f = t^m the ladder ratio of row k is the exact Beta factor of the
+    analytic route times p^{m(n+k)}: an oracle for the quadrature route at
+    p < 1 that uses no ladder code (worst seen 7.4e-15, and 6.2e-15 for the
+    factor against Fraction)."""
+
+    ROWS = 40
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "pair, n", [(PQPair(0.9, 0.8), 10), (PQPair(0.9, 0.8), 50), (PQPair(0.95, 0.9), 15)]
+    )
+    def test_ladder_ratios_are_the_beta_factors(self, pair, n, m):
+        e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
+        ratios, converged = quadrature.batched_weight_ratios(pair, n, self.ROWS, e_m, m)
+        factors = np.exp(baskakov._log_beta_ratio_factors(pair, n, m, self.ROWS))
+        k = np.arange(self.ROWS)
+        assert converged.all()
+        assert np.max(np.abs(ratios / (factors * pair.p ** (m * (n + k))) - 1.0)) < 1e-13
+        for factor, want in zip(factors.tolist(), exact_beta_factors(pair, n, m, self.ROWS)):
+            assert abs(Fraction(factor) / want - 1) < 1e-13
+
+
 def fraction_moment(q, m, n, x):
     """moments_closed at p = 1, in exact rational arithmetic."""
 
@@ -314,10 +393,9 @@ class TestSampleCache:
         # the q_ratio schedule at n = 150, where rows grow to 1,024 terms
         pair = PQPair(1.0, 150 / 151)
         route = "nodes" if apply is baskakov.baskakov_apply else "analytic"
-        f = POLY if route == "nodes" else tuple(enumerate(POLY.as_polynomial()))
         clear_sample_cache()
         cold = apply(pair, POLY, 150, x)
-        assert built_rows(pair, 150, f, route) == k_count  # grown to the row's length only
+        assert built_rows(pair, 150, POLY, route) == k_count  # grown to the row's length only
         clear_sample_cache()
         for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
             apply(pair, POLY, 150, other)
@@ -350,7 +428,8 @@ class TestSampleCache:
         assert second.value == pytest.approx(2.0 * first.value, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "f, route", [(ABS, "quadrature"), (((0, 1.0), (2, 3.0)), "analytic"), (POLY, "nodes")]
+        "f, route",
+        [(ABS, "quadrature"), (FunctionSpec.polynomial([1.0, 0.0, 3.0]), "analytic"), (POLY, "nodes")],
     )
     def test_cached_samples_are_read_only(self, f, route):
         for array in baskakov._shared_samples(self.PAIR, 5, f, route, 100).upto(4):
@@ -399,7 +478,7 @@ class TestNoRework:
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         self.evaluate_row(POLY, "analytic", grid_call)
-        final = built_rows(self.PAIR, self.N, tuple(enumerate(POLY.as_polynomial())), "analytic")
+        final = built_rows(self.PAIR, self.N, POLY, "analytic")
         assert final == 128
         assert rows == {0: final, 1: final, 2: final}
 
@@ -411,7 +490,7 @@ class TestNoRework:
             "analytic": sum(c * np.exp(baskakov._log_beta_ratio_factors(pair, n, d, k_count))
                             for d, c in coeffs),
         }
-        for f, route in ((POLY, "nodes"), (coeffs, "analytic"), (ABS, "quadrature")):
+        for f, route in ((POLY, "nodes"), (POLY, "analytic"), (ABS, "quadrature")):
             source = baskakov._Samples(baskakov._sample_builder(pair, n, f, route))
             for length in (64, 128, 256, 512):
                 s, ok = source.upto(length)
@@ -470,17 +549,17 @@ class TestLadderNodeCap:
         assert math.isfinite(res.value)
 
 
-def _counting_route(monkeypatch, name="_beta_apply_analytic"):
-    """Replace a route function of baskakov by one that records its calls'
+def _counting_kernel(monkeypatch):
+    """Replace the kernel of baskakov by one that records its calls'
     (n, grid points) and whether a cell table was open."""
     calls = []
-    real = getattr(baskakov, name)
+    real = baskakov._apply
 
-    def route(pair, f, n, xs, policy):
+    def kernel(pair, n, xs, policy, samples):
         calls.append((n, tuple(xs.tolist()), baskakov._RUN_CELLS.get() is not None))
-        return real(pair, f, n, xs, policy)
+        return real(pair, n, xs, policy, samples)
 
-    monkeypatch.setattr(baskakov, name, route)
+    monkeypatch.setattr(baskakov, "_apply", kernel)
     return calls
 
 
@@ -490,7 +569,7 @@ class TestCellTable:
     GRID = (0.0, 1.5, 3.0)
 
     def test_inside_a_table_a_repeated_cell_is_a_lookup(self, monkeypatch):
-        calls = _counting_route(monkeypatch)
+        calls = _counting_kernel(monkeypatch)
         with baskakov._cell_table(np.array(self.GRID)):
             first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
             again = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
@@ -504,7 +583,7 @@ class TestCellTable:
         assert baskakov._RUN_CELLS.get() is None  # dropped on exit
 
     def test_a_point_off_the_grid_is_computed_afresh(self, monkeypatch):
-        calls = _counting_route(monkeypatch)
+        calls = _counting_kernel(monkeypatch)
         with baskakov._cell_table(np.array(self.GRID)):
             for _ in range(2):
                 baskakov_beta_apply(self.PAIR, self.F, 10, 2.0)
@@ -512,7 +591,7 @@ class TestCellTable:
         assert calls == [(10, (2.0,), True)] * 2
 
     def test_calls_outside_a_run_both_recompute(self, monkeypatch):
-        calls = _counting_route(monkeypatch)
+        calls = _counting_kernel(monkeypatch)
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         assert calls == [(10, (1.5,), False)] * 2

@@ -210,6 +210,24 @@ path = out
         assert [r["n"] for r in rows] == ["5", "10"]
         assert all(float(r["rate_bound"]) > 0 for r in rows)
 
+    def test_bound_report_column_reads_the_points_of_the_bound(self, small_config, tmp_path):
+        # on [0, 2] x 21 the grid point at kappa = 0.7 is 0.7000000000000001;
+        # the bound takes it, so mu2_max must too (at n = 10 the column read
+        # 0.394, the moment at the point before, against 0.480 at this one)
+        config = validate_config(
+            small_config,
+            overrides=["run.outputs=bound-report", "run.kappa=0.7", "grid.stop=2"],
+        )
+        xs = config.grid.array()
+        assert xs[7] > 0.7
+        assert run_experiment(config, tmp_path / "out") == 0
+        rows = read_csv(tmp_path / "out" / "bound_report.csv")
+        want = [
+            repr(float(central_moment(config.schedule.pair_at(n), 2, n, xs[7])))
+            for n in config.n_list
+        ]
+        assert [r["mu2_max"] for r in rows] == want
+
     def test_unwritable_output_is_exit_one(self, small_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
@@ -472,26 +490,32 @@ def test_both_schedule_sections_is_one_message(tmp_path):
 _EVALUATING = pytest.mark.parametrize(
     "text, overrides, route",
     [
-        (FIGURE1_TEXT, [], "_beta_apply_analytic"),
-        (LADDER_TEXT, [], "_beta_apply_quadrature"),
+        (FIGURE1_TEXT, [], "analytic"),
+        (LADDER_TEXT, [], "quadrature"),
         # NA cells: the starved budget leaves the ladder unconverged
-        (LADDER_TEXT, ["policy.max_terms=10"], "_beta_apply_quadrature"),
+        (LADDER_TEXT, ["policy.max_terms=10"], "quadrature"),
     ],
     ids=["analytic", "quadrature", "starved"],
 )
 
 
 def _counting_cells(monkeypatch, route):
-    """Replace a route function of baskakov by one that records the (n, x)
-    cells of each of its calls."""
-    real = getattr(baskakov, route)
+    """Replace the kernel of baskakov by one that records the (n, x) cells
+    of each of its calls, and its sample sources by ones that refuse any
+    route but route."""
+    apply, source = baskakov._apply, baskakov._sample_source
     calls = []
 
-    def counting(pair, f, n, xs, policy):
+    def counting(pair, n, xs, policy, samples):
         calls.append([(n, x) for x in xs.tolist()])
-        return real(pair, f, n, xs, policy)
+        return apply(pair, n, xs, policy, samples)
 
-    monkeypatch.setattr(baskakov, route, counting)
+    def sampling(pair, n, f, name, policy):
+        assert name == route
+        return source(pair, n, f, name, policy)
+
+    monkeypatch.setattr(baskakov, "_apply", counting)
+    monkeypatch.setattr(baskakov, "_sample_source", sampling)
     return calls
 
 
@@ -526,7 +550,7 @@ def test_a_shared_run_writes_the_bytes_of_single_runs(text, overrides, route, tm
 
 
 def test_outputs_without_operator_cells_evaluate_none(small_config, tmp_path, monkeypatch):
-    calls = _counting_cells(monkeypatch, "_beta_apply_analytic")
+    calls = _counting_cells(monkeypatch, "analytic")
     config = validate_config(small_config, ["run.outputs=moments, bound-report", "grid.stop=3"])
     assert run_experiment(config, tmp_path / "out") == 0
     assert calls == []
