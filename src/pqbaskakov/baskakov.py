@@ -78,6 +78,7 @@ from .core import (
     TruncationPolicy,
     _check_nonneg_int,
     _log_fact_table,
+    pq_derivative,
     pq_number,
 )
 from .functions import FunctionSpec, as_callable
@@ -360,7 +361,7 @@ def verify_baskakov_recurrence(
         return baskakov_apply(pair, e_m, n, at, policy).value
 
     t_next = baskakov_apply(pair, e_m1, n, q * x, policy).value
-    derivative = (t_m(p * x) - t_m(q * x)) / ((p - q) * x)
+    derivative = pq_derivative(pair, t_m, x)
     nn = pq_number(pair, n)
     lhs = nn * t_next
     rhs = q * p ** (n - 1) * x * (1.0 + p * x) * derivative + nn * q * x * t_m(q * x)

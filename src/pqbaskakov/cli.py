@@ -34,7 +34,7 @@ from .baskakov import _cell_table, baskakov_beta_apply, central_moment, moments_
 from .core import DEFAULT_POLICY, DomainError, PQPair, RegimeError, TruncationPolicy
 from .functions import FunctionSpec
 
-__all__ = ["ConfigurationError", "ExperimentConfig", "validate_config", "run_experiment", "main"]
+__all__ = ["ConfigurationError", "ExperimentConfig", "validate_config", "run_experiment"]
 
 _OUTPUT_KINDS = ("curves", "moments", "convergence", "bound-report")  # in the order run writes
 _DEFAULT_N_LIST = (10, 20, 50, 100)
@@ -151,7 +151,7 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     for kind in outputs:
         if kind not in _OUTPUT_KINDS:
             problems.append(f"[run] unknown output {kind!r}; known: {_OUTPUT_KINDS}")
-    kappa = option("run", "kappa", float, 2.0)
+    kappa = option("run", "kappa", float, ExperimentConfig.kappa)
 
     # moments of order 2 (and the Beta-weighted operator itself for degree-2
     # targets) exist only for n > 2

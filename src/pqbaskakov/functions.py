@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DomainError
 
-__all__ = ["FunctionSpec", "NAMED_FUNCTIONS", "as_callable"]
+__all__ = ["FunctionSpec", "NAMED_FUNCTIONS"]
 
 ArrayLike = Union[float, np.ndarray]
 

@@ -236,7 +236,7 @@ def verify_integration_by_parts(
         return upper - lower
 
     lhs = range_integral(left_integrand)
-    boundary = float(F(b)) * float(G(b)) - (float(F(a)) * float(G(a)) if a > 0.0 else float(F(0.0)) * float(G(0.0)))
+    boundary = float(F(b)) * float(G(b)) - float(F(a)) * float(G(a))
     rhs = boundary - range_integral(right_integrand)
     return abs(lhs - rhs)
 

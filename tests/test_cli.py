@@ -269,6 +269,18 @@ path = out
         rows = read_csv(out / "curves.csv")
         assert any(r["D_n=5"] == "NA" for r in rows)
 
+    def test_run_command_writes_the_bytes_of_run_experiment(self, tmp_path):
+        path = str(cli._builtin_config_path("figure1"))
+        overrides = ["run.n_list=10,20", "grid.points=11"]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["run", path, *flags, "--out", str(tmp_path / "main")]) == 0
+        assert run_experiment(validate_config(path, overrides), tmp_path / "direct") == 0
+        names = sorted(file.name for file in (tmp_path / "main").iterdir())
+        assert names == sorted(file.name for file in (tmp_path / "direct").iterdir())
+        assert {"curves.csv", "moments.csv"} <= set(names)
+        for name in names:
+            assert (tmp_path / "main" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
 
 class TestFiguresCommand:
     def test_figures_writes_both_demos(self, tmp_path):

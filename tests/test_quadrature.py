@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
+    DEFAULT_POLICY,
     DomainError,
     FunctionSpec,
     PQPair,
@@ -148,6 +149,15 @@ class TestImproperIntegral:
     def test_divergent_integrand_is_flagged_not_raised(self):
         res = improper_integral(PQPair(0.9, 0.8), lambda t: 1.0, TruncationPolicy(max_terms=500))
         assert not res.converged
+
+    def test_divergent_integrand_stops_at_the_node_cap(self):
+        # at the default budget the ladder weight passes _NODE_CAP first: the
+        # backward direction alone may take max_terms terms, and without the
+        # cap the sum would run on towards the float overflow
+        res = improper_integral(PQPair(0.9, 0.8), lambda t: 1.0)
+        assert not res.converged
+        assert res.terms_used < DEFAULT_POLICY.max_terms
+        assert res.value < quadrature._NODE_CAP
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(RegimeError):
