@@ -29,7 +29,7 @@ from .core import (
     TruncationPolicy,
     _check_nonneg_int,
 )
-from .baskakov import baskakov_beta_apply, central_moment
+from .baskakov import _cell_table, baskakov_beta_apply, central_moment
 from .functions import FunctionSpec, as_callable
 
 __all__ = [
@@ -280,12 +280,17 @@ def interval_rate_bound(
 
 def _grid_errors(
     pair: PQPair, n: int, f: FunctionSpec, xs: np.ndarray, fv: np.ndarray, policy: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D_n(f, x) at each grid point x, |D_n(f, x) - f(x)|, and that error
-    in the weight sigma(x) = 1 + x^2 of the polynomial-growth class."""
-    dv = np.array([baskakov_beta_apply(pair, f, n, float(x), policy).value for x in xs])
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """|D_n(f, x) - f(x)| at each grid point x, that error in the weight
+    sigma(x) = 1 + x^2 of the polynomial-growth class, and whether every
+    cell is trusted and finite.  The row is one kernel pass, in a cell
+    table on xs (the run's own when it is open on the same grid)."""
+    with _cell_table(xs):
+        cells = [baskakov_beta_apply(pair, f, n, float(x), policy) for x in xs]
+    dv = np.array([cell.value for cell in cells])
     err = np.abs(dv - fv)
-    return dv, err, err / (1.0 + xs**2)
+    ok = all(cell.trusted for cell in cells) and bool(np.isfinite(dv).all())
+    return err, err / (1.0 + xs**2), ok
 
 
 def weighted_sup_error(
@@ -304,7 +309,7 @@ def weighted_sup_error(
     f.require_growth_bound()
     xs = grid.array()
     fv = np.asarray(as_callable(f)(xs), dtype=float)
-    weighted = _grid_errors(pair, n, f, xs, fv, policy)[2]
+    weighted = _grid_errors(pair, n, f, xs, fv, policy)[1]
     if len(weighted) >= 2 and weighted[-1] > weighted[-2]:
         logger.info(
             "weighted error still increasing at the right edge (x = %.3g); "
@@ -334,10 +339,10 @@ def convergence_run(
 ) -> list[ConvergenceRow]:
     """One row per n: measured errors plus the worst central second moment.
 
-    A failing row is marked (NaN fields, ok=False) without aborting the run,
-    and so is a row with a non-finite operator value (its error fields are
-    then non-finite too); the output order follows n_list.  A row whose n is
-    not a whole number fails and keeps that n as given.
+    A failing row is marked (NaN fields, ok=False) without aborting the run;
+    a row built on an untrusted or non-finite operator value keeps its
+    fields but is marked ok=False too.  The output order follows n_list.  A
+    row whose n is not a whole number fails and keeps that n as given.
     """
     rows: list[ConvergenceRow] = []
     xs = grid.array()
@@ -349,7 +354,7 @@ def convergence_run(
             pair = schedule.pair_at(order)
             if order <= 2:
                 raise DomainError(f"convergence rows need n > 2, got n={order}")
-            dv, err, weighted = _grid_errors(pair, order, f, xs, fv, policy)
+            err, weighted, ok = _grid_errors(pair, order, f, xs, fv, policy)
             rows.append(
                 ConvergenceRow(
                     n=order,
@@ -358,7 +363,7 @@ def convergence_run(
                     sup_error=float(err.max()),
                     weighted_error=float(weighted.max()),
                     mu2_max=float(central_moment(pair, 2, order, xs).max()),
-                    ok=bool(np.isfinite(dv).all()),
+                    ok=ok,
                 )
             )
         except (DomainError, RegimeError) as exc:

@@ -13,8 +13,9 @@ Beta-weighted operator (sample integrals instead of point samples):
 
 Both operators are sum_k b_{n,k}(x) s_k with x-independent samples s_k, so
 every entry checks its arguments, resolves its route once and calls the one
-kernel, ``_apply``, with that route's ``_sample_source``; the kernel grows
-the basis row, sums it against the samples and decides truncation and trust.
+kernel, ``_apply``, with a fresh ``_Samples`` source of that route; the
+kernel grows the basis row, sums it against the samples and decides
+truncation and trust.
 The routes differ only in their samples, and share none of them:
   * "nodes" (``baskakov_apply``, the plain B_n) - f at the nodes,
   * "analytic" (``baskakov_beta_apply`` of a polynomial ``FunctionSpec`` by
@@ -37,23 +38,23 @@ of float64 per matrix; a few such matrices are alive at once), so a long
 grid costs memory independent of its length.
 
 The samples grow the same way: a ``_Samples`` source appends only the new
-k, so each s_k is computed once, and x = 0 reads row 0 of the first
-segment.  Sources of ``FunctionSpec`` targets are kept in one bounded LRU
-keyed by (pair, n, f, route, max_terms), with f the spec itself; max_terms
-fixes the segment lengths, so a cell never depends on earlier calls.  A
-plain callable is sampled afresh on every call.
+k, so each s_k of a kernel call is computed once, and x = 0 reads row 0 of
+the first segment.  A source lives for one kernel call, so no cell depends
+on the calls made before it.
 
-One level up, an experiment run asks ``baskakov_beta_apply`` for the cells
-of whole grid rows, one (n, x) at a time, and twice when it writes both
-curves and convergence.  ``run_experiment`` opens a cell table
-(``_cell_table``) for every run: a context variable holding the run's grid
-and its evaluated rows, keyed by (pair, f, n, policy, method).  The first
-call for a grid point of a row evaluates the whole row in one kernel call;
-every other call is an index lookup, so every call still passes through
-``baskakov_beta_apply``.  As with the sample cache, only ``FunctionSpec``
-targets are kept; a point off the grid, a row that raises and any call
-outside a run are computed afresh, and the table is dropped when the run
-ends, so it needs no size bound and cannot go stale.
+The one cache of operator work is one level up.  An experiment run, and
+``convergence_run`` / ``weighted_sup_error``, ask ``baskakov_beta_apply``
+for the cells of whole grid rows, one (n, x) at a time.  Inside a cell
+table (``_cell_table``: a context variable holding a grid and its evaluated
+rows, keyed by (pair, f, n, policy, method)) the first call for a grid
+point of a row evaluates the whole row in one kernel call and every other
+call is an index lookup, so every call still passes through
+``baskakov_beta_apply``.  ``run_experiment`` opens one for every run, and
+the analysis layer one per grid row, which reuses the run's table when the
+grids are equal.  Only ``FunctionSpec`` targets are kept; a point off the
+grid, a row that raises and any call outside a table are computed afresh,
+and a table is dropped when its block ends, so it needs no size bound and
+cannot go stale.
 
 The basis is a probability distribution over k (partition of unity), so
 truncation is driven by accumulated mass plus the size of the sample-weighted
@@ -66,7 +67,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -98,7 +98,6 @@ __all__ = [
 ]
 
 _EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
-_SAMPLE_CACHE_SIZE = 32  # growing sample vectors held by the one sample cache
 _ROW_ENTRIES = 1 << 18  # most basis-row entries a block of grid points holds (2 MiB)
 
 
@@ -216,23 +215,19 @@ def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
 
 class _Samples:
     """The samples s_k of one (pair, n, f) row, with a trust flag per k, as
-    one read-only vector that grows by build(k_start, k_count) of the new
-    rows only.  It is replaced in one assignment, never written, so a read
-    racing a growth sees one whole vector or the other."""
+    one vector that grows by build(k_start, k_count) of the new rows only."""
 
     def __init__(self, build: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> None:
         self._build = build
-        self._vector = (np.empty(0), np.empty(0, dtype=bool))
+        self._s, self._ok = np.empty(0), np.empty(0, dtype=bool)
 
     def upto(self, k_count: int) -> tuple[np.ndarray, np.ndarray]:
         """(s, ok) for k = 0..k_count-1."""
-        s, ok = self._vector
-        if s.size < k_count:
-            new_s, new_ok = self._build(s.size, k_count)
-            s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
-            s.flags.writeable = ok.flags.writeable = False
-            self._vector = (s, ok)
-        return s[:k_count], ok[:k_count]
+        if self._s.size < k_count:
+            new_s, new_ok = self._build(self._s.size, k_count)
+            self._s = np.concatenate([self._s, new_s])
+            self._ok = np.concatenate([self._ok, new_ok])
+        return self._s[:k_count], self._ok[:k_count]
 
 
 def _apply(
@@ -318,7 +313,7 @@ def baskakov_apply(
     """B_n(f, x) by direct summation of basis weights against node samples."""
     _require_basis_regime(pair)
     n = _check_point(n, x)
-    samples = _sample_source(pair, n, f, "nodes", policy)
+    samples = _Samples(_sample_builder(pair, n, f, "nodes"))
     return _apply(pair, n, np.array([x], dtype=float), policy, samples)[0]
 
 
@@ -431,14 +426,14 @@ def _check_degree(n: int, degree: int) -> None:
 
 
 class _RunCells(NamedTuple):
-    """The evaluated grid rows of one experiment run."""
+    """The evaluated grid rows of one cell table."""
 
-    xs: np.ndarray  # the run's grid
+    xs: np.ndarray  # the table's grid
     index: dict[float, int]  # grid point -> its position in xs
     rows: dict[tuple, list[OperatorResult]]  # (pair, f, n, policy, method) -> results over xs
 
 
-# The cell table of the current experiment run; None outside a run.
+# The open cell table; None outside every ``_cell_table`` block.
 _RUN_CELLS: ContextVar[Optional[_RunCells]] = ContextVar("pqbaskakov_run_cells", default=None)
 
 
@@ -449,8 +444,13 @@ def _cell_table(grid: np.ndarray) -> Iterator[None]:
     grid row of its (pair, f, n, policy, method), which the first such call
     evaluates in one kernel pass (every grid point lies in [0, inf), as
     those of an ``EvalGrid`` do).  A row whose evaluation raises is not
-    kept, and the table is dropped on exit."""
+    kept.  An open table on an equal grid serves the block; otherwise the
+    block has its own table, dropped on exit."""
     xs = np.asarray(grid, dtype=float)
+    cells = _RUN_CELLS.get()
+    if cells is not None and np.array_equal(cells.xs, xs):
+        yield
+        return
     token = _RUN_CELLS.set(_RunCells(xs, dict(zip(xs.tolist(), range(xs.size))), {}))
     try:
         yield
@@ -509,24 +509,7 @@ def _beta_apply(
         raise DomainError("analytic evaluation needs a polynomial FunctionSpec")
     _check_degree(n, _growth_degree(f))
     route = "quadrature" if method == "quadrature" or not polynomial else "analytic"
-    return _apply(pair, n, xs, policy, _sample_source(pair, n, f, route, policy))
-
-
-def _sample_source(
-    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, policy: TruncationPolicy
-) -> _Samples:
-    """The samples of a route at (pair, n): shared for a FunctionSpec, which
-    is frozen, fresh for a plain callable, which may carry state."""
-    if isinstance(f, FunctionSpec):
-        return _shared_samples(pair, n, f, route, policy.max_terms)
-    return _Samples(_sample_builder(pair, n, f, route))
-
-
-@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _shared_samples(pair: PQPair, n: int, f: FunctionSpec, route: str, max_terms: int) -> _Samples:
-    """max_terms fixes the lengths at which ``_apply`` grows the samples, so
-    every segment is the same whatever the calls before asked for."""
-    return _Samples(_sample_builder(pair, n, f, route))
+    return _apply(pair, n, xs, policy, _Samples(_sample_builder(pair, n, f, route)))
 
 
 def _sample_builder(

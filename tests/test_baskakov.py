@@ -202,7 +202,7 @@ class TestGridKernel:
     # summed at the length of the longest row, the short row's value moves
     @example(pair=CLASSICAL, n=99, xs=[0.5, 37.0], max_terms=10000, row_entries=1 << 18,
              earlier=3)
-    # a ladder whose samples were first grown to another budget's lengths
+    # a ladder evaluated first under another budget
     @example(pair=PQPair(0.9, 0.8), n=10, xs=[0.0, 40.0], max_terms=10000, row_entries=150,
              earlier=100)
     @given(
@@ -219,15 +219,16 @@ class TestGridKernel:
         """Every OperatorResult field of a grid cell equals, exactly, that of
         the same point evaluated alone and that of the per-point loop over a
         fresh sample source, with or without the origin in the grid, however
-        the grid is split in blocks, and after the shared samples were grown
-        for another max_terms."""
+        the grid is split in blocks, and after an evaluation under another
+        max_terms (so no state survives between calls)."""
         grid, policy = np.array(xs), TruncationPolicy(max_terms=max_terms)
         builders = route_builders(pair, n, self.F)
 
         def route(name, f, method=None):
             if method is None:  # the plain operator
                 return lambda points, policy: baskakov._apply(
-                    pair, n, points, policy, baskakov._sample_source(pair, n, f, name, policy)
+                    pair, n, points, policy,
+                    baskakov._Samples(baskakov._sample_builder(pair, n, f, name)),
                 )
             return lambda points, policy: baskakov._beta_apply(pair, f, n, points, policy, method)
 
@@ -237,7 +238,6 @@ class TestGridKernel:
             # the ladder's bands widen as q/p nears 1; keep its cost small
             if n <= 40 and pair.ratio <= 0.95:
                 routes.append(("quadrature", route("quadrature", ABS, "quadrature")))
-        baskakov._shared_samples.cache_clear()
         positive = grid[grid > 0.0]
         with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
             for name, grid_route in routes:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from pqbaskakov import (
     DEFAULT_POLICY,
     DomainError,
+    EvalGrid,
     FunctionSpec,
+    ParameterSchedule,
     PQPair,
     RegimeError,
     TruncationPolicy,
@@ -18,10 +20,12 @@ from pqbaskakov import (
     baskakov_beta_apply,
     baskakov_beta_monomial_exact,
     central_moment,
+    convergence_run,
     moments_closed,
+    weighted_sup_error,
 )
 
-from pqbaskakov import baskakov, quadrature
+from pqbaskakov import analysis, baskakov, quadrature
 
 from conftest import CLASSICAL, rel_err
 
@@ -356,16 +360,28 @@ ABS = FunctionSpec.named("abs_t_minus_1")
 POLY = FunctionSpec.polynomial([7.0, -2.0, 25.0])
 
 
-def clear_sample_cache():
-    baskakov._shared_samples.cache_clear()
+def recording_builds(monkeypatch):
+    """Record the (k_start, k_count) of every sample segment built."""
+    builds = []
+    real = baskakov._sample_builder
+
+    def builder(*args):
+        build = real(*args)
+
+        def recording(k_start, k_count):
+            builds.append((k_start, k_count))
+            return build(k_start, k_count)
+
+        return recording
+
+    monkeypatch.setattr(baskakov, "_sample_builder", builder)
+    return builds
 
 
-def built_rows(pair, n, f, route, policy=DEFAULT_POLICY):
-    """How many rows the shared sample source of (pair, n, f, route) holds."""
-    return baskakov._shared_samples(pair, n, f, route, policy.max_terms)._vector[0].size
+class TestSampleSource:
+    """A kernel call grows one fresh sample source, so no cell depends on
+    the calls made before it."""
 
-
-class TestSampleCache:
     PAIR = PQPair(0.95, 0.9)
 
     @pytest.mark.parametrize(
@@ -373,44 +389,24 @@ class TestSampleCache:
     )
     @pytest.mark.parametrize("x", [0.0, 0.05, 20.0])
     def test_warm_result_equals_cold(self, f, method, x):
-        cache = baskakov._shared_samples
-        clear_sample_cache()
         cold = baskakov_beta_apply(self.PAIR, f, 20, x, method=method)
-        # one growing source, also where the row regrew from 64 to 128 terms
-        assert cache.cache_info().misses == 1
-        # warm the cache from other points first, then repeat x
-        clear_sample_cache()
         for other in (0.0, 0.05, 20.0, 3.0):
             baskakov_beta_apply(self.PAIR, f, 20, other, method=method)
-        hits = cache.cache_info().hits
         warm = baskakov_beta_apply(self.PAIR, f, 20, x, method=method)
-        assert cache.cache_info().hits > hits
         assert warm == cold  # every OperatorResult field, exactly
 
     @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, baskakov_beta_apply])
     @pytest.mark.parametrize("x, k_count", [(1e-3, 64), (1.0, 256), (5.0, 512), (20.0, 1024)])
-    def test_long_rows_warm_equal_cold(self, apply, x, k_count):
+    def test_samples_grow_to_the_row_length_only(self, monkeypatch, apply, x, k_count):
         # the q_ratio schedule at n = 150, where rows grow to 1,024 terms
         pair = PQPair(1.0, 150 / 151)
-        route = "nodes" if apply is baskakov.baskakov_apply else "analytic"
-        clear_sample_cache()
+        builds = recording_builds(monkeypatch)
         cold = apply(pair, POLY, 150, x)
-        assert built_rows(pair, 150, POLY, route) == k_count  # grown to the row's length only
-        clear_sample_cache()
+        lengths = [64 << i for i in range(k_count.bit_length() - 6)]
+        assert builds == list(zip([0] + lengths[:-1], lengths))  # each new k once
         for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
             apply(pair, POLY, 150, other)
         assert apply(pair, POLY, 150, x) == cold
-
-    def test_size_stays_bounded(self):
-        cache = baskakov._shared_samples
-        clear_sample_cache()
-        for n in range(3, 3 + baskakov._SAMPLE_CACHE_SIZE):
-            baskakov_beta_apply(self.PAIR, POLY, n, 20.0)
-            baskakov_beta_apply(self.PAIR, ABS, n, 0.0)
-            info = cache.cache_info()
-            assert info.maxsize == baskakov._SAMPLE_CACHE_SIZE
-            assert info.currsize <= info.maxsize
-        assert cache.cache_info().currsize == baskakov._SAMPLE_CACHE_SIZE
 
     def test_plain_callable_is_sampled_on_every_call(self):
         scale = [1.0]
@@ -427,30 +423,22 @@ class TestSampleCache:
         assert evaluations > 0 and len(calls) == 2 * evaluations
         assert second.value == pytest.approx(2.0 * first.value, rel=1e-13)
 
-    @pytest.mark.parametrize(
-        "f, route",
-        [(ABS, "quadrature"), (FunctionSpec.polynomial([1.0, 0.0, 3.0]), "analytic"), (POLY, "nodes")],
-    )
-    def test_cached_samples_are_read_only(self, f, route):
-        for array in baskakov._shared_samples(self.PAIR, 5, f, route, 100).upto(4):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
-
 
 class TestNoRework:
-    """Each sample of a (pair, n, f) row is built once, by appending the new
-    rows of each longer segment, and the segments concatenate to the
-    one-shot vector."""
+    """Each sample of a (pair, n, f) grid row is built once, by appending
+    the new rows of each longer segment, and the segments concatenate to
+    the one-shot vector.  A per-point loop does so only inside an open
+    cell table, which answers it from one grid-row evaluation."""
 
     PAIR, N = PQPair(0.95, 0.9), 20
     GRID = np.linspace(0.0, 60.0, 21)
 
     def evaluate_row(self, f, method, grid_call):
-        clear_sample_cache()
         if grid_call:
             return baskakov._beta_apply(self.PAIR, f, self.N, self.GRID, DEFAULT_POLICY, method)
-        return [baskakov_beta_apply(self.PAIR, f, self.N, x, method=method) for x in self.GRID]
+        with baskakov._cell_table(self.GRID):
+            return [baskakov_beta_apply(self.PAIR, f, self.N, float(x), method=method)
+                    for x in self.GRID]
 
     @pytest.mark.parametrize("grid_call", [True, False], ids=["grid", "per-point"])
     def test_ladder_rows_are_built_once(self, monkeypatch, grid_call):
@@ -463,9 +451,8 @@ class TestNoRework:
 
         monkeypatch.setattr(quadrature, "_band_sums", recording)
         cells = self.evaluate_row(ABS, "quadrature", grid_call)
-        final = built_rows(self.PAIR, self.N, ABS, "quadrature")
-        assert final == 128 and max(c.k_terms_used for c in cells) > 64  # two segments
-        assert sorted(rows) == list(range(final))
+        assert max(c.k_terms_used for c in cells) > 64  # two segments
+        assert sorted(rows) == list(range(128))
 
     @pytest.mark.parametrize("grid_call", [True, False], ids=["grid", "per-point"])
     def test_beta_factors_are_built_once(self, monkeypatch, grid_call):
@@ -477,10 +464,9 @@ class TestNoRework:
             return real(pair, n, m, k_count, k_start)
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
-        self.evaluate_row(POLY, "analytic", grid_call)
-        final = built_rows(self.PAIR, self.N, POLY, "analytic")
-        assert final == 128
-        assert rows == {0: final, 1: final, 2: final}
+        cells = self.evaluate_row(POLY, "analytic", grid_call)
+        assert max(c.k_terms_used for c in cells) > 64  # two segments
+        assert rows == {0: 128, 1: 128, 2: 128}
 
     def test_segments_equal_the_one_shot_vectors(self):
         pair, n, k_count = self.PAIR, self.N, 512
@@ -520,7 +506,6 @@ class TestLadderNodeCap:
     @pytest.mark.parametrize("q", [0.89999, 0.8999999])
     def test_a_huge_budget_does_not_lift_the_node_cap(self, monkeypatch, q):
         # the first band needs about 4.65e6 (q = 0.89999) or 4.65e8 nodes
-        clear_sample_cache()
         windows = []
         real = quadrature._LadderWindow
 
@@ -596,12 +581,9 @@ class TestCellTable:
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         assert calls == [(10, (1.5,), False)] * 2
         # a result kept across direct calls would hide this change
-        clear_sample_cache()
         before = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
         monkeypatch.setattr(quadrature, "_LADDER_NODES", 5)
-        clear_sample_cache()
         after = baskakov_beta_apply(self.PAIR, ABS, 10, 1.0, method="quadrature")
-        clear_sample_cache()
         assert before.trusted and math.isfinite(before.value)
         assert not after.trusted and math.isnan(after.value)
 
@@ -626,6 +608,58 @@ class TestCellTable:
                 with pytest.raises(DomainError):
                     baskakov_beta_apply(self.PAIR, self.F, 2, 1.5)  # n must exceed the degree
             assert baskakov._RUN_CELLS.get().rows == {}
+
+    def test_a_nested_table_on_an_equal_grid_is_the_open_one(self, monkeypatch):
+        calls = _counting_kernel(monkeypatch)
+        with baskakov._cell_table(np.array(self.GRID)):
+            outer = baskakov._RUN_CELLS.get()
+            first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+            with baskakov._cell_table(np.array(self.GRID)):
+                assert baskakov._RUN_CELLS.get() is outer
+                assert baskakov_beta_apply(self.PAIR, self.F, 10, 1.5) is first
+                baskakov_beta_apply(self.PAIR, self.F, 10, 3.0)
+            assert baskakov._RUN_CELLS.get() is outer
+        assert calls == [(10, self.GRID, True)]
+        assert baskakov._RUN_CELLS.get() is None
+
+    def test_a_nested_table_on_another_grid_is_dropped_on_exit(self, monkeypatch):
+        calls = _counting_kernel(monkeypatch)
+        other = (0.0, 2.0)
+        with baskakov._cell_table(np.array(self.GRID)):
+            outer = baskakov._RUN_CELLS.get()
+            first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
+            with baskakov._cell_table(np.array(other)):
+                assert baskakov._RUN_CELLS.get() is not outer
+                baskakov_beta_apply(self.PAIR, self.F, 10, 2.0)
+                baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)  # off this grid
+            assert baskakov._RUN_CELLS.get() is outer and len(outer.rows) == 1
+            assert baskakov_beta_apply(self.PAIR, self.F, 10, 1.5) is first
+        assert calls == [(10, self.GRID, True), (10, other, True), (10, (1.5,), True)]
+        assert baskakov._RUN_CELLS.get() is None
+
+    @pytest.mark.parametrize("f", [F, ABS], ids=["analytic", "quadrature"])
+    def test_analysis_evaluates_each_grid_row_once(self, monkeypatch, f):
+        # outside a run, each row of convergence_run and weighted_sup_error
+        # is one kernel call over the whole grid
+        grid = EvalGrid(0.0, 3.0, 7)
+        xs = tuple(grid.array().tolist())
+        cells = []
+        real = analysis.baskakov_beta_apply
+
+        def recording(pair, f, n, x, policy):
+            cells.append((pair, n, x, policy, real(pair, f, n, x, policy)))
+            return cells[-1][-1]
+
+        monkeypatch.setattr(analysis, "baskakov_beta_apply", recording)
+        calls = _counting_kernel(monkeypatch)
+        convergence_run(ParameterSchedule.fixed(self.PAIR), f, [5, 10], grid)
+        weighted_sup_error(self.PAIR, 10, f, grid)
+        assert calls == [(5, xs, True), (10, xs, True), (10, xs, True)]
+        assert [(n, x) for _, n, x, _, _ in cells] == [(n, x) for n in (5, 10, 10) for x in xs]
+        for pair, n, x, policy, cell in cells:
+            alone = baskakov._beta_apply(pair, f, n, np.array([x]), policy, "auto")[0]
+            assert repr(cell) == repr(alone)  # bitwise, every field
+        assert baskakov._RUN_CELLS.get() is None
 
 
 # every operator entry point, called at order n and point x

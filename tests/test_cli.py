@@ -14,6 +14,7 @@ from pqbaskakov import (
     ConfigurationError,
     PQPair,
     central_moment,
+    convergence_run,
     moments_closed,
     run_experiment,
     validate_config,
@@ -328,6 +329,8 @@ path = out
 
 
 def test_curves_do_not_depend_on_the_sample_caches(tmp_path, monkeypatch):
+    # the run's cell table is the one cache of operator work: the curves it
+    # serves equal those of cold 1-point calls made outside every table
     path = tmp_path / "ladder.cfg"
     path.write_text(LADDER_TEXT)
     config = validate_config(path)
@@ -336,13 +339,33 @@ def test_curves_do_not_depend_on_the_sample_caches(tmp_path, monkeypatch):
     apply = cli.baskakov_beta_apply
 
     def cold_apply(*args, **kwargs):
-        baskakov._shared_samples.cache_clear()
-        return apply(*args, **kwargs)
+        token = baskakov._RUN_CELLS.set(None)
+        try:
+            return apply(*args, **kwargs)
+        finally:
+            baskakov._RUN_CELLS.reset(token)
 
     monkeypatch.setattr(cli, "baskakov_beta_apply", cold_apply)
     assert run_experiment(config, tmp_path / "cold") == 0
     shared = (tmp_path / "shared" / "curves.csv").read_bytes()
     assert shared == (tmp_path / "cold" / "curves.csv").read_bytes()
+
+
+# the ladder config starved to 8 outer terms: every cell with x >= 1 is truncated
+TRUNCATED = ["run.n_list=10, 20", "grid.stop=5", "grid.points=6", "policy.max_terms=8"]
+
+
+def test_a_convergence_row_on_truncated_cells_is_not_ok(tmp_path):
+    path = tmp_path / "ladder.cfg"
+    path.write_text(LADDER_TEXT)
+    config = validate_config(path, [*TRUNCATED, "run.outputs=convergence"])
+    rows = convergence_run(config.schedule, config.function, config.n_list, config.grid, config.policy)
+    # the errors are still measured and written, but the rows are flagged
+    assert [round(r.sup_error, 2) for r in rows] == [3.98, 4.0]
+    assert [r.ok for r in rows] == [False, False]
+    for outputs in ("convergence", "curves"):
+        config = validate_config(path, [*TRUNCATED, f"run.outputs={outputs}"])
+        assert run_experiment(config, tmp_path / outputs) == 2
 
 
 def _config(tmp_path, head, run):
@@ -513,21 +536,21 @@ _EVALUATING = pytest.mark.parametrize(
 
 def _counting_cells(monkeypatch, route):
     """Replace the kernel of baskakov by one that records the (n, x) cells
-    of each of its calls, and its sample sources by ones that refuse any
+    of each of its calls, and its sample builders by ones that refuse any
     route but route."""
-    apply, source = baskakov._apply, baskakov._sample_source
+    apply, builder = baskakov._apply, baskakov._sample_builder
     calls = []
 
     def counting(pair, n, xs, policy, samples):
         calls.append([(n, x) for x in xs.tolist()])
         return apply(pair, n, xs, policy, samples)
 
-    def sampling(pair, n, f, name, policy):
+    def sampling(pair, n, f, name):
         assert name == route
-        return source(pair, n, f, name, policy)
+        return builder(pair, n, f, name)
 
     monkeypatch.setattr(baskakov, "_apply", counting)
-    monkeypatch.setattr(baskakov, "_sample_source", sampling)
+    monkeypatch.setattr(baskakov, "_sample_builder", sampling)
     return calls
 
 
