@@ -283,14 +283,12 @@ def _grid_errors(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """|D_n(f, x) - f(x)| at each grid point x, that error in the weight
     sigma(x) = 1 + x^2 of the polynomial-growth class, and whether every
-    cell is trusted and finite.  The row is one kernel pass, in a cell
-    table on xs (the run's own when it is open on the same grid)."""
+    cell is trusted.  The row is one kernel pass, in a cell table on xs
+    (the run's own when it is open on the same grid)."""
     with _cell_table(xs):
         cells = [baskakov_beta_apply(pair, f, n, float(x), policy) for x in xs]
-    dv = np.array([cell.value for cell in cells])
-    err = np.abs(dv - fv)
-    ok = all(cell.trusted for cell in cells) and bool(np.isfinite(dv).all())
-    return err, err / (1.0 + xs**2), ok
+    err = np.abs(np.array([cell.value for cell in cells]) - fv)
+    return err, err / (1.0 + xs**2), all(cell.trusted for cell in cells)
 
 
 def weighted_sup_error(
@@ -300,7 +298,8 @@ def weighted_sup_error(
     grid: EvalGrid,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Discrete sup over the grid of |D_n(f, x) - f(x)| / (1 + x^2).
+    """Discrete sup over the grid of |D_n(f, x) - f(x)| / (1 + x^2); NaN
+    unless every operator value on the grid is trusted (as ConvergenceRow.ok).
 
     The grid should reach far enough right that the weighted error is
     decreasing at the edge; a non-decreasing edge is logged as a hint that
@@ -309,14 +308,14 @@ def weighted_sup_error(
     f.require_growth_bound()
     xs = grid.array()
     fv = np.asarray(as_callable(f)(xs), dtype=float)
-    weighted = _grid_errors(pair, n, f, xs, fv, policy)[1]
+    _, weighted, trusted = _grid_errors(pair, n, f, xs, fv, policy)
     if len(weighted) >= 2 and weighted[-1] > weighted[-2]:
         logger.info(
             "weighted error still increasing at the right edge (x = %.3g); "
             "extend the grid to trust the sup",
             xs[-1],
         )
-    return float(weighted.max())
+    return float(weighted.max()) if trusted else math.nan
 
 
 @dataclass(frozen=True)

@@ -244,9 +244,8 @@ def _apply(
     each row stops at the first length at which its sample-weighted edge
     term is negligible (or the term budget is spent) and is summed at that
     length, so a point's result does not depend on the other points.  Points
-    are taken in blocks of at most _ROW_ENTRIES row entries.  A result is
-    trusted when the samples it sums are, the basis tail is below rel_tol
-    and every term is finite.
+    are taken in blocks of at most _ROW_ENTRIES row entries.  Whether a
+    result is trusted is decided by ``_sum_rows`` alone.
     """
     results: list = [None] * xs.size
     zero = np.flatnonzero(xs == 0.0)
@@ -286,7 +285,9 @@ def _apply(
 def _sum_rows(
     rows: np.ndarray, s: np.ndarray, inner_ok: bool, policy: TruncationPolicy
 ) -> list[OperatorResult]:
-    """One result per row of log weights, summed against the samples s."""
+    """One result per row of log weights, summed against the samples s.  The
+    one trust rule: a value is trusted when its samples are (inner_ok), its
+    basis tail is at most rel_tol and the value itself is finite."""
     b = np.exp(rows)
     terms = np.where(b > 0.0, b * s, 0.0)
     tail = 1.0 - b.sum(axis=1)
@@ -294,12 +295,9 @@ def _sum_rows(
     significant = np.abs(terms) > policy.abs_tol
     last = terms.shape[1] - np.argmax(significant[:, ::-1], axis=1)
     k_used = np.where(significant.any(axis=1), last, 1)
-    finite = np.isfinite(terms).all(axis=1)
     return [
-        OperatorResult(value, k, t, inner_ok, inner_ok and t <= policy.rel_tol and ok)
-        for value, k, t, ok in zip(
-            terms.sum(axis=1).tolist(), k_used.tolist(), tail.tolist(), finite.tolist()
-        )
+        OperatorResult(v, k, t, inner_ok, inner_ok and t <= policy.rel_tol and math.isfinite(v))
+        for v, k, t in zip(terms.sum(axis=1).tolist(), k_used.tolist(), tail.tolist())
     ]
 
 

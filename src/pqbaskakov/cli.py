@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -250,52 +250,40 @@ def validate_config(path: str | Path, overrides: Sequence[str] = ()) -> Experime
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "NA"
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """The one place where numbers become text: a str cell is written as it
+    is, any other as a float in shortest round-trip form, and NaN as NA."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        for row in zip(*columns):
+            text = (v if isinstance(v, str) else "NA" if math.isnan(v) else repr(float(v)) for v in row)
+            handle.write(",".join(text) + "\n")
 
 
 def _curves(config: ExperimentConfig, out: Path) -> bool:
-    xs = config.grid.array()
-    fv = np.asarray(config.function.evaluate(xs), dtype=float)
-    partial = False
-    columns: list[list[str]] = []
+    xs, f, policy = config.grid.array(), config.function, config.policy
+    columns = [xs, f.evaluate(xs)]
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
-        col: list[str] = []
-        for x in xs:
-            try:
-                res = baskakov_beta_apply(pair, config.function, n, float(x), config.policy)
-                good = res.trusted and math.isfinite(res.value)
-                col.append(_fmt(res.value) if good else "NA")
-                partial = partial or not good
-            except DomainError:
-                col.append("NA")
-                partial = True
-        columns.append(col)
+        try:
+            cells = [baskakov_beta_apply(pair, f, n, float(x), policy) for x in xs]
+            columns.append([cell.value if cell.trusted else math.nan for cell in cells])
+        except DomainError:  # raised before any kernel work, alike by every cell of the row
+            columns.append([math.nan] * xs.size)
     header = ["x", "f"] + [f"D_n={n}" for n in config.n_list]
-    rows = [[_fmt(x), _fmt(v), *cells] for x, v, *cells in zip(xs, fv, *columns)]
-    _write_csv(out / "curves.csv", header, rows)
-    return partial
+    _write_csv(out / "curves.csv", header, columns)
+    return bool(np.isnan(columns[2:]).any())
 
 
 def _moments(config: ExperimentConfig, out: Path) -> bool:
     xs = config.grid.array()
-    rows: list[list[str]] = []
+    rows = []
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
         raw = [moments_closed(pair, m, n, xs) for m in (0, 1, 2)]
         central = [central_moment(pair, m, n, xs) for m in (1, 2)]
-        rows.extend([str(n)] + [_fmt(v) for v in point] for point in zip(xs, *raw, *central))
-    _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], rows)
+        rows.extend((str(n), *point) for point in zip(xs, *raw, *central))
+    _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], zip(*rows))
     return False
 
 
@@ -304,8 +292,8 @@ def _convergence(config: ExperimentConfig, out: Path) -> bool:
         config.schedule, config.function, config.n_list, config.grid, config.policy
     )
     fields = ("p_n", "q_n", "sup_error", "weighted_error", "mu2_max")
-    table = [[str(r.n)] + [_fmt(getattr(r, name)) for name in fields] for r in rows]
-    _write_csv(out / "convergence.csv", ["n", *fields], table)
+    columns = [[str(r.n) for r in rows]] + [[getattr(r, name) for r in rows] for name in fields]
+    _write_csv(out / "convergence.csv", ["n", *fields], columns)
     return any(not r.ok for r in rows)
 
 
@@ -313,18 +301,18 @@ def _bound_report(config: ExperimentConfig, out: Path) -> bool:
     kappa = config.kappa
     L = _rate_constant(config.function, kappa, config.grid)
     xs = config.grid.array()
-    rows: list[list[str]] = []
+    rows = []
     partial = False
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
         try:
             bound = interval_rate_bound(pair, n, config.function, kappa, config.grid)
             mu2_max = central_moment(pair, 2, n, _rate_window(xs, kappa)).max()
-            rows.append([str(n), _fmt(kappa), _fmt(L), _fmt(mu2_max), _fmt(bound)])
         except DomainError:
-            rows.append([str(n), _fmt(kappa), _fmt(L), "NA", "NA"])
+            bound = mu2_max = math.nan
             partial = True
-    _write_csv(out / "bound_report.csv", ["n", "kappa", "L", "mu2_max", "rate_bound"], rows)
+        rows.append((str(n), kappa, L, mu2_max, bound))
+    _write_csv(out / "bound_report.csv", ["n", "kappa", "L", "mu2_max", "rate_bound"], zip(*rows))
     return partial
 
 

@@ -12,6 +12,7 @@ from pqbaskakov import (
     FunctionSpec,
     PQPair,
     ParameterSchedule,
+    TruncationPolicy,
     central_moment,
     convergence_run,
     interval_rate_bound,
@@ -216,6 +217,15 @@ class TestWeightedSupError:
         errs = [weighted_sup_error(sched.pair_at(n), n, E2, grid) for n in (5, 10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] > errs[3]
         assert errs[-1] < 0.2
+
+    def test_untrusted_cells_give_nan(self):
+        # 8 terms leave the ladder's inner integrals unconverged, so every cell
+        # is untrusted (curves.csv writes NA there) and no sup is reported.  The
+        # sup over those cells is 0.3635; with converged cells it is 0.3933
+        pair, grid = PQPair(0.9, 0.8), EvalGrid(0.0, 5.0, 6)
+        starved = weighted_sup_error(pair, 10, KINK, grid, TruncationPolicy(max_terms=8))
+        assert math.isnan(starved)
+        assert weighted_sup_error(pair, 10, KINK, grid) == pytest.approx(0.39325, abs=1e-5)
 
 
 def closed_weighted_e1_error(n):

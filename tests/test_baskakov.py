@@ -155,9 +155,9 @@ def reference_apply(pair, n, x, policy, samples):
     tail = max(0.0, 1.0 - float(b.sum()))
     significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
     k_used = int(significant[-1]) + 1 if significant.size else 1
-    inner_ok = bool(ok.all())
-    trusted = inner_ok and tail <= policy.rel_tol and bool(np.all(np.isfinite(terms)))
-    return OperatorResult(float(terms.sum()), k_used, tail, inner_ok, trusted)
+    value, inner_ok = float(terms.sum()), bool(ok.all())
+    trusted = inner_ok and tail <= policy.rel_tol and math.isfinite(value)
+    return OperatorResult(value, k_used, tail, inner_ok, trusted)
 
 
 def route_builders(pair, n, f):
@@ -220,7 +220,8 @@ class TestGridKernel:
         the same point evaluated alone and that of the per-point loop over a
         fresh sample source, with or without the origin in the grid, however
         the grid is split in blocks, and after an evaluation under another
-        max_terms (so no state survives between calls)."""
+        max_terms (so no state survives between calls).  A trusted value is
+        finite."""
         grid, policy = np.array(xs), TruncationPolicy(max_terms=max_terms)
         builders = route_builders(pair, n, self.F)
 
@@ -245,7 +246,9 @@ class TestGridKernel:
                 source = baskakov._Samples(builders[name])
                 want = [repr(reference_apply(pair, n, x, policy, source)) for x in xs]
                 # repr is exact for floats and equal for NaN cells of the ladder
-                assert [repr(r) for r in grid_route(grid, policy)] == want
+                got = grid_route(grid, policy)
+                assert [repr(r) for r in got] == want
+                assert all(math.isfinite(r.value) for r in got if r.trusted)
                 assert [repr(grid_route(grid[i : i + 1], policy)[0]) for i in range(grid.size)] == want
                 assert [repr(r) for r in grid_route(positive, policy)] == [
                     w for w, x in zip(want, xs) if x > 0.0
@@ -360,6 +363,16 @@ class TestOperator:
     def test_moment_order_validated(self):
         with pytest.raises(DomainError):
             baskakov_moment_closed(CLASSICAL, 3, 4, 1.0)
+
+    def test_a_sum_that_overflows_is_not_trusted(self):
+        # every term is finite and the basis is complete, but the sum is not
+        # finite: trust follows the value, not the terms
+        with np.errstate(over="ignore"):
+            (res,) = baskakov._sum_rows(
+                np.zeros((1, 2)), np.array([1e308, 1e308]), True, TruncationPolicy()
+            )
+        assert res.value == math.inf and res.basis_tail_mass == 0.0
+        assert not res.trusted
 
     @settings(deadline=None, max_examples=25)
     @given(

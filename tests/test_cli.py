@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 from pqbaskakov import (
     ConfigurationError,
+    EvalGrid,
+    FunctionSpec,
+    ParameterSchedule,
     PQPair,
+    TruncationPolicy,
     central_moment,
     convergence_run,
     moments_closed,
@@ -269,6 +273,43 @@ path = out
         assert code == 2
         rows = read_csv(out / "curves.csv")
         assert any(r["D_n=5"] == "NA" for r in rows)
+
+    @pytest.mark.parametrize("kappa", [2.0, 2], ids=["float", "int"])
+    def test_a_bound_report_row_that_raises_is_na(self, kappa, tmp_path):
+        # validate_config refuses n = 2 for the bound report; a config built in
+        # code reaches the row, whose bound raises DomainError.  An int kappa is
+        # written as the float it stands for
+        config = cli.ExperimentConfig(
+            ParameterSchedule.fixed(PQPair(0.9, 0.8)), FunctionSpec.named("e1"), (2, 10),
+            EvalGrid(0.0, 5.0, 21), TruncationPolicy(), ("bound-report",), "out", kappa,
+        )
+        assert run_experiment(config, tmp_path) == 2
+        lines = (tmp_path / "bound_report.csv").read_text().splitlines()
+        assert lines[0] == "n,kappa,L,mu2_max,rate_bound"
+        assert lines[1] == "2,2.0,210.0,NA,NA"
+        assert lines[2].startswith("10,2.0,210.0,") and "NA" not in lines[2]
+
+    def test_a_curves_order_that_raises_is_an_na_column(self, tmp_path):
+        # e3 grows faster than n = 3 allows, so every cell of D_n=3 raises
+        path = tmp_path / "e3.cfg"
+        path.write_text(
+            FIGURE1_TEXT.replace("coefficients = 2015, -12, 18", "named = e3")
+            .replace("n_list = 5, 10", "n_list = 3, 5")
+            .replace("outputs = curves, moments", "outputs = curves")
+            .replace("stop = 5", "stop = 2")
+            .replace("points = 21", "points = 3")
+        )
+        out = tmp_path / "results"
+        assert run_experiment(validate_config(path), out) == 2
+        rows = read_csv(out / "curves.csv")
+        assert [r["x"] for r in rows] == ["0.0", "1.0", "2.0"]
+        assert [r["D_n=3"] for r in rows] == ["NA"] * 3
+        assert all(r["D_n=5"] != "NA" for r in rows)
+
+    def test_a_failed_csv_write_is_exit_one(self, small_config, tmp_path, capsys):
+        (tmp_path / "curves.csv").mkdir()
+        assert run_experiment(validate_config(small_config), tmp_path) == 1
+        assert "writing outputs failed" in capsys.readouterr().err
 
     def test_run_command_writes_the_bytes_of_run_experiment(self, tmp_path):
         path = str(cli._builtin_config_path("figure1"))
