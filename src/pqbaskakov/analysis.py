@@ -61,8 +61,10 @@ class EvalGrid:
             raise DomainError(
                 f"grid needs 0 <= start < stop < inf, got [{self.start}, {self.stop}]"
             )
-        if self.points < 2:
-            raise DomainError(f"grid needs at least 2 points, got {self.points}")
+        points = _check_nonneg_int(self.points, "grid points")
+        if points < 2:
+            raise DomainError(f"grid needs at least 2 points, got {points}")
+        object.__setattr__(self, "points", points)
 
     @property
     def spacing(self) -> float:

@@ -25,17 +25,18 @@ The routes differ only in their samples, and share none of them:
     by the ladder value of its own weight integral, so that D_n(1, x) = 1.
 The closed moment expressions (``moments_closed``) share none of this.
 
-The kernel works on a whole x-grid at once: a matrix of basis rows, one per
+Both operator entries take x as one point or as a 1-D array of points, and
+the kernel works on the whole array at once: a matrix of basis rows, one per
 point, grows by doubling (64, 128, ... terms, up to max_terms), and each row
 stops at the first length at which its own edge test passes and is summed at
 that length, so every cell is bitwise the value of that point evaluated
-alone (a 1-point grid, which is what the scalar entries pass).  A longer row
-appends only its new terms: the prefix sum of log (1 (+) x)^j goes on from
-the last value of the previous segment, and the x-independent terms are
-built for the new k only, so the grown row is bitwise the one-shot row.  The
-points are taken in blocks of at most _ROW_ENTRIES = 2^18 row entries (2 MiB
-of float64 per matrix; a few such matrices are alive at once), so a long
-grid costs memory independent of its length.
+alone (one point is a 1-point grid to the kernel).  A longer row appends
+only its new terms: the prefix sum of log (1 (+) x)^j goes on from the last
+value of the previous segment, and the x-independent terms are built for
+the new k only, so the grown row is bitwise the one-shot row.  The points
+are taken in blocks of at most _ROW_ENTRIES = 2^18 row entries (2 MiB of
+float64 per matrix; a few such matrices are alive at once), so a long grid
+costs memory independent of its length.
 
 The samples grow the same way: a ``_Samples`` source appends only the new
 k, so each s_k of a kernel call is computed once, and x = 0 reads row 0 of
@@ -47,14 +48,14 @@ The one cache of operator work is one level up.  An experiment run, and
 for the cells of whole grid rows, one (n, x) at a time.  Inside a cell
 table (``_cell_table``: a context variable holding a grid and its evaluated
 rows, keyed by (pair, f, n, policy, method)) the first call for a grid
-point of a row evaluates the whole row in one kernel call and every other
-call is an index lookup, so every call still passes through
-``baskakov_beta_apply``.  ``run_experiment`` opens one for every run, and
-the analysis layer one per grid row, which reuses the run's table when the
-grids are equal.  Only ``FunctionSpec`` targets are kept; a point off the
-grid, a row that raises and any call outside a table are computed afresh,
-and a table is dropped when its block ends, so it needs no size bound and
-cannot go stale.
+point of a row evaluates the whole row, as one grid call of
+``baskakov_beta_apply``, and every other call is an index lookup, so every
+cell still passes through ``baskakov_beta_apply``.  ``run_experiment``
+opens one for every run, and the analysis layer one per grid row, which
+reuses the run's table when the grids are equal.  Only ``FunctionSpec``
+targets at a float x are looked up; a point off the grid, a row that raises
+and any call outside a table are computed afresh, and a table is dropped
+when its block ends, so it needs no size bound and cannot go stale.
 
 The basis is a probability distribution over k (partition of unity), so
 truncation is driven by accumulated mass plus the size of the sample-weighted
@@ -173,26 +174,29 @@ def _check_order(n: int) -> int:
     return n
 
 
-def _check_point(n: int, x: Union[float, np.ndarray]) -> int:
-    """The order n as an int: every operator entry takes a whole n >= 1 and
-    points 0 <= x < inf, one or a 1-D array of them (a NaN or infinite x
-    would lose its NaN basis row)."""
+def _check_point(n: int, x: Union[float, np.ndarray]) -> tuple[int, np.ndarray]:
+    """The order n as an int and the points x as a 1-D float array: every
+    operator entry takes a whole n >= 1 and points 0 <= x < inf, one or a
+    1-D array of them (a NaN or infinite x would lose its NaN basis row)."""
     n = _check_order(n)
-    inside = (0.0 <= x) & (x < math.inf)
-    if not np.all(inside):
-        bad = x if np.ndim(x) == 0 else x[~inside][0]
-        raise DomainError(f"operator domain is 0 <= x < inf, got x={bad}")
-    return n
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError(f"operator points are one x or a 1-D array, got shape {xs.shape}")
+    xs = xs.reshape(-1)
+    inside = (0.0 <= xs) & (xs < math.inf)
+    if not inside.all():
+        raise DomainError(f"operator domain is 0 <= x < inf, got x={xs[~inside][0]}")
+    return n, xs
 
 
 def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
     """One basis weight b_{n,k}(x), computed through the log-domain row."""
     _require_basis_regime(pair)
-    n = _check_point(n, x)
+    n, xs = _check_point(n, x)
     k = _check_nonneg_int(k, "basis index k")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
-    row, _ = _log_basis_row(pair, n, np.array([x], dtype=float), k + 1)
+    row, _ = _log_basis_row(pair, n, xs, k + 1)
     return float(np.exp(row[0, k]))
 
 
@@ -305,14 +309,18 @@ def baskakov_apply(
     pair: PQPair,
     f: Union[FunctionSpec, Callable],
     n: int,
-    x: float,
+    x: Union[float, np.ndarray],
     policy: TruncationPolicy = DEFAULT_POLICY,
-) -> OperatorResult:
-    """B_n(f, x) by direct summation of basis weights against node samples."""
+) -> Union[OperatorResult, list[OperatorResult]]:
+    """B_n(f, x) by direct summation of basis weights against node samples.
+
+    x is one point, with one result, or a 1-D array of points, with a list
+    of results in their order; each is bitwise the result of its point alone.
+    """
     _require_basis_regime(pair)
-    n = _check_point(n, x)
-    samples = _Samples(_sample_builder(pair, n, f, "nodes"))
-    return _apply(pair, n, np.array([x], dtype=float), policy, samples)[0]
+    n, xs = _check_point(n, x)
+    results = _apply(pair, n, xs, policy, _Samples(_sample_builder(pair, n, f, "nodes")))
+    return results if np.ndim(x) else results[0]
 
 
 def baskakov_moment_closed(pair: PQPair, m: int, n: int, x: float) -> float:
@@ -407,7 +415,7 @@ def baskakov_beta_monomial_exact(
     # the degree rule first, so that no m beyond the order builds m + 1 coefficients
     _check_degree(_check_order(n), m)
     e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
-    return _beta_apply(pair, e_m, n, np.array([x], dtype=float), policy, "analytic")[0].value
+    return baskakov_beta_apply(pair, e_m, n, x, policy, "analytic").value
 
 
 def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
@@ -460,11 +468,14 @@ def baskakov_beta_apply(
     pair: PQPair,
     f: Union[FunctionSpec, Callable],
     n: int,
-    x: float,
+    x: Union[float, np.ndarray],
     policy: TruncationPolicy = DEFAULT_POLICY,
     method: str = "auto",
-) -> OperatorResult:
+) -> Union[OperatorResult, list[OperatorResult]]:
     """D_n(f, x), the Beta-weighted operator.
+
+    x is one point, with one result, or a 1-D array of points, with a list
+    of results in their order; each is bitwise the result of its point alone.
 
     method:
       * "auto"       - polynomials (including the named monomials) expand the
@@ -479,27 +490,16 @@ def baskakov_beta_apply(
     point is looked up in its grid row, evaluated once for all points.
     """
     cells = _RUN_CELLS.get()
-    i = cells.index.get(x) if cells is not None and isinstance(f, FunctionSpec) else None
-    if i is None:
-        return _beta_apply(pair, f, n, np.array([x], dtype=float), policy, method)[0]
-    key = (pair, f, n, policy, method)
-    row = cells.rows.get(key)
-    if row is None:
-        row = cells.rows[key] = _beta_apply(pair, f, n, cells.xs, policy, method)
-    return row[i]
-
-
-def _beta_apply(
-    pair: PQPair,
-    f: Union[FunctionSpec, Callable],
-    n: int,
-    xs: np.ndarray,
-    policy: TruncationPolicy,
-    method: str,
-) -> list[OperatorResult]:
-    """D_n(f, x) at each point of the 1-D array xs."""
+    if cells is not None and isinstance(x, float) and isinstance(f, FunctionSpec):
+        i = cells.index.get(x)
+        if i is not None:
+            key = (pair, f, n, policy, method)
+            row = cells.rows.get(key)
+            if row is None:
+                row = cells.rows[key] = baskakov_beta_apply(pair, f, n, cells.xs, policy, method)
+            return row[i]
     pair.require_strict("the Beta-weighted operator")
-    n = _check_point(n, xs)
+    n, xs = _check_point(n, x)
     if method not in ("auto", "analytic", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     polynomial = isinstance(f, FunctionSpec) and f.as_polynomial() is not None
@@ -507,7 +507,8 @@ def _beta_apply(
         raise DomainError("analytic evaluation needs a polynomial FunctionSpec")
     _check_degree(n, _growth_degree(f))
     route = "quadrature" if method == "quadrature" or not polynomial else "analytic"
-    return _apply(pair, n, xs, policy, _Samples(_sample_builder(pair, n, f, route)))
+    results = _apply(pair, n, xs, policy, _Samples(_sample_builder(pair, n, f, route)))
+    return results if np.ndim(x) else results[0]
 
 
 def _sample_builder(

@@ -103,6 +103,16 @@ class PQPair:
             )
 
 
+def _check_nonneg_int(n: int, what: str) -> int:
+    try:
+        whole = int(n)
+    except (OverflowError, ValueError):  # an infinite or NaN n
+        whole = None
+    if whole is None or n != whole or n < 0:
+        raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Tolerances and caps for truncating the infinite series in this package.
@@ -120,28 +130,19 @@ class TruncationPolicy:
     max_terms: int = 10000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0.0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            if not 0.0 < tol < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {tol}")
+        max_terms = _check_nonneg_int(self.max_terms, "max_terms")
+        if max_terms < 1:
+            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+        object.__setattr__(self, "max_terms", max_terms)
 
     def threshold(self, partial: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(partial))
 
 
 DEFAULT_POLICY = TruncationPolicy()
-
-
-def _check_nonneg_int(n: int, what: str) -> int:
-    try:
-        whole = int(n)
-    except (OverflowError, ValueError):  # an infinite or NaN n
-        whole = None
-    if whole is None or n != whole or n < 0:
-        raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
-    return whole
 
 
 def pq_number(pair: PQPair, n: int) -> float:

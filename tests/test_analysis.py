@@ -39,6 +39,12 @@ class TestGridAndWeight:
             EvalGrid(1.0, 1.0, 10)
         with pytest.raises(DomainError):
             EvalGrid(0.0, 1.0, 1)
+        # a fractional count made array() raise TypeError
+        for points in (2.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                EvalGrid(0.0, 5.0, points)
+        grid = EvalGrid(0.0, 5.0, 11.0)
+        assert type(grid.points) is int and grid.array().size == 11
 
     @pytest.mark.parametrize("start, stop", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
     def test_grid_ends_must_be_finite(self, start, stop):

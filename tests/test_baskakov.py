@@ -216,29 +216,26 @@ class TestGridKernel:
     def test_each_cell_of_a_grid_is_its_one_point_result(
         self, pair, n, xs, max_terms, row_entries, earlier
     ):
-        """Every OperatorResult field of a grid cell equals, exactly, that of
-        the same point evaluated alone and that of the per-point loop over a
-        fresh sample source, with or without the origin in the grid, however
-        the grid is split in blocks, and after an evaluation under another
-        max_terms (so no state survives between calls).  A trusted value is
-        finite."""
+        """Every OperatorResult field of a grid cell of the public entries
+        equals, exactly, that of the same point evaluated alone and that of
+        the per-point loop over a fresh sample source, with or without the
+        origin in the grid, however the grid is split in blocks, and after
+        an evaluation under another max_terms (so no state survives between
+        calls).  A trusted value is finite."""
         grid, policy = np.array(xs), TruncationPolicy(max_terms=max_terms)
         builders = route_builders(pair, n, self.F)
 
-        def route(name, f, method=None):
+        def route(f, method=None):
             if method is None:  # the plain operator
-                return lambda points, policy: baskakov._apply(
-                    pair, n, points, policy,
-                    baskakov._Samples(baskakov._sample_builder(pair, n, f, name)),
-                )
-            return lambda points, policy: baskakov._beta_apply(pair, f, n, points, policy, method)
+                return lambda points, policy: baskakov_apply(pair, f, n, points, policy)
+            return lambda points, policy: baskakov_beta_apply(pair, f, n, points, policy, method)
 
-        routes = [("nodes", route("nodes", self.F))]
+        routes = [("nodes", route(self.F))]
         if pair.is_strict and n > 2:
-            routes.append(("analytic", route("analytic", self.F, "auto")))
+            routes.append(("analytic", route(self.F, "auto")))
             # the ladder's bands widen as q/p nears 1; keep its cost small
             if n <= 40 and pair.ratio <= 0.95:
-                routes.append(("quadrature", route("quadrature", ABS, "quadrature")))
+                routes.append(("quadrature", route(ABS, "quadrature")))
         positive = grid[grid > 0.0]
         with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
             for name, grid_route in routes:
@@ -250,6 +247,7 @@ class TestGridKernel:
                 assert [repr(r) for r in got] == want
                 assert all(math.isfinite(r.value) for r in got if r.trusted)
                 assert [repr(grid_route(grid[i : i + 1], policy)[0]) for i in range(grid.size)] == want
+                assert [repr(grid_route(x, policy)) for x in xs] == want  # one point, one result
                 assert [repr(r) for r in grid_route(positive, policy)] == [
                     w for w, x in zip(want, xs) if x > 0.0
                 ]
@@ -260,16 +258,15 @@ class TestGridKernel:
         n, f = 300, FunctionSpec.polynomial([7.0, -2.0, 25.0])
         pair, xs = PQPair(1.0, n / (n + 1.0)), np.linspace(0.0, 5.0, 6000)
         baskakov_beta_apply(pair, f, n, 5.0)  # the samples, outside the measurement
-        with baskakov._cell_table(xs):
-            tracemalloc.start()
-            try:
-                cell = baskakov_beta_apply(pair, f, n, xs[-1])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(baskakov._RUN_CELLS.get().rows) == 1  # the whole row was evaluated
-        assert cell == baskakov_beta_apply(pair, f, n, xs[-1])
-        assert cell.k_terms_used > 500
+        tracemalloc.start()
+        try:
+            cells = baskakov_beta_apply(pair, f, n, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == xs.size
+        assert cells[-1] == baskakov_beta_apply(pair, f, n, xs[-1])
+        assert cells[-1].k_terms_used > 500
         assert peak < 32 * 2**20
 
 

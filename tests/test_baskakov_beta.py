@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
-    DEFAULT_POLICY,
     DomainError,
     EvalGrid,
     FunctionSpec,
@@ -340,6 +339,34 @@ class TestLadderBetaIdentity:
             assert abs(Fraction(factor) / want - 1) < 1e-13
 
 
+class TestLadderRouteMoments:
+    """The quadrature route's own moments at p < 1 are
+    M~_m(x) = sum_k b_{n,k}(x) p^{m(n+k)} F_{k,m}, with F_{k,m} the analytic
+    route's Beta factor: a check of whole operator values that uses no
+    ladder code (worst seen 6e-15).  The sum is taken in log space, shifted
+    by its largest term, so that no weight or factor overflows."""
+
+    K = 1024
+    XS = np.array([0.5, 1.0, 2.5, 5.0])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(0.95, 0.9)], ids=str)
+    def test_the_ladder_value_is_the_beta_factor_sum(self, pair, n, m):
+        k = np.arange(self.K)
+        log_terms = (
+            baskakov._log_basis_row(pair, n, self.XS, self.K)[0]
+            + m * (n + k) * math.log(pair.p)
+            + baskakov._log_beta_ratio_factors(pair, n, m, self.K)
+        )
+        top = log_terms.max(axis=1)
+        want = [math.exp(t) * math.fsum(np.exp(row - t)) for t, row in zip(top, log_terms)]
+        e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
+        cells = baskakov_beta_apply(pair, e_m, n, self.XS, method="quadrature")
+        assert all(cell.trusted for cell in cells)
+        assert max(abs(cell.value / w - 1.0) for cell, w in zip(cells, want)) < 1e-13
+
+
 def fraction_moment(q, m, n, x):
     """moments_closed at p = 1, in exact rational arithmetic."""
 
@@ -435,7 +462,7 @@ class TestNoRework:
 
     def evaluate_row(self, f, method, grid_call):
         if grid_call:
-            return baskakov._beta_apply(self.PAIR, f, self.N, self.GRID, DEFAULT_POLICY, method)
+            return baskakov_beta_apply(self.PAIR, f, self.N, self.GRID, method=method)
         with baskakov._cell_table(self.GRID):
             return [baskakov_beta_apply(self.PAIR, f, self.N, float(x), method=method)
                     for x in self.GRID]
@@ -657,7 +684,7 @@ class TestCellTable:
         assert calls == [(5, xs, True), (10, xs, True), (10, xs, True)]
         assert [(n, x) for _, n, x, _, _ in cells] == [(n, x) for n in (5, 10, 10) for x in xs]
         for pair, n, x, policy, cell in cells:
-            alone = baskakov._beta_apply(pair, f, n, np.array([x]), policy, "auto")[0]
+            alone = baskakov_beta_apply(pair, f, n, x, policy)
             assert repr(cell) == repr(alone)  # bitwise, every field
         assert baskakov._RUN_CELLS.get() is None
 
@@ -683,6 +710,27 @@ class TestArgumentRules:
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_a_whole_float_order_is_the_integer_order(self, entry):
         assert ENTRIES[entry](10.0, 2.0) == ENTRIES[entry](10, 2.0)
+
+    @pytest.mark.parametrize("x", [2, np.float64(2.0), np.int64(2), np.array(2.0)],
+                             ids=["int", "float64", "int64", "0-d"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_any_one_point_is_one_result(self, entry, x):
+        assert ENTRIES[entry](10, x) == ENTRIES[entry](10, 2.0)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [np.ones((2, 2)), np.array([1.0, math.nan, 2.0]), np.array([0.5, math.inf]),
+         np.array([1.0, -1.0])],
+        ids=["2-d", "nan-inside", "inf-inside", "negative-inside"],
+    )
+    @pytest.mark.parametrize("entry", ["beta", "plain"])
+    def test_each_grid_entry_refuses_a_grid_outside_the_domain(self, entry, xs):
+        with pytest.raises(DomainError):
+            ENTRIES[entry](10, xs)
+
+    @pytest.mark.parametrize("entry", ["beta", "plain"])
+    def test_an_empty_grid_has_no_results(self, entry):
+        assert ENTRIES[entry](10, np.array([])) == []
 
     @pytest.mark.parametrize(
         "f, n, method",

@@ -105,6 +105,12 @@ class TestValidate:
         bad.write_text(FIGURE1_TEXT.replace("q = 0.8", "q = 0.95"))
         assert main(["validate", str(bad)]) == 1
 
+    def test_an_infinite_tolerance_is_refused(self, small_config, capsys):
+        # it parses as a float, but stops a ladder after 3 terms as converged
+        assert main(["validate", str(small_config), "--override", "policy.rel_tol=inf"]) == 1
+        err = capsys.readouterr().err
+        assert "[policy] invalid" in err and "rel_tol" in err
+
 
 class TestRun:
     def test_writes_expected_files(self, small_config, tmp_path):

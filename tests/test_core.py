@@ -53,11 +53,30 @@ class TestPQPair:
 
 class TestTruncationPolicy:
     @pytest.mark.parametrize(
-        "kwargs", [{"rel_tol": 0.0}, {"abs_tol": -1e-3}, {"max_terms": 0}]
+        "kwargs",
+        [
+            {"rel_tol": 0.0},
+            {"abs_tol": -1e-3},
+            {"max_terms": 0},
+            # a fractional budget made the operators raise TypeError, and a
+            # NaN one was silently ignored
+            {"max_terms": 2.5},
+            {"max_terms": math.nan},
+            {"max_terms": math.inf},
+            # an infinite tolerance stopped a Jackson ladder after 3 terms as
+            # converged (e2 on [0, 2] at (0.9, 0.8): 2.409, exact 3.687)
+            {"rel_tol": math.inf},
+            {"abs_tol": math.inf},
+            {"rel_tol": math.nan},
+        ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
             TruncationPolicy(**kwargs)
+
+    def test_a_whole_float_budget_is_stored_as_an_int(self):
+        policy = TruncationPolicy(max_terms=64.0)
+        assert type(policy.max_terms) is int and policy == TruncationPolicy(max_terms=64)
 
 
 class TestNumbers:
