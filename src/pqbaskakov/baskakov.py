@@ -13,8 +13,8 @@ Beta-weighted operator (sample integrals instead of point samples):
 
 Both operators are sum_k b_{n,k}(x) s_k with x-independent samples s_k, so
 every entry checks its arguments, resolves its route once and calls the one
-kernel, ``_apply``, with a fresh ``_Samples`` source of that route; the
-kernel grows the basis row, sums it against the samples and decides
+kernel, ``_apply``, with f and that route; the kernel grows the basis row
+and the route's sample vector (``_samples``), sums them and decides
 truncation and trust.
 The routes differ only in their samples, and share none of them:
   * "nodes" (``baskakov_apply``, the plain B_n) - f at the nodes,
@@ -24,6 +24,9 @@ The routes differ only in their samples, and share none of them:
     bilateral ladder quadrature of the inner integrals, each row normalized
     by the ladder value of its own weight integral, so that D_n(1, x) = 1.
 The closed moment expressions (``moments_closed``) share none of this.
+Every entry refuses a point outside 0 <= x < inf (``_check_point``);
+``baskakov_basis`` and ``baskakov_beta_monomial_exact`` take one point, the
+closed moments an array of any shape.
 
 Both operator entries take x as one point or as a 1-D array of points, and
 the kernel works on the whole array at once: a matrix of basis rows, one per
@@ -38,10 +41,10 @@ are taken in blocks of at most _ROW_ENTRIES = 2^18 row entries (2 MiB of
 float64 per matrix; a few such matrices are alive at once), so a long grid
 costs memory independent of its length.
 
-The samples grow the same way: a ``_Samples`` source appends only the new
-k, so each s_k of a kernel call is computed once, and x = 0 reads row 0 of
-the first segment.  A source lives for one kernel call, so no cell depends
-on the calls made before it.
+The kernel grows one sample vector per call the same way, by the samples
+of the new k only, so each s_k of a call is computed once, and x = 0 reads
+s_0 of the first segment.  The vector lives for one kernel call, so no cell
+depends on the calls made before it.
 
 The one cache of operator work is one level up.  An experiment run, and
 ``convergence_run`` / ``weighted_sup_error``, ask ``baskakov_beta_apply``
@@ -79,7 +82,6 @@ from .core import (
     TruncationPolicy,
     _check_nonneg_int,
     _log_fact_table,
-    pq_derivative,
     pq_number,
 )
 from .functions import FunctionSpec, as_callable
@@ -174,15 +176,18 @@ def _check_order(n: int) -> int:
     return n
 
 
-def _check_point(n: int, x: Union[float, np.ndarray]) -> tuple[int, np.ndarray]:
-    """The order n as an int and the points x as a 1-D float array: every
-    operator entry takes a whole n >= 1 and points 0 <= x < inf, one or a
-    1-D array of them (a NaN or infinite x would lose its NaN basis row)."""
+def _check_point(
+    n: int, x: Union[float, np.ndarray], ndim: Optional[int]
+) -> tuple[int, np.ndarray]:
+    """The order n as an int and the points x as a float array of x's shape.
+    Every entry takes a whole n >= 1 and points 0 <= x < inf (a NaN or
+    infinite x would lose its NaN basis row): one point (ndim 0), one or a
+    1-D array of them (ndim 1), or an array of any shape (ndim None)."""
     n = _check_order(n)
     xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise DomainError(f"operator points are one x or a 1-D array, got shape {xs.shape}")
-    xs = xs.reshape(-1)
+    if ndim is not None and xs.ndim > ndim:
+        points = ("one point", "one point or a 1-D array of points")[ndim]
+        raise DomainError(f"x must be {points}, got shape {xs.shape}")
     inside = (0.0 <= xs) & (xs < math.inf)
     if not inside.all():
         raise DomainError(f"operator domain is 0 <= x < inf, got x={xs[~inside][0]}")
@@ -192,11 +197,11 @@ def _check_point(n: int, x: Union[float, np.ndarray]) -> tuple[int, np.ndarray]:
 def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
     """One basis weight b_{n,k}(x), computed through the log-domain row."""
     _require_basis_regime(pair)
-    n, xs = _check_point(n, x)
+    n, xs = _check_point(n, x, 0)
     k = _check_nonneg_int(k, "basis index k")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
-    row, _ = _log_basis_row(pair, n, xs, k + 1)
+    row, _ = _log_basis_row(pair, n, xs.reshape(1), k + 1)
     return float(np.exp(row[0, k]))
 
 
@@ -217,45 +222,51 @@ def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
     return p ** (n - 1) * q * growth / ((p - q) * pq_number(pair, n))
 
 
-class _Samples:
-    """The samples s_k of one (pair, n, f) row, with a trust flag per k, as
-    one vector that grows by build(k_start, k_count) of the new rows only."""
-
-    def __init__(self, build: Callable[[int, int], tuple[np.ndarray, np.ndarray]]) -> None:
-        self._build = build
-        self._s, self._ok = np.empty(0), np.empty(0, dtype=bool)
-
-    def upto(self, k_count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(s, ok) for k = 0..k_count-1."""
-        if self._s.size < k_count:
-            new_s, new_ok = self._build(self._s.size, k_count)
-            self._s = np.concatenate([self._s, new_s])
-            self._ok = np.concatenate([self._ok, new_ok])
-        return self._s[:k_count], self._ok[:k_count]
+def _samples(
+    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, k_start: int, k_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The samples s_k of a route for k = k_start..k_count-1, with a trust
+    flag per k: f at the nodes ("nodes"), sum_d c_d q^{2d} p^{d(n+k)}
+    B(k+d+1, n-d) / B(k+1, n) over the nonzero coefficients c_d of the
+    polynomial f ("analytic"), or the ladder ratios ("quadrature")."""
+    if route == "quadrature":
+        return batched_weight_ratios(pair, n, k_count, f, _growth_degree(f), k_start)
+    if route == "analytic":
+        s = np.zeros(k_count - k_start)
+        for d, c in enumerate(f.as_polynomial()):
+            if c != 0.0:
+                s += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count, k_start))
+    else:
+        nodes = _nodes(pair, n, np.arange(k_start, k_count, dtype=float))
+        s = np.asarray(as_callable(f)(nodes), dtype=float)
+    return s, np.ones(k_count - k_start, dtype=bool)
 
 
 def _apply(
     pair: PQPair,
     n: int,
+    f: Union[FunctionSpec, Callable],
+    route: str,
     xs: np.ndarray,
     policy: TruncationPolicy,
-    samples: _Samples,
 ) -> list[OperatorResult]:
     """sum_k b_{n,k}(x) s_k at each point of the 1-D array xs, with the
-    x-independent samples s_k read from samples.
+    x-independent samples s_k of the route.
 
     The rows of all points double together (64, 128, ... up to max_terms);
     each row stops at the first length at which its sample-weighted edge
     term is negligible (or the term budget is spent) and is summed at that
     length, so a point's result does not depend on the other points.  Points
-    are taken in blocks of at most _ROW_ENTRIES row entries.  Whether a
-    result is trusted is decided by ``_sum_rows`` alone.
+    are taken in blocks of at most _ROW_ENTRIES row entries.  The one sample
+    vector of the call grows with the longest row, by the new k only.
+    Whether a result is trusted is decided by ``_sum_rows`` alone.
     """
     results: list = [None] * xs.size
+    s, ok = np.empty(0), np.empty(0, dtype=bool)
     zero = np.flatnonzero(xs == 0.0)
     if zero.size:
         # b_{n,0}(0) = 1, every other weight vanishes
-        s, ok = samples.upto(min(64, policy.max_terms))
+        s, ok = _samples(pair, n, f, route, 0, min(64, policy.max_terms))
         result = _sum_rows(np.zeros((1, 1)), s[:1], bool(ok[0]), policy)[0]
         for i in zero.tolist():
             results[i] = result
@@ -273,14 +284,17 @@ def _apply(
                 idx, rows, carry = idx[:fit], rows[:fit], carry[:fit]
             segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
             rows = np.concatenate([rows, segment], axis=1)
-            s, ok = samples.upto(k_count)
+            if s.size < k_count:
+                new_s, new_ok = _samples(pair, n, f, route, s.size, k_count)
+                s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
             with np.errstate(divide="ignore", invalid="ignore"):
-                ls = np.log(np.abs(s))
+                ls = np.log(np.abs(s[:k_count]))
             metric = rows + np.where(np.isfinite(ls), ls, 0.0)
             done = metric[:, -1] < metric.max(axis=1) + math.log(_EDGE_FRACTION)
             if k_count >= policy.max_terms:
                 done[:] = True
-            for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s, bool(ok.all()), policy)):
+            inner_ok = bool(ok[:k_count].all())
+            for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s[:k_count], inner_ok, policy)):
                 results[i] = result
             idx, rows, carry = idx[~done], rows[~done], carry[~done]
     return results
@@ -318,8 +332,9 @@ def baskakov_apply(
     of results in their order; each is bitwise the result of its point alone.
     """
     _require_basis_regime(pair)
-    n, xs = _check_point(n, x)
-    results = _apply(pair, n, xs, policy, _Samples(_sample_builder(pair, n, f, "nodes")))
+    n, xs = _check_point(n, x, 1)
+    as_callable(f)  # refuses an f that is neither a FunctionSpec nor callable, on any grid
+    results = _apply(pair, n, f, "nodes", xs.reshape(-1), policy)
     return results if np.ndim(x) else results[0]
 
 
@@ -327,7 +342,7 @@ def baskakov_moment_closed(pair: PQPair, m: int, n: int, x: float) -> float:
     """Closed moments of the plain operator: 1, x, ([n+1]x^2 + p^{n-1} q x)/(q [n])."""
     if m not in (0, 1, 2):
         raise DomainError(f"closed Baskakov moments exist for m in {{0,1,2}}, got {m}")
-    n = _check_order(n)
+    n, _ = _check_point(n, x, None)
     if m == 0:
         return 1.0
     if m == 1:
@@ -356,16 +371,12 @@ def verify_baskakov_recurrence(
     pair.require_strict("the moment recurrence check")
     p, q = pair.p, pair.q
     e_m = FunctionSpec.named(f"e{m}")
-    e_m1 = FunctionSpec.named(f"e{m + 1}")
-
-    def t_m(at: float) -> float:
-        return baskakov_apply(pair, e_m, n, at, policy).value
-
-    t_next = baskakov_apply(pair, e_m1, n, q * x, policy).value
-    derivative = pq_derivative(pair, t_m, x)
+    t_px, t_qx = (r.value for r in baskakov_apply(pair, e_m, n, np.array([p * x, q * x]), policy))
+    t_next = baskakov_apply(pair, FunctionSpec.named(f"e{m + 1}"), n, q * x, policy).value
+    derivative = (t_px - t_qx) / ((p - q) * x)  # the (p,q)-difference quotient
     nn = pq_number(pair, n)
     lhs = nn * t_next
-    rhs = q * p ** (n - 1) * x * (1.0 + p * x) * derivative + nn * q * x * t_m(q * x)
+    rhs = q * p ** (n - 1) * x * (1.0 + p * x) * derivative + nn * q * x * t_qx
     return abs(lhs - rhs)
 
 
@@ -413,16 +424,14 @@ def baskakov_beta_monomial_exact(
     """
     m = _check_nonneg_int(m, "monomial order m")
     # the degree rule first, so that no m beyond the order builds m + 1 coefficients
-    _check_degree(_check_order(n), m)
+    _check_degree(_check_point(n, x, 0)[0], m)
     e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
     return baskakov_beta_apply(pair, e_m, n, x, policy, "analytic").value
 
 
 def _growth_degree(f: Union[FunctionSpec, Callable]) -> int:
-    if isinstance(f, FunctionSpec):
-        deg = f.degree
-        return deg if deg is not None else 2
-    return 2
+    degree = f.degree if isinstance(f, FunctionSpec) else None
+    return 2 if degree is None else degree
 
 
 def _check_degree(n: int, degree: int) -> None:
@@ -499,7 +508,8 @@ def baskakov_beta_apply(
                 row = cells.rows[key] = baskakov_beta_apply(pair, f, n, cells.xs, policy, method)
             return row[i]
     pair.require_strict("the Beta-weighted operator")
-    n, xs = _check_point(n, x)
+    n, xs = _check_point(n, x, 1)
+    as_callable(f)  # refuses an f that is neither a FunctionSpec nor callable, on any grid
     if method not in ("auto", "analytic", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     polynomial = isinstance(f, FunctionSpec) and f.as_polynomial() is not None
@@ -507,39 +517,8 @@ def baskakov_beta_apply(
         raise DomainError("analytic evaluation needs a polynomial FunctionSpec")
     _check_degree(n, _growth_degree(f))
     route = "quadrature" if method == "quadrature" or not polynomial else "analytic"
-    results = _apply(pair, n, xs, policy, _Samples(_sample_builder(pair, n, f, route)))
+    results = _apply(pair, n, f, route, xs.reshape(-1), policy)
     return results if np.ndim(x) else results[0]
-
-
-def _sample_builder(
-    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str
-) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """build(k_start, k_count) of a route's samples: f at the nodes
-    ("nodes"), sum_d c_d q^{2d} p^{d(n+k)} B(k+d+1, n-d) / B(k+1, n) over
-    the nonzero coefficients c_d of the polynomial f ("analytic"), or the
-    ladder ratios."""
-    if route == "quadrature":
-        degree = _growth_degree(f)
-        return lambda k_start, k_count: batched_weight_ratios(
-            pair, n, k_count, f, degree, k_start
-        )
-    if route == "analytic":
-        terms = [(d, c) for d, c in enumerate(f.as_polynomial()) if c != 0.0]
-
-        def values(k_start: int, k_count: int) -> np.ndarray:
-            vals = np.zeros(k_count - k_start)
-            for d, c in terms:
-                vals += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count, k_start))
-            return vals
-
-    else:
-        func = as_callable(f)
-
-        def values(k_start: int, k_count: int) -> np.ndarray:
-            nodes = _nodes(pair, n, np.arange(k_start, k_count, dtype=float))
-            return np.asarray(func(nodes), dtype=float)
-
-    return lambda k_start, k_count: (values(k_start, k_count), np.ones(k_count - k_start, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +533,12 @@ def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float
     moment keeps the printed three-term structure, including the p^n / q
     coefficient, rather than any algebraic rearrangement.  x may be a float
     or an array (a whole grid), and the result has its shape; each element
-    is bitwise the value at that float x.
+    is bitwise the value at that float x.  A point outside 0 <= x < inf
+    raises ``DomainError``.
     """
     if m not in (0, 1, 2):
         raise DomainError(f"closed moments exist for m in {{0,1,2}}, got {m}")
-    n = _check_order(n)
+    n, _ = _check_point(n, x, None)
     if m == 0:
         return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
     p, q = pair.p, pair.q
@@ -584,7 +564,7 @@ def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> f
     float x or elementwise over an array of them (as ``moments_closed``)."""
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
-    n = _check_order(n)
+    n, _ = _check_point(n, x, None)
     if n <= 2:
         raise DomainError(f"central moments need n > 2, got {n}")
     p, q = pair.p, pair.q

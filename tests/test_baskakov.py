@@ -20,6 +20,7 @@ from pqbaskakov import (
     baskakov_moment_closed,
     baskakov_node,
     pq_binomial,
+    pq_derivative,
     pq_number,
     pq_power_basis,
     verify_baskakov_recurrence,
@@ -130,19 +131,18 @@ class TestRowGrowth:
                 assert np.array_equal(row, one_shot_log_row(pair, n, point, k_count))
 
 
-def reference_apply(pair, n, x, policy, samples):
+def reference_apply(pair, n, x, policy, build):
     """The kernel at one point, as a loop: the row doubles until its
     sample-weighted edge term is negligible or the budget is spent, and the
-    samples are read from the source samples at each length."""
+    point's own sample vector grows with it, by build(k_start, k_count) of
+    the new k only."""
+    s, ok = build(0, min(64, policy.max_terms))
     if x == 0.0:
-        row = np.zeros(1)
-        s, ok = samples.upto(min(64, policy.max_terms))
-        s, ok = s[:1], ok[:1]
+        row, s, ok = np.zeros(1), s[:1], ok[:1]
     else:
-        k_count = min(64, policy.max_terms)
+        k_count = s.size
         while True:
             row = one_shot_log_row(pair, n, x, k_count)
-            s, ok = samples.upto(k_count)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = np.log(np.abs(s))
             metric = row + np.where(np.isfinite(ls), ls, 0.0)
@@ -150,6 +150,8 @@ def reference_apply(pair, n, x, policy, samples):
             if metric[-1] < edge or k_count >= policy.max_terms:
                 break
             k_count = min(2 * k_count, policy.max_terms)
+            new_s, new_ok = build(s.size, k_count)
+            s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
     b = np.exp(row)
     terms = np.where(b > 0.0, b * s, 0.0)
     tail = max(0.0, 1.0 - float(b.sum()))
@@ -218,7 +220,7 @@ class TestGridKernel:
     ):
         """Every OperatorResult field of a grid cell of the public entries
         equals, exactly, that of the same point evaluated alone and that of
-        the per-point loop over a fresh sample source, with or without the
+        the per-point loop growing its own sample vector, with or without the
         origin in the grid, however the grid is split in blocks, and after
         an evaluation under another max_terms (so no state survives between
         calls).  A trusted value is finite."""
@@ -240,8 +242,7 @@ class TestGridKernel:
         with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
             for name, grid_route in routes:
                 grid_route(grid, TruncationPolicy(max_terms=earlier))
-                source = baskakov._Samples(builders[name])
-                want = [repr(reference_apply(pair, n, x, policy, source)) for x in xs]
+                want = [repr(reference_apply(pair, n, x, policy, builders[name])) for x in xs]
                 # repr is exact for floats and equal for NaN cells of the ladder
                 got = grid_route(grid, policy)
                 assert [repr(r) for r in got] == want
@@ -414,3 +415,28 @@ class TestRecurrence:
     def test_rejects_x_zero(self):
         with pytest.raises(DomainError):
             verify_baskakov_recurrence(PQPair(0.9, 0.8), 4, 1, 0.0)
+
+    @pytest.mark.parametrize("pair", RECURRENCE_PAIRS, ids=lambda p: f"p{p.p}-q{p.q}")
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_two_kernel_calls_give_the_one_point_residual(self, monkeypatch, pair, m):
+        """T_m at px and qx is one grid call and T_{m+1}(qx) the other; the
+        residual is bitwise that of one-point calls and ``pq_derivative``."""
+        n, x, (p, q) = 10, 1.5, (pair.p, pair.q)
+
+        def t(j, at):
+            return baskakov_apply(pair, FunctionSpec.named(f"e{j}"), n, at).value
+
+        nn = pq_number(pair, n)
+        derivative = pq_derivative(pair, lambda at: t(m, at), x)
+        rhs = q * p ** (n - 1) * x * (1.0 + p * x) * derivative + nn * q * x * t(m, q * x)
+        want = abs(nn * t(m + 1, q * x) - rhs)
+        calls = []
+        real = baskakov._apply
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(baskakov, "_apply", counting)
+        assert verify_baskakov_recurrence(pair, n, m, x) == want
+        assert len(calls) == 2

@@ -390,24 +390,19 @@ POLY = FunctionSpec.polynomial([7.0, -2.0, 25.0])
 def recording_builds(monkeypatch):
     """Record the (k_start, k_count) of every sample segment built."""
     builds = []
-    real = baskakov._sample_builder
+    real = baskakov._samples
 
-    def builder(*args):
-        build = real(*args)
+    def recording(pair, n, f, route, k_start, k_count):
+        builds.append((k_start, k_count))
+        return real(pair, n, f, route, k_start, k_count)
 
-        def recording(k_start, k_count):
-            builds.append((k_start, k_count))
-            return build(k_start, k_count)
-
-        return recording
-
-    monkeypatch.setattr(baskakov, "_sample_builder", builder)
+    monkeypatch.setattr(baskakov, "_samples", recording)
     return builds
 
 
 class TestSampleSource:
-    """A kernel call grows one fresh sample source, so no cell depends on
-    the calls made before it."""
+    """A kernel call grows its own sample vector, so no cell depends on the
+    calls made before it."""
 
     PAIR = PQPair(0.95, 0.9)
 
@@ -504,9 +499,9 @@ class TestNoRework:
                             for d, c in coeffs),
         }
         for f, route in ((POLY, "nodes"), (POLY, "analytic"), (ABS, "quadrature")):
-            source = baskakov._Samples(baskakov._sample_builder(pair, n, f, route))
-            for length in (64, 128, 256, 512):
-                s, ok = source.upto(length)
+            segments = [baskakov._samples(pair, n, f, route, k_start, k_count)
+                        for k_start, k_count in ((0, 64), (64, 128), (128, 256), (256, 512))]
+            s, ok = (np.concatenate(parts) for parts in zip(*segments))
             if route == "quadrature":
                 want, want_ok = quadrature.batched_weight_ratios(pair, n, k_count, ABS)
                 assert np.array_equal(ok, want_ok)
@@ -567,9 +562,9 @@ def _counting_kernel(monkeypatch):
     calls = []
     real = baskakov._apply
 
-    def kernel(pair, n, xs, policy, samples):
+    def kernel(pair, n, f, route, xs, policy):
         calls.append((n, tuple(xs.tolist()), baskakov._RUN_CELLS.get() is not None))
-        return real(pair, n, xs, policy, samples)
+        return real(pair, n, f, route, xs, policy)
 
     monkeypatch.setattr(baskakov, "_apply", kernel)
     return calls
@@ -698,6 +693,17 @@ ENTRIES = {
 }
 
 
+# every closed moment expression at order 10, called at point x
+CLOSED = {
+    "moments_closed-0": lambda x: moments_closed(PQPair(0.9, 0.8), 0, 10, x),
+    "moments_closed-2": lambda x: moments_closed(PQPair(0.9, 0.8), 2, 10, x),
+    "central_moment-1": lambda x: central_moment(PQPair(0.9, 0.8), 1, 10, x),
+    "central_moment-2": lambda x: central_moment(PQPair(0.9, 0.8), 2, 10, x),
+    "plain-0": lambda x: baskakov.baskakov_moment_closed(PQPair(0.9, 0.8), 0, 10, x),
+    "plain-2": lambda x: baskakov.baskakov_moment_closed(PQPair(0.9, 0.8), 2, 10, x),
+}
+
+
 class TestArgumentRules:
     @pytest.mark.parametrize(
         "n, x", [(0, 1.0), (10.5, 1.0), (10, -1.0), (10, math.inf), (10, math.nan)]
@@ -731,6 +737,33 @@ class TestArgumentRules:
     @pytest.mark.parametrize("entry", ["beta", "plain"])
     def test_an_empty_grid_has_no_results(self, entry):
         assert ENTRIES[entry](10, np.array([])) == []
+
+    @pytest.mark.parametrize("x", [1.0, np.array([])], ids=["point", "empty-grid"])
+    @pytest.mark.parametrize("apply", [baskakov_apply, baskakov_beta_apply])
+    def test_each_grid_entry_refuses_a_target_that_is_not_a_function(self, apply, x):
+        with pytest.raises(DomainError):
+            apply(PQPair(0.9, 0.8), 3.0, 10, x)
+
+    @pytest.mark.parametrize("xs", [np.array([1.0, 2.0]), np.ones((2, 2))], ids=["2-point", "2-d"])
+    @pytest.mark.parametrize("entry", ["basis", "monomial"])
+    def test_each_one_point_entry_refuses_an_array(self, entry, xs):
+        with pytest.raises(DomainError):
+            ENTRIES[entry](10, xs)
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["float", "array"])
+    @pytest.mark.parametrize("entry", sorted(CLOSED))
+    def test_each_closed_moment_refuses_a_point_outside_the_domain(self, entry, grid, x):
+        with pytest.raises(DomainError):
+            CLOSED[entry](np.array([1.0, x]) if grid else x)
+
+    @pytest.mark.parametrize("entry", [e for e in sorted(CLOSED) if not e.startswith("plain")])
+    def test_a_closed_moment_keeps_the_shape_of_x(self, entry):
+        assert isinstance(CLOSED[entry](2.0), float)
+        grid = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        got = CLOSED[entry](grid)
+        assert got.shape == grid.shape
+        assert all(g == CLOSED[entry](x) for g, x in zip(got.ravel(), grid.ravel().tolist()))
 
     @pytest.mark.parametrize(
         "f, n, method",

@@ -583,21 +583,21 @@ _EVALUATING = pytest.mark.parametrize(
 
 def _counting_cells(monkeypatch, route):
     """Replace the kernel of baskakov by one that records the (n, x) cells
-    of each of its calls, and its sample builders by ones that refuse any
-    route but route."""
-    apply, builder = baskakov._apply, baskakov._sample_builder
+    of each of its calls, and its samples by ones that refuse any route but
+    route."""
+    apply, samples = baskakov._apply, baskakov._samples
     calls = []
 
-    def counting(pair, n, xs, policy, samples):
+    def counting(pair, n, f, name, xs, policy):
         calls.append([(n, x) for x in xs.tolist()])
-        return apply(pair, n, xs, policy, samples)
+        return apply(pair, n, f, name, xs, policy)
 
-    def sampling(pair, n, f, name):
+    def sampling(pair, n, f, name, k_start, k_count):
         assert name == route
-        return builder(pair, n, f, name)
+        return samples(pair, n, f, name, k_start, k_count)
 
     monkeypatch.setattr(baskakov, "_apply", counting)
-    monkeypatch.setattr(baskakov, "_sample_builder", sampling)
+    monkeypatch.setattr(baskakov, "_samples", sampling)
     return calls
 
 
