@@ -33,18 +33,21 @@ the kernel works on the whole array at once: a matrix of basis rows, one per
 point, grows by doubling (64, 128, ... terms, up to max_terms), and each row
 stops at the first length at which its own edge test passes and is summed at
 that length, so every cell is bitwise the value of that point evaluated
-alone (one point is a 1-point grid to the kernel).  A longer row appends
-only its new terms: the prefix sum of log (1 (+) x)^j goes on from the last
-value of the previous segment, and the x-independent terms are built for
-the new k only, so the grown row is bitwise the one-shot row.  The points
+alone (one point is a 1-point grid to the kernel).  The edge test of a
+doubling reads the new segment only, against a running maximum per row.
+A longer row appends only its new terms: the prefix sum of log (1 (+) x)^j
+goes on from the last value of the previous segment, and the x-independent
+terms are built for the new k only, so the grown row is bitwise the
+one-shot row.  The points
 are taken in blocks of at most _ROW_ENTRIES = 2^18 row entries (2 MiB of
 float64 per matrix; a few such matrices are alive at once), so a long grid
 costs memory independent of its length.
 
 The kernel grows one sample vector per call the same way, by the samples
 of the new k only, so each s_k of a call is computed once, and x = 0 reads
-s_0 of the first segment.  The vector lives for one kernel call, so no cell
-depends on the calls made before it.
+s_0 of the first segment.  The analytic route builds the Beta factors of
+all the polynomial's degrees of a segment in one matrix.  The vector lives
+for one kernel call, so no cell depends on the calls made before it.
 
 The one cache of operator work is one level up.  An experiment run, and
 ``convergence_run`` / ``weighted_sup_error``, ask ``baskakov_beta_apply``
@@ -233,12 +236,22 @@ def _samples(
         return batched_weight_ratios(pair, n, k_count, f, _growth_degree(f), k_start)
     if route == "analytic":
         s = np.zeros(k_count - k_start)
-        for d, c in enumerate(f.as_polynomial()):
-            if c != 0.0:
-                s += c * np.exp(_log_beta_ratio_factors(pair, n, d, k_count, k_start))
+        terms = [(d, c) for d, c in enumerate(f.as_polynomial()) if c != 0.0]
+        if terms:
+            degrees, coefficients = zip(*terms)
+            factors = np.exp(_log_beta_ratio_factors(pair, n, degrees, k_count, k_start))
+            for c, factor in zip(coefficients, factors):
+                s += c * factor
     else:
         nodes = _nodes(pair, n, np.arange(k_start, k_count, dtype=float))
-        s = np.asarray(as_callable(f)(nodes), dtype=float)
+        values = np.asarray(as_callable(f)(nodes), dtype=float)
+        try:
+            # one value for all nodes is a constant f, as the ladder route takes it
+            s = np.broadcast_to(values, nodes.shape)
+        except ValueError:
+            raise DomainError(
+                f"f gave values of shape {values.shape} at {nodes.size} nodes"
+            ) from None
     return s, np.ones(k_count - k_start, dtype=bool)
 
 
@@ -271,32 +284,39 @@ def _apply(
         for i in zero.tolist():
             results[i] = result
     positive = np.flatnonzero(xs)
-    pending = [(positive, np.empty((positive.size, 0)), np.zeros(positive.size))]
+    # per row: its point's index, its log weights so far, the prefix sum they
+    # end on, and the largest edge metric over them
+    pending = [(positive, np.empty((positive.size, 0)), np.zeros(positive.size),
+                np.full(positive.size, -math.inf))]
     while pending:
-        idx, rows, carry = pending.pop()
+        idx, rows, carry, peak = pending.pop()
         while idx.size:
             built = rows.shape[1]
             k_count = min(2 * built if built else 64, policy.max_terms)
             # the first segment also holds the n leading factors of each row
             fit = max(1, _ROW_ENTRIES // (k_count + (0 if built else n)))
             if idx.size > fit:
-                pending.append((idx[fit:], rows[fit:], carry[fit:]))
-                idx, rows, carry = idx[:fit], rows[:fit], carry[:fit]
+                pending.append((idx[fit:], rows[fit:], carry[fit:], peak[fit:]))
+                idx, rows, carry, peak = idx[:fit], rows[:fit], carry[:fit], peak[:fit]
             segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
-            rows = np.concatenate([rows, segment], axis=1)
+            rows = np.concatenate([rows, segment], axis=1) if built else segment
             if s.size < k_count:
                 new_s, new_ok = _samples(pair, n, f, route, s.size, k_count)
                 s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
+            # the edge metric b_{n,k} |s_k| in logs (a zero or non-finite
+            # sample counts as 1), taken over the new segment only: the
+            # running max over the segments is the max over the whole row
             with np.errstate(divide="ignore", invalid="ignore"):
-                ls = np.log(np.abs(s[:k_count]))
-            metric = rows + np.where(np.isfinite(ls), ls, 0.0)
-            done = metric[:, -1] < metric.max(axis=1) + math.log(_EDGE_FRACTION)
+                ls = np.log(np.abs(s[built:k_count]))
+            metric = segment + np.where(np.isfinite(ls), ls, 0.0)
+            peak = np.maximum(peak, metric.max(axis=1))
+            done = metric[:, -1] < peak + math.log(_EDGE_FRACTION)
             if k_count >= policy.max_terms:
                 done[:] = True
             inner_ok = bool(ok[:k_count].all())
             for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s[:k_count], inner_ok, policy)):
                 results[i] = result
-            idx, rows, carry = idx[~done], rows[~done], carry[~done]
+            idx, rows, carry, peak = idx[~done], rows[~done], carry[~done], peak[~done]
     return results
 
 
@@ -366,6 +386,7 @@ def verify_baskakov_recurrence(
     """
     if m not in (0, 1):
         raise DomainError(f"recurrence check supports m in {{0,1}}, got {m}")
+    n, _ = _check_point(n, x, 0)
     if not x > 0.0:
         raise DomainError(f"recurrence check needs x > 0, got {x}")
     pair.require_strict("the moment recurrence check")
@@ -386,18 +407,22 @@ def verify_baskakov_recurrence(
 
 
 def _log_beta_ratio_factors(
-    pair: PQPair, n: int, m: int, k_count: int, k_start: int = 0
+    pair: PQPair, n: int, degrees: tuple[int, ...], k_count: int, k_start: int = 0
 ) -> np.ndarray:
-    """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for
-    k = k_start..k_count-1.
+    """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for each degree m
+    of the non-empty tuple degrees (one row each, in their order) and
+    k = k_start..k_count-1 (one column each).
 
     This is the exact inner-integral factor for the monomial t^m: the shared
-    Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  The
-    entries to the analytic route have already checked n > m.
+    Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  Each
+    entry is the same elementwise formula in (m, k), so a row is bitwise the
+    row of its degree alone.  The entries to the analytic route have already
+    checked n > m.
     """
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
-    lfact = _log_fact_table(pair, n + k_count + m)
+    m = np.array(degrees)[:, None]
+    lfact = _log_fact_table(pair, n + k_count + max(degrees))
     ki = np.arange(k_start, k_count)
     k = ki.astype(float)
     delta_log_beta = (

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Callable, Iterable, Iterator
+from itertools import chain, repeat
+from typing import Callable
 
 import numpy as np
 
@@ -163,20 +163,25 @@ def log_pq_number(pair: PQPair, n: int) -> float:
     n = _check_nonneg_int(n, "n")
     if n == 0:
         raise DomainError("log of [0] = 0 is undefined")
-    return next(_log_pq_terms(pair, (n,)))
+    return float(_log_pq_terms(pair, range(n, n + 1))[0])
 
 
-def _log_pq_terms(pair: PQPair, js: Iterable[int]) -> Iterator[float]:
-    """log [j]_{p,q} for each j >= 1 of js, with log p and log(1 - q/p)
-    computed once (in math, not numpy, so that no term moves by an ulp)."""
+def _log_pq_terms(pair: PQPair, js: range) -> np.ndarray:
+    """log [j]_{p,q} for each j >= 1 of js.  The logs and powers are taken in
+    math, one j at a time (numpy's vectorized log1p rounds some of them
+    differently), and only the exact-order sums and products run in numpy:
+    each term is (j - 1) log p + log j at p = q, and otherwise
+    (j - 1) log p + log1p(-r^j) - log(1 - r), with r = q/p < 1, since
+    [j] = p^{j-1} (1 - r^j) / (1 - r)."""
     p, q = pair.p, pair.q
     lp = math.log(p)
+    scaled = (np.arange(js.start, js.stop) - 1) * lp
     if p == q:
-        return (math.log(j) + (j - 1) * lp for j in js)
-    # [j] = p^{j-1} (1 - r^j) / (1 - r) with r = q/p < 1
+        return scaled + np.fromiter(map(math.log, js), float, len(js))
     r = q / p
-    log_1mr = math.log1p(-r)
-    return ((j - 1) * lp + math.log1p(-(r**j)) - log_1mr for j in js)
+    powers = np.fromiter(map(math.pow, repeat(r), js), float, len(js))
+    log1p = np.fromiter(map(math.log1p, (-powers).tolist()), float, len(js))
+    return scaled + log1p - math.log1p(-r)
 
 
 # Per-pair prefix sums of log [j], grown on demand, for at most
@@ -206,9 +211,10 @@ def _grow_log_fact(pair: PQPair, table: np.ndarray, n: int) -> np.ndarray:
     from its last entry, so that a table grown in pieces is bitwise the one
     grown at once, and growing by doubling copies each entry O(1) times."""
     stop = max(n, 2 * table.size)
-    terms = _log_pq_terms(pair, range(table.size, stop + 1))
-    sums = np.fromiter(accumulate(terms, initial=float(table[-1])), float, stop + 2 - table.size)
-    grown = np.concatenate([table[:-1], sums])
+    grown = np.concatenate([table, _log_pq_terms(pair, range(table.size, stop + 1))])
+    # cumsum adds left to right, so the sum goes on from table[-1] bitwise as
+    # one pass over the whole table would
+    np.cumsum(grown[table.size - 1 :], out=grown[table.size - 1 :])
     grown.flags.writeable = False
     return grown
 
@@ -260,7 +266,7 @@ def _log_ratio_of_products(pair: PQPair, upper: range, lower: range) -> float:
     """log of prod_{j in upper} [j] / prod_{j in lower} [j], summed exactly
     (``math.fsum``) from the rounded log [j]."""
     terms = _log_pq_terms(pair, upper)
-    return math.fsum(chain(terms, (-t for t in _log_pq_terms(pair, lower))))
+    return math.fsum(chain(terms.tolist(), (-_log_pq_terms(pair, lower)).tolist()))
 
 
 def pq_gamma(pair: PQPair, n_plus_1: int) -> float:

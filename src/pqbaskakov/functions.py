@@ -6,6 +6,11 @@ from a small registry).  The operators sample f at nodes that run off to
 infinity, so every kind is defined on the whole half-line.
 An optional growth bound C_f certifies |f(x)| <= C_f (1 + x^2); it is
 required by the weighted-norm machinery and validated by sampling.
+
+A polynomial is evaluated by Horner's rule, c_d, then c_{d-1} + v x, down
+to c_0 + v x, in the same order and with the same result types as
+``numpy.polynomial.polynomial.polyval``, so its values are bitwise polyval's
+without loading ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -88,7 +93,12 @@ class FunctionSpec:
     def evaluate(self, x: ArrayLike) -> ArrayLike:
         if self.kind == "polynomial":
             assert self.coefficients is not None
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coefficients)
+            x = np.asarray(x, dtype=float)
+            *lower, top = self.coefficients
+            value = top + x * 0
+            for c in reversed(lower):
+                value = c + value * x
+            return value
         assert self.name is not None
         return NAMED_FUNCTIONS[self.name][0](x)
 

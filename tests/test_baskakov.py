@@ -174,7 +174,7 @@ def route_builders(pair, n, f):
 
     def analytic(k_start, k_count):
         return ones(sum(
-            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, d, k_count, k_start))
+            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count, k_start)[0])
             for d, c in enumerate(f.as_polynomial()) if c != 0.0
         ))
 
@@ -323,6 +323,22 @@ class TestOperator:
         res = baskakov_apply(strict_pair, FunctionSpec.named("e0"), 7, 1.3)
         assert res.value == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("x", [1.0, 0.0, np.array([0.0, 0.5, 1.0, 40.0])],
+                             ids=["point", "origin", "grid"])
+    @pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: np.ones(1)], ids=["float", "1-vector"])
+    def test_one_value_for_all_nodes_is_a_constant_target(self, f, x):
+        # as the quadrature route of the Beta operator takes such a callable
+        pair = PQPair(0.9, 0.8)
+        assert baskakov_apply(pair, f, 10, x) == baskakov_apply(pair, FunctionSpec.named("e0"), 10, x)
+
+    @pytest.mark.parametrize(
+        "f", [lambda t: np.ones(3), lambda t: np.ones((t.size, 2)), lambda t: t[:, None]],
+        ids=["3-vector", "two-per-node", "column"],
+    )
+    def test_values_that_do_not_fit_the_nodes_are_refused(self, f):
+        with pytest.raises(DomainError, match="nodes"):
+            baskakov_apply(PQPair(0.9, 0.8), f, 10, 1.0)
+
     def test_linear_reproduced(self):
         res = baskakov_apply(PQPair(0.9, 0.8), FunctionSpec.named("e1"), 5, 1.5)
         assert res.value == pytest.approx(1.5, rel=1e-10)
@@ -415,6 +431,17 @@ class TestRecurrence:
     def test_rejects_x_zero(self):
         with pytest.raises(DomainError):
             verify_baskakov_recurrence(PQPair(0.9, 0.8), 4, 1, 0.0)
+
+    @pytest.mark.parametrize("x", [np.array([1.0, 2.0]), np.ones((2, 2)), np.array([1.0])],
+                             ids=["2-point", "2-d", "1-point-array"])
+    def test_rejects_an_array_x(self, x):
+        with pytest.raises(DomainError, match="one point"):
+            verify_baskakov_recurrence(PQPair(0.9, 0.8), 10, 1, x)
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_a_point_outside_the_domain(self, x):
+        with pytest.raises(DomainError):
+            verify_baskakov_recurrence(PQPair(0.9, 0.8), 10, 1, x)
 
     @pytest.mark.parametrize("pair", RECURRENCE_PAIRS, ids=lambda p: f"p{p.p}-q{p.q}")
     @pytest.mark.parametrize("m", [0, 1])

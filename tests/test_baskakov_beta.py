@@ -25,6 +25,7 @@ from pqbaskakov import (
 )
 
 from pqbaskakov import analysis, baskakov, quadrature
+from pqbaskakov.core import _log_fact_table
 
 from conftest import CLASSICAL, rel_err
 
@@ -331,12 +332,61 @@ class TestLadderBetaIdentity:
     def test_ladder_ratios_are_the_beta_factors(self, pair, n, m):
         e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
         ratios, converged = quadrature.batched_weight_ratios(pair, n, self.ROWS, e_m, m)
-        factors = np.exp(baskakov._log_beta_ratio_factors(pair, n, m, self.ROWS))
+        factors = np.exp(baskakov._log_beta_ratio_factors(pair, n, (m,), self.ROWS)[0])
         k = np.arange(self.ROWS)
         assert converged.all()
         assert np.max(np.abs(ratios / (factors * pair.p ** (m * (n + k))) - 1.0)) < 1e-13
         for factor, want in zip(factors.tolist(), exact_beta_factors(pair, n, m, self.ROWS)):
             assert abs(Fraction(factor) / want - 1) < 1e-13
+
+
+def one_degree_log_factors(pair, n, m, k_count, k_start):
+    """log q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for one degree m, in
+    the association of the analytic route's formula."""
+    lp, lq = math.log(pair.p), math.log(pair.q)
+    lfact = _log_fact_table(pair, n + k_count + m)
+    ki = np.arange(k_start, k_count)
+    k = ki.astype(float)
+    delta_log_beta = (
+        lq * (-m * (2.0 * k + m + 1.0) / 2.0)
+        + lp * (-m * (2.0 * k + m + 3.0) / 2.0)
+        + (lfact[ki + m] - lfact[ki])
+        + (lfact[n - m - 1] - lfact[n - 1])
+    )
+    return 2.0 * m * lq + m * (n + k) * lp + delta_log_beta
+
+
+class TestBetaFactorRows:
+    """The analytic route builds the factors of all its degrees in one
+    matrix, one row per degree, each bitwise that degree's factors alone."""
+
+    @pytest.mark.parametrize("k_start, k_count", [(0, 64), (64, 128), (5, 7), (0, 1)])
+    @pytest.mark.parametrize("degrees", [(0,), (0, 1, 2), (2, 0, 1), (1, 3, 5), (4,)], ids=str)
+    @pytest.mark.parametrize(
+        "pair, n", [(PQPair(0.9, 0.8), 10), (PQPair(1.0, 0.99), 40), (PQPair(0.95, 0.9), 200)],
+        ids=["0.9-0.8", "1-0.99", "0.95-0.9"],
+    )
+    def test_each_row_is_its_degree_alone(self, pair, n, degrees, k_start, k_count):
+        matrix = baskakov._log_beta_ratio_factors(pair, n, degrees, k_count, k_start)
+        assert matrix.shape == (len(degrees), k_count - k_start)
+        for m, row, factors in zip(degrees, matrix, np.exp(matrix)):
+            alone = one_degree_log_factors(pair, n, m, k_count, k_start)
+            assert np.array_equal(row, alone)
+            assert np.array_equal(factors, np.exp(alone))
+
+    def test_one_call_per_segment_covers_every_degree(self, monkeypatch):
+        calls = []
+        real = baskakov._log_beta_ratio_factors
+
+        def recording(pair, n, degrees, k_count, k_start=0):
+            calls.append((degrees, k_start, k_count))
+            return real(pair, n, degrees, k_count, k_start)
+
+        monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
+        f = FunctionSpec.polynomial([7.0, 0.0, 25.0])  # the zero coefficient builds no row
+        cell = baskakov_beta_apply(PQPair(0.95, 0.9), f, 20, 60.0)
+        assert cell.k_terms_used > 64
+        assert calls == [((0, 2), 0, 64), ((0, 2), 64, 128)]
 
 
 class TestLadderRouteMoments:
@@ -357,7 +407,7 @@ class TestLadderRouteMoments:
         log_terms = (
             baskakov._log_basis_row(pair, n, self.XS, self.K)[0]
             + m * (n + k) * math.log(pair.p)
-            + baskakov._log_beta_ratio_factors(pair, n, m, self.K)
+            + baskakov._log_beta_ratio_factors(pair, n, (m,), self.K)[0]
         )
         top = log_terms.max(axis=1)
         want = [math.exp(t) * math.fsum(np.exp(row - t)) for t, row in zip(top, log_terms)]
@@ -481,9 +531,10 @@ class TestNoRework:
         rows = {}
         real = baskakov._log_beta_ratio_factors
 
-        def recording(pair, n, m, k_count, k_start=0):
-            rows[m] = rows.get(m, 0) + k_count - k_start
-            return real(pair, n, m, k_count, k_start)
+        def recording(pair, n, degrees, k_count, k_start=0):
+            for m in degrees:
+                rows[m] = rows.get(m, 0) + k_count - k_start
+            return real(pair, n, degrees, k_count, k_start)
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         cells = self.evaluate_row(POLY, "analytic", grid_call)
@@ -495,7 +546,7 @@ class TestNoRework:
         coeffs = tuple(enumerate(POLY.as_polynomial()))
         one_shot = {
             "nodes": np.asarray(POLY.evaluate(baskakov._nodes(pair, n, np.arange(k_count, dtype=float)))),
-            "analytic": sum(c * np.exp(baskakov._log_beta_ratio_factors(pair, n, d, k_count))
+            "analytic": sum(c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count)[0])
                             for d, c in coeffs),
         }
         for f, route in ((POLY, "nodes"), (POLY, "analytic"), (ABS, "quadrature")):

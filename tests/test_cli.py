@@ -651,6 +651,26 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert proc.stderr == ""
 
 
+def test_a_polynomial_run_does_not_load_numpy_polynomial(small_config, tmp_path):
+    """Polynomials are evaluated without numpy.polynomial, whose import
+    would cost a run several milliseconds; a fresh process shows it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from pqbaskakov import run_experiment, validate_config\n"
+        f"config = validate_config({str(small_config)!r}, "
+        "['run.outputs=curves, moments, convergence, bound-report'])\n"
+        f"assert run_experiment(config, {str(tmp_path / 'out')!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "out" / "convergence.csv").exists()
+
+
 _SCHEDULES = st.one_of(
     st.sampled_from([(0.9, 0.8), (1.0, 1.0), (0.9, 0.9), (0.9, 0.89999), (1.0, 0.9), (0.8, 0.9)])
     .map(lambda pq: f"[pair]\np = {pq[0]!r}\nq = {pq[1]!r}"),

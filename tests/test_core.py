@@ -223,6 +223,28 @@ class TestLogFactCache:
         assert table[:301].tolist() == want
         assert not table.flags.writeable
 
+    @pytest.mark.parametrize(
+        "pair", [PQPair(0.9, 0.8), PQPair(1.0, 150 / 151), PQPair(0.7, 0.7), PQPair(0.5, 1e-3), CLASSICAL],
+        ids=str,
+    )
+    def test_each_log_number_is_the_scalar_math_expression(self, pair):
+        """The vectorized terms are bitwise the one-j-at-a-time expressions in
+        math: (j-1) log p + log j at p = q, and otherwise
+        (j-1) log p + log1p(-r^j) - log1p(-r) with r = q/p."""
+        p, q = pair.p, pair.q
+        lp = math.log(p)
+
+        def scalar(j):
+            if p == q:
+                return math.log(j) + (j - 1) * lp
+            r = q / p
+            return (j - 1) * lp + math.log1p(-(r**j)) - math.log1p(-r)
+
+        for js in (range(1, 2), range(1, 700), range(64, 129), range(5, 5)):
+            assert core._log_pq_terms(pair, js).tolist() == [scalar(j) for j in js]
+        for j in (1, 2, 65, 5000):
+            assert core.log_pq_number(pair, j) == scalar(j)
+
     def test_grown_one_step_at_a_time_it_doubles(self, monkeypatch):
         # each growth at least doubles the table, so raising n one step at a
         # time copies every entry O(1) times on average

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from pqbaskakov import DomainError, FunctionSpec
+
+# points of every kind a caller may pass: ordinary, zero, huge, infinite and
+# subnormal, positive and negative
+POINTS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, 5e-324, 1e-310]),
+    st.floats(allow_nan=False),
+)
+COEFFICIENTS = st.lists(
+    st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1e300, 5e-324])), min_size=1, max_size=6
+)
 
 
 class TestPolynomial:
@@ -10,6 +24,19 @@ class TestPolynomial:
         assert f(0.0) == 2015.0
         assert f(1.0) == 2021.0
         np.testing.assert_allclose(f(np.array([0.0, 2.0])), [2015.0, 2063.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficients=COEFFICIENTS, points=st.lists(POINTS, max_size=5), scalar=st.booleans())
+    def test_horner_is_bitwise_polyval(self, coefficients, points, scalar):
+        """Evaluation is polyval's own Horner loop: the same values, bit for
+        bit (NaN included), and the same result type and shape."""
+        x = points[0] if scalar and points else np.array(points)
+        with np.errstate(all="ignore"):
+            got = FunctionSpec.polynomial(coefficients).evaluate(x)
+            want = polyval(np.asarray(x, dtype=float), coefficients)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_rejects_empty_coefficients(self):
         with pytest.raises(DomainError):
