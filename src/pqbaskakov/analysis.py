@@ -176,7 +176,7 @@ def _modulus(
     f: Union[FunctionSpec, callable], delta: float, grid: EvalGrid, order: int, name: str
 ) -> float:
     """The discrete modulus of the given order of f at delta on the grid."""
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return 0.0
@@ -307,6 +307,8 @@ def weighted_sup_error(
     decreasing at the edge; a non-decreasing edge is logged as a hint that
     the reported sup may be truncated.
     """
+    if not isinstance(f, FunctionSpec):
+        raise DomainError(f"the weighted sup error needs a FunctionSpec f with a growth bound C_f, got {f!r}")
     f.require_growth_bound()
     xs = grid.array()
     fv = np.asarray(as_callable(f)(xs), dtype=float)

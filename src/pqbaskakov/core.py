@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -184,25 +184,26 @@ def _log_pq_terms(pair: PQPair, js: range) -> np.ndarray:
     return scaled + log1p - math.log1p(-r)
 
 
-# Per-pair prefix sums of log [j], grown on demand, for at most
-# _LOG_FACT_PAIRS pairs (a parameter schedule brings a new pair per order).
-# Each table is a read-only array, replaced by a longer one when it grows.
-# The dict is kept in least-recently-used-first order.  Recomputation under
-# concurrent access is benign: entries are pure functions of (pair, j).
-_LOG_FACT_PAIRS = 64
-_LOG_FACT_CACHE: dict[PQPair, np.ndarray] = {}
+# The prefix sums of log [j] of the last pair asked for, grown on demand.  A
+# run asks for one pair at a time, and a parameter schedule brings a new pair
+# per order and never returns to an earlier one, so one slot holds every
+# table a run reuses.  Each table is a read-only array, replaced by a longer
+# one when it grows.  The slot is replaced whole, so concurrent callers at
+# worst recompute a table: its entries are pure functions of (pair, j).
 _EMPTY_LOG_FACT = np.zeros(1)
 _EMPTY_LOG_FACT.flags.writeable = False
+_LOG_FACT_SLOT: tuple[Optional[PQPair], np.ndarray] = (None, _EMPTY_LOG_FACT)
 
 
 def _log_fact_table(pair: PQPair, n: int) -> np.ndarray:
     """log [j]! for j = 0..n at least, shared read-only."""
-    table = _LOG_FACT_CACHE.pop(pair, _EMPTY_LOG_FACT)
+    global _LOG_FACT_SLOT
+    last, table = _LOG_FACT_SLOT
+    if last != pair:
+        table = _EMPTY_LOG_FACT
     if table.size <= n:
         table = _grow_log_fact(pair, table, n)
-    _LOG_FACT_CACHE[pair] = table
-    if len(_LOG_FACT_CACHE) > _LOG_FACT_PAIRS:
-        _LOG_FACT_CACHE.pop(next(iter(_LOG_FACT_CACHE)), None)
+        _LOG_FACT_SLOT = (pair, table)
     return table
 
 

@@ -4,17 +4,21 @@ A ``FunctionSpec`` is a callable description of f: [0, inf) -> R.  Two
 kinds exist: ``polynomial`` (ascending coefficients) and ``named`` (drawn
 from a small registry).  The operators sample f at nodes that run off to
 infinity, so every kind is defined on the whole half-line.
-An optional growth bound C_f certifies |f(x)| <= C_f (1 + x^2); it is
-required by the weighted-norm machinery and validated by sampling.
+An optional growth bound 0 < C_f < inf certifies |f(x)| <= C_f (1 + x^2);
+it is required by the weighted-norm machinery and validated by sampling.
+A spec checks all of this when it is made, however it is made.
 
-A polynomial is evaluated by Horner's rule, c_d, then c_{d-1} + v x, down
-to c_0 + v x, in the same order and with the same result types as
-``numpy.polynomial.polynomial.polyval``, so its values are bitwise polyval's
-without loading ``numpy.polynomial``.
+A registry entry is defined once: the monomials e0..e3 by their
+coefficients, and a function that is not a polynomial by a callable.  Every
+polynomial, given by coefficients or by name, is evaluated by Horner's rule,
+c_d, then c_{d-1} + v x, down to c_0 + v x, in the same order and with the
+same result types as ``numpy.polynomial.polynomial.polyval``, so its values
+are bitwise polyval's without loading ``numpy.polynomial``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,13 +35,14 @@ def _abs_t_minus_1(t: ArrayLike) -> ArrayLike:
     return np.abs(np.asarray(t, dtype=float) - 1.0)
 
 
-# name -> (callable, polynomial coefficients if the function is one, default C_f)
-NAMED_FUNCTIONS: dict[str, tuple[Callable[[ArrayLike], ArrayLike], Optional[tuple[float, ...]], Optional[float]]] = {
-    "e0": (lambda t: np.ones_like(np.asarray(t, dtype=float)), (1.0,), 1.0),
-    "e1": (lambda t: np.asarray(t, dtype=float) + 0.0, (0.0, 1.0), 1.0),
-    "e2": (lambda t: np.asarray(t, dtype=float) ** 2, (0.0, 0.0, 1.0), 1.0),
-    "e3": (lambda t: np.asarray(t, dtype=float) ** 3, (0.0, 0.0, 0.0, 1.0), None),
-    "abs_t_minus_1": (_abs_t_minus_1, None, 2.0),
+# name -> (definition, default C_f); the definition is the ascending
+# coefficients of a polynomial, or the callable of any other function
+NAMED_FUNCTIONS: dict[str, tuple[Union[tuple[float, ...], Callable[[ArrayLike], ArrayLike]], Optional[float]]] = {
+    "e0": ((1.0,), 1.0),
+    "e1": ((0.0, 1.0), 1.0),
+    "e2": ((0.0, 0.0, 1.0), 1.0),
+    "e3": ((0.0, 0.0, 0.0, 1.0), None),
+    "abs_t_minus_1": (_abs_t_minus_1, 2.0),
 }
 
 _GROWTH_SAMPLE = np.concatenate([np.linspace(0.0, 10.0, 201), np.geomspace(10.0, 1e4, 40)])
@@ -56,51 +61,44 @@ class FunctionSpec:
     def polynomial(
         cls, coefficients: Sequence[float], growth_bound_Cf: Optional[float] = None
     ) -> "FunctionSpec":
-        coeffs = tuple(float(c) for c in coefficients)
-        if not coeffs:
-            raise DomainError("polynomial coefficient list must be non-empty")
-        return cls(kind="polynomial", coefficients=coeffs, growth_bound_Cf=growth_bound_Cf)
+        return cls(kind="polynomial", coefficients=tuple(coefficients), growth_bound_Cf=growth_bound_Cf)
 
     @classmethod
     def named(cls, name: str, growth_bound_Cf: Optional[float] = None) -> "FunctionSpec":
-        if name not in NAMED_FUNCTIONS:
-            raise DomainError(
-                f"unknown named function {name!r}; registered: {sorted(NAMED_FUNCTIONS)}"
-            )
-        if growth_bound_Cf is None:
-            growth_bound_Cf = NAMED_FUNCTIONS[name][2]
+        if growth_bound_Cf is None and name in NAMED_FUNCTIONS:
+            growth_bound_Cf = NAMED_FUNCTIONS[name][1]
         return cls(kind="named", name=name, growth_bound_Cf=growth_bound_Cf)
 
     def __post_init__(self) -> None:
         if self.kind not in ("polynomial", "named"):
             raise DomainError(f"unknown FunctionSpec kind {self.kind!r}")
-        if self.growth_bound_Cf is not None:
-            if self.growth_bound_Cf <= 0.0:
-                raise DomainError("growth bound C_f must be positive")
-            self._validate_growth_bound()
-
-    def _validate_growth_bound(self) -> None:
+        if self.kind == "polynomial":
+            if not self.coefficients:
+                raise DomainError("polynomial coefficient list must be non-empty")
+            object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        elif self.name not in NAMED_FUNCTIONS:
+            raise DomainError(f"unknown named function {self.name!r}; registered: {sorted(NAMED_FUNCTIONS)}")
         cf = self.growth_bound_Cf
-        assert cf is not None
+        if cf is None:
+            return
+        if not 0.0 < cf < math.inf:
+            raise DomainError(f"growth bound C_f must be positive and finite, got {cf}")
         fx = np.abs(self.evaluate(_GROWTH_SAMPLE))
         bound = cf * (1.0 + _GROWTH_SAMPLE**2)
         if np.any(fx > bound * (1.0 + 1e-12)):
             worst = float(_GROWTH_SAMPLE[np.argmax(fx - bound)])
-            raise DomainError(
-                f"growth bound C_f = {cf} violated by sampling near x = {worst:.6g}"
-            )
+            raise DomainError(f"growth bound C_f = {cf} violated by sampling near x = {worst:.6g}")
 
     def evaluate(self, x: ArrayLike) -> ArrayLike:
-        if self.kind == "polynomial":
-            assert self.coefficients is not None
-            x = np.asarray(x, dtype=float)
-            *lower, top = self.coefficients
-            value = top + x * 0
-            for c in reversed(lower):
-                value = c + value * x
-            return value
-        assert self.name is not None
-        return NAMED_FUNCTIONS[self.name][0](x)
+        coefficients = self.as_polynomial()
+        if coefficients is None:
+            return NAMED_FUNCTIONS[self.name][0](x)
+        x = np.asarray(x, dtype=float)
+        *lower, top = coefficients
+        value = top + x * 0
+        for c in reversed(lower):
+            value = c + value * x
+        return value
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
         out = self.evaluate(x)
@@ -112,8 +110,8 @@ class FunctionSpec:
         """Ascending coefficients when the function is exactly a polynomial."""
         if self.kind == "polynomial":
             return self.coefficients
-        assert self.name is not None
-        return NAMED_FUNCTIONS[self.name][1]
+        definition = NAMED_FUNCTIONS[self.name][0]
+        return None if callable(definition) else definition
 
     @property
     def degree(self) -> Optional[int]:

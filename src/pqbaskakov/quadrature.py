@@ -11,9 +11,12 @@ bilaterally (i ranges over all integers; nodes sweep (0, inf) geometrically):
 
 Both sum each ladder direction with one helper, ``_ladder_sum``: a direction
 stops once the term magnitude stays below max(abs_tol, rel_tol |partial|) for
-three consecutive terms, and the discarded tail is bounded by geometric
-extrapolation of the last term.  A non-finite term ends the direction, and
-the result is then flagged as not converged.
+three consecutive terms and the geometric extrapolation of the discarded
+tail is within 0.45 of that tolerance.  A finite integral has converged when
+its direction stopped; an improper one when both directions stopped and
+their summed tail is within max(abs_tol, rel_tol |value|).  A non-finite
+term, or a term budget of max_terms spent in one direction, ends that
+direction unstopped, and the result is then flagged as not converged.
 
 ``batched_weight_ratios`` is the vectorized work-horse behind the
 Beta-weighted operators: it evaluates, for a whole range of k at once, the
@@ -36,7 +39,7 @@ truncation policy moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -72,13 +75,6 @@ class QuadratureResult:
     tail_estimate: float
     converged: bool
     nodes_outside_interval: int = 0
-
-    def check(self, policy: TruncationPolicy) -> bool:
-        """converged <=> tail below tolerance and the term budget not exhausted."""
-        return (
-            self.tail_estimate <= max(policy.abs_tol, policy.rel_tol * abs(self.value))
-            and self.terms_used < policy.max_terms
-        )
 
 
 def _geometric_tail(last: float, prev: float) -> float:
@@ -149,8 +145,7 @@ def jackson_integral(
     total, used, tail, stopped, outside = _ladder_sum(
         pair, as_callable(f), policy, a, 1.0 / p, q / p, 0.0
     )
-    result = QuadratureResult(total, used, tail, False, outside)
-    return replace(result, converged=stopped and result.check(policy))
+    return QuadratureResult(total, used, tail, stopped, outside)
 
 
 def improper_integral(
@@ -160,8 +155,9 @@ def improper_integral(
 ) -> QuadratureResult:
     """Bilateral ladder integral of f over [0, inf).
 
-    Non-convergence within the term budget yields a flagged result rather
-    than an exception; a visibly diverging backward ladder (nodes beyond
+    Each direction has its own budget of policy.max_terms terms.
+    Non-convergence within it yields a flagged result rather than an
+    exception; a visibly diverging backward ladder (nodes beyond
     1e200 with non-shrinking terms) is flagged the same way.
     """
     pair.require_strict("the improper (p,q)-integral")
@@ -177,8 +173,7 @@ def improper_integral(
         terms_used += used
         tail += part_tail
         stopped = stopped and part_stopped
-    result = QuadratureResult(total, terms_used, tail, False)
-    return replace(result, converged=stopped and result.check(policy))
+    return QuadratureResult(total, terms_used, tail, stopped and tail <= policy.threshold(total))
 
 
 def beta_kernel(pair: PQPair, m: int, n: int) -> Callable[[float], float]:

@@ -120,6 +120,12 @@ class TestModuli:
         grid = EvalGrid(0.0, 1.0, 11)
         assert modulus_of_continuity(E2, 0.0, grid) == 0.0
 
+    @pytest.mark.parametrize("modulus", [modulus_of_continuity, second_modulus])
+    @pytest.mark.parametrize("delta", [math.nan, -0.1])
+    def test_nan_or_negative_delta_is_refused(self, modulus, delta):
+        with pytest.raises(DomainError):
+            modulus(E2, delta, EvalGrid(0.0, 1.0, 11))
+
 
 class TestPointwiseBoundTerms:
     def test_constant_function_gives_zero_omega(self):
@@ -223,6 +229,11 @@ class TestWeightedSupError:
         errs = [weighted_sup_error(sched.pair_at(n), n, E2, grid) for n in (5, 10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] > errs[3]
         assert errs[-1] < 0.2
+
+    def test_plain_callable_is_refused(self):
+        pair = ParameterSchedule.q_ratio().pair_at(10)
+        with pytest.raises(DomainError, match="FunctionSpec"):
+            weighted_sup_error(pair, 10, lambda t: t, EvalGrid(0.0, 10.0, 11))
 
     def test_untrusted_cells_give_nan(self):
         # 8 terms leave the ladder's inner integrals unconverged, so every cell

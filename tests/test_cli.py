@@ -23,7 +23,7 @@ from pqbaskakov import (
     run_experiment,
     validate_config,
 )
-from pqbaskakov import NAMED_FUNCTIONS, baskakov, cli
+from pqbaskakov import NAMED_FUNCTIONS, baskakov, cli, core
 from pqbaskakov.cli import main
 
 
@@ -209,6 +209,25 @@ path = out
         rows = read_csv(out / "convergence.csv")
         sups = [float(r["weighted_error"]) for r in rows]
         assert sups[0] > sups[1] > sups[2]
+
+    def test_a_scheduled_run_never_returns_to_a_pair_it_left(self, tmp_path, monkeypatch):
+        # the premise of the one-slot log-factorial table: each order's pair
+        # is asked for in one stretch, so the slot misses once per pair
+        path = tmp_path / "sched.cfg"
+        path.write_text(FIGURE1_TEXT.replace("[pair]\np = 0.9\nq = 0.8", "[schedule]\nfamily = q_ratio")
+                        .replace("n_list = 5, 10", "n_list = 5, 10, 20")
+                        .replace("outputs = curves, moments", "outputs = curves, convergence"))
+        real, asked = core._log_fact_table, []
+
+        def recording(pair, n):
+            asked.append(pair)
+            return real(pair, n)
+
+        monkeypatch.setattr(core, "_log_fact_table", recording)
+        monkeypatch.setattr(baskakov, "_log_fact_table", recording)
+        assert run_experiment(validate_config(path), tmp_path / "results") == 0
+        stretches = [pair for i, pair in enumerate(asked) if i == 0 or pair != asked[i - 1]]
+        assert len(stretches) == len(set(stretches)) == 3
 
     def test_bound_report(self, small_config, tmp_path):
         out = tmp_path / "results"
@@ -456,6 +475,8 @@ REFUSED_INPUTS = {
     "grid-from-half": ["grid.start=0.5"],
     "zero-target": ["function.named=", "function.coefficients=0"],
     "grid-to-inf": ["grid.stop=inf", "run.outputs=curves"],
+    "growth-bound-inf": ["function.growth_bound=inf"],
+    "growth-bound-nan": ["function.growth_bound=nan"],
 }
 
 

@@ -194,27 +194,25 @@ class TestFactorial:
 class TestLogFactCache:
     @staticmethod
     def fresh_pairs(count):
-        # pairs no other test uses, so every one is a new cache entry
+        # pairs no other test uses, so none is in the slot already
         return [PQPair(1.0, j / (j + 1.0)) for j in range(5000, 5000 + count)]
 
     @staticmethod
     def log_factorial(pair, n):
         return sum(math.log(pq_number(pair, j)) for j in range(1, n + 1))
 
-    def test_holds_at_most_the_bound_and_stays_correct(self):
-        bound = core._LOG_FACT_PAIRS
-        pairs = self.fresh_pairs(bound + 6)
-        for pair in pairs:
-            core.log_pq_factorial(pair, 6)
-            assert len(core._LOG_FACT_CACHE) <= bound
-        assert pairs[0] not in core._LOG_FACT_CACHE
-        for pair in (pairs[0], pairs[-1]):
-            got = core.log_pq_factorial(pair, 9)
-            assert rel_err(got, self.log_factorial(pair, 9)) < 1e-13
+    def test_a_return_to_an_earlier_pair_rebuilds_the_same_table(self):
+        first, second = self.fresh_pairs(2)
+        table = core._log_fact_table(first, 9)
+        core._log_fact_table(second, 9)
+        rebuilt = core._log_fact_table(first, 9)
+        assert rebuilt is not table
+        assert rebuilt.tobytes() == table.tobytes()
+        assert rel_err(float(rebuilt[9]), self.log_factorial(first, 9)) < 1e-13
 
     @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(1.0, 150 / 151), PQPair(0.7, 0.7), CLASSICAL])
-    def test_grown_in_pieces_is_bitwise_the_running_sum_of_log_numbers(self, pair):
-        core._LOG_FACT_CACHE.pop(pair, None)
+    def test_grown_in_pieces_is_bitwise_the_running_sum_of_log_numbers(self, pair, monkeypatch):
+        monkeypatch.setattr(core, "_LOG_FACT_SLOT", (None, core._EMPTY_LOG_FACT))
         for n in (3, 64, 65, 67, 300):
             table = core._log_fact_table(pair, n)
         want = [0.0]
@@ -249,7 +247,7 @@ class TestLogFactCache:
         # each growth at least doubles the table, so raising n one step at a
         # time copies every entry O(1) times on average
         pair = PQPair(0.97, 0.91)
-        core._LOG_FACT_CACHE.pop(pair, None)
+        monkeypatch.setattr(core, "_LOG_FACT_SLOT", (None, core._EMPTY_LOG_FACT))
         real, sizes = core._grow_log_fact, []
 
         def recording(*args):
@@ -261,16 +259,6 @@ class TestLogFactCache:
         for n in range(1, 5001):
             core.log_pq_factorial(pair, n)
         assert sizes == [2 ** (k + 2) - 1 for k in range(12)]  # up to 8,191 entries
-
-    def test_evicts_the_least_recently_used_pair(self):
-        bound = core._LOG_FACT_PAIRS
-        pairs = self.fresh_pairs(bound + 1)
-        for pair in pairs[:bound]:
-            core.log_pq_factorial(pair, 3)
-        core.log_pq_factorial(pairs[0], 3)
-        core.log_pq_factorial(pairs[bound], 3)
-        assert pairs[0] in core._LOG_FACT_CACHE
-        assert pairs[1] not in core._LOG_FACT_CACHE
 
 
 class TestBinomial:

@@ -62,6 +62,41 @@ class TestPolynomial:
         with pytest.raises(DomainError):
             FunctionSpec.polynomial([0.0, 0.0, 5.0], growth_bound_Cf=1.0)
 
+    @pytest.mark.parametrize("cf", [np.nan, np.inf, 0.0, -1.0])
+    def test_growth_bound_must_be_positive_and_finite(self, cf):
+        with pytest.raises(DomainError):
+            FunctionSpec.polynomial([1.0, 2.0], growth_bound_Cf=cf)
+        with pytest.raises(DomainError):
+            FunctionSpec.named("abs_t_minus_1", growth_bound_Cf=cf)
+
+
+class TestDirectConstruction:
+    """The dataclass checks itself, so a spec made without the classmethods
+    is refused by the same DomainError."""
+
+    def test_polynomial_without_coefficients(self):
+        with pytest.raises(DomainError):
+            FunctionSpec("polynomial")
+
+    def test_polynomial_with_empty_coefficients(self):
+        with pytest.raises(DomainError):
+            FunctionSpec("polynomial", coefficients=())
+
+    def test_unknown_name(self):
+        with pytest.raises(DomainError):
+            FunctionSpec("named", name="nope")
+        with pytest.raises(DomainError):
+            FunctionSpec("named")
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError):
+            FunctionSpec("spline", coefficients=(1.0,))
+
+    def test_coefficients_become_a_float_tuple(self):
+        f = FunctionSpec("polynomial", coefficients=[1, 2])
+        assert f.coefficients == (1.0, 2.0)
+        assert f == FunctionSpec.polynomial([1.0, 2.0])
+
 
 class TestNamed:
     def test_monomials_report_polynomial_form(self):
@@ -76,4 +111,18 @@ class TestNamed:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             FunctionSpec.named("nope")
+
+    @pytest.mark.parametrize(
+        "name, coefficients",
+        [("e0", [1.0]), ("e1", [0.0, 1.0]), ("e2", [0.0, 0.0, 1.0]), ("e3", [0.0, 0.0, 0.0, 1.0])],
+    )
+    def test_monomial_is_bitwise_its_coefficient_polynomial(self, name, coefficients):
+        named, poly = FunctionSpec.named(name), FunctionSpec.polynomial(coefficients)
+        points = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 3.0, 1e100, 1e200, 1e300,
+                  np.inf, -np.inf, np.linspace(0.0, 10.0, 101), np.geomspace(5e-324, 1e308, 97)]
+        with np.errstate(all="ignore"):
+            for x in points:
+                got, want = named(x), poly(x)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 

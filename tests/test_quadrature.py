@@ -106,9 +106,13 @@ class TestJacksonIntegral:
         assert res.nodes_outside_interval == 0
 
     def test_converged_flag_matches_invariant(self, strict_pair):
-        policy = TruncationPolicy()
-        res = jackson_integral(strict_pair, lambda t: t**3, 1.5, policy)
-        assert res.converged == res.check(policy)
+        # converged <=> the ladder stopped, which takes three small terms and a
+        # tail within 0.45 of the tolerance; three terms stop no ladder here
+        for policy in (TruncationPolicy(), TruncationPolicy(max_terms=3)):
+            res = jackson_integral(strict_pair, lambda t: t**3, 1.5, policy)
+            assert res.converged == (policy.max_terms > 3)
+            if res.converged:
+                assert res.tail_estimate <= 0.45 * policy.threshold(res.value)
 
     def test_infinite_term_is_not_converged(self):
         # the first node of the ladder at (0.9, 0.8), a = 1 is 1/0.9
@@ -175,9 +179,24 @@ class TestImproperIntegral:
         assert abs(fine.value - coarse.value) < coarse.tail_estimate + 1e-15
 
     def test_converged_flag_matches_invariant(self, strict_pair):
-        policy = TruncationPolicy()
-        res = improper_integral(strict_pair, beta_kernel(strict_pair, 1, 3), policy)
-        assert res.converged == res.check(policy)
+        # converged <=> both directions stopped and their summed tail is within
+        # the tolerance; three terms per direction stop neither
+        for policy in (TruncationPolicy(), TruncationPolicy(max_terms=3)):
+            res = improper_integral(strict_pair, beta_kernel(strict_pair, 1, 3), policy)
+            assert res.converged == (policy.max_terms > 3)
+            if res.converged:
+                assert res.tail_estimate <= policy.threshold(res.value)
+
+    def test_term_budget_is_per_direction(self):
+        # 129 forward and 86 backward terms: each direction stops within its
+        # 130-term budget, though together they use more, and the value is the
+        # default policy's bit for bit
+        pair = PQPair(0.9, 0.8)
+        kernel = beta_kernel(pair, 2, 3)
+        res = improper_integral(pair, kernel, TruncationPolicy(max_terms=130))
+        assert res.terms_used == 215
+        assert res.converged
+        assert res.value == improper_integral(pair, kernel).value == 0.395749895037865
 
 
 class TestIntegrationByParts:
