@@ -73,7 +73,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -107,8 +106,7 @@ _EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
 _ROW_ENTRIES = 1 << 18  # most basis-row entries a block of grid points holds (2 MiB)
 
 
-@dataclass(frozen=True)
-class OperatorResult:
+class OperatorResult(NamedTuple):
     """Operator evaluation at one point plus truncation diagnostics."""
 
     value: float

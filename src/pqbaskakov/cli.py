@@ -251,13 +251,23 @@ def validate_config(path: str | Path, overrides: Sequence[str] = ()) -> Experime
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
-    """The one place where numbers become text: a str cell is written as it
-    is, any other as a float in shortest round-trip form, and NaN as NA."""
+    """The one place where numbers become text, a column at a time.  A column
+    holds only str or only numbers: str cells are written as they are, numbers
+    as floats in shortest round-trip form, and NaN as NA."""
+    texts = []
+    for column in columns:
+        if len(column) and isinstance(column[0], str):
+            texts.append(column)
+            continue
+        values = np.asarray(column, dtype=float)
+        cells = values.tolist()
+        if np.isnan(values).any():
+            texts.append("NA" if v != v else repr(v) for v in cells)
+        else:
+            texts.append(map(repr, cells))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            text = (v if isinstance(v, str) else "NA" if math.isnan(v) else repr(float(v)) for v in row)
-            handle.write(",".join(text) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def _curves(config: ExperimentConfig, out: Path) -> bool:
@@ -277,13 +287,14 @@ def _curves(config: ExperimentConfig, out: Path) -> bool:
 
 def _moments(config: ExperimentConfig, out: Path) -> bool:
     xs = config.grid.array()
-    rows = []
+    labels, blocks = [], []  # rows are n-major: n as text, and per n M0, M1, M2, mu1, mu2
     for n in config.n_list:
         pair = config.schedule.pair_at(n)
+        labels += [str(n)] * xs.size
         raw = [moments_closed(pair, m, n, xs) for m in (0, 1, 2)]
-        central = [central_moment(pair, m, n, xs) for m in (1, 2)]
-        rows.extend((str(n), *point) for point in zip(xs, *raw, *central))
-    _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], zip(*rows))
+        blocks.append(raw + [central_moment(pair, m, n, xs) for m in (1, 2)])
+    columns = [labels, np.tile(xs, len(config.n_list)), *map(np.concatenate, zip(*blocks))]
+    _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], columns)
     return False
 
 

@@ -65,8 +65,6 @@ class FunctionSpec:
 
     @classmethod
     def named(cls, name: str, growth_bound_Cf: Optional[float] = None) -> "FunctionSpec":
-        if growth_bound_Cf is None and name in NAMED_FUNCTIONS:
-            growth_bound_Cf = NAMED_FUNCTIONS[name][1]
         return cls(kind="named", name=name, growth_bound_Cf=growth_bound_Cf)
 
     def __post_init__(self) -> None:
@@ -78,6 +76,8 @@ class FunctionSpec:
             object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         elif self.name not in NAMED_FUNCTIONS:
             raise DomainError(f"unknown named function {self.name!r}; registered: {sorted(NAMED_FUNCTIONS)}")
+        elif self.growth_bound_Cf is None:  # the registry's C_f, however the spec is made
+            object.__setattr__(self, "growth_bound_Cf", NAMED_FUNCTIONS[self.name][1])
         cf = self.growth_bound_Cf
         if cf is None:
             return

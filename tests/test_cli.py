@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -751,3 +752,70 @@ def test_a_config_is_refused_or_runs_to_the_end(
         except ConfigurationError:
             return
         assert run_experiment(config, Path(tmp) / "out") in (0, 2)
+
+
+class TestWriteCsv:
+    """cli._write_csv turns whole columns into text; each cell must read as
+    the per-cell rule it replaced: a str as it is, NaN as NA, any other
+    number as repr(float(v))."""
+
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["n", "a", "b", "c", "d"], [
+            ["3", "10", "x y"],
+            np.array([math.nan, math.inf, -math.inf]),
+            [-0.0, 5e-324, 1.7976931348623157e308],
+            (0.1, 2, np.float64(1.0) / 3.0),
+            [1.5, math.nan, -2.0],
+        ])
+        assert path.read_bytes() == (
+            b"n,a,b,c,d\n"
+            b"3,NA,-0.0,0.1,1.5\n"
+            b"10,inf,5e-324,2.0,NA\n"
+            b"x y,-inf,1.7976931348623157e+308,0.3333333333333333,-2.0\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(0, 12).flatmap(
+            lambda size: st.lists(st.lists(st.floats(), min_size=size, max_size=size), min_size=1, max_size=4)
+        ),
+        kinds=st.lists(st.sampled_from(["ndarray", "list", "tuple", "numpy scalars"]), min_size=4, max_size=4),
+    )
+    def test_each_cell_follows_the_per_cell_rule(self, rows, kinds):
+        as_kind = {
+            "ndarray": np.array,
+            "list": list,
+            "tuple": tuple,
+            "numpy scalars": lambda values: [np.float64(v) for v in values],
+        }
+        columns = [[str(i) for i in range(len(rows[0]))]]
+        columns += [as_kind[kind](values) for kind, values in zip(kinds, rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            cli._write_csv(path, [f"c{j}" for j in range(len(columns))], columns)
+            text = path.read_text(encoding="utf-8")
+        want = [",".join(f"c{j}" for j in range(len(columns)))]
+        for i, label in enumerate(columns[0]):
+            cells = ("NA" if math.isnan(v) else repr(float(v)) for v in (values[i] for values in rows))
+            want.append(",".join([label, *cells]))
+        assert text == "".join(line + "\n" for line in want)
+
+
+def test_moments_rows_are_n_major(tmp_path):
+    # a q_ratio schedule, so each n block has its own pair
+    path = _config(tmp_path, "[schedule]\nfamily = q_ratio", "n_list = 3, 5, 10\noutputs = moments")
+    config = validate_config(path)
+    assert run_experiment(config, tmp_path / "out") == 0
+    rows = read_csv(tmp_path / "out" / "moments.csv")
+    xs = config.grid.array()
+    want = []
+    for n in config.n_list:
+        pair = config.schedule.pair_at(n)
+        quantities = {f"M{m}": moments_closed(pair, m, n, xs) for m in (0, 1, 2)}
+        quantities.update({f"mu{m}": central_moment(pair, m, n, xs) for m in (1, 2)})
+        for i, x in enumerate(xs):
+            cells = {name: repr(float(values[i])) for name, values in quantities.items()}
+            want.append({"n": str(n), "x": repr(float(x)), **cells})
+    assert len(rows) == len(config.n_list) * xs.size
+    assert rows == want

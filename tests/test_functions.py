@@ -97,6 +97,22 @@ class TestDirectConstruction:
         assert f.coefficients == (1.0, 2.0)
         assert f == FunctionSpec.polynomial([1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "name, cf", [("e0", 1.0), ("e1", 1.0), ("e2", 1.0), ("e3", None), ("abs_t_minus_1", 2.0)]
+    )
+    def test_a_named_spec_takes_the_registry_growth_bound(self, name, cf):
+        direct = FunctionSpec("named", name=name)
+        assert direct == FunctionSpec.named(name)
+        assert direct.growth_bound_Cf == cf
+        if cf is not None:
+            assert direct.require_growth_bound() == cf
+
+    def test_an_explicit_growth_bound_is_kept(self):
+        direct = FunctionSpec("named", name="abs_t_minus_1", growth_bound_Cf=3.5)
+        assert direct.growth_bound_Cf == 3.5
+        assert direct == FunctionSpec.named("abs_t_minus_1", growth_bound_Cf=3.5)
+        assert direct != FunctionSpec.named("abs_t_minus_1")
+
 
 class TestNamed:
     def test_monomials_report_polynomial_form(self):
