@@ -272,50 +272,53 @@ def _apply(
     vector of the call grows with the longest row, by the new k only.
     Whether a result is trusted is decided by ``_sum_rows`` alone.
     """
-    results: list = [None] * xs.size
-    s, ok = np.empty(0), np.empty(0, dtype=bool)
-    zero = np.flatnonzero(xs == 0.0)
-    if zero.size:
-        # b_{n,0}(0) = 1, every other weight vanishes
-        s, ok = _samples(pair, n, f, route, 0, min(64, policy.max_terms))
-        result = _sum_rows(np.zeros((1, 1)), s[:1], bool(ok[0]), policy)[0]
-        for i in zero.tolist():
-            results[i] = result
-    positive = np.flatnonzero(xs)
-    # per row: its point's index, its log weights so far, the prefix sum they
-    # end on, and the largest edge metric over them
-    pending = [(positive, np.empty((positive.size, 0)), np.zeros(positive.size),
-                np.full(positive.size, -math.inf))]
-    while pending:
-        idx, rows, carry, peak = pending.pop()
-        while idx.size:
-            built = rows.shape[1]
-            k_count = min(2 * built if built else 64, policy.max_terms)
-            # the first segment also holds the n leading factors of each row
-            fit = max(1, _ROW_ENTRIES // (k_count + (0 if built else n)))
-            if idx.size > fit:
-                pending.append((idx[fit:], rows[fit:], carry[fit:], peak[fit:]))
-                idx, rows, carry, peak = idx[:fit], rows[:fit], carry[:fit], peak[:fit]
-            segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
-            rows = np.concatenate([rows, segment], axis=1) if built else segment
-            if s.size < k_count:
-                new_s, new_ok = _samples(pair, n, f, route, s.size, k_count)
-                s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
-            # the edge metric b_{n,k} |s_k| in logs (a zero or non-finite
-            # sample counts as 1), taken over the new segment only: the
-            # running max over the segments is the max over the whole row
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ls = np.log(np.abs(s[built:k_count]))
-            metric = segment + np.where(np.isfinite(ls), ls, 0.0)
-            peak = np.maximum(peak, metric.max(axis=1))
-            done = metric[:, -1] < peak + math.log(_EDGE_FRACTION)
-            if k_count >= policy.max_terms:
-                done[:] = True
-            inner_ok = bool(ok[:k_count].all())
-            for i, result in zip(idx[done].tolist(), _sum_rows(rows[done], s[:k_count], inner_ok, policy)):
+    # extreme inputs overflow to inf or NaN on the way (a sample, a node, a
+    # term); their cells end untrusted, so numpy need not warn about them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        results: list = [None] * xs.size
+        s, ok = np.empty(0), np.empty(0, dtype=bool)
+        zero = np.flatnonzero(xs == 0.0)
+        if zero.size:
+            # b_{n,0}(0) = 1, every other weight vanishes
+            s, ok = _samples(pair, n, f, route, 0, min(64, policy.max_terms))
+            result = _sum_rows(np.zeros((1, 1)), s[:1], bool(ok[0]), policy)[0]
+            for i in zero.tolist():
                 results[i] = result
-            idx, rows, carry, peak = idx[~done], rows[~done], carry[~done], peak[~done]
-    return results
+        positive = np.flatnonzero(xs)
+        # per row: its point's index, its log weights so far, the prefix sum
+        # they end on, and the largest edge metric over them
+        pending = [(positive, np.empty((positive.size, 0)), np.zeros(positive.size),
+                    np.full(positive.size, -math.inf))]
+        while pending:
+            idx, rows, carry, peak = pending.pop()
+            while idx.size:
+                built = rows.shape[1]
+                k_count = min(2 * built if built else 64, policy.max_terms)
+                # the first segment also holds the n leading factors of each row
+                fit = max(1, _ROW_ENTRIES // (k_count + (0 if built else n)))
+                if idx.size > fit:
+                    pending.append((idx[fit:], rows[fit:], carry[fit:], peak[fit:]))
+                    idx, rows, carry, peak = idx[:fit], rows[:fit], carry[:fit], peak[:fit]
+                segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
+                rows = np.concatenate([rows, segment], axis=1) if built else segment
+                if s.size < k_count:
+                    new_s, new_ok = _samples(pair, n, f, route, s.size, k_count)
+                    s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
+                # the edge metric b_{n,k} |s_k| in logs (a zero or non-finite
+                # sample counts as 1), taken over the new segment only: the
+                # running max over the segments is the max over the whole row
+                ls = np.log(np.abs(s[built:k_count]))
+                metric = segment + np.where(np.isfinite(ls), ls, 0.0)
+                peak = np.maximum(peak, metric.max(axis=1))
+                done = metric[:, -1] < peak + math.log(_EDGE_FRACTION)
+                if k_count >= policy.max_terms:
+                    done[:] = True
+                inner_ok = bool(ok[:k_count].all())
+                summed = _sum_rows(rows[done], s[:k_count], inner_ok, policy)
+                for i, result in zip(idx[done].tolist(), summed):
+                    results[i] = result
+                idx, rows, carry, peak = idx[~done], rows[~done], carry[~done], peak[~done]
+        return results
 
 
 def _sum_rows(

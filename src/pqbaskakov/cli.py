@@ -11,7 +11,6 @@ numerical failure (flagged cells serialized as NA).
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import math
 import sys
@@ -386,6 +385,8 @@ def _builtin_config_path(name: str) -> Path:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse  # only the command line needs it, not a run through the API
+
     parser = argparse.ArgumentParser(
         prog="pqbaskakov",
         description="Evaluate (p,q)-Baskakov-Beta operators and run convergence experiments.",

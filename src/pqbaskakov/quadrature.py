@@ -29,11 +29,13 @@ materialize.  Each row k is summed over its own band of ladder nodes: the
 log weight is concave in the node index, rising by up to n |log(q/p)| per
 node on the large-t side and falling by up to (k+1) |log(q/p)| on the
 small-t side, so the peak and bounds for both band edges follow in closed
-form, O(1) per row.  All bands are evaluated as one flat (row, node) gather
-on a shared prefix table, and f is evaluated on the band nodes only.  A row
-whose edges are not negligible regrows; no band, and no shared window, is
-ever wider than the fixed cap _LADDER_NODES = 20,001 nodes, which no
-truncation policy moves.
+form, O(1) per row.  All bands of a window are evaluated as one flat
+(row, node) gather on two tables the window keeps over its index range, the
+integer multiples of log r and the prefix sums of the bounded parts; the
+terms at each row's peak are computed once per row and repeated over its
+band, and f is evaluated on the band nodes only.  A row whose edges are not
+negligible regrows; no band, and no shared window, is ever wider than the
+fixed cap _LADDER_NODES = 20,001 nodes, which no truncation policy moves.
 """
 
 from __future__ import annotations
@@ -265,8 +267,11 @@ def _neg_triangle(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LadderWindow:
-    """Nodes t_i = r^i / p (r = q/p) for i_lo <= i <= i_hi, with the prefix
-    table that gives log (1 (+) p t_i)^power for any power <= max_power."""
+    """Nodes t_i = r^i / p (r = q/p) for i_lo <= i <= i_hi, with the two
+    tables that give log (1 (+) p t_i)^power for any power <= max_power.
+    Entry j of both belongs to the index s = i_lo + j, for j up to
+    i_hi - i_lo + max_power: triangle[j] = _neg_triangle(s), in integers,
+    and prefix[j] sums the bounded parts log1p(r^|s'|) for i_lo <= s' < s."""
 
     pair: PQPair
     i_lo: int
@@ -280,18 +285,18 @@ class _LadderWindow:
         self.log_t = np.arange(self.i_lo, self.i_hi + 1) * self.log_r - self.log_p
         # log(1 + r^s) = min(s, 0) log r + log1p(r^|s|): the linear part is
         # summed in closed form, and only the bounded part is accumulated
-        s = np.arange(self.i_lo, self.i_hi + self.max_power)
-        bounded = np.log1p(np.exp(np.abs(s) * self.log_r))
+        s = np.arange(self.i_lo, self.i_hi + self.max_power + 1)
+        bounded = np.log1p(np.exp(np.abs(s[:-1]) * self.log_r))
         self.prefix = np.concatenate([[0.0], np.cumsum(bounded)])
+        self.triangle = _neg_triangle(s)
 
     def _split(self, power: Union[int, np.ndarray], i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log (1 (+) p t_i)^power less its constant power (power-1)/2 log p,
-        as (integer multiple of log r, bounded part)."""
+        as (integer multiple of log r, bounded part): two gathers from each
+        table, at i and i + power."""
         start = i - self.i_lo
-        return (
-            _neg_triangle(i + power) - _neg_triangle(i),
-            self.prefix[start + power] - self.prefix[start],
-        )
+        end = start + power
+        return self.triangle[end] - self.triangle[start], self.prefix[end] - self.prefix[start]
 
     def log_power_basis(
         self, power: Union[int, np.ndarray], nodes: Optional[np.ndarray] = None
@@ -302,15 +307,18 @@ class _LadderWindow:
         return (power * (power - 1) / 2) * self.log_p + self.log_r * linear + bounded
 
     def log_weight_drop(
-        self, k: np.ndarray, power: np.ndarray, nodes: np.ndarray, peaks: np.ndarray
+        self, k: np.ndarray, power: np.ndarray, peaks: np.ndarray, nodes: np.ndarray, width: np.ndarray
     ) -> np.ndarray:
-        """log w_i - log w_peak for w_i = t_i^(k+1) / (1 (+) p t_i)^power.
-        The terms constant in i cancel exactly, and the multiples of log r
-        are combined in integers first, so no large magnitude is rounded."""
-        linear, bounded = self._split(power, nodes)
+        """log w_i - log w_peak for w_i = t_i^(k+1) / (1 (+) p t_i)^power, for
+        rows (k, power, peak) whose bands of width nodes lie end to end in
+        nodes.  The terms constant in i cancel exactly, and the multiples of
+        log r are combined in integers first, so no large magnitude is
+        rounded; the peak terms are evaluated once per row."""
         peak_linear, peak_bounded = self._split(power, peaks)
-        steps = (k + 1) * (nodes - peaks) - (linear - peak_linear)
-        return self.log_r * steps - (bounded - peak_bounded)
+        linear, bounded = self._split(np.repeat(power, width), nodes)
+        # (k+1)(i - peak) - (linear - peak_linear), regrouped in exact integers
+        steps = np.repeat(k + 1, width) * nodes - linear - np.repeat((k + 1) * peaks - peak_linear, width)
+        return self.log_r * steps - (bounded - np.repeat(peak_bounded, width))
 
 
 def _band_extents(
@@ -460,10 +468,8 @@ def _band_sums(
     width = hi - lo + 1
     first = np.cumsum(width) - width
     last = first + width - 1
-    member = np.repeat(np.arange(rows.size), width)
     nodes = np.arange(width.sum()) + np.repeat(lo - first, width)
-    ks = rows[member]
-    log_w = window.log_weight_drop(ks, n + ks + 1, nodes, np.repeat(peaks, width))
+    log_w = window.log_weight_drop(rows, n + rows + 1, peaks, nodes, width)
     log_w -= np.repeat(np.maximum.reduceat(log_w, first), width)
     w = np.exp(log_w)
     # a row peaking beyond the float range overflows in f; its edge mass is
@@ -471,7 +477,7 @@ def _band_sums(
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp(window.log_t)
         c = q * q * np.power(p, n + rows.astype(float))
-        fw = w * np.asarray(func(c[member] * t[nodes - window.i_lo]), dtype=float)
+        fw = w * np.asarray(func(np.repeat(c, width) * t[nodes - window.i_lo]), dtype=float)
         weight_sums = np.add.reduceat(w, first)
         abs_fw = np.abs(fw)
         tails = (w[first] + w[last] + abs_fw[first] + abs_fw[last]) / weight_sums

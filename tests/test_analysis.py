@@ -369,6 +369,12 @@ class TestConvergenceRun:
         assert not rows[0].ok and math.isnan(rows[0].sup_error)
         assert rows[1].ok
 
+    def test_a_failed_row_is_logged(self, caplog):
+        convergence_run(ParameterSchedule.q_ratio(), E2, [2], EvalGrid(0.0, 5.0, 21))
+        (record,) = caplog.records
+        assert (record.name, record.levelname) == ("pqbaskakov.analysis", "WARNING")
+        assert "n=2" in record.getMessage()
+
     def test_target_without_growth_bound_runs(self):
         # only weighted_sup_error demands C_f; the convergence table does not
         e3 = FunctionSpec.named("e3")

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -220,7 +221,6 @@ class TestBetaOperator:
         with pytest.raises(RegimeError):
             baskakov_beta_apply(CLASSICAL, E[1], 5, 1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_value_is_not_trusted(self):
         # the Beta-ratio samples overflow to inf; the plain operator already
         # flags the same input
@@ -234,6 +234,32 @@ class TestBetaOperator:
         res = baskakov_beta_apply(pair, FunctionSpec.named("abs_t_minus_1"), 5, 1.0)
         assert res.inner_integrals_converged
         assert res.value > 0.0
+
+
+class TestExtremeInputs:
+    """Inputs whose terms overflow end in an untrusted cell, and numpy does
+    not warn on the way (pytest turns any warning into an error)."""
+
+    @pytest.mark.parametrize(
+        "apply, pair, f, x",
+        [
+            (baskakov_beta_apply, PQPair(0.9, 0.8), FunctionSpec.named("abs_t_minus_1"), 1e300),
+            (baskakov_beta_apply, PQPair(0.9, 0.8), E[1], 1e300),
+            (baskakov_apply, PQPair(0.9, 0.8), E[1], 1e300),
+            (baskakov_beta_apply, PQPair(0.9, 1e-300), E[2], 1.0),
+        ],
+        ids=["ladder-huge-x", "analytic-huge-x", "plain-huge-x", "analytic-tiny-q"],
+    )
+    def test_untrusted_without_a_warning(self, apply, pair, f, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = apply(pair, f, 10, x)
+        assert not res.trusted
+
+    def test_the_floating_point_state_is_restored(self):
+        before = np.geterr()
+        baskakov_beta_apply(PQPair(0.9, 0.8), E[1], 10, 1e300)
+        assert np.geterr() == before
 
 
 class TestQuadratureRoute:

@@ -673,6 +673,38 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert proc.stderr == ""
 
 
+def test_a_run_whose_cells_overflow_prints_nothing(tmp_path):
+    """Cells at x near 1e300 overflow and are NA; the run exits 2 and numpy
+    writes no warning to standard error."""
+    path = tmp_path / "huge.cfg"
+    path.write_text(
+        "[pair]\np = 0.9\nq = 0.8\n\n[function]\nnamed = abs_t_minus_1\n\n"
+        "[run]\nn_list = 10\noutputs = curves\n\n"
+        "[grid]\nstart = 0\nstop = 1e300\npoints = 3\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqbaskakov", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    rows = read_csv(tmp_path / "out" / "curves.csv")
+    assert [row["D_n=10"] for row in rows][1:] == ["NA", "NA"]
+
+
+def test_importing_the_cli_does_not_load_argparse():
+    """A run through the API does not pay for argparse: main imports it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = "import sys\nimport pqbaskakov.cli\nprint('argparse' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_a_polynomial_run_does_not_load_numpy_polynomial(small_config, tmp_path):
     """Polynomials are evaluated without numpy.polynomial, whose import
     would cost a run several milliseconds; a fresh process shows it."""

@@ -229,6 +229,73 @@ class TestIntegrationByParts:
             verify_integration_by_parts(PQPair(0.9, 0.8), lambda t: t, lambda t: t, 2.0, 1.0)
 
 
+@st.composite
+def ladder_windows(draw):
+    """A window reaching both sides of i = 0, as every operator window does."""
+    p = draw(st.floats(0.5, 1.0))
+    r = draw(st.floats(0.5, 0.95))
+    return quadrature._LadderWindow(
+        PQPair(p, p * r), draw(st.integers(-300, -1)), draw(st.integers(1, 300)), draw(st.integers(1, 200))
+    )
+
+
+def node_subsets(window):
+    """Sorted node indices of the window, always holding its last node i_hi,
+    where i + power reaches the end of the window's tables."""
+    return st.sets(st.integers(window.i_lo, window.i_hi), max_size=40).map(
+        lambda nodes: np.array(sorted(nodes | {window.i_hi}))
+    )
+
+
+def split_by_definition(window, power, i):
+    """(sum_{i <= s < i+power} min(s, 0), prefix difference) for one node."""
+    start = i - window.i_lo
+    linear = sum(min(s, 0) for s in range(i, i + power))
+    return linear, window.prefix[start + power] - window.prefix[start]
+
+
+class TestLadderWindowTables:
+    @settings(max_examples=60, deadline=None)
+    @given(window=ladder_windows(), data=st.data())
+    def test_split_is_the_closed_form(self, window, data):
+        nodes = data.draw(node_subsets(window))
+        power = data.draw(st.integers(1, window.max_power))
+        powers = np.array(data.draw(st.lists(st.integers(1, window.max_power), min_size=nodes.size,
+                                             max_size=nodes.size)), dtype=np.int64)
+        triangle = quadrature._neg_triangle
+        start = nodes - window.i_lo
+        for each in (power, powers):
+            linear, bounded = window._split(each, nodes)
+            assert np.array_equal(linear, triangle(nodes + each) - triangle(nodes))
+            assert np.array_equal(bounded, window.prefix[start + each] - window.prefix[start])
+        # the closed form is the defining sum, in exact integers
+        want = [split_by_definition(window, each, i)[0] for each, i in zip(powers.tolist(), nodes.tolist())]
+        assert window._split(powers, nodes)[0].tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(window=ladder_windows(), data=st.data())
+    def test_log_weight_drop_matches_a_per_node_reference(self, window, data):
+        rows = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            power = data.draw(st.integers(1, window.max_power))
+            k = data.draw(st.integers(0, power - 1))
+            peak = data.draw(st.integers(window.i_lo, window.i_hi))
+            rows.append((k, power, peak, data.draw(node_subsets(window))))
+        ks, powers, peaks, bands = zip(*rows)
+        got = window.log_weight_drop(
+            np.array(ks), np.array(powers), np.array(peaks), np.concatenate(bands),
+            np.array([band.size for band in bands]),
+        )
+        want = []
+        for k, power, peak, band in rows:
+            peak_linear, peak_bounded = split_by_definition(window, power, peak)
+            for i in band.tolist():
+                linear, bounded = split_by_definition(window, power, i)
+                steps = (k + 1) * (i - peak) - (linear - peak_linear)
+                want.append(window.log_r * steps - (bounded - peak_bounded))
+        assert np.array_equal(got, np.array(want))
+
+
 class TestBatchedWeightRatios:
     def test_power_column_matches_one_power_at_a_time(self):
         window = quadrature._LadderWindow(PQPair(0.9, 0.8), -40, 60, 30)
