@@ -16,8 +16,8 @@ The package is organized bottom-up:
 Each module's ``__all__`` is the one list of its public names, and
 ``pqbaskakov.__all__`` is ``"__version__"`` followed by those lists.
 
-All computational functions are pure: values are immutable after
-construction and safe to evaluate concurrently.
+All computational functions are pure and safe to evaluate concurrently: no
+call leaves state in a module (the cell table lives for one ``with`` block).
 """
 
 from . import core, functions, quadrature, baskakov, analysis, cli

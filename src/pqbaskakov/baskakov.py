@@ -46,8 +46,9 @@ costs memory independent of its length.
 The kernel grows one sample vector per call the same way, by the samples
 of the new k only, so each s_k of a call is computed once, and x = 0 reads
 s_0 of the first segment.  The analytic route builds the Beta factors of
-all the polynomial's degrees of a segment in one matrix.  The vector lives
-for one kernel call, so no cell depends on the calls made before it.
+all the polynomial's degrees of a segment in one matrix.  The basis
+binomials and the Beta factors read the call's log-factorial table log [j]!,
+grown alike.  Both live for one call, so no cell depends on earlier calls.
 
 The one cache of operator work is one level up.  An experiment run, and
 ``convergence_run`` / ``weighted_sup_error``, ask ``baskakov_beta_apply``
@@ -82,6 +83,7 @@ from .core import (
     DomainError,
     PQPair,
     TruncationPolicy,
+    _LOG_FACT_0,
     _check_nonneg_int,
     _log_fact_table,
     pq_number,
@@ -133,10 +135,12 @@ def _log_basis_row(
     k_count: int,
     k_start: int = 0,
     carry: Union[np.ndarray, float] = 0.0,
+    *, lfact: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """log b_{n,k}(x) for k = k_start..k_count-1 at each point of the 1-D
     array x (every x > 0), as a (len(x), k_count - k_start) matrix, and per
-    point the prefix sum of log (1 (+) x)^j over j < n + k_count.
+    point the prefix sum of log (1 (+) x)^j over j < n + k_count; lfact is
+    the pair's log-factorial table, to j = n + k_count - 2 at least.
 
     A longer row continues from k_start = k_count with that prefix sum as its
     carry; the segments concatenate to the one-shot row bit for bit, since the
@@ -147,7 +151,6 @@ def _log_basis_row(
     """
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
-    lfact = _log_fact_table(pair, n + k_count - 1)
     ki = np.arange(k_start, k_count)
     k = ki.astype(float)
     log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
@@ -202,7 +205,7 @@ def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
     k = _check_nonneg_int(k, "basis index k")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
-    row, _ = _log_basis_row(pair, n, xs.reshape(1), k + 1)
+    row, _ = _log_basis_row(pair, n, xs.reshape(1), k + 1, lfact=_log_fact_table(pair, n + k))
     return float(np.exp(row[0, k]))
 
 
@@ -224,7 +227,8 @@ def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
 
 
 def _samples(
-    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, k_start: int, k_count: int
+    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, k_start: int, k_count: int,
+    *, lfact: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The samples s_k of a route for k = k_start..k_count-1, with a trust
     flag per k: f at the nodes ("nodes"), sum_d c_d q^{2d} p^{d(n+k)}
@@ -237,8 +241,8 @@ def _samples(
         terms = [(d, c) for d, c in enumerate(f.as_polynomial()) if c != 0.0]
         if terms:
             degrees, coefficients = zip(*terms)
-            factors = np.exp(_log_beta_ratio_factors(pair, n, degrees, k_count, k_start))
-            for c, factor in zip(coefficients, factors):
+            log_factors = _log_beta_ratio_factors(pair, n, degrees, k_count, k_start, lfact=lfact)
+            for c, factor in zip(coefficients, np.exp(log_factors)):
                 s += c * factor
     else:
         nodes = _nodes(pair, n, np.arange(k_start, k_count, dtype=float))
@@ -269,18 +273,20 @@ def _apply(
     term is negligible (or the term budget is spent) and is summed at that
     length, so a point's result does not depend on the other points.  Points
     are taken in blocks of at most _ROW_ENTRIES row entries.  The one sample
-    vector of the call grows with the longest row, by the new k only.
-    Whether a result is trusted is decided by ``_sum_rows`` alone.
+    vector of the call grows with the longest row, by the new k only, and so
+    does its log-factorial table.  ``_sum_rows`` alone decides trust.
     """
     # extreme inputs overflow to inf or NaN on the way (a sample, a node, a
     # term); their cells end untrusted, so numpy need not warn about them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         results: list = [None] * xs.size
-        s, ok = np.empty(0), np.empty(0, dtype=bool)
+        s, ok, lfact = np.empty(0), np.empty(0, dtype=bool), _LOG_FACT_0
         zero = np.flatnonzero(xs == 0.0)
         if zero.size:
             # b_{n,0}(0) = 1, every other weight vanishes
-            s, ok = _samples(pair, n, f, route, 0, min(64, policy.max_terms))
+            k_count = min(64, policy.max_terms)
+            lfact = _log_fact_table(pair, n + k_count - 1, lfact)
+            s, ok = _samples(pair, n, f, route, 0, k_count, lfact=lfact)
             result = _sum_rows(np.zeros((1, 1)), s[:1], bool(ok[0]), policy)[0]
             for i in zero.tolist():
                 results[i] = result
@@ -299,10 +305,11 @@ def _apply(
                 if idx.size > fit:
                     pending.append((idx[fit:], rows[fit:], carry[fit:], peak[fit:]))
                     idx, rows, carry, peak = idx[:fit], rows[:fit], carry[:fit], peak[:fit]
-                segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry)
+                lfact = _log_fact_table(pair, n + k_count - 1, lfact)
+                segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry, lfact=lfact)
                 rows = np.concatenate([rows, segment], axis=1) if built else segment
                 if s.size < k_count:
-                    new_s, new_ok = _samples(pair, n, f, route, s.size, k_count)
+                    new_s, new_ok = _samples(pair, n, f, route, s.size, k_count, lfact=lfact)
                     s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
                 # the edge metric b_{n,k} |s_k| in logs (a zero or non-finite
                 # sample counts as 1), taken over the new segment only: the
@@ -359,15 +366,17 @@ def baskakov_apply(
     return results if np.ndim(x) else results[0]
 
 
-def baskakov_moment_closed(pair: PQPair, m: int, n: int, x: float) -> float:
-    """Closed moments of the plain operator: 1, x, ([n+1]x^2 + p^{n-1} q x)/(q [n])."""
+def baskakov_moment_closed(
+    pair: PQPair, m: int, n: int, x: float | np.ndarray
+) -> float | np.ndarray:
+    """Closed moments of the plain operator: 1, x, ([n+1]x^2 + p^{n-1} q x)/(q [n]),
+    at a float x or elementwise over a new array of x's shape (as ``moments_closed``)."""
     if m not in (0, 1, 2):
         raise DomainError(f"closed Baskakov moments exist for m in {{0,1,2}}, got {m}")
-    n, _ = _check_point(n, x, None)
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return x
+    n, xs = _check_point(n, x, None)
+    if m < 2:
+        moment = np.ones(xs.shape) if m == 0 else xs.copy()
+        return moment if xs.ndim else float(moment)
     p, q = pair.p, pair.q
     return (pq_number(pair, n + 1) * x * x + p ** (n - 1) * q * x) / (q * pq_number(pair, n))
 
@@ -408,7 +417,8 @@ def verify_baskakov_recurrence(
 
 
 def _log_beta_ratio_factors(
-    pair: PQPair, n: int, degrees: tuple[int, ...], k_count: int, k_start: int = 0
+    pair: PQPair, n: int, degrees: tuple[int, ...], k_count: int, k_start: int = 0,
+    *, lfact: np.ndarray
 ) -> np.ndarray:
     """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for each degree m
     of the non-empty tuple degrees (one row each, in their order) and
@@ -417,13 +427,12 @@ def _log_beta_ratio_factors(
     This is the exact inner-integral factor for the monomial t^m: the shared
     Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  Each
     entry is the same elementwise formula in (m, k), so a row is bitwise the
-    row of its degree alone.  The entries to the analytic route have already
-    checked n > m.
+    row of its degree alone.  The entries to the analytic route have checked
+    n > m, so lfact to j = n + k_count - 2 holds every index read.
     """
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
     m = np.array(degrees)[:, None]
-    lfact = _log_fact_table(pair, n + k_count + max(degrees))
     ki = np.arange(k_start, k_count)
     k = ki.astype(float)
     delta_log_beta = (

@@ -249,24 +249,27 @@ def validate_config(path: str | Path, overrides: Sequence[str] = ()) -> Experime
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], columns: Iterable[Sequence]) -> bool:
     """The one place where numbers become text, a column at a time.  A column
-    holds only str or only numbers: str cells are written as they are, numbers
-    as floats in shortest round-trip form, and NaN as NA."""
-    texts = []
+    holds only str or only numbers: str cells are written as they are, finite
+    numbers as floats in shortest round-trip form, and NaN and +-inf as NA.
+    Returns whether it wrote an NA."""
+    texts, wrote_na = [], False
     for column in columns:
         if len(column) and isinstance(column[0], str):
             texts.append(column)
             continue
         values = np.asarray(column, dtype=float)
         cells = values.tolist()
-        if np.isnan(values).any():
-            texts.append("NA" if v != v else repr(v) for v in cells)
-        else:
+        if np.isfinite(values).all():
             texts.append(map(repr, cells))
+        else:
+            wrote_na = True
+            texts.append(repr(v) if math.isfinite(v) else "NA" for v in cells)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         handle.writelines(",".join(row) + "\n" for row in zip(*texts))
+    return wrote_na
 
 
 def _curves(config: ExperimentConfig, out: Path) -> bool:
@@ -280,8 +283,7 @@ def _curves(config: ExperimentConfig, out: Path) -> bool:
         except DomainError:  # raised before any kernel work, alike by every cell of the row
             columns.append([math.nan] * xs.size)
     header = ["x", "f"] + [f"D_n={n}" for n in config.n_list]
-    _write_csv(out / "curves.csv", header, columns)
-    return bool(np.isnan(columns[2:]).any())
+    return _write_csv(out / "curves.csv", header, columns)
 
 
 def _moments(config: ExperimentConfig, out: Path) -> bool:
@@ -293,8 +295,7 @@ def _moments(config: ExperimentConfig, out: Path) -> bool:
         raw = [moments_closed(pair, m, n, xs) for m in (0, 1, 2)]
         blocks.append(raw + [central_moment(pair, m, n, xs) for m in (1, 2)])
     columns = [labels, np.tile(xs, len(config.n_list)), *map(np.concatenate, zip(*blocks))]
-    _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], columns)
-    return False
+    return _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], columns)
 
 
 def _convergence(config: ExperimentConfig, out: Path) -> bool:
@@ -359,8 +360,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str | Path] = Non
         return 1
     partial = False
     try:
-        # curves and convergence ask for the cells of whole grid rows
-        with _cell_table(config.grid.array()):
+        # curves and convergence ask for whole grid rows; a value that
+        # overflows is written as NA, so numpy need not warn about it
+        with _cell_table(config.grid.array()), np.errstate(over="ignore", invalid="ignore"):
             for kind, write in zip(_OUTPUT_KINDS, (_curves, _moments, _convergence, _bound_report)):
                 if kind in config.outputs:
                     partial |= write(config, out)

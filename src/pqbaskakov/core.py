@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -184,39 +184,18 @@ def _log_pq_terms(pair: PQPair, js: range) -> np.ndarray:
     return scaled + log1p - math.log1p(-r)
 
 
-# The prefix sums of log [j] of the last pair asked for, grown on demand.  A
-# run asks for one pair at a time, and a parameter schedule brings a new pair
-# per order and never returns to an earlier one, so one slot holds every
-# table a run reuses.  Each table is a read-only array, replaced by a longer
-# one when it grows.  The slot is replaced whole, so concurrent callers at
-# worst recompute a table: its entries are pure functions of (pair, j).
-_EMPTY_LOG_FACT = np.zeros(1)
-_EMPTY_LOG_FACT.flags.writeable = False
-_LOG_FACT_SLOT: tuple[Optional[PQPair], np.ndarray] = (None, _EMPTY_LOG_FACT)
+_LOG_FACT_0 = np.zeros(1)  # log [0]! = 0, where every table starts
+_LOG_FACT_0.flags.writeable = False
 
 
-def _log_fact_table(pair: PQPair, n: int) -> np.ndarray:
-    """log [j]! for j = 0..n at least, shared read-only."""
-    global _LOG_FACT_SLOT
-    last, table = _LOG_FACT_SLOT
-    if last != pair:
-        table = _EMPTY_LOG_FACT
-    if table.size <= n:
-        table = _grow_log_fact(pair, table, n)
-        _LOG_FACT_SLOT = (pair, table)
-    return table
-
-
-def _grow_log_fact(pair: PQPair, table: np.ndarray, n: int) -> np.ndarray:
-    """table extended to j = max(n, 2 * table.size): the running sum goes on
-    from its last entry, so that a table grown in pieces is bitwise the one
-    grown at once, and growing by doubling copies each entry O(1) times."""
-    stop = max(n, 2 * table.size)
-    grown = np.concatenate([table, _log_pq_terms(pair, range(table.size, stop + 1))])
-    # cumsum adds left to right, so the sum goes on from table[-1] bitwise as
-    # one pass over the whole table would
+def _log_fact_table(pair: PQPair, n: int, table: np.ndarray = _LOG_FACT_0) -> np.ndarray:
+    """log [j]! for j = 0..n at least: table, of the same pair, extended to j = n.
+    cumsum adds left to right, so the sum goes on from table[-1] bitwise as
+    one pass would: a table grown in pieces is the one built at once."""
+    if table.size > n:
+        return table
+    grown = np.concatenate([table, _log_pq_terms(pair, range(table.size, n + 1))])
     np.cumsum(grown[table.size - 1 :], out=grown[table.size - 1 :])
-    grown.flags.writeable = False
     return grown
 
 

@@ -13,6 +13,7 @@ from pqbaskakov import (
     PQPair,
     ParameterSchedule,
     TruncationPolicy,
+    baskakov_moment_closed,
     central_moment,
     convergence_run,
     interval_rate_bound,
@@ -311,6 +312,16 @@ class TestSchedules:
         sched = ParameterSchedule.fixed(PQPair(0.9, 0.8))
         assert not sched.converging
         assert sched.pair_at(99) == PQPair(0.9, 0.8)
+        assert sched.limits() == (0.0, 0.0)  # p^n and q^n -> 0 for p, q < 1
+
+    @pytest.mark.parametrize(
+        "family, parameters",
+        [("fixed", {}), ("harmonic_decay", {"alpha": 0.0}), ("bogus", {})],
+        ids=["fixed-without-a-pair", "harmonic-decay-without-beta", "unknown-family"],
+    )
+    def test_an_incomplete_or_unknown_schedule_is_refused(self, family, parameters):
+        with pytest.raises(DomainError):
+            ParameterSchedule(family, **parameters)
 
 
 class TestConvergenceRun:
@@ -431,11 +442,12 @@ class TestWholeGridEvaluation:
     def test_closed_moments_equal_the_float_calls(self, pair_n, xs):
         pair, n = pair_n
         grid = np.array(xs)
-        for m in (0, 1, 2):
-            got = moments_closed(pair, m, n, grid)
-            assert got.shape == grid.shape
-            assert all(g == moments_closed(pair, m, n, x) for g, x in zip(got, xs))
-            assert isinstance(moments_closed(pair, m, n, xs[0]), float)
+        for closed in (moments_closed, baskakov_moment_closed):
+            for m in (0, 1, 2):
+                got = closed(pair, m, n, grid)
+                assert got.shape == grid.shape and got is not grid
+                assert all(g == closed(pair, m, n, x) for g, x in zip(got, xs))
+                assert isinstance(closed(pair, m, n, xs[0]), float)
         for order in (1, 2):
             got = central_moment(pair, order, n, grid)
             assert got.shape == grid.shape

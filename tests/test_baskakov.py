@@ -123,9 +123,12 @@ class TestRowGrowth:
     )
     def test_appended_segments_equal_the_one_shot_row(self, pair, n, xs):
         x = np.array(xs)
-        rows, carry = np.empty((x.size, 0)), 0.0
+        rows, carry, lfact = np.empty((x.size, 0)), 0.0, _log_fact_table(pair, 0)
         for k_count in (64, 128, 256, 512, 1024):
-            segment, carry = baskakov._log_basis_row(pair, n, x, k_count, rows.shape[1], carry)
+            lfact = _log_fact_table(pair, n + k_count - 1, lfact)
+            segment, carry = baskakov._log_basis_row(
+                pair, n, x, k_count, rows.shape[1], carry, lfact=lfact
+            )
             rows = np.concatenate([rows, segment], axis=1)
             for row, point in zip(rows, xs):
                 assert np.array_equal(row, one_shot_log_row(pair, n, point, k_count))
@@ -173,8 +176,9 @@ def route_builders(pair, n, f):
         return ones(np.asarray(f.evaluate(at), dtype=float))
 
     def analytic(k_start, k_count):
+        lfact = _log_fact_table(pair, n + k_count - 1)
         return ones(sum(
-            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count, k_start)[0])
+            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count, k_start, lfact=lfact)[0])
             for d, c in enumerate(f.as_polynomial()) if c != 0.0
         ))
 
@@ -467,3 +471,17 @@ class TestRecurrence:
         monkeypatch.setattr(baskakov, "_apply", counting)
         assert verify_baskakov_recurrence(pair, n, m, x) == want
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: baskakov_apply(PQPair(0.9, 0.9), FunctionSpec.named("e1"), 10, 1.0),
+        lambda: verify_baskakov_recurrence(PQPair(0.9, 0.8), 10, 2, 1.0),
+        lambda: baskakov_beta_apply(PQPair(0.9, 0.8), FunctionSpec.named("e1"), 10, 1.0, method="bogus"),
+    ],
+    ids=["basis-on-the-line-p-eq-q", "recurrence-of-m-2", "unknown-method"],
+)
+def test_an_argument_outside_the_domain_is_refused(call):
+    with pytest.raises(DomainError):
+        call()

@@ -25,7 +25,7 @@ from pqbaskakov import (
     weighted_sup_error,
 )
 
-from pqbaskakov import analysis, baskakov, quadrature
+from pqbaskakov import analysis, baskakov, core, quadrature
 from pqbaskakov.core import _log_fact_table
 
 from conftest import CLASSICAL, rel_err
@@ -358,7 +358,8 @@ class TestLadderBetaIdentity:
     def test_ladder_ratios_are_the_beta_factors(self, pair, n, m):
         e_m = FunctionSpec.polynomial((0.0,) * m + (1.0,))
         ratios, converged = quadrature.batched_weight_ratios(pair, n, self.ROWS, e_m, m)
-        factors = np.exp(baskakov._log_beta_ratio_factors(pair, n, (m,), self.ROWS)[0])
+        lfact = _log_fact_table(pair, n + self.ROWS - 1)
+        factors = np.exp(baskakov._log_beta_ratio_factors(pair, n, (m,), self.ROWS, lfact=lfact)[0])
         k = np.arange(self.ROWS)
         assert converged.all()
         assert np.max(np.abs(ratios / (factors * pair.p ** (m * (n + k))) - 1.0)) < 1e-13
@@ -393,7 +394,8 @@ class TestBetaFactorRows:
         ids=["0.9-0.8", "1-0.99", "0.95-0.9"],
     )
     def test_each_row_is_its_degree_alone(self, pair, n, degrees, k_start, k_count):
-        matrix = baskakov._log_beta_ratio_factors(pair, n, degrees, k_count, k_start)
+        lfact = _log_fact_table(pair, n + k_count - 1)
+        matrix = baskakov._log_beta_ratio_factors(pair, n, degrees, k_count, k_start, lfact=lfact)
         assert matrix.shape == (len(degrees), k_count - k_start)
         for m, row, factors in zip(degrees, matrix, np.exp(matrix)):
             alone = one_degree_log_factors(pair, n, m, k_count, k_start)
@@ -404,9 +406,9 @@ class TestBetaFactorRows:
         calls = []
         real = baskakov._log_beta_ratio_factors
 
-        def recording(pair, n, degrees, k_count, k_start=0):
+        def recording(pair, n, degrees, k_count, k_start=0, *, lfact):
             calls.append((degrees, k_start, k_count))
-            return real(pair, n, degrees, k_count, k_start)
+            return real(pair, n, degrees, k_count, k_start, lfact=lfact)
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         f = FunctionSpec.polynomial([7.0, 0.0, 25.0])  # the zero coefficient builds no row
@@ -429,11 +431,11 @@ class TestLadderRouteMoments:
     @pytest.mark.parametrize("n", [10, 20, 40])
     @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(0.95, 0.9)], ids=str)
     def test_the_ladder_value_is_the_beta_factor_sum(self, pair, n, m):
-        k = np.arange(self.K)
+        k, lfact = np.arange(self.K), _log_fact_table(pair, n + self.K - 1)
         log_terms = (
-            baskakov._log_basis_row(pair, n, self.XS, self.K)[0]
+            baskakov._log_basis_row(pair, n, self.XS, self.K, lfact=lfact)[0]
             + m * (n + k) * math.log(pair.p)
-            + baskakov._log_beta_ratio_factors(pair, n, (m,), self.K)[0]
+            + baskakov._log_beta_ratio_factors(pair, n, (m,), self.K, lfact=lfact)[0]
         )
         top = log_terms.max(axis=1)
         want = [math.exp(t) * math.fsum(np.exp(row - t)) for t, row in zip(top, log_terms)]
@@ -468,17 +470,17 @@ def recording_builds(monkeypatch):
     builds = []
     real = baskakov._samples
 
-    def recording(pair, n, f, route, k_start, k_count):
+    def recording(pair, n, f, route, k_start, k_count, *, lfact):
         builds.append((k_start, k_count))
-        return real(pair, n, f, route, k_start, k_count)
+        return real(pair, n, f, route, k_start, k_count, lfact=lfact)
 
     monkeypatch.setattr(baskakov, "_samples", recording)
     return builds
 
 
 class TestSampleSource:
-    """A kernel call grows its own sample vector, so no cell depends on the
-    calls made before it."""
+    """A kernel call grows its own sample vector and log-factorial table, so
+    no cell depends on the calls made before it."""
 
     PAIR = PQPair(0.95, 0.9)
 
@@ -505,6 +507,54 @@ class TestSampleSource:
         for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
             apply(pair, POLY, 150, other)
         assert apply(pair, POLY, 150, x) == cold
+
+    @pytest.mark.parametrize("xs, k_counts", [([60.0], [64, 128]), ([0.0, 60.0], [64, 64, 128])])
+    def test_the_log_factorial_table_grows_with_the_row(self, monkeypatch, xs, k_counts):
+        # per segment (and for the x = 0 samples) the call extends its own
+        # table to j = n + k_count - 1, and the next call starts afresh
+        real, calls = baskakov._log_fact_table, []
+
+        def recording(pair, n, table):
+            grown = real(pair, n, table)
+            calls.append((n, table.size, grown.size))
+            return grown
+
+        monkeypatch.setattr(baskakov, "_log_fact_table", recording)
+        f = FunctionSpec.polynomial([7.0, 0.0, 25.0])
+        for _ in range(2):
+            calls.clear()
+            cells = baskakov_beta_apply(self.PAIR, f, 20, np.array(xs))
+            assert max(cell.k_terms_used for cell in cells) > 64
+            assert [n for n, _, _ in calls] == [20 + k_count - 1 for k_count in k_counts]
+            sizes = [1] + [grown for _, _, grown in calls]
+            assert [given for _, given, _ in calls] == sizes[:-1]
+            assert sizes[1:] == [max(given, n + 1) for n, given, _ in calls]
+
+    def test_calls_at_another_pair_in_between_change_nothing(self):
+        """Pair A, then B, then A: A's cells are bitwise the same, and no
+        module attribute is rebound, nor any module-level array changed."""
+        modules = (core, quadrature, baskakov)
+        before = {(m.__name__, name): value for m in modules for name, value in vars(m).items()}
+        arrays = {key: value.tobytes() for key, value in before.items() if isinstance(value, np.ndarray)}
+        assert arrays  # core's empty table, also imported into baskakov
+        grid = np.linspace(0.0, 20.0, 9)
+
+        def cells(pair):
+            return (
+                baskakov_beta_apply(pair, POLY, 30, grid),
+                baskakov_beta_apply(pair, ABS, 30, grid),
+                baskakov_apply(pair, POLY, 30, grid),
+                baskakov.baskakov_basis(pair, 30, 7, 2.0),
+                core.log_pq_factorial(pair, 500),
+            )
+
+        first = cells(PQPair(0.95, 0.9))
+        cells(PQPair(1.0, 40 / 41))
+        assert cells(PQPair(0.95, 0.9)) == first  # every field, exactly
+        after = {(m.__name__, name): value for m in modules for name, value in vars(m).items()}
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
+        assert all(after[key].tobytes() == data for key, data in arrays.items())
 
     def test_plain_callable_is_sampled_on_every_call(self):
         scale = [1.0]
@@ -557,10 +607,10 @@ class TestNoRework:
         rows = {}
         real = baskakov._log_beta_ratio_factors
 
-        def recording(pair, n, degrees, k_count, k_start=0):
+        def recording(pair, n, degrees, k_count, k_start=0, *, lfact):
             for m in degrees:
                 rows[m] = rows.get(m, 0) + k_count - k_start
-            return real(pair, n, degrees, k_count, k_start)
+            return real(pair, n, degrees, k_count, k_start, lfact=lfact)
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         cells = self.evaluate_row(POLY, "analytic", grid_call)
@@ -570,13 +620,16 @@ class TestNoRework:
     def test_segments_equal_the_one_shot_vectors(self):
         pair, n, k_count = self.PAIR, self.N, 512
         coeffs = tuple(enumerate(POLY.as_polynomial()))
+        lfact = _log_fact_table(pair, n + k_count - 1)
         one_shot = {
             "nodes": np.asarray(POLY.evaluate(baskakov._nodes(pair, n, np.arange(k_count, dtype=float)))),
-            "analytic": sum(c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count)[0])
-                            for d, c in coeffs),
+            "analytic": sum(
+                c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count, lfact=lfact)[0])
+                for d, c in coeffs
+            ),
         }
         for f, route in ((POLY, "nodes"), (POLY, "analytic"), (ABS, "quadrature")):
-            segments = [baskakov._samples(pair, n, f, route, k_start, k_count)
+            segments = [baskakov._samples(pair, n, f, route, k_start, k_count, lfact=lfact)
                         for k_start, k_count in ((0, 64), (64, 128), (128, 256), (256, 512))]
             s, ok = (np.concatenate(parts) for parts in zip(*segments))
             if route == "quadrature":

@@ -24,7 +24,7 @@ from pqbaskakov import (
     run_experiment,
     validate_config,
 )
-from pqbaskakov import NAMED_FUNCTIONS, baskakov, cli, core
+from pqbaskakov import NAMED_FUNCTIONS, baskakov, cli
 from pqbaskakov.cli import main
 
 
@@ -111,6 +111,28 @@ class TestValidate:
         assert main(["validate", str(small_config), "--override", "policy.rel_tol=inf"]) == 1
         err = capsys.readouterr().err
         assert "[policy] invalid" in err and "rel_tol" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[function]\ncoefficients = 2015, -12, 18\n\n", "", "missing [function] section"),
+            ("coefficients = 2015, -12, 18", "coefficients = 2015, -12, 18\nnamed = e2",
+             "[function] needs exactly one of 'coefficients' or 'named'"),
+            ("n_list = 5, 10", "n_list =", "[run] n_list must be non-empty"),
+        ],
+        ids=["no-function-section", "two-targets", "empty-n-list"],
+    )
+    def test_a_config_without_one_target_or_order_is_refused(self, tmp_path, old, new, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(FIGURE1_TEXT.replace(old, new))
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(path)
+        assert err.value.messages == [message]
+
+    def test_an_override_without_a_section_is_refused(self, small_config):
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(small_config, overrides=["runn_list=5, 10"])
+        assert err.value.messages == ["override 'runn_list=5, 10' must look like section.key=value"]
 
 
 class TestRun:
@@ -210,25 +232,6 @@ path = out
         rows = read_csv(out / "convergence.csv")
         sups = [float(r["weighted_error"]) for r in rows]
         assert sups[0] > sups[1] > sups[2]
-
-    def test_a_scheduled_run_never_returns_to_a_pair_it_left(self, tmp_path, monkeypatch):
-        # the premise of the one-slot log-factorial table: each order's pair
-        # is asked for in one stretch, so the slot misses once per pair
-        path = tmp_path / "sched.cfg"
-        path.write_text(FIGURE1_TEXT.replace("[pair]\np = 0.9\nq = 0.8", "[schedule]\nfamily = q_ratio")
-                        .replace("n_list = 5, 10", "n_list = 5, 10, 20")
-                        .replace("outputs = curves, moments", "outputs = curves, convergence"))
-        real, asked = core._log_fact_table, []
-
-        def recording(pair, n):
-            asked.append(pair)
-            return real(pair, n)
-
-        monkeypatch.setattr(core, "_log_fact_table", recording)
-        monkeypatch.setattr(baskakov, "_log_fact_table", recording)
-        assert run_experiment(validate_config(path), tmp_path / "results") == 0
-        stretches = [pair for i, pair in enumerate(asked) if i == 0 or pair != asked[i - 1]]
-        assert len(stretches) == len(set(stretches)) == 3
 
     def test_bound_report(self, small_config, tmp_path):
         out = tmp_path / "results"
@@ -614,9 +617,9 @@ def _counting_cells(monkeypatch, route):
         calls.append([(n, x) for x in xs.tolist()])
         return apply(pair, n, f, name, xs, policy)
 
-    def sampling(pair, n, f, name, k_start, k_count):
+    def sampling(pair, n, f, name, k_start, k_count, *, lfact):
         assert name == route
-        return samples(pair, n, f, name, k_start, k_count)
+        return samples(pair, n, f, name, k_start, k_count, lfact=lfact)
 
     monkeypatch.setattr(baskakov, "_apply", counting)
     monkeypatch.setattr(baskakov, "_samples", sampling)
@@ -692,6 +695,31 @@ def test_a_run_whose_cells_overflow_prints_nothing(tmp_path):
     assert proc.stderr == ""
     rows = read_csv(tmp_path / "out" / "curves.csv")
     assert [row["D_n=10"] for row in rows][1:] == ["NA", "NA"]
+
+
+def test_a_polynomial_run_whose_values_overflow_writes_na(tmp_path):
+    """At x = 5e299 and 1e300 the target 18 x^2 - 12 x + 2015, the operator
+    cell and the second moments M2 and mu2 overflow; each is written as NA,
+    the run exits 2 and numpy writes no warning to standard error."""
+    path = tmp_path / "huge.cfg"
+    path.write_text(FIGURE1_TEXT.replace("n_list = 5, 10", "n_list = 10")
+                    .replace("stop = 5\npoints = 21", "stop = 1e300\npoints = 3"))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqbaskakov", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    for name, overflowing in (("curves.csv", {"f", "D_n=10"}), ("moments.csv", {"M2", "mu2"})):
+        rows = read_csv(tmp_path / "out" / name)
+        assert len(rows) == 3
+        for row in rows:
+            na = {key for key, value in row.items() if value == "NA"}
+            assert na == (overflowing if float(row["x"]) > 0.0 else set())
+            numbers = [value for key, value in row.items() if key not in na | {"n"}]
+            assert all(math.isfinite(float(value)) for value in numbers)
 
 
 def test_importing_the_cli_does_not_load_argparse():
@@ -788,12 +816,12 @@ def test_a_config_is_refused_or_runs_to_the_end(
 
 class TestWriteCsv:
     """cli._write_csv turns whole columns into text; each cell must read as
-    the per-cell rule it replaced: a str as it is, NaN as NA, any other
-    number as repr(float(v))."""
+    the per-cell rule: a str as it is, NaN and +-inf as NA, any other number
+    as repr(float(v)).  It returns whether it wrote an NA."""
 
     def test_exact_text(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(path, ["n", "a", "b", "c", "d"], [
+        assert cli._write_csv(path, ["n", "a", "b", "c", "d"], [
             ["3", "10", "x y"],
             np.array([math.nan, math.inf, -math.inf]),
             [-0.0, 5e-324, 1.7976931348623157e308],
@@ -803,9 +831,11 @@ class TestWriteCsv:
         assert path.read_bytes() == (
             b"n,a,b,c,d\n"
             b"3,NA,-0.0,0.1,1.5\n"
-            b"10,inf,5e-324,2.0,NA\n"
-            b"x y,-inf,1.7976931348623157e+308,0.3333333333333333,-2.0\n"
+            b"10,NA,5e-324,2.0,NA\n"
+            b"x y,NA,1.7976931348623157e+308,0.3333333333333333,-2.0\n"
         )
+        assert not cli._write_csv(path, ["n", "b"], [["3", "10"], [-0.0, 1.7976931348623157e308]])
+        assert path.read_bytes() == b"n,b\n3,-0.0\n10,1.7976931348623157e+308\n"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -825,13 +855,14 @@ class TestWriteCsv:
         columns += [as_kind[kind](values) for kind, values in zip(kinds, rows)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
-            cli._write_csv(path, [f"c{j}" for j in range(len(columns))], columns)
+            wrote_na = cli._write_csv(path, [f"c{j}" for j in range(len(columns))], columns)
             text = path.read_text(encoding="utf-8")
         want = [",".join(f"c{j}" for j in range(len(columns)))]
         for i, label in enumerate(columns[0]):
-            cells = ("NA" if math.isnan(v) else repr(float(v)) for v in (values[i] for values in rows))
+            cells = (repr(float(v)) if math.isfinite(v) else "NA" for v in (values[i] for values in rows))
             want.append(",".join([label, *cells]))
         assert text == "".join(line + "\n" for line in want)
+        assert wrote_na == ("NA" in text)
 
 
 def test_moments_rows_are_n_major(tmp_path):

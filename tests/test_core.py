@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,23 @@ class TestPQPair:
     def test_classical_corner(self):
         assert CLASSICAL.is_classical
         assert not PQPair(1.0, 0.9).is_classical
+
+    def test_a_nan_parameter_is_refused(self):
+        with pytest.raises(RegimeError):
+            PQPair(math.nan, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core.log_pq_number(PQPair(0.9, 0.8), 0),
+        lambda: pq_power_basis_log(PQPair(0.9, 0.8), -1.0, 3),
+    ],
+    ids=["log-of-[0]", "log-power-basis-at-negative-x"],
+)
+def test_an_argument_outside_the_domain_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestTruncationPolicy:
@@ -165,8 +183,9 @@ class TestFactorial:
             p, q = mp.mpf(pair.p), mp.mpf(pair.q)
             want = mp.exp(mp.fsum(mp.log((p**j - q**j) / (p - q)) for j in range(1, n + 1)))
             error = float(abs(mp.mpf(pq_factorial(pair, n)) - want) / want)
-        # the bound of the pq_factorial docstring; about 6e-12 is seen here
-        bound = n * 2.0**-53 * max(abs(core.log_pq_factorial(pair, j)) for j in range(n + 1))
+        # the bound of the pq_factorial docstring; about 6e-12 is seen here.  Entry
+        # j of the table is bitwise log_pq_factorial(pair, j)
+        bound = n * 2.0**-53 * float(np.abs(core._log_fact_table(pair, n)).max())
         assert error < bound < 1.2e-8
 
     def test_classical_170_matches_the_integer_factorial(self):
@@ -192,17 +211,15 @@ class TestFactorial:
 
 
 class TestLogFactCache:
-    @staticmethod
-    def fresh_pairs(count):
-        # pairs no other test uses, so none is in the slot already
-        return [PQPair(1.0, j / (j + 1.0)) for j in range(5000, 5000 + count)]
+    """_log_fact_table is a pure builder: it keeps no table between calls,
+    and extends the table it is given."""
 
     @staticmethod
     def log_factorial(pair, n):
         return sum(math.log(pq_number(pair, j)) for j in range(1, n + 1))
 
     def test_a_return_to_an_earlier_pair_rebuilds_the_same_table(self):
-        first, second = self.fresh_pairs(2)
+        first, second = PQPair(0.9, 0.8), PQPair(0.95, 0.9)
         table = core._log_fact_table(first, 9)
         core._log_fact_table(second, 9)
         rebuilt = core._log_fact_table(first, 9)
@@ -211,15 +228,26 @@ class TestLogFactCache:
         assert rel_err(float(rebuilt[9]), self.log_factorial(first, 9)) < 1e-13
 
     @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(1.0, 150 / 151), PQPair(0.7, 0.7), CLASSICAL])
-    def test_grown_in_pieces_is_bitwise_the_running_sum_of_log_numbers(self, pair, monkeypatch):
-        monkeypatch.setattr(core, "_LOG_FACT_SLOT", (None, core._EMPTY_LOG_FACT))
+    def test_grown_in_pieces_is_bitwise_the_running_sum_of_log_numbers(self, pair):
+        table = core._log_fact_table(pair, 0)
         for n in (3, 64, 65, 67, 300):
-            table = core._log_fact_table(pair, n)
+            before = table.copy()
+            grown = core._log_fact_table(pair, n, table)
+            assert grown.size == n + 1
+            assert np.array_equal(table, before)  # the table given is left as it was
+            table = grown
         want = [0.0]
         for j in range(1, 301):
             want.append(want[-1] + core.log_pq_number(pair, j))
-        assert table[:301].tolist() == want
-        assert not table.flags.writeable
+        assert table.tolist() == want
+        assert table.tobytes() == core._log_fact_table(pair, 300).tobytes()
+
+    def test_a_table_long_enough_is_returned_as_it_is(self):
+        pair = PQPair(0.9, 0.8)
+        table = core._log_fact_table(pair, 40)
+        for n in (0, 1, 39, 40):
+            assert core._log_fact_table(pair, n, table) is table
+        assert core._log_fact_table(pair, 0).tolist() == [0.0]
 
     @pytest.mark.parametrize(
         "pair", [PQPair(0.9, 0.8), PQPair(1.0, 150 / 151), PQPair(0.7, 0.7), PQPair(0.5, 1e-3), CLASSICAL],
@@ -242,23 +270,6 @@ class TestLogFactCache:
             assert core._log_pq_terms(pair, js).tolist() == [scalar(j) for j in js]
         for j in (1, 2, 65, 5000):
             assert core.log_pq_number(pair, j) == scalar(j)
-
-    def test_grown_one_step_at_a_time_it_doubles(self, monkeypatch):
-        # each growth at least doubles the table, so raising n one step at a
-        # time copies every entry O(1) times on average
-        pair = PQPair(0.97, 0.91)
-        monkeypatch.setattr(core, "_LOG_FACT_SLOT", (None, core._EMPTY_LOG_FACT))
-        real, sizes = core._grow_log_fact, []
-
-        def recording(*args):
-            grown = real(*args)
-            sizes.append(grown.size)
-            return grown
-
-        monkeypatch.setattr(core, "_grow_log_fact", recording)
-        for n in range(1, 5001):
-            core.log_pq_factorial(pair, n)
-        assert sizes == [2 ** (k + 2) - 1 for k in range(12)]  # up to 8,191 entries
 
 
 class TestBinomial:

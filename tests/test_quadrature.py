@@ -497,3 +497,16 @@ class TestBandedRatiosAgainstReferences:
             den = [d * (p**power + q**power * p * t) for d, t in zip(den, nodes)]
             powers = [tk * t for tk, t in zip(powers, nodes)]
         return want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: jackson_integral(PQPair(0.9, 0.8), lambda t: t, 0.0),
+        lambda: beta_kernel(PQPair(0.9, 0.8), 2, 3)(0.0),
+    ],
+    ids=["jackson-endpoint-0", "beta-kernel-at-t-0"],
+)
+def test_an_argument_outside_the_domain_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
