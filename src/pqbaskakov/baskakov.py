@@ -561,63 +561,53 @@ def baskakov_beta_apply(
 # ---------------------------------------------------------------------------
 
 
-def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Closed first and second moments of the Beta-weighted operator.
+def _moment_numerators(pair: PQPair, n: int) -> tuple[float, float, tuple, tuple]:
+    """The closed moments of D_n (n > 1) as numerators, quadratics in x, over
+    [n-1] and d = q [n-1][n-2]: ([n-1], q [n-2], (a1, a0), (b2, b1, b0)) with
+    M1 = (a1 x + a0) / [n-1] and M2 = ((b2 x + b1) x + b0) / d, M2 in its
+    printed three-term form, the p^n / q coefficient of b2 included."""
+    p, q = pair.p, pair.q
+    nn, n1, n2 = (pq_number(pair, n - j) for j in range(3))
+    second = (
+        nn * (nn + p**n / q),
+        nn * (p ** (n - 3) * q**2 + 2.0 * p ** (n - 2) * q + p ** (n - 1)),
+        p ** (2 * n - 5) * q**2 * pq_number(pair, 2),
+    )
+    return n1, q * n2, (nn, p ** (n - 2) * q), second
 
-    m = 0 needs n >= 1, m = 1 needs n > 1, m = 2 needs n > 2.  The second
-    moment keeps the printed three-term structure, including the p^n / q
-    coefficient, rather than any algebraic rearrangement.  x may be a float
-    or an array (a whole grid), and the result has its shape; each element
-    is bitwise the value at that float x.  A point outside 0 <= x < inf
-    raises ``DomainError``.
+
+def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Closed first and second moments of the Beta-weighted operator
+    (``_moment_numerators``): m = 0 needs n >= 1, m = 1 needs n > 1, m = 2
+    needs n > 2.  x may be a float or an array (a whole grid), and the result
+    has its shape; each element is bitwise the value at that float x.  A
+    point outside 0 <= x < inf raises ``DomainError``.
     """
     if m not in (0, 1, 2):
         raise DomainError(f"closed moments exist for m in {{0,1,2}}, got {m}")
     n, _ = _check_point(n, x, None)
     if m == 0:
         return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
-    p, q = pair.p, pair.q
-    if m == 1:
-        if n <= 1:
-            raise DomainError(f"first moment needs n > 1, got {n}")
-        return (pq_number(pair, n) * x + p ** (n - 2) * q) / pq_number(pair, n - 1)
-    if n <= 2:
-        raise DomainError(f"second moment needs n > 2, got {n}")
-    nn = pq_number(pair, n)
-    n1 = pq_number(pair, n - 1)
-    n2 = pq_number(pair, n - 2)
-    term_x2 = x * x * nn * (nn + p**n / q) / (q * n1 * n2)
-    term_x = (
-        x * nn * (p ** (n - 3) * q**2 + 2.0 * p ** (n - 2) * q + p ** (n - 1)) / (q * n1 * n2)
-    )
-    term_c = p ** (2 * n - 5) * q * pq_number(pair, 2) / (n1 * n2)
-    return term_x2 + term_x + term_c
+    if n <= m:
+        raise DomainError(f"{('first', 'second')[m - 1]} moment needs n > {m}, got {n}")
+    n1, qn2, (a1, a0), (b2, b1, b0) = _moment_numerators(pair, n)
+    return (a1 * x + a0) / n1 if m == 1 else ((b2 * x + b1) * x + b0) / (qn2 * n1)
 
 
 def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Central moments D_n((t-x)^order, x) for order in {1, 2}, n > 2, at a
-    float x or elementwise over an array of them (as ``moments_closed``)."""
+    float x or elementwise over an array of them (as ``moments_closed``).
+    mu1 = M1 - x and mu2 = M2 - 2x M1 + x^2 are formed on the numerators of
+    ``_moment_numerators``, one coefficient of x at a time, and divided once,
+    so the large x^2 terms cancel in the coefficients, not in the values."""
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
     n, _ = _check_point(n, x, None)
     if n <= 2:
         raise DomainError(f"central moments need n > 2, got {n}")
-    p, q = pair.p, pair.q
-    nn = pq_number(pair, n)
-    n1 = pq_number(pair, n - 1)
-    n2 = pq_number(pair, n - 2)
+    n1, qn2, (a1, a0), (b2, b1, b0) = _moment_numerators(pair, n)
     if order == 1:
-        return (x * (nn - n1) + p ** (n - 2) * q) / n1
-    term_x2 = (
-        x * x * (nn * (nn + p**n / q) + q * n1 * n2 - 2.0 * q * nn * n2) / (q * n1 * n2)
-    )
-    term_x = (
-        x
-        * (
-            nn * (p ** (n - 3) * q**2 + 2.0 * p ** (n - 2) * q + p ** (n - 1))
-            - 2.0 * p ** (n - 2) * q**2 * n2
-        )
-        / (q * n1 * n2)
-    )
-    term_c = pq_number(pair, 2) * p ** (2 * n - 5) * q / (n1 * n2)
-    return term_x2 + term_x + term_c
+        return ((a1 - n1) * x + a0) / n1
+    d = qn2 * n1
+    c2, c1 = b2 - 2.0 * qn2 * a1 + d, b1 - 2.0 * qn2 * a0
+    return ((c2 * x + c1) * x + b0) / d

@@ -216,7 +216,11 @@ def pq_factorial(pair: PQPair, n: int) -> float:
     (1.1e-8 at (0.999, 0.99), n = 9,365, where it is 6e-12).
     """
     n = _check_nonneg_int(n, "n")
-    product = math.prod(pq_number(pair, j) for j in range(1, n + 1))
+    product = 1.0
+    for j in range(1, n + 1):
+        product *= pq_number(pair, j)
+        if not math.isfinite(product):  # no later [j], finite and >= 0, undoes it
+            break
     if math.isfinite(product):
         return product
     try:

@@ -51,6 +51,7 @@ from .core import (
     DomainError,
     PQPair,
     TruncationPolicy,
+    _check_beta_args,
     pq_derivative,
     pq_power_basis_log,
 )
@@ -184,8 +185,7 @@ def beta_kernel(pair: PQPair, m: int, n: int) -> Callable[[float], float]:
     Assembled in log space so that huge ladder nodes cannot overflow the
     numerator before the (larger) denominator tames it.
     """
-    if not (m >= 1 and n >= 1):
-        raise DomainError(f"Beta integrand requires m, n >= 1, got m={m}, n={n}")
+    m, n = _check_beta_args(m, n)
     p = pair.p
 
     def kernel(t: float) -> float:
@@ -271,7 +271,9 @@ class _LadderWindow:
     tables that give log (1 (+) p t_i)^power for any power <= max_power.
     Entry j of both belongs to the index s = i_lo + j, for j up to
     i_hi - i_lo + max_power: triangle[j] = _neg_triangle(s), in integers,
-    and prefix[j] sums the bounded parts log1p(r^|s'|) for i_lo <= s' < s."""
+    and prefix[j] - prefix[i] sums the bounded parts log1p(r^|s'|) over
+    i_lo + i <= s' < i_lo + j.  prefix[j] itself sums them outwards from
+    s = 0, over 0 <= s' < s or (negated) s <= s' < 0: it depends on s alone."""
 
     pair: PQPair
     i_lo: int
@@ -284,10 +286,12 @@ class _LadderWindow:
         self.log_p = math.log(p)
         self.log_t = np.arange(self.i_lo, self.i_hi + 1) * self.log_r - self.log_p
         # log(1 + r^s) = min(s, 0) log r + log1p(r^|s|): the linear part is
-        # summed in closed form, and only the bounded part is accumulated
+        # summed in closed form, and only the bounded part is accumulated:
+        # c[j] = sum_{0 < s' <= j} log1p(r^s'), and log1p(r^0) = log 2
         s = np.arange(self.i_lo, self.i_hi + self.max_power + 1)
-        bounded = np.log1p(np.exp(np.abs(s[:-1]) * self.log_r))
-        self.prefix = np.concatenate([[0.0], np.cumsum(bounded)])
+        bounded = np.log1p(np.exp(np.arange(1, np.abs(s).max() + 1) * self.log_r))
+        c = np.concatenate([[0.0], np.cumsum(bounded)])
+        self.prefix = np.where(s > 0, math.log(2.0) + c[np.maximum(s - 1, 0)], -c[np.abs(s)])
         self.triangle = _neg_triangle(s)
 
     def _split(self, power: Union[int, np.ndarray], i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,9 +392,8 @@ def batched_weight_ratios(
     The bands are evaluated together as one flat (row, node) gather, with
     each row's maximum shifted out of the exponent, so rows whose raw
     integrals overflow a double are still exact ratios; f is evaluated on
-    the band nodes only.  Bands and windows are sized for the rows
-    k_start.. alone, so a longer vector grows by appending; a row then
-    differs from its one-shot value by a few ulps of window rounding.
+    the band nodes only.  A row is a function of its own band alone, so a
+    longer vector grows by appending, bitwise the one-shot vector.
 
     A row passes when both edges are below 1e-15 of its peak, for the
     weights and for the f-weighted terms, and its relative edge mass

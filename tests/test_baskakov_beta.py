@@ -318,7 +318,7 @@ class TestQuadratureRoute:
         pair = PQPair(1.0, n / (n + 1))
         for x in (0.5, 1.0, 3.0):
             got = baskakov_beta_apply(pair, E[m], n, x, method="quadrature")
-            want = fraction_moment(Fraction(pair.q), m, n, Fraction(x))
+            want = fraction_moment(Fraction(pair.p), Fraction(pair.q), m, n, Fraction(x))
             assert got.trusted
             assert rel_err(got.value, float(want)) < 5e-12
 
@@ -445,20 +445,46 @@ class TestLadderRouteMoments:
         assert max(abs(cell.value / w - 1.0) for cell, w in zip(cells, want)) < 1e-13
 
 
-def fraction_moment(q, m, n, x):
-    """moments_closed at p = 1, in exact rational arithmetic."""
+def fraction_moment(p, q, m, n, x):
+    """moments_closed in exact rational arithmetic, from the printed formulas."""
 
-    def number(k):  # [k]_{1,q}
-        return sum(q**j for j in range(k))
+    def number(k):  # [k]_{p,q}
+        return sum(p ** (k - 1 - j) * q**j for j in range(k))
 
     nn, n1, n2 = number(n), number(n - 1), number(n - 2)
     if m == 1:
-        return (nn * x + q) / n1
+        return (nn * x + p ** (n - 2) * q) / n1
     return (
-        x * x * nn * (nn + 1 / q) / (q * n1 * n2)
-        + x * nn * (q * q + 2 * q + 1) / (q * n1 * n2)
-        + q * number(2) / (n1 * n2)
+        x * x * nn * (nn + p**n / q) / (q * n1 * n2)
+        + x * nn * (p ** (n - 3) * q**2 + 2 * p ** (n - 2) * q + p ** (n - 1)) / (q * n1 * n2)
+        + p ** (2 * n - 5) * q * number(2) / (n1 * n2)
     )
+
+
+class TestClosedMomentsExact:
+    """moments_closed and central_moment against the printed formulas on the
+    float pair's exact values.  Each error is taken at the size of the terms
+    the value is formed from: |M1| + x for mu1 = M1 - x, and M2 + 2x M1 + x^2
+    for mu2 = M2 - 2x M1 + x^2, whose terms cancel by a factor of about n."""
+
+    PAIRS = {"0.9-0.8": lambda n: PQPair(0.9, 0.8), "0.95-0.9": lambda n: PQPair(0.95, 0.9),
+             "q_ratio": ParameterSchedule.q_ratio().pair_at}
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 40, 150])
+    @pytest.mark.parametrize("family", sorted(PAIRS))
+    def test_moments_match_exact_references(self, family, n):
+        pair = self.PAIRS[family](n)
+        p, q = Fraction(pair.p), Fraction(pair.q)
+        xs = np.array([0.0, 0.01, 0.25, 1.0, 2.5, 7.0, 1e3])
+        got = {"M1": moments_closed(pair, 1, n, xs), "M2": moments_closed(pair, 2, n, xs),
+               "mu1": central_moment(pair, 1, n, xs), "mu2": central_moment(pair, 2, n, xs)}
+        for i, x in enumerate(map(Fraction, xs.tolist())):
+            m1, m2 = (fraction_moment(p, q, m, n, x) for m in (1, 2))
+            want = {"M1": (m1, m1), "M2": (m2, m2), "mu1": (m1 - x, abs(m1) + x),
+                    "mu2": (m2 - 2 * x * m1 + x * x, m2 + 2 * x * abs(m1) + x * x)}
+            for name, (value, scale) in want.items():
+                error = abs(Fraction(float(got[name][i])) - value) / scale
+                assert error < 1e-15, (name, float(x), float(error))
 
 
 ABS = FunctionSpec.named("abs_t_minus_1")

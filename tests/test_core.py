@@ -176,6 +176,14 @@ class TestFactorial:
         assert abs(core.log_pq_factorial(pair, n)) > 745.2  # beyond both ends of the double range
         assert pq_factorial(pair, n) == want
 
+    def test_the_product_stops_at_its_first_overflow(self, monkeypatch):
+        # at (0.999, 0.99) the running product is inf from j = 188 on, and the
+        # answer comes from log [n]!, so the other 799,812 factors are not taken
+        real, taken = core.pq_number, []
+        monkeypatch.setattr(core, "pq_number", lambda pair, j: taken.append(j) or real(pair, j))
+        assert pq_factorial(PQPair(0.999, 0.99), 800_000) == 0.0
+        assert taken == list(range(1, 189))
+
     def test_a_product_that_overflows_and_shrinks_back_into_range(self):
         mp = pytest.importorskip("mpmath")
         pair, n = PQPair(0.999, 0.99), 9_365
