@@ -270,14 +270,20 @@ def interval_rate_bound(
     delta = sqrt(L mu2(x)), the choice that closes the underlying proof.
     """
     L = _rate_constant(f, kappa, grid)
-    if n <= 2:
-        raise DomainError(f"rate bound needs n > 2, got {n}")
-    xs = grid.array()
-    values = np.asarray(as_callable(f)(xs), dtype=float)
-    mu2 = central_moment(pair, 2, n, _rate_window(xs, kappa))
-    steps = _max_steps(np.sqrt(L * mu2), grid.spacing, len(values))
-    omega = _moduli(values, int(steps.max()), order=1)[steps]
-    return float(np.max(L * mu2 + (1.0 + 1.0 / math.sqrt(L)) * omega, initial=0.0))
+    mu2 = central_moment(pair, 2, n, _rate_window(grid.array(), kappa))  # refuses n <= 2
+    return _rate_bounds(f, L, grid, [mu2])[0]
+
+
+def _rate_bounds(f: FunctionSpec, L: float, grid: EvalGrid, mu2s: Sequence[np.ndarray]) -> list[float]:
+    """The bound of ``interval_rate_bound``, with rate constant L, for each
+    order's mu2 on the window (``_rate_window``).  f's grid values and one
+    modulus table, built to the largest step count any order needs, serve
+    every order: an entry of the table does not depend on how far it goes."""
+    values = np.asarray(as_callable(f)(grid.array()), dtype=float)
+    steps = [_max_steps(np.sqrt(L * mu2), grid.spacing, len(values)) for mu2 in mu2s]
+    omega = _moduli(values, max((int(s.max()) for s in steps), default=0), order=1)
+    scale = 1.0 + 1.0 / math.sqrt(L)
+    return [float(np.max(L * mu2 + scale * omega[s], initial=0.0)) for mu2, s in zip(mu2s, steps)]
 
 
 def _grid_errors(

@@ -481,6 +481,7 @@ class _RunCells(NamedTuple):
     xs: np.ndarray  # the table's grid
     index: dict[float, int]  # grid point -> its position in xs
     rows: dict[tuple, list[OperatorResult]]  # (pair, f, n, policy, method) -> results over xs
+    last: list  # [pair, f, n, policy, method, results] of the last lookup
 
 
 # The open cell table; None outside every ``_cell_table`` block.
@@ -501,7 +502,7 @@ def _cell_table(grid: np.ndarray) -> Iterator[None]:
     if cells is not None and np.array_equal(cells.xs, xs):
         yield
         return
-    token = _RUN_CELLS.set(_RunCells(xs, dict(zip(xs.tolist(), range(xs.size))), {}))
+    token = _RUN_CELLS.set(_RunCells(xs, dict(zip(xs.tolist(), range(xs.size))), {}, [None] * 6))
     try:
         yield
     finally:
@@ -537,11 +538,18 @@ def baskakov_beta_apply(
     if cells is not None and isinstance(x, float) and isinstance(f, FunctionSpec):
         i = cells.index.get(x)
         if i is not None:
-            key = (pair, f, n, policy, method)
-            row = cells.rows.get(key)
-            if row is None:
-                row = cells.rows[key] = baskakov_beta_apply(pair, f, n, cells.xs, policy, method)
-            return row[i]
+            last = cells.last
+            # the cells of one row are asked for one after another with the
+            # same key objects, so they skip hashing the key (a dict compares
+            # identical keys equal too)
+            if not (last[0] is pair and last[1] is f and last[2] is n
+                    and last[3] is policy and last[4] is method):
+                key = (pair, f, n, policy, method)
+                row = cells.rows.get(key)
+                if row is None:
+                    row = cells.rows[key] = baskakov_beta_apply(pair, f, n, cells.xs, policy, method)
+                last[:] = *key, row
+            return last[5][i]
     pair.require_strict("the Beta-weighted operator")
     n, xs = _check_point(n, x, 1)
     as_callable(f)  # refuses an f that is neither a FunctionSpec nor callable, on any grid
@@ -561,19 +569,48 @@ def baskakov_beta_apply(
 # ---------------------------------------------------------------------------
 
 
-def _moment_numerators(pair: PQPair, n: int) -> tuple[float, float, tuple, tuple]:
-    """The closed moments of D_n (n > 1) as numerators, quadratics in x, over
-    [n-1] and d = q [n-1][n-2]: ([n-1], q [n-2], (a1, a0), (b2, b1, b0)) with
-    M1 = (a1 x + a0) / [n-1] and M2 = ((b2 x + b1) x + b0) / d, M2 in its
-    printed three-term form, the p^n / q coefficient of b2 included."""
+def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
+    """The closed columns M1, M2, mu1 and mu2 of D_n (n > 1) as quadratics in
+    x over their denominators, in that order: (coefficients, highest power of
+    x first; denominator) each.  M1 = ([n] x + p^{n-2} q) / [n-1] and
+    M2 = ((b2 x + b1) x + b0) / d, d = q [n-1][n-2], M2 in its printed
+    three-term form, the p^n / q coefficient of b2 included.  mu1 = M1 - x
+    and mu2 = M2 - 2x M1 + x^2 are formed on these numerators, one
+    coefficient of x at a time, so the large x^2 terms cancel in the
+    coefficients, not in the values."""
     p, q = pair.p, pair.q
     nn, n1, n2 = (pq_number(pair, n - j) for j in range(3))
-    second = (
-        nn * (nn + p**n / q),
-        nn * (p ** (n - 3) * q**2 + 2.0 * p ** (n - 2) * q + p ** (n - 1)),
-        p ** (2 * n - 5) * q**2 * pq_number(pair, 2),
+    a0 = p ** (n - 2) * q
+    b2 = nn * (nn + p**n / q)
+    b1 = nn * (p ** (n - 3) * q**2 + 2.0 * p ** (n - 2) * q + p ** (n - 1))
+    b0 = p ** (2 * n - 5) * q**2 * pq_number(pair, 2)
+    qn2 = q * n2
+    d = qn2 * n1
+    return (
+        ((nn, a0), n1),
+        ((b2, b1, b0), d),
+        ((nn - n1, a0), n1),
+        ((b2 - 2.0 * qn2 * nn + d, b1 - 2.0 * qn2 * a0, b0), d),
     )
-    return n1, q * n2, (nn, p ** (n - 2) * q), second
+
+
+def _moment_columns(
+    pair: PQPair, n: int, x: float | np.ndarray, columns: tuple[int, ...] = (0, 1, 2, 3)
+) -> list:
+    """The closed columns of D_n at x (a float, or an array of any shape) from
+    one ``_moment_numerators`` pass, by index: 0 M1, 1 M2, 2 mu1, 3 mu2, each
+    numerator by Horner's rule and divided once.  n is a whole order; M1
+    needs n > 1 and the other columns n > 2."""
+    if n <= (1 if columns == (0,) else 2):
+        raise DomainError(f"M1 needs n > 1, and M2, mu1 and mu2 need n > 2; got n = {n}")
+    numerators = _moment_numerators(pair, n)
+    values = []
+    for coefficients, denominator in (numerators[c] for c in columns):
+        value = coefficients[0]
+        for c in coefficients[1:]:
+            value = value * x + c
+        values.append(value / denominator)
+    return values
 
 
 def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -588,26 +625,14 @@ def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float
     n, _ = _check_point(n, x, None)
     if m == 0:
         return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
-    if n <= m:
-        raise DomainError(f"{('first', 'second')[m - 1]} moment needs n > {m}, got {n}")
-    n1, qn2, (a1, a0), (b2, b1, b0) = _moment_numerators(pair, n)
-    return (a1 * x + a0) / n1 if m == 1 else ((b2 * x + b1) * x + b0) / (qn2 * n1)
+    return _moment_columns(pair, n, x, (m - 1,))[0]
 
 
 def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Central moments D_n((t-x)^order, x) for order in {1, 2}, n > 2, at a
-    float x or elementwise over an array of them (as ``moments_closed``).
-    mu1 = M1 - x and mu2 = M2 - 2x M1 + x^2 are formed on the numerators of
-    ``_moment_numerators``, one coefficient of x at a time, and divided once,
-    so the large x^2 terms cancel in the coefficients, not in the values."""
+    float x or elementwise over an array of them (as ``moments_closed``),
+    from the numerators of ``_moment_numerators``."""
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
     n, _ = _check_point(n, x, None)
-    if n <= 2:
-        raise DomainError(f"central moments need n > 2, got {n}")
-    n1, qn2, (a1, a0), (b2, b1, b0) = _moment_numerators(pair, n)
-    if order == 1:
-        return ((a1 - n1) * x + a0) / n1
-    d = qn2 * n1
-    c2, c1 = b2 - 2.0 * qn2 * a1 + d, b1 - 2.0 * qn2 * a0
-    return ((c2 * x + c1) * x + b0) / d
+    return _moment_columns(pair, n, x, (order + 1,))[0]

@@ -24,12 +24,19 @@ import numpy as np
 from .analysis import (
     EvalGrid,
     ParameterSchedule,
+    _rate_bounds,
     _rate_constant,
     _rate_window,
     convergence_run,
-    interval_rate_bound,
+    interval_rate_bound,  # not called here; bench/layers.py traces it in this namespace
 )
-from .baskakov import _cell_table, baskakov_beta_apply, central_moment, moments_closed
+from .baskakov import (
+    _cell_table,
+    _moment_columns,
+    baskakov_beta_apply,
+    central_moment,
+    moments_closed,
+)
 from .core import DEFAULT_POLICY, DomainError, PQPair, RegimeError, TruncationPolicy
 from .functions import FunctionSpec
 
@@ -276,11 +283,11 @@ def _curves(config: ExperimentConfig, out: Path) -> bool:
     xs, f, policy = config.grid.array(), config.function, config.policy
     columns = [xs, f.evaluate(xs)]
     for n in config.n_list:
-        pair = config.schedule.pair_at(n)
         try:
+            pair = config.schedule.pair_at(n)
             cells = [baskakov_beta_apply(pair, f, n, float(x), policy) for x in xs]
             columns.append([cell.value if cell.trusted else math.nan for cell in cells])
-        except DomainError:  # raised before any kernel work, alike by every cell of the row
+        except (DomainError, RegimeError):  # raised before any kernel work, alike by every cell
             columns.append([math.nan] * xs.size)
     header = ["x", "f"] + [f"D_n={n}" for n in config.n_list]
     return _write_csv(out / "curves.csv", header, columns)
@@ -290,10 +297,12 @@ def _moments(config: ExperimentConfig, out: Path) -> bool:
     xs = config.grid.array()
     labels, blocks = [], []  # rows are n-major: n as text, and per n M0, M1, M2, mu1, mu2
     for n in config.n_list:
-        pair = config.schedule.pair_at(n)
         labels += [str(n)] * xs.size
-        raw = [moments_closed(pair, m, n, xs) for m in (0, 1, 2)]
-        blocks.append(raw + [central_moment(pair, m, n, xs) for m in (1, 2)])
+        try:
+            pair = config.schedule.pair_at(n)
+            blocks.append([moments_closed(pair, 0, n, xs), *_moment_columns(pair, n, xs)])
+        except (DomainError, RegimeError):  # an order without moments is a block of NA
+            blocks.append([np.full(xs.size, math.nan)] * 5)
     columns = [labels, np.tile(xs, len(config.n_list)), *map(np.concatenate, zip(*blocks))]
     return _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], columns)
 
@@ -309,20 +318,21 @@ def _convergence(config: ExperimentConfig, out: Path) -> bool:
 
 
 def _bound_report(config: ExperimentConfig, out: Path) -> bool:
-    kappa = config.kappa
-    L = _rate_constant(config.function, kappa, config.grid)
-    xs = config.grid.array()
-    rows = []
-    partial = False
+    f, kappa, grid = config.function, config.kappa, config.grid
+    L = _rate_constant(f, kappa, grid)
+    window = _rate_window(grid.array(), kappa)
+    mu2s, partial = {}, False  # n -> mu2 on the window, for every order that has one
     for n in config.n_list:
-        pair = config.schedule.pair_at(n)
         try:
-            bound = interval_rate_bound(pair, n, config.function, kappa, config.grid)
-            mu2_max = central_moment(pair, 2, n, _rate_window(xs, kappa)).max()
-        except DomainError:
-            bound = mu2_max = math.nan
+            mu2s[n] = central_moment(config.schedule.pair_at(n), 2, n, window)
+        except (DomainError, RegimeError):  # written as an NA row
             partial = True
-        rows.append((str(n), kappa, L, mu2_max, bound))
+    bounds = dict(zip(mu2s, _rate_bounds(f, L, grid, list(mu2s.values()))))
+    rows = [
+        (str(n), kappa, L, mu2s[n].max(), bounds[n]) if n in mu2s
+        else (str(n), kappa, L, math.nan, math.nan)
+        for n in config.n_list
+    ]
     _write_csv(out / "bound_report.csv", ["n", "kappa", "L", "mu2_max", "rate_bound"], zip(*rows))
     return partial
 
