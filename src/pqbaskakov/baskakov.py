@@ -586,11 +586,19 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     b0 = p ** (2 * n - 5) * q**2 * pq_number(pair, 2)
     qn2 = q * n2
     d = qn2 * n1
+    # mu2's x^2 coefficient b2 - 2q[n-2][n] + d, about 2n + 2 out of terms of
+    # about n^2, is h^2 + q[n-2] p^{n-2} + [n] p^n / q with h = [n] - q[n-2]
+    # = p^{n-1} + q([n-1] - [n-2]), whose terms do not cancel
+    if p == q:
+        step = p ** (n - 3) * ((n - 1) * p - (n - 2))
+    else:
+        step = (p ** (n - 2) * (p - 1.0) + q ** (n - 2) * (1.0 - q)) / (p - q)
+    h = p ** (n - 1) + q * step
     return (
         ((nn, a0), n1),
         ((b2, b1, b0), d),
         ((nn - n1, a0), n1),
-        ((b2 - 2.0 * qn2 * nn + d, b1 - 2.0 * qn2 * a0, b0), d),
+        ((h * h + qn2 * p ** (n - 2) + nn * p**n / q, b1 - 2.0 * qn2 * a0, b0), d),
     )
 
 

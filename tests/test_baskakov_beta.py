@@ -448,8 +448,8 @@ class TestLadderRouteMoments:
 def fraction_moment(p, q, m, n, x):
     """moments_closed in exact rational arithmetic, from the printed formulas."""
 
-    def number(k):  # [k]_{p,q}
-        return sum(p ** (k - 1 - j) * q**j for j in range(k))
+    def number(k):  # [k]_{p,q}, in closed form, so that large k stays fast
+        return k * p ** (k - 1) if p == q else (p**k - q**k) / (p - q)
 
     nn, n1, n2 = number(n), number(n - 1), number(n - 2)
     if m == 1:
@@ -485,6 +485,24 @@ class TestClosedMomentsExact:
             for name, (value, scale) in want.items():
                 error = abs(Fraction(float(got[name][i])) - value) / scale
                 assert error < 1e-15, (name, float(x), float(error))
+
+    @pytest.mark.parametrize(
+        "pair, n",
+        [(PQPair(0.9, 0.8), 100), (PQPair(1.0 - 0.5 / 1000, 1.0 - 1.5 / 1000), 1000),
+         (PQPair(0.999, 0.999), 1000), (PQPair(1.0, 1.0), 3000)]
+        + [(ParameterSchedule.q_ratio().pair_at(n), n) for n in (10, 190, 400, 3000)],
+        ids=["0.9-0.8", "harmonic-1000", "p=q-1000", "classical-3000",
+             "q_ratio-10", "q_ratio-190", "q_ratio-400", "q_ratio-3000"],
+    )
+    def test_mu2_is_within_a_few_units_of_its_own_value(self, pair, n):
+        # mu2's x^2 coefficient, about 2n + 2, is not the difference of terms
+        # of about n^2, so mu2 keeps its precision as n grows
+        p, q = Fraction(pair.p), Fraction(pair.q)
+        xs = np.array([0.5, 5.0])
+        for value, x in zip(central_moment(pair, 2, n, xs).tolist(), map(Fraction, xs.tolist())):
+            m1, m2 = (fraction_moment(p, q, m, n, x) for m in (1, 2))
+            want = m2 - 2 * x * m1 + x * x
+            assert abs(Fraction(value) - want) / want < 2e-15, (float(x), value)
 
 
 ABS = FunctionSpec.named("abs_t_minus_1")
@@ -744,6 +762,22 @@ class TestCellTable:
         assert first == baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         assert origin == baskakov_beta_apply(self.PAIR, self.F, 10, 0.0)
         assert baskakov._RUN_CELLS.get() is None  # dropped on exit
+
+    def test_the_cells_of_one_row_hash_its_key_at_most_twice(self):
+        hashes = []
+
+        class Method(str):
+            def __hash__(self):
+                hashes.append(self)
+                return str.__hash__(self)
+
+        method = Method("auto")
+        with baskakov._cell_table(np.array(self.GRID)):
+            cells = [baskakov_beta_apply(self.PAIR, self.F, 10, x, method=method)
+                     for _ in range(2) for x in self.GRID]
+        # the first lookup finds no row and stores it; the others reuse it
+        assert 1 <= len(hashes) <= 2
+        assert cells == 2 * baskakov_beta_apply(self.PAIR, self.F, 10, np.array(self.GRID))
 
     def test_a_point_off_the_grid_is_computed_afresh(self, monkeypatch):
         calls = _counting_kernel(monkeypatch)

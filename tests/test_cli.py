@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pqbaskakov import (
     ConfigurationError,
+    DomainError,
     EvalGrid,
     FunctionSpec,
     ParameterSchedule,
@@ -24,7 +25,7 @@ from pqbaskakov import (
     run_experiment,
     validate_config,
 )
-from pqbaskakov import NAMED_FUNCTIONS, baskakov, cli
+from pqbaskakov import NAMED_FUNCTIONS, analysis, baskakov, cli
 from pqbaskakov.cli import main
 
 
@@ -882,3 +883,107 @@ def test_moments_rows_are_n_major(tmp_path):
             want.append({"n": str(n), "x": repr(float(x)), **cells})
     assert len(rows) == len(config.n_list) * xs.size
     assert rows == want
+
+
+POLY = FunctionSpec.polynomial([7.0, -2.0, 25.0])
+OUTPUT_FILES = {"curves": "curves.csv", "moments": "moments.csv",
+                "convergence": "convergence.csv", "bound-report": "bound_report.csv"}
+
+
+def _code_config(schedule, n_list, outputs, grid=EvalGrid(0.0, 5.0, 21)):
+    """A config built in code, so not checked by validate_config."""
+    return cli.ExperimentConfig(schedule, POLY, n_list, grid, TruncationPolicy(), outputs, "out")
+
+
+class TestAnOrderWithoutValuesIsNA:
+    """Every writer writes an order it cannot evaluate as NA cells and the
+    run exits 2, as the convergence writer does: here a schedule that
+    leaves the regime at n = 3 (RegimeError), and an order n = 2 that has
+    no second moments (DomainError)."""
+
+    CONFIGS = {
+        "leaves-regime": (ParameterSchedule.harmonic_decay(0.5, 5.0), (3, 10)),
+        "n-is-2": (ParameterSchedule.fixed(PQPair(0.9, 0.8)), (2, 10)),
+    }
+    VALUES = {"moments": ("M0", "M1", "M2", "mu1", "mu2"),
+              "convergence": ("sup_error", "weighted_error", "mu2_max"),
+              "bound-report": ("mu2_max", "rate_bound")}
+
+    def cells(self, rows, output, n):
+        if output == "curves":
+            return [row[f"D_n={n}"] for row in rows]
+        return [row[name] for row in rows if row["n"] == str(n) for name in self.VALUES[output]]
+
+    @pytest.mark.parametrize("output", sorted(OUTPUT_FILES))
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_na_cells_and_exit_two(self, case, output, tmp_path):
+        schedule, (bad, good) = self.CONFIGS[case]
+        assert run_experiment(_code_config(schedule, (bad, good), (output,)), tmp_path) == 2
+        rows = read_csv(tmp_path / OUTPUT_FILES[output])
+        assert set(self.cells(rows, output, bad)) == {"NA"}
+        assert "NA" not in self.cells(rows, output, good)
+
+
+@pytest.mark.parametrize(
+    "schedule, n_list",
+    [(ParameterSchedule.fixed(PQPair(0.9, 0.8)), (2, 5, 10)),
+     (ParameterSchedule.q_ratio(), (3, 10, 40, 190)),
+     (ParameterSchedule.harmonic_decay(0.5, 1.5), (3, 10, 100))],
+    ids=["fixed", "q_ratio", "harmonic_decay"],
+)
+def test_moments_and_bound_report_cells_are_those_of_the_entries(schedule, n_list, tmp_path):
+    # each cell is the text of the public entry at its own (pair, n, x); an
+    # order n = 2 has no second moments, and all its cells are NA
+    config = _code_config(schedule, n_list, ("moments", "bound-report"))
+    assert run_experiment(config, tmp_path) == (2 if 2 in n_list else 0)
+    xs, kappa = config.grid.array(), config.kappa
+
+    def text(entry, *args):
+        try:
+            return repr(float(entry(*args)))
+        except DomainError:
+            return "NA"
+
+    for row in read_csv(tmp_path / "moments.csv"):
+        n, x = int(row["n"]), float(row["x"])
+        pair = schedule.pair_at(n)
+        want = {f"M{m}": text(moments_closed, pair, m, n, x) for m in (0, 1, 2)}
+        want.update({f"mu{m}": text(central_moment, pair, m, n, x) for m in (1, 2)})
+        if n <= 2:
+            want = dict.fromkeys(want, "NA")
+        assert {name: row[name] for name in want} == want
+    window = xs[xs <= kappa + 1e-12]
+    for row in read_csv(tmp_path / "bound_report.csv"):
+        n = int(row["n"])
+        pair = schedule.pair_at(n)
+        assert row["rate_bound"] == text(
+            cli.interval_rate_bound, pair, n, config.function, kappa, config.grid
+        )
+        assert row["mu2_max"] == text(lambda: central_moment(pair, 2, n, window).max())
+
+
+class TestWorkOncePerRun:
+    N_LIST = (3, 10, 40, 100)
+
+    def counting(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_moments_make_one_numerator_pass_per_order(self, monkeypatch, tmp_path):
+        calls = self.counting(monkeypatch, baskakov, "_moment_numerators")
+        config = _code_config(ParameterSchedule.q_ratio(), self.N_LIST, ("moments",))
+        assert run_experiment(config, tmp_path) == 0
+        assert [n for _, n in calls] == list(self.N_LIST)
+
+    def test_a_bound_report_builds_one_modulus_table(self, monkeypatch, tmp_path):
+        calls = self.counting(monkeypatch, analysis, "_moduli")
+        config = _code_config(ParameterSchedule.q_ratio(), self.N_LIST, ("bound-report",))
+        assert run_experiment(config, tmp_path) == 0
+        assert len(calls) == 1
