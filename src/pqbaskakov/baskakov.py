@@ -57,7 +57,9 @@ table (``_cell_table``: a context variable holding a grid and its evaluated
 rows, keyed by (pair, f, n, policy, method)) the first call for a grid
 point of a row evaluates the whole row, as one grid call of
 ``baskakov_beta_apply``, and every other call is an index lookup, so every
-cell still passes through ``baskakov_beta_apply``.  ``run_experiment``
+cell still passes through ``baskakov_beta_apply``.  The table keeps the key
+objects and the row of its last lookup, so the cells of one row, asked for
+one after another, hash their key once.  ``run_experiment``
 opens one for every run, and the analysis layer one per grid row, which
 reuses the run's table when the grids are equal.  Only ``FunctionSpec``
 targets at a float x are looked up; a point off the grid, a row that raises
@@ -539,9 +541,7 @@ def baskakov_beta_apply(
         i = cells.index.get(x)
         if i is not None:
             last = cells.last
-            # the cells of one row are asked for one after another with the
-            # same key objects, so they skip hashing the key (a dict compares
-            # identical keys equal too)
+            # identical key objects are an equal key, found without a hash
             if not (last[0] is pair and last[1] is f and last[2] is n
                     and last[3] is policy and last[4] is method):
                 key = (pair, f, n, policy, method)
@@ -590,10 +590,10 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     # about n^2, is h^2 + q[n-2] p^{n-2} + [n] p^n / q with h = [n] - q[n-2]
     # = p^{n-1} + q([n-1] - [n-2]), whose terms do not cancel
     if p == q:
-        step = p ** (n - 3) * ((n - 1) * p - (n - 2))
+        gap = p ** (n - 3) * ((n - 1) * p - (n - 2))
     else:
-        step = (p ** (n - 2) * (p - 1.0) + q ** (n - 2) * (1.0 - q)) / (p - q)
-    h = p ** (n - 1) + q * step
+        gap = (p ** (n - 2) * (p - 1.0) + q ** (n - 2) * (1.0 - q)) / (p - q)
+    h = p ** (n - 1) + q * gap
     return (
         ((nn, a0), n1),
         ((b2, b1, b0), d),

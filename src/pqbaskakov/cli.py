@@ -329,8 +329,7 @@ def _bound_report(config: ExperimentConfig, out: Path) -> bool:
             partial = True
     bounds = dict(zip(mu2s, _rate_bounds(f, L, grid, list(mu2s.values()))))
     rows = [
-        (str(n), kappa, L, mu2s[n].max(), bounds[n]) if n in mu2s
-        else (str(n), kappa, L, math.nan, math.nan)
+        (str(n), kappa, L, mu2s[n].max() if n in mu2s else math.nan, bounds.get(n, math.nan))
         for n in config.n_list
     ]
     _write_csv(out / "bound_report.csv", ["n", "kappa", "L", "mu2_max", "rate_bound"], zip(*rows))
