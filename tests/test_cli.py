@@ -890,8 +890,9 @@ OUTPUT_FILES = {"curves": "curves.csv", "moments": "moments.csv",
                 "convergence": "convergence.csv", "bound-report": "bound_report.csv"}
 
 
-def _code_config(schedule, n_list, outputs, grid=EvalGrid(0.0, 5.0, 21)):
+def _code_config(schedule, n_list, outputs):
     """A config built in code, so not checked by validate_config."""
+    grid = EvalGrid(0.0, 5.0, 21)
     return cli.ExperimentConfig(schedule, POLY, n_list, grid, TruncationPolicy(), outputs, "out")
 
 
