@@ -24,6 +24,11 @@ The routes differ only in their samples, and share none of them:
     bilateral ladder quadrature of the inner integrals, each row normalized
     by the ladder value of its own weight integral, so that D_n(1, x) = 1.
 The closed moment expressions (``moments_closed``) share none of this.
+The closed forms - the nodes, ``baskakov_moment_closed``, ``moments_closed``
+and ``central_moment`` - are written in the normalised numbers
+<j> = [j] / p^{j-1} of ``core``, with no power p^n left, so at a fixed
+p < 1 they hold at every order n instead of sinking below the smallest
+double from n of a few thousand on.
 Every entry refuses a point outside 0 <= x < inf (``_check_point``);
 ``baskakov_basis`` and ``baskakov_beta_monomial_exact`` take one point, the
 closed moments an array of any shape.
@@ -88,6 +93,7 @@ from .core import (
     _LOG_FACT_0,
     _check_nonneg_int,
     _log_fact_table,
+    _normalised_number,
     pq_number,
 )
 from .functions import FunctionSpec, as_callable
@@ -212,20 +218,15 @@ def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
 
 
 def baskakov_node(pair: PQPair, n: int, k: int) -> float:
-    """The sample node p^{n-1} [k] / (q^{k-1} [n]), in overflow-safe form."""
+    """The sample node p^{n-1} [k] / (q^{k-1} [n]) = <k>_{1/r} / <n>_r, r = q/p."""
     n = _check_order(n)
     k = _check_nonneg_int(k, "basis index k")
     return float(_nodes(pair, n, np.float64(k)))
 
 
 def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
-    p, q = pair.p, pair.q
-    if p == q:
-        return k / n
-    # [k]/q^{k-1} = q ((p/q)^k - 1) / (p - q), exactly 0 at k = 0; (p/q)^k - 1 is
-    # expm1(k log1p((p - q)/q)), which does not cancel near p = q
-    growth = np.expm1(k * math.log1p((p - q) / q))
-    return p ** (n - 1) * q * growth / ((p - q) * pq_number(pair, n))
+    # p^{k-1} <k>_r / q^{k-1} = <k>_{1/r}, exactly 0 at k = 0
+    return _normalised_number(pair.q, pair.p, k) / _normalised_number(pair.p, pair.q, n)
 
 
 def _samples(
@@ -371,8 +372,9 @@ def baskakov_apply(
 def baskakov_moment_closed(
     pair: PQPair, m: int, n: int, x: float | np.ndarray
 ) -> float | np.ndarray:
-    """Closed moments of the plain operator: 1, x, ([n+1]x^2 + p^{n-1} q x)/(q [n]),
-    at a float x or elementwise over a new array of x's shape (as ``moments_closed``)."""
+    """Closed moments of the plain operator: 1, x, ([n+1]x^2 + p^{n-1} q x)/(q [n])
+    = (p <n+1> x^2 + q x)/(q <n>), at a float x or elementwise over a new array
+    of x's shape (as ``moments_closed``)."""
     if m not in (0, 1, 2):
         raise DomainError(f"closed Baskakov moments exist for m in {{0,1,2}}, got {m}")
     n, xs = _check_point(n, x, None)
@@ -380,7 +382,8 @@ def baskakov_moment_closed(
         moment = np.ones(xs.shape) if m == 0 else xs.copy()
         return moment if xs.ndim else float(moment)
     p, q = pair.p, pair.q
-    return (pq_number(pair, n + 1) * x * x + p ** (n - 1) * q * x) / (q * pq_number(pair, n))
+    upper, lower = _normalised_number(p, q, np.array([n + 1, n])).tolist()
+    return (p * upper * x * x + q * x) / (q * lower)
 
 
 def verify_baskakov_recurrence(
@@ -572,33 +575,39 @@ def baskakov_beta_apply(
 def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     """The closed columns M1, M2, mu1 and mu2 of D_n (n > 1) as quadratics in
     x over their denominators, in that order: (coefficients, highest power of
-    x first; denominator) each.  M1 = ([n] x + p^{n-2} q) / [n-1] and
-    M2 = ((b2 x + b1) x + b0) / d, d = q [n-1][n-2], M2 in its printed
-    three-term form, the p^n / q coefficient of b2 included.  mu1 = M1 - x
-    and mu2 = M2 - 2x M1 + x^2 are formed on these numerators, one
-    coefficient of x at a time, so the large x^2 terms cancel in the
-    coefficients, not in the values."""
+    x first; denominator) each.  The printed forms M1 = ([n] x + p^{n-2} q) /
+    [n-1] and M2 = ([n]([n] + p^n/q) x^2 + [n] p^{n-3} (p+q)^2 x + p^{2n-5}
+    q^2 [2]) / (q [n-1][n-2]) are written in the normalised numbers
+    <j> = [j] / p^{j-1} (``_normalised_number``), and p^{n-2} and p^{2n-5}
+    are divided out of M1 and M2, so nothing underflows at a fixed p < 1:
+
+        M1 = (p <n> x + q) / <n-1>,
+        M2 = (p^3 <n>(<n> + p/q) x^2 + p (p+q)^2 <n> x + q^2 (p+q)) / (q <n-1><n-2>).
+
+    mu1 = M1 - x and mu2 = M2 - 2x M1 + x^2 are formed on these numerators,
+    one coefficient of x at a time, so the large x^2 terms cancel in the
+    coefficients, not in the values.  Two of those coefficients are written
+    without cancelling terms, with r = q/p and <j+1> = 1 + r <j>: mu1's x
+    coefficient p <n> - <n-1> as p r^{n-1} - (1 - p) <n-1> (q^{n-1} at p = 1,
+    out of terms of about n), and mu2's x^2 coefficient, about 2n + 2 out of
+    terms of about n^2, as g^2/p + q <n-2> + p^4 <n>/q with
+    g = p^2 <n> - q <n-2> = (p^2 - q) <n-2> + p r^{n-2} (p + q)."""
     p, q = pair.p, pair.q
-    nn, n1, n2 = (pq_number(pair, n - j) for j in range(3))
-    a0 = p ** (n - 2) * q
-    b2 = nn * (nn + p**n / q)
-    b1 = nn * (p ** (n - 3) * q**2 + 2.0 * p ** (n - 2) * q + p ** (n - 1))
-    b0 = p ** (2 * n - 5) * q**2 * pq_number(pair, 2)
+    nn, n1, n2 = _normalised_number(p, q, np.arange(n, n - 3, -1)).tolist()
+    # r^{n-2} through log1p(r - 1), as <j> takes it: (q/p) ** (n - 2) would
+    # carry n - 2 times the rounding of q/p; and p r^{n-1} = q r^{n-2}
+    r_power = math.exp((n - 2) * math.log1p((q - p) / p))
+    b2 = p**3 * nn * (nn + p / q)
+    b1 = p * (p + q) ** 2 * nn
+    b0 = q * q * (p + q)
     qn2 = q * n2
     d = qn2 * n1
-    # mu2's x^2 coefficient b2 - 2q[n-2][n] + d, about 2n + 2 out of terms of
-    # about n^2, is h^2 + q[n-2] p^{n-2} + [n] p^n / q with h = [n] - q[n-2]
-    # = p^{n-1} + q([n-1] - [n-2]), whose terms do not cancel
-    if p == q:
-        gap = p ** (n - 3) * ((n - 1) * p - (n - 2))
-    else:
-        gap = (p ** (n - 2) * (p - 1.0) + q ** (n - 2) * (1.0 - q)) / (p - q)
-    h = p ** (n - 1) + q * gap
+    g = (p * p - q) * n2 + p * r_power * (p + q)
     return (
-        ((nn, a0), n1),
+        ((p * nn, q), n1),
         ((b2, b1, b0), d),
-        ((nn - n1, a0), n1),
-        ((h * h + qn2 * p ** (n - 2) + nn * p**n / q, b1 - 2.0 * qn2 * a0, b0), d),
+        ((q * r_power - (1.0 - p) * n1, q), n1),
+        ((g * g / p + qn2 + p**4 * nn / q, b1 - 2.0 * q * qn2, b0), d),
     )
 
 

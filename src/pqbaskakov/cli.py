@@ -446,8 +446,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  n_list        = {list(config.n_list)}")
             print(f"  grid          = [{config.grid.start}, {config.grid.stop}] "
                   f"x {config.grid.points}")
+            print(f"  policy        = {config.policy}")
             print(f"  outputs       = {list(config.outputs)}")
             print(f"  output_path   = {config.output_path}")
+            print(f"  kappa         = {config.kappa}")
             return 0
         return run_experiment(config, args.out)
 

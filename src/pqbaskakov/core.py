@@ -9,6 +9,11 @@ Conventions:
     [n] = p^{n-1} + p^{n-2} q + ... + q^{n-1}
         = (p^n - q^n) / (p - q)      for p != q
         = n p^{n-1}                  for p == q (removable limit)
+        = p^{n-1} <n>,  <n> = (1 - r^n) / (1 - r),  r = q/p  (<n> = n at r = 1)
+
+    The normalised number <n> lies in [1, 1/(1 - r)) for n >= 1, so the
+    closed forms written in it (here and in ``baskakov``) never underflow,
+    where the powers p^n of [n] do at a fixed p < 1.
 
     Gamma(n+1) = [n]!,  at integer arguments only.
 
@@ -145,17 +150,24 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def pq_number(pair: PQPair, n: int) -> float:
-    """[n]_{p,q}; the limit n p^{n-1} is used on the degenerate line p == q.
-    p^n - q^n is taken through expm1 of the exact q - p, so nothing cancels
-    near p = q."""
-    n = _check_nonneg_int(n, "n")
-    if n == 0:
-        return 0.0
-    p, q = pair.p, pair.q
+def _normalised_number(p: float, q: float, j):
+    """<j> = [j] / p^{j-1} = (1 - r^j) / (1 - r) with r = q/p, elementwise
+    over an int j or an integer-valued array; j itself at r = 1 (the
+    package's one p == q case of the closed forms).  r^j - 1 is taken as
+    expm1(j log1p(r - 1)), so nothing cancels near r = 1, and <j> lies in
+    [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.  Any r > 0
+    is allowed: the plain operator's nodes need <k> at 1/r."""
     if p == q:
-        return n * p ** (n - 1)
-    return -(p**n) * math.expm1(n * math.log1p((q - p) / p)) / (p - q)
+        return j
+    t = (q - p) / p  # r - 1
+    return np.expm1(j * math.log1p(t)) / t
+
+
+def pq_number(pair: PQPair, n: int) -> float:
+    """[n]_{p,q} = p^{n-1} <n> (``_normalised_number``), which is the limit
+    n p^{n-1} on the degenerate line p == q."""
+    n = _check_nonneg_int(n, "n")
+    return pair.p ** (n - 1) * float(_normalised_number(pair.p, pair.q, n))
 
 
 def log_pq_number(pair: PQPair, n: int) -> float:

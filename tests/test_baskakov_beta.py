@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from pqbaskakov import (
 from pqbaskakov import analysis, baskakov, core, quadrature
 from pqbaskakov.core import _log_fact_table
 
-from conftest import CLASSICAL, rel_err
+from conftest import CLASSICAL, exact_number, exact_numbers, fraction_moment, rel_err
 
 E = {m: FunctionSpec.named(f"e{m}") for m in (0, 1, 2)}
 
@@ -445,46 +446,38 @@ class TestLadderRouteMoments:
         assert max(abs(cell.value / w - 1.0) for cell, w in zip(cells, want)) < 1e-13
 
 
-def fraction_moment(p, q, m, n, x):
-    """moments_closed in exact rational arithmetic, from the printed formulas."""
-
-    def number(k):  # [k]_{p,q}, in closed form, so that large k stays fast
-        return k * p ** (k - 1) if p == q else (p**k - q**k) / (p - q)
-
-    nn, n1, n2 = number(n), number(n - 1), number(n - 2)
-    if m == 1:
-        return (nn * x + p ** (n - 2) * q) / n1
-    return (
-        x * x * nn * (nn + p**n / q) / (q * n1 * n2)
-        + x * nn * (p ** (n - 3) * q**2 + 2 * p ** (n - 2) * q + p ** (n - 1)) / (q * n1 * n2)
-        + p ** (2 * n - 5) * q * number(2) / (n1 * n2)
-    )
-
-
 class TestClosedMomentsExact:
     """moments_closed and central_moment against the printed formulas on the
     float pair's exact values.  Each error is taken at the size of the terms
     the value is formed from: |M1| + x for mu1 = M1 - x, and M2 + 2x M1 + x^2
-    for mu2 = M2 - 2x M1 + x^2, whose terms cancel by a factor of about n."""
+    for mu2 = M2 - 2x M1 + x^2, whose terms cancel by a factor of about n.
+    The large orders are past the point (n = 3,558 at (0.9, 0.8)) where
+    powers p^n in the printed forms sink below the smallest double."""
 
     PAIRS = {"0.9-0.8": lambda n: PQPair(0.9, 0.8), "0.95-0.9": lambda n: PQPair(0.95, 0.9),
+             "0.9-0.75": lambda n: PQPair(0.9, 0.75), "0.9-0.85": lambda n: PQPair(0.9, 0.85),
+             "0.9-0.9": lambda n: PQPair(0.9, 0.9), "1-1": lambda n: PQPair(1.0, 1.0),
+             "harmonic": ParameterSchedule.harmonic_decay(0.5, 1.5).pair_at,
              "q_ratio": ParameterSchedule.q_ratio().pair_at}
+    NS = (3, 4, 10, 40, 150, 3558, 3559, 8000, 100_000)
 
-    @pytest.mark.parametrize("n", [3, 4, 10, 40, 150])
-    @pytest.mark.parametrize("family", sorted(PAIRS))
+    @pytest.mark.parametrize(
+        "family, n", [*product(sorted(PAIRS), NS), ("q_ratio", 10**6)]
+    )
     def test_moments_match_exact_references(self, family, n):
         pair = self.PAIRS[family](n)
-        p, q = Fraction(pair.p), Fraction(pair.q)
         xs = np.array([0.0, 0.01, 0.25, 1.0, 2.5, 7.0, 1e3])
         got = {"M1": moments_closed(pair, 1, n, xs), "M2": moments_closed(pair, 2, n, xs),
                "mu1": central_moment(pair, 1, n, xs), "mu2": central_moment(pair, 2, n, xs)}
-        for i, x in enumerate(map(Fraction, xs.tolist())):
-            m1, m2 = (fraction_moment(p, q, m, n, x) for m in (1, 2))
-            want = {"M1": (m1, m1), "M2": (m2, m2), "mu1": (m1 - x, abs(m1) + x),
-                    "mu2": (m2 - 2 * x * m1 + x * x, m2 + 2 * x * abs(m1) + x * x)}
-            for name, (value, scale) in want.items():
-                error = abs(Fraction(float(got[name][i])) - value) / scale
-                assert error < 1e-15, (name, float(x), float(error))
+        with exact_numbers(n) as exact:
+            p, q = exact(pair.p), exact(pair.q)
+            for i, x in enumerate(map(exact, xs.tolist())):
+                m1, m2 = (fraction_moment(p, q, m, n, x) for m in (1, 2))
+                want = {"M1": (m1, m1), "M2": (m2, m2), "mu1": (m1 - x, abs(m1) + x),
+                        "mu2": (m2 - 2 * x * m1 + x * x, m2 + 2 * x * abs(m1) + x * x)}
+                for name, (value, scale) in want.items():
+                    error = abs(exact(float(got[name][i])) - value) / scale
+                    assert error < 1e-15, (name, float(x), float(error))
 
     @pytest.mark.parametrize(
         "pair, n",
@@ -503,6 +496,47 @@ class TestClosedMomentsExact:
             m1, m2 = (fraction_moment(p, q, m, n, x) for m in (1, 2))
             want = m2 - 2 * x * m1 + x * x
             assert abs(Fraction(value) - want) / want < 2e-15, (float(x), value)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("0.9-0.8", 100), ("0.9-0.8", 100_000), ("0.9-0.9", 3000), ("0.9-0.9", 100_000),
+         ("1-1", 3000), ("1-1", 10**6)] + [("q_ratio", n) for n in (10, 190, 3000, 100_000, 10**6)],
+    )
+    def test_mu1_is_within_a_few_units_of_its_own_value(self, family, n):
+        # mu1's x coefficient p <n> - <n-1> is q^(n-1) at p = 1 out of terms
+        # of about n; taken as that difference it was 4e-13 off mu1 at
+        # q_ratio, n = 3,000.  Away from a root of the coefficient (where
+        # p r^{n-1} = (1 - p) <n-1>) mu1 keeps its precision
+        pair = self.PAIRS[family](n)
+        xs = np.array([0.5, 5.0])
+        with exact_numbers(n) as exact:
+            p, q = exact(pair.p), exact(pair.q)
+            for value, x in zip(central_moment(pair, 1, n, xs).tolist(), map(exact, xs.tolist())):
+                want = fraction_moment(p, q, 1, n, x) - x
+                assert abs(exact(value) - want) / abs(want) < 2e-15, (float(x), value)
+
+    @pytest.mark.parametrize("n", [8000, 100_000])
+    @pytest.mark.parametrize("family", sorted(PAIRS))
+    def test_plain_operator_closed_forms_at_large_n(self, family, n):
+        # with [n] below the smallest double, the node was 0/0 (a numpy
+        # RuntimeWarning) and the second moment raised ZeroDivisionError
+        pair = self.PAIRS[family](n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes = [baskakov.baskakov_node(pair, n, k) for k in (0, 1, 2, 5, 20, 50)]
+            xs = (0.0, 0.5, 2.5, 7.0)
+            second = [baskakov.baskakov_moment_closed(pair, 2, n, x) for x in xs]
+        assert nodes[0] == 0.0
+        with exact_numbers(n) as exact:
+            p, q = exact(pair.p), exact(pair.q)
+            nn = exact_number(p, q, n)
+            for k, node in zip((1, 2, 5, 20, 50), nodes[1:]):
+                want = p ** (n - 1) * exact_number(p, q, k) / (q ** (k - 1) * nn)
+                assert abs(exact(node) / want - 1) < 1e-15, (k, node)
+            for x, value in zip(map(exact, xs[1:]), second[1:]):
+                want = (exact_number(p, q, n + 1) * x * x + p ** (n - 1) * q * x) / (q * nn)
+                assert abs(exact(value) / want - 1) < 1e-15, (float(x), value)
+        assert second[0] == 0.0
 
 
 ABS = FunctionSpec.named("abs_t_minus_1")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -26,7 +27,9 @@ from pqbaskakov import (
     validate_config,
 )
 from pqbaskakov import NAMED_FUNCTIONS, analysis, baskakov, cli
-from pqbaskakov.cli import main
+from pqbaskakov.cli import ExperimentConfig, main
+
+from conftest import exact_numbers, fraction_moment
 
 
 FIGURE1_TEXT = """\
@@ -106,6 +109,17 @@ class TestValidate:
         bad = tmp_path / "bad.cfg"
         bad.write_text(FIGURE1_TEXT.replace("q = 0.8", "q = 0.95"))
         assert main(["validate", str(bad)]) == 1
+
+    def test_validate_echoes_every_field(self, small_config, capsys):
+        overrides = ["policy.rel_tol=1e-10", "policy.max_terms=500", "run.kappa=1.5"]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["validate", str(small_config), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split("=")[0].strip() for line in lines] == [
+            field.name for field in dataclasses.fields(ExperimentConfig)
+        ]
+        assert "  policy        = TruncationPolicy(rel_tol=1e-10, abs_tol=1e-14, max_terms=500)" in lines
+        assert lines[-1] == "  kappa         = 1.5"
 
     def test_an_infinite_tolerance_is_refused(self, small_config, capsys):
         # it parses as a float, but stops a ladder after 3 terms as converged
@@ -675,6 +689,25 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("config OK:")
     assert proc.stderr == ""
+
+
+def test_large_orders_write_exact_moments_and_a_positive_bound(tmp_path):
+    """At (0.9, 0.8) the powers p^n of the printed moments sink below the
+    smallest double from n = 3,558 on, where M2 at x = 2.5 was written as
+    5.0 and mu2 as 0.0, and the bound report failed on an IndexError."""
+    path = str(cli._builtin_config_path("figure1"))
+    overrides = ["run.n_list=10, 3558, 100000", "run.outputs=moments, bound-report"]
+    flags = [arg for override in overrides for arg in ("--override", override)]
+    assert main(["run", path, *flags, "--out", str(tmp_path)]) == 0
+    moments = read_csv(tmp_path / "moments.csv")
+    bounds = read_csv(tmp_path / "bound_report.csv")
+    assert all("NA" not in row.values() for row in moments + bounds)
+    [row] = [row for row in moments if row["n"] == "3558" and row["x"] == "2.5"]
+    with exact_numbers(3558) as exact:
+        want = fraction_moment(exact(0.9), exact(0.8), 2, 3558, exact(2.5))
+        assert abs(exact(float(row["M2"])) - want) / want < 1e-15
+    assert [row["n"] for row in bounds] == ["10", "3558", "100000"]
+    assert all(float(row["mu2_max"]) > 0.0 and float(row["rate_bound"]) > 0.0 for row in bounds)
 
 
 def test_a_run_whose_cells_overflow_prints_nothing(tmp_path):
