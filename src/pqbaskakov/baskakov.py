@@ -16,19 +16,25 @@ every entry checks its arguments, resolves its route once and calls the one
 kernel, ``_apply``, with f and that route; the kernel grows the basis row
 and the route's sample vector (``_samples``), sums them and decides
 truncation and trust.
-The routes differ only in their samples, and share none of them:
+The row routes differ only in their samples, and share none of them:
   * "nodes" (``baskakov_apply``, the plain B_n) - f at the nodes,
-  * "analytic" (``baskakov_beta_apply`` of a polynomial ``FunctionSpec`` by
-    default, and ``baskakov_beta_monomial_exact``) - closed-form Beta ratios,
-  * "quadrature" (``baskakov_beta_apply`` of anything else, or on request) -
-    bilateral ladder quadrature of the inner integrals, each row normalized
-    by the ladder value of its own weight integral, so that D_n(1, x) = 1.
+  * "analytic" (``baskakov_beta_apply(..., method="analytic")`` and
+    ``baskakov_beta_monomial_exact``) - closed-form Beta ratios,
+  * "quadrature" (``baskakov_beta_apply`` of anything but a polynomial, or
+    on request) - bilateral ladder quadrature of the inner integrals, each
+    row normalized by the ladder value of its own weight integral, so that
+    D_n(1, x) = 1.
+A polynomial ``FunctionSpec`` under the default method="auto" takes none of
+them: its image sum_d c_d U_d(x), U_d = D_n(t^d, .) of the analytic route,
+is a polynomial whose coefficients the (p,q) moment recurrence gives in
+O(deg^2) (``_image_coefficients``), evaluated at every point by Horner's
+rule (``_closed``), with no basis row, no truncation and no term budget.
 The closed moment expressions (``moments_closed``) share none of this.
-The closed forms - the nodes, ``baskakov_moment_closed``, ``moments_closed``
-and ``central_moment`` - are written in the normalised numbers
-<j> = [j] / p^{j-1} of ``core``, with no power p^n left, so at a fixed
-p < 1 they hold at every order n instead of sinking below the smallest
-double from n of a few thousand on.
+The closed forms - the nodes, ``baskakov_moment_closed``, ``moments_closed``,
+``central_moment`` and the recurrence of the images - are written in the
+normalised numbers <j> = [j] / p^{j-1} of ``core``, with no power p^n left,
+so at a fixed p < 1 they hold at every order n instead of sinking below the
+smallest double from n of a few thousand on.
 Every entry refuses a point outside 0 <= x < inf (``_check_point``);
 ``baskakov_basis`` and ``baskakov_beta_monomial_exact`` take one point, the
 closed moments an array of any shape.
@@ -93,8 +99,8 @@ from .core import (
     _LOG_FACT_0,
     _check_nonneg_int,
     _log_fact_table,
+    _log_ratio,
     _normalised_number,
-    pq_number,
 )
 from .functions import FunctionSpec, as_callable
 from .quadrature import batched_weight_ratios
@@ -393,9 +399,11 @@ def verify_baskakov_recurrence(
     x: float,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Residual of the moment recurrence
+    """Residual of the moment recurrence, divided by p^{n-1} so that it
+    holds at every order n (the normalised <n> = [n] / p^{n-1} of ``core``
+    does not underflow where [n] and p^{n-1} do):
 
-        [n] T_{m+1}(qx) - q p^{n-1} x (1 + px) D[T_m](x) - [n] q x T_m(qx),
+        <n> T_{m+1}(qx) - q x (1 + px) D[T_m](x) - <n> q x T_m(qx),
 
     with T_m evaluated by series summation and D by the difference quotient.
     """
@@ -410,15 +418,70 @@ def verify_baskakov_recurrence(
     t_px, t_qx = (r.value for r in baskakov_apply(pair, e_m, n, np.array([p * x, q * x]), policy))
     t_next = baskakov_apply(pair, FunctionSpec.named(f"e{m + 1}"), n, q * x, policy).value
     derivative = (t_px - t_qx) / ((p - q) * x)  # the (p,q)-difference quotient
-    nn = pq_number(pair, n)
+    nn = float(_normalised_number(p, q, n))
     lhs = nn * t_next
-    rhs = q * p ** (n - 1) * x * (1.0 + p * x) * derivative + nn * q * x * t_qx
+    rhs = q * x * (1.0 + p * x) * derivative + nn * q * x * t_qx
     return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
 # Beta-weighted operator.
 # ---------------------------------------------------------------------------
+
+
+def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[np.ndarray]:
+    """The ascending coefficients u_{m,j} (j = 0..m) of the polynomials
+    U_m(x) = D_n(t^m, x) of the analytic route, for m = 0..degree < n.
+
+    U_0 = 1, and U_{m+1} follows from U_m by the (p,q) moment recurrence
+    q^{m-1} [n-m-1] U_{m+1}(qx) = p^{n-1} x (1 + px) D_{p,q} U_m(x)
+    + (p^{n-2-m} [m+1] + [n] x) U_m(qx).  In coefficients, divided by
+    p^{n-m-2} and written in the normalised numbers <j> = [j] / p^{j-1},
+    so that no power p^n is left to underflow:
+
+        q^{m-1+j} <n-m-1> u_{m+1,j} = p^{m+1} ([j] u_{m,j} + p [j-1] u_{m,j-1})
+                                      + [m+1] q^j u_{m,j} + p^{m+1} <n> q^{j-1} u_{m,j-1}.
+
+    Every term is positive (n > m + 1), so nothing cancels.  The arithmetic
+    is numpy float64, so at an extreme pair a power of q that overflows or
+    underflows gives an inf or NaN coefficient, never an exception; the
+    caller decides under which ``np.errstate``."""
+    p, q = np.float64(pair.p), np.float64(pair.q)
+    i = np.arange(degree + 1)
+    numbers = p ** (i - 1.0) * _normalised_number(pair.p, pair.q, i)  # [i]
+    nn, *lower = _normalised_number(pair.p, pair.q, np.arange(n, n - degree - 1, -1)).tolist()
+    images = [np.ones(1)]
+    for m in range(degree):
+        u, j = images[-1], i[: m + 1]
+        q_j, p_m = q**j, p ** (m + 1.0)
+        new = np.zeros(m + 2)
+        new[:-1] = (p_m * numbers[j] + numbers[m + 1] * q_j) * u
+        new[1:] += p_m * (p * numbers[j] + nn * q_j) * u
+        images.append(new * q ** (1.0 - m - i[: m + 2]) / lower[m])
+    return images
+
+
+def _closed(pair: PQPair, n: int, f: FunctionSpec, xs: np.ndarray) -> list[OperatorResult]:
+    """D_n(f, x) of a polynomial f = sum_d c_d t^d at each point of the 1-D
+    array xs, as sum_d c_d U_d(x) (``_image_coefficients``, up to f's degree
+    only): the coefficients are combined once, and each point is evaluated
+    by Horner's rule, elementwise, so a grid cell is bitwise its point alone.
+
+    No basis row is summed, so on this route an ``OperatorResult`` has
+    k_terms_used = degree + 1 (the image's coefficients), basis_tail_mass
+    0.0, inner_integrals_converged True, and trusted = a finite value; the
+    policy's tolerances and term budget play no part."""
+    degree = f.degree
+    # an overflowing power of q or term gives an inf or NaN cell, untrusted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        image = np.zeros(degree + 1)
+        for c, u in zip(f.as_polynomial(), _image_coefficients(pair, n, degree)):
+            if c != 0.0:
+                image[: u.size] += c * u
+        values = np.full(xs.shape, image[-1])
+        for c in image[-2::-1]:
+            values = values * xs + c
+    return [OperatorResult(v, degree + 1, 0.0, True, math.isfinite(v)) for v in values.tolist()]
 
 
 def _log_beta_ratio_factors(
@@ -528,10 +591,14 @@ def baskakov_beta_apply(
     of results in their order; each is bitwise the result of its point alone.
 
     method:
-      * "auto"       - polynomials (including the named monomials) expand the
-                       inner integral analytically into Beta values; anything
-                       else falls back to ladder quadrature.
-      * "analytic"   - force the Beta-value expansion (polynomials only).
+      * "auto"       - polynomials (including the named monomials) take the
+                       closed route (``_closed``): the image polynomial from
+                       the moment recurrence, by Horner's rule, with
+                       k_terms_used = degree + 1, basis_tail_mass 0.0 and
+                       trusted = a finite value; anything else falls back to
+                       ladder quadrature.
+      * "analytic"   - the row sum of the Beta-value expansion of the inner
+                       integrals (polynomials only).
       * "quadrature" - force bilateral ladder quadrature of the inner
                        integrals, each row normalized by its own ladder
                        weight integral.
@@ -562,8 +629,11 @@ def baskakov_beta_apply(
     if method == "analytic" and not polynomial:
         raise DomainError("analytic evaluation needs a polynomial FunctionSpec")
     _check_degree(n, _growth_degree(f))
-    route = "quadrature" if method == "quadrature" or not polynomial else "analytic"
-    results = _apply(pair, n, f, route, xs.reshape(-1), policy)
+    if method == "auto" and polynomial:
+        results = _closed(pair, n, f, xs.reshape(-1))
+    else:
+        route = "analytic" if method == "analytic" else "quadrature"
+        results = _apply(pair, n, f, route, xs.reshape(-1), policy)
     return results if np.ndim(x) else results[0]
 
 
@@ -596,7 +666,7 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     nn, n1, n2 = _normalised_number(p, q, np.arange(n, n - 3, -1)).tolist()
     # r^{n-2} through log1p(r - 1), as <j> takes it: (q/p) ** (n - 2) would
     # carry n - 2 times the rounding of q/p; and p r^{n-1} = q r^{n-2}
-    r_power = math.exp((n - 2) * math.log1p((q - p) / p))
+    r_power = math.exp((n - 2) * _log_ratio(p, q))
     b2 = p**3 * nn * (nn + p / q)
     b1 = p * (p + q) ** 2 * nn
     b0 = q * q * (p + q)

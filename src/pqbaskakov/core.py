@@ -150,17 +150,24 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+def _log_ratio(p: float, q: float) -> float:
+    """log r with r = q/p, as log1p(r - 1), so that nothing cancels near
+    r = 1; and as log q - log p where r - 1 rounds to -1 (r below about
+    1e-16), whose log1p would be a math domain error."""
+    t = (q - p) / p
+    return math.log1p(t) if t > -1.0 else math.log(q) - math.log(p)
+
+
 def _normalised_number(p: float, q: float, j):
     """<j> = [j] / p^{j-1} = (1 - r^j) / (1 - r) with r = q/p, elementwise
     over an int j or an integer-valued array; j itself at r = 1 (the
     package's one p == q case of the closed forms).  r^j - 1 is taken as
-    expm1(j log1p(r - 1)), so nothing cancels near r = 1, and <j> lies in
-    [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.  Any r > 0
-    is allowed: the plain operator's nodes need <k> at 1/r."""
+    expm1(j log r) (``_log_ratio``), so nothing cancels near r = 1, and <j>
+    lies in [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.
+    Any r > 0 is allowed: the plain operator's nodes need <k> at 1/r."""
     if p == q:
         return j
-    t = (q - p) / p  # r - 1
-    return np.expm1(j * math.log1p(t)) / t
+    return np.expm1(j * _log_ratio(p, q)) / ((q - p) / p)
 
 
 def pq_number(pair: PQPair, n: int) -> float:

@@ -25,7 +25,7 @@ from pqbaskakov import (
     pq_power_basis,
     verify_baskakov_recurrence,
 )
-from pqbaskakov import baskakov, quadrature
+from pqbaskakov import baskakov, core, quadrature
 from pqbaskakov.core import _log_fact_table
 
 from conftest import CLASSICAL, rel_err
@@ -238,7 +238,7 @@ class TestGridKernel:
 
         routes = [("nodes", route(self.F))]
         if pair.is_strict and n > 2:
-            routes.append(("analytic", route(self.F, "auto")))
+            routes.append(("analytic", route(self.F, "analytic")))
             # the ladder's bands widen as q/p nears 1; keep its cost small
             if n <= 40 and pair.ratio <= 0.95:
                 routes.append(("quadrature", route(ABS, "quadrature")))
@@ -262,15 +262,15 @@ class TestGridKernel:
         this row peaked at 98 MiB, in blocks at about 18 MiB."""
         n, f = 300, FunctionSpec.polynomial([7.0, -2.0, 25.0])
         pair, xs = PQPair(1.0, n / (n + 1.0)), np.linspace(0.0, 5.0, 6000)
-        baskakov_beta_apply(pair, f, n, 5.0)  # the samples, outside the measurement
+        baskakov_beta_apply(pair, f, n, 5.0, method="analytic")  # the samples, outside the measurement
         tracemalloc.start()
         try:
-            cells = baskakov_beta_apply(pair, f, n, xs)
+            cells = baskakov_beta_apply(pair, f, n, xs, method="analytic")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(cells) == xs.size
-        assert cells[-1] == baskakov_beta_apply(pair, f, n, xs[-1])
+        assert cells[-1] == baskakov_beta_apply(pair, f, n, xs[-1], method="analytic")
         assert cells[-1].k_terms_used > 500
         assert peak < 32 * 2**20
 
@@ -457,9 +457,10 @@ class TestRecurrence:
         def t(j, at):
             return baskakov_apply(pair, FunctionSpec.named(f"e{j}"), n, at).value
 
-        nn = pq_number(pair, n)
+        # the recurrence divided by p^{n-1}: <n> = [n] / p^{n-1}
+        nn = float(core._normalised_number(p, q, n))
         derivative = pq_derivative(pair, lambda at: t(m, at), x)
-        rhs = q * p ** (n - 1) * x * (1.0 + p * x) * derivative + nn * q * x * t(m, q * x)
+        rhs = q * x * (1.0 + p * x) * derivative + nn * q * x * t(m, q * x)
         want = abs(nn * t(m + 1, q * x) - rhs)
         calls = []
         real = baskakov._apply
@@ -471,6 +472,23 @@ class TestRecurrence:
         monkeypatch.setattr(baskakov, "_apply", counting)
         assert verify_baskakov_recurrence(pair, n, m, x) == want
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_a_perturbed_moment_shows_at_a_large_order(self, monkeypatch, m):
+        """At (0.9, 0.8) and n = 7,000, [n] and p^{n-1} are below the
+        smallest double, and the residual in them read 0.0 whatever T_m was;
+        in <n> a relative change of 1e-6 in T_{m+1} shows."""
+        pair, n, x = PQPair(0.9, 0.8), 7000, 1.5
+        honest = verify_baskakov_recurrence(pair, n, m, x)
+        real = baskakov.baskakov_apply
+
+        def perturbed(pair, f, n, at, policy):
+            result = real(pair, f, n, at, policy)
+            return result._replace(value=result.value * (1.0 + 1e-6)) if f.name == f"e{m + 1}" else result
+
+        monkeypatch.setattr(baskakov, "baskakov_apply", perturbed)
+        assert 0.0 < honest < 1e-8
+        assert verify_baskakov_recurrence(pair, n, m, x) > 1e-6
 
 
 @pytest.mark.parametrize(

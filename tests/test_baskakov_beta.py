@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -237,6 +238,9 @@ class TestBetaOperator:
         assert res.value > 0.0
 
 
+ANALYTIC = partial(baskakov_beta_apply, method="analytic")  # the Beta-expansion row sum
+
+
 class TestExtremeInputs:
     """Inputs whose terms overflow end in an untrusted cell, and numpy does
     not warn on the way (pytest turns any warning into an error)."""
@@ -245,11 +249,12 @@ class TestExtremeInputs:
         "apply, pair, f, x",
         [
             (baskakov_beta_apply, PQPair(0.9, 0.8), FunctionSpec.named("abs_t_minus_1"), 1e300),
-            (baskakov_beta_apply, PQPair(0.9, 0.8), E[1], 1e300),
+            (ANALYTIC, PQPair(0.9, 0.8), E[1], 1e300),
             (baskakov_apply, PQPair(0.9, 0.8), E[1], 1e300),
+            (ANALYTIC, PQPair(0.9, 1e-300), E[2], 1.0),
             (baskakov_beta_apply, PQPair(0.9, 1e-300), E[2], 1.0),
         ],
-        ids=["ladder-huge-x", "analytic-huge-x", "plain-huge-x", "analytic-tiny-q"],
+        ids=["ladder-huge-x", "analytic-huge-x", "plain-huge-x", "analytic-tiny-q", "closed-tiny-q"],
     )
     def test_untrusted_without_a_warning(self, apply, pair, f, x):
         with warnings.catch_warnings():
@@ -257,10 +262,70 @@ class TestExtremeInputs:
             res = apply(pair, f, 10, x)
         assert not res.trusted
 
+    def test_a_tiny_q_is_no_math_domain_error(self):
+        # (q - p)/p rounds to -1 at q = 1e-300, and log1p(-1) raised a bare
+        # ValueError from every closed form written in <j>
+        pair = PQPair(0.9, 1e-300)
+        assert moments_closed(pair, 1, 10, 2.0) == pytest.approx(0.9 * 2.0, rel=1e-15)
+        assert central_moment(pair, 1, 10, 2.0) == pytest.approx(-0.2, rel=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not baskakov_apply(pair, E[1], 10, 2.0).trusted
+
     def test_the_floating_point_state_is_restored(self):
         before = np.geterr()
         baskakov_beta_apply(PQPair(0.9, 0.8), E[1], 10, 1e300)
         assert np.geterr() == before
+
+
+class TestClosedRoute:
+    """The default route of a polynomial: sum_d c_d U_d(x) from the
+    coefficients of the moment recurrence, by Horner's rule, with no basis
+    row (tests/test_exact_images.py checks its values against exact ones)."""
+
+    def test_huge_x_is_trusted_and_the_closed_moment(self):
+        cell = baskakov_beta_apply(PQPair(0.9, 0.8), E[1], 10, 1e300)
+        assert cell.trusted
+        assert rel_err(cell.value, moments_closed(PQPair(0.9, 0.8), 1, 10, 1e300)) <= 2.3e-16
+
+    def test_tiny_q_is_untrusted_without_a_warning(self):
+        # q^{m-1+j} sinks below the smallest double, and a coefficient overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cell = baskakov_beta_apply(PQPair(0.9, 1e-300), E[2], 10, 1.0)
+        assert not cell.trusted and not math.isfinite(cell.value)
+
+    @pytest.mark.parametrize("coefficients", [(0.0,), (0.0, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0)])
+    def test_the_recurrence_runs_to_the_degree_only(self, coefficients):
+        # four zero coefficients at n = 3 would need <0> = 0 as a divisor
+        f = FunctionSpec.polynomial(coefficients)
+        cell = baskakov_beta_apply(PQPair(0.9, 0.8), f, 3, 2.0)
+        assert cell == (coefficients[0], 1, 0.0, True, True)
+
+    def test_the_result_fields(self):
+        cells = baskakov_beta_apply(PQPair(0.95, 0.9), POLY, 150, np.array([0.0, 2.5, 60.0]),
+                                    TruncationPolicy(max_terms=1))
+        assert [cell[1:] for cell in cells] == [(3, 0.0, True, True)] * 3
+        assert cells[0].value == baskakov_beta_apply(PQPair(0.95, 0.9), POLY, 150, 0.0).value
+
+    def test_no_basis_row_is_built(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("a polynomial went through the row-sum kernel")
+
+        monkeypatch.setattr(baskakov, "_apply", kernel)
+        baskakov_beta_apply(PQPair(0.9, 0.8), POLY, 50, np.linspace(0.0, 5.0, 11))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        pair=st.builds(lambda p, r: PQPair(p, p * r), st.floats(0.5, 1.0), st.floats(1e-3, 0.999)),
+        n=st.integers(5, 10**5),
+        coefficients=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+        xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=8),
+    )
+    def test_each_grid_cell_is_its_one_point_result(self, pair, n, coefficients, xs):
+        f = FunctionSpec.polynomial(coefficients)
+        cells = baskakov_beta_apply(pair, f, n, np.array(xs))
+        assert [repr(cell) for cell in cells] == [repr(baskakov_beta_apply(pair, f, n, x)) for x in xs]
 
 
 class TestQuadratureRoute:
@@ -413,7 +478,7 @@ class TestBetaFactorRows:
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         f = FunctionSpec.polynomial([7.0, 0.0, 25.0])  # the zero coefficient builds no row
-        cell = baskakov_beta_apply(PQPair(0.95, 0.9), f, 20, 60.0)
+        cell = baskakov_beta_apply(PQPair(0.95, 0.9), f, 20, 60.0, method="analytic")
         assert cell.k_terms_used > 64
         assert calls == [((0, 2), 0, 64), ((0, 2), 64, 128)]
 
@@ -573,7 +638,8 @@ class TestSampleSource:
         warm = baskakov_beta_apply(self.PAIR, f, 20, x, method=method)
         assert warm == cold  # every OperatorResult field, exactly
 
-    @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, baskakov_beta_apply])
+    @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, ANALYTIC],
+                             ids=["baskakov_apply", "baskakov_beta_apply"])
     @pytest.mark.parametrize("x, k_count", [(1e-3, 64), (1.0, 256), (5.0, 512), (20.0, 1024)])
     def test_samples_grow_to_the_row_length_only(self, monkeypatch, apply, x, k_count):
         # the q_ratio schedule at n = 150, where rows grow to 1,024 terms
@@ -601,7 +667,7 @@ class TestSampleSource:
         f = FunctionSpec.polynomial([7.0, 0.0, 25.0])
         for _ in range(2):
             calls.clear()
-            cells = baskakov_beta_apply(self.PAIR, f, 20, np.array(xs))
+            cells = baskakov_beta_apply(self.PAIR, f, 20, np.array(xs), method="analytic")
             assert max(cell.k_terms_used for cell in cells) > 64
             assert [n for n, _, _ in calls] == [20 + k_count - 1 for k_count in k_counts]
             sizes = [1] + [grown for _, _, grown in calls]
@@ -764,17 +830,26 @@ class TestLadderNodeCap:
         assert math.isfinite(res.value)
 
 
-def _counting_kernel(monkeypatch):
-    """Replace the kernel of baskakov by one that records its calls'
+def _counting_evaluations(monkeypatch):
+    """Replace the grid evaluations of baskakov, the row-sum kernel and the
+    closed route of polynomials, by ones that record their calls'
     (n, grid points) and whether a cell table was open."""
     calls = []
-    real = baskakov._apply
+    kernel, closed = baskakov._apply, baskakov._closed
 
-    def kernel(pair, n, f, route, xs, policy):
+    def record(n, xs):
         calls.append((n, tuple(xs.tolist()), baskakov._RUN_CELLS.get() is not None))
-        return real(pair, n, f, route, xs, policy)
 
-    monkeypatch.setattr(baskakov, "_apply", kernel)
+    def counting_kernel(pair, n, f, route, xs, policy):
+        record(n, xs)
+        return kernel(pair, n, f, route, xs, policy)
+
+    def counting_closed(pair, n, f, xs):
+        record(n, xs)
+        return closed(pair, n, f, xs)
+
+    monkeypatch.setattr(baskakov, "_apply", counting_kernel)
+    monkeypatch.setattr(baskakov, "_closed", counting_closed)
     return calls
 
 
@@ -784,14 +859,14 @@ class TestCellTable:
     GRID = (0.0, 1.5, 3.0)
 
     def test_inside_a_table_a_repeated_cell_is_a_lookup(self, monkeypatch):
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         with baskakov._cell_table(np.array(self.GRID)):
             first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
             again = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
             origin = baskakov_beta_apply(self.PAIR, self.F, 10, 0.0)
             other = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5, TruncationPolicy(rel_tol=1e-10))
         assert again is first and other == first
-        # one kernel call per grid row; the other policy is another row
+        # one grid evaluation per grid row; the other policy is another row
         assert calls == [(10, self.GRID, True)] * 2
         assert first == baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         assert origin == baskakov_beta_apply(self.PAIR, self.F, 10, 0.0)
@@ -814,7 +889,7 @@ class TestCellTable:
         assert cells == 2 * baskakov_beta_apply(self.PAIR, self.F, 10, np.array(self.GRID))
 
     def test_a_point_off_the_grid_is_computed_afresh(self, monkeypatch):
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         with baskakov._cell_table(np.array(self.GRID)):
             for _ in range(2):
                 baskakov_beta_apply(self.PAIR, self.F, 10, 2.0)
@@ -822,7 +897,7 @@ class TestCellTable:
         assert calls == [(10, (2.0,), True)] * 2
 
     def test_calls_outside_a_run_both_recompute(self, monkeypatch):
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
         assert calls == [(10, (1.5,), False)] * 2
@@ -856,7 +931,7 @@ class TestCellTable:
             assert baskakov._RUN_CELLS.get().rows == {}
 
     def test_a_nested_table_on_an_equal_grid_is_the_open_one(self, monkeypatch):
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         with baskakov._cell_table(np.array(self.GRID)):
             outer = baskakov._RUN_CELLS.get()
             first = baskakov_beta_apply(self.PAIR, self.F, 10, 1.5)
@@ -869,7 +944,7 @@ class TestCellTable:
         assert baskakov._RUN_CELLS.get() is None
 
     def test_a_nested_table_on_another_grid_is_dropped_on_exit(self, monkeypatch):
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         other = (0.0, 2.0)
         with baskakov._cell_table(np.array(self.GRID)):
             outer = baskakov._RUN_CELLS.get()
@@ -883,10 +958,10 @@ class TestCellTable:
         assert calls == [(10, self.GRID, True), (10, other, True), (10, (1.5,), True)]
         assert baskakov._RUN_CELLS.get() is None
 
-    @pytest.mark.parametrize("f", [F, ABS], ids=["analytic", "quadrature"])
+    @pytest.mark.parametrize("f", [F, ABS], ids=["closed", "quadrature"])
     def test_analysis_evaluates_each_grid_row_once(self, monkeypatch, f):
         # outside a run, each row of convergence_run and weighted_sup_error
-        # is one kernel call over the whole grid
+        # is one grid evaluation
         grid = EvalGrid(0.0, 3.0, 7)
         xs = tuple(grid.array().tolist())
         cells = []
@@ -897,7 +972,7 @@ class TestCellTable:
             return cells[-1][-1]
 
         monkeypatch.setattr(analysis, "baskakov_beta_apply", recording)
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         convergence_run(ParameterSchedule.fixed(self.PAIR), f, [5, 10], grid)
         weighted_sup_error(self.PAIR, 10, f, grid)
         assert calls == [(5, xs, True), (10, xs, True), (10, xs, True)]

@@ -612,7 +612,7 @@ def test_both_schedule_sections_is_one_message(tmp_path):
 _EVALUATING = pytest.mark.parametrize(
     "text, overrides, route",
     [
-        (FIGURE1_TEXT, [], "analytic"),
+        (FIGURE1_TEXT, [], "closed"),
         (LADDER_TEXT, [], "quadrature"),
         # NA cells: the starved budget leaves the ladder unconverged
         (LADDER_TEXT, ["policy.max_terms=10"], "quadrature"),
@@ -622,10 +622,10 @@ _EVALUATING = pytest.mark.parametrize(
 
 
 def _counting_cells(monkeypatch, route):
-    """Replace the kernel of baskakov by one that records the (n, x) cells
-    of each of its calls, and its samples by ones that refuse any route but
-    route."""
-    apply, samples = baskakov._apply, baskakov._samples
+    """Replace the grid evaluations of baskakov (the row-sum kernel and the
+    closed route of polynomials) by ones that record the (n, x) cells of
+    each of their calls, and refuse any route but route."""
+    apply, samples, closed = baskakov._apply, baskakov._samples, baskakov._closed
     calls = []
 
     def counting(pair, n, f, name, xs, policy):
@@ -636,8 +636,14 @@ def _counting_cells(monkeypatch, route):
         assert name == route
         return samples(pair, n, f, name, k_start, k_count, lfact=lfact)
 
+    def counting_closed(pair, n, f, xs):
+        assert route == "closed"
+        calls.append([(n, x) for x in xs.tolist()])
+        return closed(pair, n, f, xs)
+
     monkeypatch.setattr(baskakov, "_apply", counting)
     monkeypatch.setattr(baskakov, "_samples", sampling)
+    monkeypatch.setattr(baskakov, "_closed", counting_closed)
     return calls
 
 
@@ -672,7 +678,7 @@ def test_a_shared_run_writes_the_bytes_of_single_runs(text, overrides, route, tm
 
 
 def test_outputs_without_operator_cells_evaluate_none(small_config, tmp_path, monkeypatch):
-    calls = _counting_cells(monkeypatch, "analytic")
+    calls = _counting_cells(monkeypatch, "closed")
     config = validate_config(small_config, ["run.outputs=moments, bound-report", "grid.stop=3"])
     assert run_experiment(config, tmp_path / "out") == 0
     assert calls == []
