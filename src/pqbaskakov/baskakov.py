@@ -13,9 +13,9 @@ Beta-weighted operator (sample integrals instead of point samples):
 
 Both operators are sum_k b_{n,k}(x) s_k with x-independent samples s_k, so
 every entry checks its arguments, resolves its route once and calls the one
-kernel, ``_apply``, with f and that route; the kernel grows the basis row
-and the route's sample vector (``_samples``), sums them and decides
-truncation and trust.
+kernel, ``_apply``, with f and that route; the kernel sizes each basis row
+(``_row_extents``), builds the rows and the route's sample vector
+(``_samples``), sums them and decides trust.
 The row routes differ only in their samples, and share none of them:
   * "nodes" (``baskakov_apply``, the plain B_n) - f at the nodes,
   * "analytic" (``baskakov_beta_apply(..., method="analytic")`` and
@@ -40,26 +40,17 @@ Every entry refuses a point outside 0 <= x < inf (``_check_point``);
 closed moments an array of any shape.
 
 Both operator entries take x as one point or as a 1-D array of points, and
-the kernel works on the whole array at once: a matrix of basis rows, one per
-point, grows by doubling (64, 128, ... terms, up to max_terms), and each row
-stops at the first length at which its own edge test passes and is summed at
-that length, so every cell is bitwise the value of that point evaluated
-alone (one point is a 1-point grid to the kernel).  The edge test of a
-doubling reads the new segment only, against a running maximum per row.
-A longer row appends only its new terms: the prefix sum of log (1 (+) x)^j
-goes on from the last value of the previous segment, and the x-independent
-terms are built for the new k only, so the grown row is bitwise the
-one-shot row.  The points
-are taken in blocks of at most _ROW_ENTRIES = 2^18 row entries (2 MiB of
-float64 per matrix; a few such matrices are alive at once), so a long grid
-costs memory independent of its length.
-
-The kernel grows one sample vector per call the same way, by the samples
-of the new k only, so each s_k of a call is computed once, and x = 0 reads
-s_0 of the first segment.  The analytic route builds the Beta factors of
-all the polynomial's degrees of a segment in one matrix.  The basis
-binomials and the Beta factors read the call's log-factorial table log [j]!,
-grown alike.  Both live for one call, so no cell depends on earlier calls.
+the kernel works on the whole array at once.  The basis is log-concave in k,
+so each point's row length K is known before any work (``_row_extents``).
+The kernel builds one sample vector per call, and the log-factorial table
+log [j]! that the basis binomials and the Beta factors read, to the largest
+K.  The points are taken in blocks of at most _ROW_ENTRIES = 2^18 row
+entries (2 MiB of float64 per matrix; a few such matrices are alive at
+once), so a long grid costs memory independent of its length; each block's
+rows are built once, to its largest K, and each row is summed to its own K.
+Every sample, and every term of a row, is a function of its own k, so every
+cell is bitwise the value of its point evaluated alone (one point is a
+1-point grid to the kernel), and nothing lives beyond the call.
 
 The one cache of operator work is one level up.  An experiment run, and
 ``convergence_run`` / ``weighted_sup_error``, ask ``baskakov_beta_apply``
@@ -77,9 +68,9 @@ targets at a float x are looked up; a point off the grid, a row that raises
 and any call outside a table are computed afresh, and a table is dropped
 when its block ends, so it needs no size bound and cannot go stale.
 
-The basis is a probability distribution over k (partition of unity), so
-truncation is driven by accumulated mass plus the size of the sample-weighted
-terms at the edge of the row.
+The basis is a probability distribution over k (partition of unity), so a
+cell is trusted when its row's mass 1 - sum b is at most rel_tol, its samples
+are trusted and its value is finite (``_sum_rows``).
 """
 
 from __future__ import annotations
@@ -96,7 +87,6 @@ from .core import (
     DomainError,
     PQPair,
     TruncationPolicy,
-    _LOG_FACT_0,
     _check_nonneg_int,
     _log_fact_table,
     _log_ratio,
@@ -118,8 +108,10 @@ __all__ = [
     "central_moment",
 ]
 
-_EDGE_FRACTION = 1e-18  # a row is complete when its edge term is this small
 _ROW_ENTRIES = 1 << 18  # most basis-row entries a block of grid points holds (2 MiB)
+# A row leaves out at most _TAIL of its largest weighted term (``_row_extents``)
+_TAIL = 1e-18
+_THETAS = np.array([[0.99], [0.9], [0.6], [0.3], [0.1], [0.01]])
 
 
 class OperatorResult(NamedTuple):
@@ -143,47 +135,31 @@ def _require_basis_regime(pair: PQPair) -> None:
 
 
 def _log_basis_row(
-    pair: PQPair,
-    n: int,
-    x: np.ndarray,
-    k_count: int,
-    k_start: int = 0,
-    carry: Union[np.ndarray, float] = 0.0,
-    *, lfact: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """log b_{n,k}(x) for k = k_start..k_count-1 at each point of the 1-D
-    array x (every x > 0), as a (len(x), k_count - k_start) matrix, and per
-    point the prefix sum of log (1 (+) x)^j over j < n + k_count; lfact is
-    the pair's log-factorial table, to j = n + k_count - 2 at least.
-
-    A longer row continues from k_start = k_count with that prefix sum as its
-    carry; the segments concatenate to the one-shot row bit for bit, since the
-    prefix sum goes on in the same order and the x-independent terms are
-    elementwise in k or j.  The logs of x itself are taken in
-    math, one point at a time: numpy's vectorized log and log1p round some
-    points differently, and the rows stay bitwise those of math.
+    pair: PQPair, n: int, x: np.ndarray, k_count: int, *, lfact: np.ndarray
+) -> np.ndarray:
+    """log b_{n,k}(x) for k = 0..k_count-1 at each point of the 1-D array x
+    (every x > 0), as a (len(x), k_count) matrix; lfact is the pair's
+    log-factorial table, to j = n + k_count - 2 at least.  The prefix sum of
+    log (1 (+) x)^j adds left to right, so a longer row starts bitwise with
+    the shorter one.  The logs of x itself are taken in math, one point at a
+    time: numpy's vectorized log and log1p round some points differently.
     """
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
-    ki = np.arange(k_start, k_count)
+    ki = np.arange(k_count)
     k = ki.astype(float)
     log_binom = lfact[ki + n - 1] - lfact[n - 1] - lfact[ki]
     base = log_binom + (k + n * (n - 1) / 2) * lp + (k * (k - 1) / 2) * lq
     points = x.tolist()
-    # the first segment also sums the n leading factors, which depend on x
-    j_lo = n + k_start if k_start else 0
-    j = np.arange(j_lo, n + k_count, dtype=float)
+    j = np.arange(n + k_count - 1, dtype=float)
     if p == q:
         factors = j * lp + np.array([[math.log1p(v)] for v in points])
     else:
         factors = j * lp + np.log1p(pair.ratio**j * x[:, None])
-    prefix = np.empty((x.size, factors.shape[1] + 1))
-    prefix[:, 0] = carry
-    prefix[:, 1:] = factors
-    np.cumsum(prefix, axis=1, out=prefix)
+    # column n - 1 + k sums log (1 (+) x)^j over j < n + k
+    prefix = np.cumsum(factors, axis=1)
     log_x = np.array([[math.log(v)] for v in points])
-    row = base + k * log_x - prefix[:, n + k_start - j_lo : -1]
-    return row, prefix[:, -1].copy()
+    return base + k * log_x - prefix[:, n - 1 :]
 
 
 def _check_order(n: int) -> int:
@@ -219,7 +195,7 @@ def baskakov_basis(pair: PQPair, n: int, k: int, x: float) -> float:
     k = _check_nonneg_int(k, "basis index k")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
-    row, _ = _log_basis_row(pair, n, xs.reshape(1), k + 1, lfact=_log_fact_table(pair, n + k))
+    row = _log_basis_row(pair, n, xs.reshape(1), k + 1, lfact=_log_fact_table(pair, n + k))
     return float(np.exp(row[0, k]))
 
 
@@ -231,30 +207,32 @@ def baskakov_node(pair: PQPair, n: int, k: int) -> float:
 
 
 def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
-    # p^{k-1} <k>_r / q^{k-1} = <k>_{1/r}, exactly 0 at k = 0
-    return _normalised_number(pair.q, pair.p, k) / _normalised_number(pair.p, pair.q, n)
+    # p^{k-1} <k>_r / q^{k-1} = <k>_{1/r}, exactly 0 at k = 0, and inf where
+    # (1/r)^k overflows
+    with np.errstate(over="ignore"):
+        return _normalised_number(pair.q, pair.p, k) / _normalised_number(pair.p, pair.q, n)
 
 
 def _samples(
-    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, k_start: int, k_count: int,
+    pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, k_count: int,
     *, lfact: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The samples s_k of a route for k = k_start..k_count-1, with a trust
-    flag per k: f at the nodes ("nodes"), sum_d c_d q^{2d} p^{d(n+k)}
+    """The samples s_k of a route for k = 0..k_count-1, with a trust flag
+    per k: f at the nodes ("nodes"), sum_d c_d q^{2d} p^{d(n+k)}
     B(k+d+1, n-d) / B(k+1, n) over the nonzero coefficients c_d of the
     polynomial f ("analytic"), or the ladder ratios ("quadrature")."""
     if route == "quadrature":
-        return batched_weight_ratios(pair, n, k_count, f, _growth_degree(f), k_start)
+        return batched_weight_ratios(pair, n, k_count, f, _growth_degree(f))
     if route == "analytic":
-        s = np.zeros(k_count - k_start)
+        s = np.zeros(k_count)
         terms = [(d, c) for d, c in enumerate(f.as_polynomial()) if c != 0.0]
         if terms:
             degrees, coefficients = zip(*terms)
-            log_factors = _log_beta_ratio_factors(pair, n, degrees, k_count, k_start, lfact=lfact)
+            log_factors = _log_beta_ratio_factors(pair, n, degrees, k_count, lfact=lfact)
             for c, factor in zip(coefficients, np.exp(log_factors)):
                 s += c * factor
     else:
-        nodes = _nodes(pair, n, np.arange(k_start, k_count, dtype=float))
+        nodes = _nodes(pair, n, np.arange(k_count, dtype=float))
         values = np.asarray(as_callable(f)(nodes), dtype=float)
         try:
             # one value for all nodes is a constant f, as the ladder route takes it
@@ -263,7 +241,66 @@ def _samples(
             raise DomainError(
                 f"f gave values of shape {values.shape} at {nodes.size} nodes"
             ) from None
-    return s, np.ones(k_count - k_start, dtype=bool)
+    return s, np.ones(k_count, dtype=bool)
+
+
+def _row_extents(pair: PQPair, n: int, xs: np.ndarray, degree: int, max_terms: int) -> np.ndarray:
+    """The length K of the basis row of each point of the 1-D array xs, capped
+    at max_terms: past K the terms c_k = b_{n,k}(x) (k+1)^degree (the growth
+    the samples are taken to have) sum to at most _TAIL of their largest
+    one.  x = 0 has K = 1, since b_{n,0}(0) = 1.  With r = q/p and
+    <j> = [j] / p^{j-1}, the basis ratio is
+
+        rho_k = b_{n,k+1} / b_{n,k} = ([n+k] / [k+1]) p q^k x / (p^{n+k} + q^{n+k} x)
+              = (<n+k> / <k+1>) x / (r^{-k} + r^n x).
+
+    Neither factor rises with k: the first is (n+k)/(k+1) at r = 1, and
+    otherwise (1 - c a)/(1 - a) with c = r^{n-1} <= 1 and a = r^{k+1}
+    falling, whose derivative in a, (1 - c)/(1 - a)^2, is >= 0; the
+    second's denominator does not fall.  So the ratio of the c_k,
+    rho~_k = rho_k ((k+2)/(k+1))^degree, never rises, and once <= theta it
+    stays so.  Let k_i be the first k with rho~_k <= theta_i, for the levels
+    theta_1 > theta_2 > ... of _THETAS (so k_1 <= k_2 <= ...).  The c_k fall
+    by a factor theta_j or more a step from k_j on, so for K >= k_i
+
+        sum_{k>=K} c_k <= c_{k_i} theta_i^{K-k_i} / (1 - theta_i)
+                       <= e^{D_i} theta_i^{K-k_i} / (1 - theta_i) max_k c_k,
+        D_i = sum_{j<i} (k_{j+1} - k_j) log theta_j,
+
+    at most _TAIL max_k c_k once K >= (log(_TAIL (1 - theta_i)) - E_i) /
+    log theta_i, where E_i = D_i - k_i log theta_i = sum_{j<=i} k_j
+    (log theta_{j-1} - log theta_j) and log theta_0 = 0.  K is the least
+    such bound over i.  As rho~_k rises with x, rho~_k <= theta reads
+    x <= X_theta(k) = theta r^{-k} / (G_k - theta r^n), with G_k = (<n+k> /
+    <k+1>) ((k+2)/(k+1))^degree >= 1, and X_theta(k) rises with k: k_i is
+    found by bisection (``np.searchsorted``) in the x-independent vector of
+    the X_theta_i(k), so only comparisons read x, and each K is that of its
+    point alone.  The vector stops where the probes k = 2^j - 1 at the
+    largest point bound every K of the call.
+    """
+    p, q = pair.p, pair.q
+    log_r, log_theta, log_reserve = _log_ratio(p, q), np.log(_THETAS), np.log(_TAIL * (1.0 - _THETAS))
+    r_n = math.exp(n * log_r)
+
+    def parts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # X_theta(k) = theta scale / (growth - theta r^n); r^{-k} is held below
+        # the float range, which only lowers X_theta and so lengthens K
+        upper, lower = _normalised_number(p, q, np.array([n + k, k + 1]))
+        return np.exp(np.minimum(-k * log_r, 700.0)), upper / lower * ((k + 2.0) / (k + 1.0)) ** degree
+
+    probes = np.minimum((1 << np.arange(max_terms.bit_length() + 1)) - 1, max_terms - 1)
+    scale, growth = parts(probes.astype(float))
+    hit = _THETAS * scale / (growth - _THETAS * r_n) >= xs.max()
+    reached = np.where(hit.any(axis=1), probes[np.argmax(hit, axis=1)], max_terms)
+    bound = min(max_terms, int((reached + np.ceil(log_reserve / log_theta)[:, 0]).min()))
+    # k_i of each point, one level at a time, so that a long vector is held
+    # once; a k_i past the vector reads bound, and its K is >= bound
+    scale, growth = parts(np.arange(bound, dtype=float))
+    firsts = np.array([np.searchsorted(np.maximum.accumulate(theta * scale / (growth - theta * r_n)), xs)
+                       for theta in _THETAS[:, 0].tolist()])
+    chain = np.cumsum(firsts * -np.diff(log_theta, axis=0, prepend=0.0), axis=0)  # E_i
+    ends = np.maximum(np.ceil((log_reserve - chain) / log_theta), firsts).min(axis=0)
+    return np.where(xs > 0.0, np.minimum(ends, bound).astype(np.int64), 1)
 
 
 def _apply(
@@ -275,84 +312,60 @@ def _apply(
     policy: TruncationPolicy,
 ) -> list[OperatorResult]:
     """sum_k b_{n,k}(x) s_k at each point of the 1-D array xs, with the
-    x-independent samples s_k of the route.
-
-    The rows of all points double together (64, 128, ... up to max_terms);
-    each row stops at the first length at which its sample-weighted edge
-    term is negligible (or the term budget is spent) and is summed at that
-    length, so a point's result does not depend on the other points.  Points
-    are taken in blocks of at most _ROW_ENTRIES row entries.  The one sample
-    vector of the call grows with the longest row, by the new k only, and so
-    does its log-factorial table.  ``_sum_rows`` alone decides trust.
-    """
+    x-independent samples s_k of the route, each row to its own length K
+    (``_row_extents``), in blocks of at most _ROW_ENTRIES row entries.
+    ``_sum_rows`` alone decides trust."""
+    if not xs.size:
+        return []
     # extreme inputs overflow to inf or NaN on the way (a sample, a node, a
     # term); their cells end untrusted, so numpy need not warn about them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        extents = _row_extents(pair, n, xs, _growth_degree(f), policy.max_terms)
+        k_count = int(extents.max())
+        lfact = _log_fact_table(pair, n + k_count - 1)
+        s, ok = _samples(pair, n, f, route, k_count, lfact=lfact)
         results: list = [None] * xs.size
-        s, ok, lfact = np.empty(0), np.empty(0, dtype=bool), _LOG_FACT_0
         zero = np.flatnonzero(xs == 0.0)
         if zero.size:
             # b_{n,0}(0) = 1, every other weight vanishes
-            k_count = min(64, policy.max_terms)
-            lfact = _log_fact_table(pair, n + k_count - 1, lfact)
-            s, ok = _samples(pair, n, f, route, 0, k_count, lfact=lfact)
-            result = _sum_rows(np.zeros((1, 1)), s[:1], bool(ok[0]), policy)[0]
+            result = _sum_rows(np.zeros((1, 1)), s, ok, extents[zero[:1]], policy)[0]
             for i in zero.tolist():
                 results[i] = result
         positive = np.flatnonzero(xs)
-        # per row: its point's index, its log weights so far, the prefix sum
-        # they end on, and the largest edge metric over them
-        pending = [(positive, np.empty((positive.size, 0)), np.zeros(positive.size),
-                    np.full(positive.size, -math.inf))]
-        while pending:
-            idx, rows, carry, peak = pending.pop()
-            while idx.size:
-                built = rows.shape[1]
-                k_count = min(2 * built if built else 64, policy.max_terms)
-                # the first segment also holds the n leading factors of each row
-                fit = max(1, _ROW_ENTRIES // (k_count + (0 if built else n)))
-                if idx.size > fit:
-                    pending.append((idx[fit:], rows[fit:], carry[fit:], peak[fit:]))
-                    idx, rows, carry, peak = idx[:fit], rows[:fit], carry[:fit], peak[:fit]
-                lfact = _log_fact_table(pair, n + k_count - 1, lfact)
-                segment, carry = _log_basis_row(pair, n, xs[idx], k_count, built, carry, lfact=lfact)
-                rows = np.concatenate([rows, segment], axis=1) if built else segment
-                if s.size < k_count:
-                    new_s, new_ok = _samples(pair, n, f, route, s.size, k_count, lfact=lfact)
-                    s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
-                # the edge metric b_{n,k} |s_k| in logs (a zero or non-finite
-                # sample counts as 1), taken over the new segment only: the
-                # running max over the segments is the max over the whole row
-                ls = np.log(np.abs(s[built:k_count]))
-                metric = segment + np.where(np.isfinite(ls), ls, 0.0)
-                peak = np.maximum(peak, metric.max(axis=1))
-                done = metric[:, -1] < peak + math.log(_EDGE_FRACTION)
-                if k_count >= policy.max_terms:
-                    done[:] = True
-                inner_ok = bool(ok[:k_count].all())
-                summed = _sum_rows(rows[done], s[:k_count], inner_ok, policy)
-                for i, result in zip(idx[done].tolist(), summed):
-                    results[i] = result
-                idx, rows, carry, peak = idx[~done], rows[~done], carry[~done], peak[~done]
+        while positive.size:
+            # the longest row of each prefix, and the n leading factors of each row
+            longest = np.maximum.accumulate(extents[positive])
+            fit = np.arange(1, positive.size + 1) * (longest + n) <= _ROW_ENTRIES
+            block, positive = np.split(positive, [max(1, int(np.count_nonzero(fit)))])
+            rows = _log_basis_row(pair, n, xs[block], int(extents[block].max()), lfact=lfact)
+            for i, result in zip(block.tolist(), _sum_rows(rows, s, ok, extents[block], policy)):
+                results[i] = result
         return results
 
 
 def _sum_rows(
-    rows: np.ndarray, s: np.ndarray, inner_ok: bool, policy: TruncationPolicy
+    rows: np.ndarray, s: np.ndarray, ok: np.ndarray, extents: np.ndarray, policy: TruncationPolicy
 ) -> list[OperatorResult]:
-    """One result per row of log weights, summed against the samples s.  The
-    one trust rule: a value is trusted when its samples are (inner_ok), its
-    basis tail is at most rel_tol and the value itself is finite."""
+    """One result per row of log weights, summed against the samples s over
+    its own first K = extents[i] terms, as one segment of a
+    ``np.add.reduceat``, whatever the width of the matrix.  The one trust
+    rule: a value is trusted when the samples it reads are (ok), its basis
+    tail is at most rel_tol and the value itself is finite."""
+    width = rows.shape[1]
     b = np.exp(rows)
-    terms = np.where(b > 0.0, b * s, 0.0)
-    tail = 1.0 - b.sum(axis=1)
+    terms = np.where(b > 0.0, b * s[:width], 0.0)
+    inside = np.arange(width) < extents[:, None]
+    starts = np.cumsum(extents) - extents
+    tail = 1.0 - np.add.reduceat(b[inside], starts)
     tail = np.where(tail > 0.0, tail, 0.0)  # max(0, 1 - sum b), and 0 for a NaN sum
-    significant = np.abs(terms) > policy.abs_tol
-    last = terms.shape[1] - np.argmax(significant[:, ::-1], axis=1)
+    significant = (np.abs(terms) > policy.abs_tol) & inside
+    last = width - np.argmax(significant[:, ::-1], axis=1)
     k_used = np.where(significant.any(axis=1), last, 1)
+    inner_ok = np.logical_and.accumulate(ok)[extents - 1]
     return [
-        OperatorResult(v, k, t, inner_ok, inner_ok and t <= policy.rel_tol and math.isfinite(v))
-        for v, k, t in zip(terms.sum(axis=1).tolist(), k_used.tolist(), tail.tolist())
+        OperatorResult(v, k, t, good, good and t <= policy.rel_tol and math.isfinite(v))
+        for v, k, t, good in zip(np.add.reduceat(terms[inside], starts).tolist(), k_used.tolist(),
+                                 tail.tolist(), inner_ok.tolist())
     ]
 
 
@@ -485,12 +498,11 @@ def _closed(pair: PQPair, n: int, f: FunctionSpec, xs: np.ndarray) -> list[Opera
 
 
 def _log_beta_ratio_factors(
-    pair: PQPair, n: int, degrees: tuple[int, ...], k_count: int, k_start: int = 0,
-    *, lfact: np.ndarray
+    pair: PQPair, n: int, degrees: tuple[int, ...], k_count: int, *, lfact: np.ndarray
 ) -> np.ndarray:
     """log of q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for each degree m
     of the non-empty tuple degrees (one row each, in their order) and
-    k = k_start..k_count-1 (one column each).
+    k = 0..k_count-1 (one column each).
 
     This is the exact inner-integral factor for the monomial t^m: the shared
     Gamma(n+k+1) cancels, leaving factorial differences and prefactors.  Each
@@ -501,7 +513,7 @@ def _log_beta_ratio_factors(
     p, q = pair.p, pair.q
     lp, lq = math.log(p), math.log(q)
     m = np.array(degrees)[:, None]
-    ki = np.arange(k_start, k_count)
+    ki = np.arange(k_count)
     k = ki.astype(float)
     delta_log_beta = (
         lq * (-m * (2.0 * k + m + 1.0) / 2.0)
@@ -687,16 +699,18 @@ def _moment_columns(
     """The closed columns of D_n at x (a float, or an array of any shape) from
     one ``_moment_numerators`` pass, by index: 0 M1, 1 M2, 2 mu1, 3 mu2, each
     numerator by Horner's rule and divided once.  n is a whole order; M1
-    needs n > 1 and the other columns n > 2."""
+    needs n > 1 and the other columns n > 2.  A value that overflows (at an
+    extreme pair or x) is inf or NaN, without a warning."""
     if n <= (1 if columns == (0,) else 2):
         raise DomainError(f"M1 needs n > 1, and M2, mu1 and mu2 need n > 2; got n = {n}")
     numerators = _moment_numerators(pair, n)
     values = []
-    for coefficients, denominator in (numerators[c] for c in columns):
-        value = coefficients[0]
-        for c in coefficients[1:]:
-            value = value * x + c
-        values.append(value / denominator)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for coefficients, denominator in (numerators[c] for c in columns):
+            value = coefficients[0]
+            for c in coefficients[1:]:
+                value = value * x + c
+            values.append(value / denominator)
     return values
 
 

@@ -164,7 +164,9 @@ def _normalised_number(p: float, q: float, j):
     package's one p == q case of the closed forms).  r^j - 1 is taken as
     expm1(j log r) (``_log_ratio``), so nothing cancels near r = 1, and <j>
     lies in [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.
-    Any r > 0 is allowed: the plain operator's nodes need <k> at 1/r."""
+    Any r > 0 is allowed: the plain operator's nodes need <k> at 1/r, where
+    r^j may overflow to an inf <j> (its caller decides under which
+    ``np.errstate``)."""
     if p == q:
         return j
     return np.expm1(j * _log_ratio(p, q)) / ((q - p) / p)
@@ -203,19 +205,10 @@ def _log_pq_terms(pair: PQPair, js: range) -> np.ndarray:
     return scaled + log1p - math.log1p(-r)
 
 
-_LOG_FACT_0 = np.zeros(1)  # log [0]! = 0, where every table starts
-_LOG_FACT_0.flags.writeable = False
-
-
-def _log_fact_table(pair: PQPair, n: int, table: np.ndarray = _LOG_FACT_0) -> np.ndarray:
-    """log [j]! for j = 0..n at least: table, of the same pair, extended to j = n.
-    cumsum adds left to right, so the sum goes on from table[-1] bitwise as
-    one pass would: a table grown in pieces is the one built at once."""
-    if table.size > n:
-        return table
-    grown = np.concatenate([table, _log_pq_terms(pair, range(table.size, n + 1))])
-    np.cumsum(grown[table.size - 1 :], out=grown[table.size - 1 :])
-    return grown
+def _log_fact_table(pair: PQPair, n: int) -> np.ndarray:
+    """log [j]! for j = 0..n, a new array.  cumsum adds left to right, so a
+    shorter table is bitwise the start of a longer one."""
+    return np.cumsum(np.concatenate([[0.0], _log_pq_terms(pair, range(1, n + 1))]))
 
 
 def log_pq_factorial(pair: PQPair, n: int) -> float:

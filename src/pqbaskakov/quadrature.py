@@ -77,7 +77,6 @@ class QuadratureResult:
     terms_used: int
     tail_estimate: float
     converged: bool
-    nodes_outside_interval: int = 0
 
 
 def _geometric_tail(last: float, prev: float) -> float:
@@ -98,25 +97,23 @@ def _ladder_sum(
     weight: float,
     step: float,
     total: float,
-) -> tuple[float, int, float, bool, int]:
+) -> tuple[float, int, float, bool]:
     """One direction of a Jackson ladder: adds the terms
     (p - q) scale w f(scale w) for w = weight, weight step, ... onto total.
 
     The direction stops once terms have stayed small for a while AND the
     geometric tail extrapolation itself clears the tolerance.  A non-finite
     term, a weight beyond _NODE_CAP or an exhausted term budget ends it
-    unstopped.  Returns (total, terms used, tail, stopped, nodes above scale).
+    unstopped.  Returns (total, terms used, tail, stopped).
     """
     p, q = pair.p, pair.q
-    small_run = used = outside = 0
+    small_run = used = 0
     term = prev = 0.0
     for _ in range(policy.max_terms):
         if weight > _NODE_CAP or not math.isfinite(weight):
             break
-        node = scale * weight
-        outside += node > scale
         prev = term
-        term = (p - q) * scale * weight * float(func(node))
+        term = (p - q) * scale * weight * float(func(scale * weight))
         if not math.isfinite(term):
             break
         total += term
@@ -127,11 +124,11 @@ def _ladder_sum(
                 small_run >= _CONSECUTIVE_SMALL
                 and _geometric_tail(term, prev) <= 0.45 * policy.threshold(total)
             ):
-                return total, used, _geometric_tail(term, prev), True, outside
+                return total, used, _geometric_tail(term, prev), True
         else:
             small_run = 0
         weight *= step
-    return total, used, _geometric_tail(term, prev), False, outside
+    return total, used, _geometric_tail(term, prev), False
 
 
 def jackson_integral(
@@ -145,10 +142,8 @@ def jackson_integral(
     if not a > 0.0:
         raise DomainError(f"integration endpoint must be positive, got a={a}")
     p, q = pair.p, pair.q
-    total, used, tail, stopped, outside = _ladder_sum(
-        pair, as_callable(f), policy, a, 1.0 / p, q / p, 0.0
-    )
-    return QuadratureResult(total, used, tail, stopped, outside)
+    total, used, tail, stopped = _ladder_sum(pair, as_callable(f), policy, a, 1.0 / p, q / p, 0.0)
+    return QuadratureResult(total, used, tail, stopped)
 
 
 def improper_integral(
@@ -170,7 +165,7 @@ def improper_integral(
     total, terms_used, tail, stopped = 0.0, 0, 0.0, True
     # forward from the node 1/p towards 0, backward from 1/q towards inf
     for weight, step in ((1.0 / p, ratio), ((1.0 / p) / ratio, 1.0 / ratio)):
-        total, used, part_tail, part_stopped, _ = _ladder_sum(
+        total, used, part_tail, part_stopped = _ladder_sum(
             pair, func, policy, 1.0, weight, step, total
         )
         terms_used += used
@@ -377,11 +372,10 @@ def batched_weight_ratios(
     k_count: int,
     f: Union[FunctionSpec, Callable],
     f_growth_degree: int = 2,
-    k_start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized ladder averages for the Beta-weighted operator rows.
 
-    For k = k_start..k_count-1, with N = n + k + 1 and c_k = q^2 p^{n+k}:
+    For k = 0..k_count-1, with N = n + k + 1 and c_k = q^2 p^{n+k}:
 
         ratio_k = sum_i w_{k,i} f(c_k t_i) / sum_i w_{k,i},
         w_{k,i} = t_i^{k+1} / (1 (+) p t_i)^N
@@ -393,36 +387,33 @@ def batched_weight_ratios(
     each row's maximum shifted out of the exponent, so rows whose raw
     integrals overflow a double are still exact ratios; f is evaluated on
     the band nodes only.  A row is a function of its own band alone, so a
-    longer vector grows by appending, bitwise the one-shot vector.
+    shorter vector is bitwise the start of a longer one.
 
     A row passes when both edges are below 1e-15 of its peak, for the
     weights and for the f-weighted terms, and its relative edge mass
     (w + |f w| at both edges, over sum w) is below 1e-12.  Failing rows,
     and only they, regrow by 1.6x on each side, up to four times.  No band
-    of more than _LADDER_NODES = 20,001 nodes is built: when a requested
-    row's first band does not fit, nothing is built and the ratios are NaN
-    and not converged; a row whose regrowth does not fit keeps its last
-    band, whose edges decide.  Rows whose bands together span more than
-    that, or hold more than _RUN_NODES nodes, are split over several
-    windows.  Returns (ratios, converged) per row, a row counting as
-    converged when its edge mass is below 1e-12.
+    of more than _LADDER_NODES = 20,001 nodes is built: a row whose first
+    band does not fit is not built, and its ratio is NaN and not converged;
+    a row whose regrowth does not fit keeps its last band, whose edges
+    decide.  Rows whose bands together span more than that, or hold more
+    than _RUN_NODES nodes, are split over several windows.  Returns
+    (ratios, converged) per row, a row counting as converged when its edge
+    mass is below 1e-12.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
     """
     pair.require_strict("the Beta-weighted ladder")
-    if not 0 <= k_start < k_count:
-        raise DomainError(f"need 0 <= k_start < k_count, got {k_start} and {k_count}")
+    if k_count < 1:
+        raise DomainError(f"need k_count >= 1 rows, got {k_count}")
     func = as_callable(f)
-    ks = np.arange(k_start, k_count)
+    ks = np.arange(k_count)
     peak, left, right = _band_extents(-math.log(pair.q / pair.p), n, ks, f_growth_degree)
-    if not np.all(left + right + 1.0 <= _LADDER_NODES):
-        # never allocate a band over the node cap; without every row the
-        # segment cannot converge, so none of it is built
-        return np.full(ks.size, np.nan), np.zeros(ks.size, dtype=bool)
-    weight_sums, f_sums, tails, edges = (np.empty(ks.size) for _ in range(4))
+    # a row whose band is over the node cap is never built: it stays NaN
+    weight_sums, f_sums, tails, edges = (np.full(ks.size, np.nan) for _ in range(4))
 
-    rows = np.arange(ks.size)
+    rows = np.flatnonzero(left + right + 1.0 <= _LADDER_NODES)
     for _attempt in range(5):
         lo = peak[rows] - left[rows].astype(np.int64)
         hi = peak[rows] + right[rows].astype(np.int64)

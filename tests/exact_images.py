@@ -4,14 +4,18 @@ independent forms that share no code with the program or with each other.
 Both take a rational pair p, q (``Fraction``, for a float pair its exact
 binary values) with q < p, or the classical corner p = q = 1.
 
-* ``taylor_image`` - the finite Taylor sum, in ``Fraction``.  The basis
+* ``taylor_image`` - the finite Taylor sum, in ``Fraction``; and
+  ``plain_taylor_image``, the same sum for the plain operator B_n, whose
+  sample is the node power node_k^m instead of the Beta ratio.  The basis
   weight is b_{n,k}(x) = c_k x^k / prod_{i<n+k} (1 + r^i x) with r = q/p and
   c_k = [n+k-1 choose k] p^{k + n(n-1)/2 - (n+k)(n+k-1)/2} q^{k(k-1)/2}, so
   b_{n,k}(x) = O(x^k), and U_m is a polynomial of degree m: its
   coefficients are its Taylor coefficients at 0, to which only k <= m add,
       [x^d] U_m = sum_{k<=d} c_k s_k [x^{d-k}] prod_{i<n+k} 1 / (1 + r^i x),
   with s_k = q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) the Beta ratio of
-  t^m.  The sum is finite, so nothing is truncated.  The series of the
+  t^m.  B_n(t^m, x) is a polynomial of degree m too: by the recurrence
+  <n> T_{m+1}(qx) = q x (1 + px) D_{p,q} T_m(x) + <n> q x T_m(qx) of its
+  moments T_m, from T_0 = 1.  The sum is finite, so nothing is truncated.  The series of the
   product is the complete homogeneous one,
       [x^e] prod_{i<N} 1 / (1 + r^i x) = (-1)^e prod_{i=1..e} (1 - r^{N+i-1}) / (1 - r^i).
 * ``recurrence_images`` - the (p,q) moment recurrence in its printed form,
@@ -53,9 +57,26 @@ def beta_ratio(p, q, n, k, m):
             * _numbers(p, q, k + 1, k + m + 1) / _numbers(p, q, n - m, n))
 
 
+def node(p, q, n, k):
+    """The plain operator's node p^{n-1} [k] / (q^{k-1} [n])."""
+    return p ** (n - 1) * pq_int(p, q, k) / (q ** (k - 1) * pq_int(p, q, n))
+
+
 def taylor_image(p, q, n, m):
     """The ``Fraction`` coefficients of U_m, x^0 first, by the finite Taylor
     sum over k <= m; needs n > m."""
+    return _taylor_sum(p, q, n, m, lambda k: beta_ratio(p, q, n, k, m))
+
+
+def plain_taylor_image(p, q, n, m):
+    """The ``Fraction`` coefficients of B_n(t^m, x), x^0 first: the finite
+    Taylor sum with the node samples s_k = node_k^m; any n >= 1."""
+    return _taylor_sum(p, q, n, m, lambda k: node(p, q, n, k) ** m)
+
+
+def _taylor_sum(p, q, n, m, sample):
+    """sum_k b_{n,k}(x) sample(k) as a polynomial of degree m in x, x^0
+    first, from the terms k <= m of its Taylor sum at 0."""
     r = q / p
 
     def reciprocal_series(big, e):  # [x^e] prod_{i<big} 1 / (1 + r^i x)
@@ -65,7 +86,7 @@ def taylor_image(p, q, n, m):
     for k in range(m + 1):
         binomial = _numbers(p, q, n, n + k) / _numbers(p, q, 1, k + 1)
         exponent = k + n * (n - 1) // 2 - (n + k) * (n + k - 1) // 2
-        weight = binomial * p**exponent * q ** (k * (k - 1) // 2) * beta_ratio(p, q, n, k, m)
+        weight = binomial * p**exponent * q ** (k * (k - 1) // 2) * sample(k)
         for d in range(k, m + 1):
             image[d] += weight * reciprocal_series(n + k, d - k)
     return image
@@ -134,6 +155,18 @@ def combined_image(coefficients, images):
             value[j] += int(v * c_den) * a
             scale[j] += int(abs(v) * c_den) * a
     return value, scale, c_den * math.prod(steps[: len(c) - 1])
+
+
+def image_error(got, images, coefficients, x):
+    """|got - sum_d c_d U_d(x)| / sum_d |c_d| U_d(x) as a float, for images
+    U_d given as ``Fraction`` coefficient lists (x^0 first, each positive on
+    x >= 0), float coefficients c_d and a float x >= 0."""
+    x = Fraction(x)
+    values = [sum(a * x**j for j, a in enumerate(u)) for u in images]
+    exact = sum(Fraction(c) * v for c, v in zip(coefficients, values))
+    size = sum(abs(Fraction(c)) * v for c, v in zip(coefficients, values))
+    error = abs(Fraction(got) - exact)
+    return float(error / size) if size else float(error)  # 0 at a root of every U_d
 
 
 def relative_error(got, image, x):

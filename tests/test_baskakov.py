@@ -28,7 +28,7 @@ from pqbaskakov import (
 from pqbaskakov import baskakov, core, quadrature
 from pqbaskakov.core import _log_fact_table
 
-from conftest import CLASSICAL, rel_err
+from conftest import CLASSICAL, exact_number, rel_err
 
 RECURRENCE_PAIRS = [PQPair(0.9, 0.8), PQPair(1.0, 0.9)]
 
@@ -121,69 +121,123 @@ class TestRowGrowth:
         n=st.integers(1, 200),
         xs=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=4),
     )
-    def test_appended_segments_equal_the_one_shot_row(self, pair, n, xs):
-        x = np.array(xs)
-        rows, carry, lfact = np.empty((x.size, 0)), 0.0, _log_fact_table(pair, 0)
-        for k_count in (64, 128, 256, 512, 1024):
-            lfact = _log_fact_table(pair, n + k_count - 1, lfact)
-            segment, carry = baskakov._log_basis_row(
-                pair, n, x, k_count, rows.shape[1], carry, lfact=lfact
-            )
-            rows = np.concatenate([rows, segment], axis=1)
+    def test_every_length_of_row_is_the_one_shot_row(self, pair, n, xs):
+        """A block builds its rows to its longest extent and sums each to its
+        own: the first columns of a longer row are bitwise the shorter row."""
+        x, lfact = np.array(xs), _log_fact_table(pair, n + 1023)
+        longest = baskakov._log_basis_row(pair, n, x, 1024, lfact=lfact)
+        for k_count in (1, 37, 64, 1024):
+            rows = baskakov._log_basis_row(pair, n, x, k_count, lfact=lfact)
+            assert np.array_equal(rows, longest[:, :k_count])
             for row, point in zip(rows, xs):
                 assert np.array_equal(row, one_shot_log_row(pair, n, point, k_count))
 
 
-def reference_apply(pair, n, x, policy, build):
-    """The kernel at one point, as a loop: the row doubles until its
-    sample-weighted edge term is negligible or the budget is spent, and the
-    point's own sample vector grows with it, by build(k_start, k_count) of
-    the new k only."""
-    s, ok = build(0, min(64, policy.max_terms))
-    if x == 0.0:
-        row, s, ok = np.zeros(1), s[:1], ok[:1]
-    else:
-        k_count = s.size
-        while True:
-            row = one_shot_log_row(pair, n, x, k_count)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ls = np.log(np.abs(s))
-            metric = row + np.where(np.isfinite(ls), ls, 0.0)
-            edge = metric.max() + math.log(baskakov._EDGE_FRACTION)
-            if metric[-1] < edge or k_count >= policy.max_terms:
-                break
-            k_count = min(2 * k_count, policy.max_terms)
-            new_s, new_ok = build(s.size, k_count)
-            s, ok = np.concatenate([s, new_s]), np.concatenate([ok, new_ok])
+def exact_ratio(p, q, n, k, x, degree=0):
+    """rho~_k = (b_{n,k+1} / b_{n,k}) ((k+2)/(k+1))^degree in the arithmetic
+    of p, q and x, from the printed basis."""
+    binomial_ratio = exact_number(p, q, n + k) / exact_number(p, q, k + 1)
+    rho = binomial_ratio * p * q**k * x / (p ** (n + k) + q ** (n + k) * x)
+    return rho * Fraction(k + 2, k + 1) ** degree
+
+
+class TestRowExtents:
+    """The premise of ``_row_extents``: the weighted basis ratio does not
+    increase with k, and the row it sizes leaves out at most _TAIL of its
+    weighted peak."""
+
+    @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(0.5, 0.05), PQPair(1.0, 40 / 41),
+                                      PQPair(1.0, 300 / 301), CLASSICAL], ids=str)
+    @pytest.mark.parametrize("n", [1, 3, 10, 50])
+    def test_the_weighted_ratio_does_not_increase_with_k(self, pair, n):
+        p, q = Fraction(pair.p), Fraction(pair.q)
+        for x in (Fraction(1, 100), Fraction(1, 2), Fraction(2), Fraction(5), Fraction(60)):
+            for degree in (0, 2, 4):
+                ratios = [exact_ratio(p, q, n, k, x, degree) for k in range(40)]
+                assert all(a >= b for a, b in zip(ratios, ratios[1:])), (x, degree)
+                if pair.is_strict:  # and strictly, as r^{-k} rises
+                    assert all(a > b for a, b in zip(ratios, ratios[1:])), (x, degree)
+
+    def test_the_float_pair_ratio_is_the_normalised_one(self):
+        # (<n+k>/<k+1>) x / (r^{-k} + r^n x), the form _row_extents bounds
+        p, q, n, x = Fraction(0.9), Fraction(0.8), 7, Fraction(5, 2)
+        r = q / p
+        for k in range(12):
+            normalised = ((1 - r ** (n + k)) / (1 - r ** (k + 1))) * x / (r**-k + r**n * x)
+            assert normalised == exact_ratio(p, q, n, k, x)
+
+    @settings(deadline=None, max_examples=80)
+    @example(pair=CLASSICAL, n=1, xs=[60.0], degree=2, max_terms=10000)
+    @example(pair=PQPair(1.0, 300 / 301), n=300, xs=[5.0, 0.0, 1e-6], degree=2, max_terms=10000)
+    @example(pair=PQPair(0.9, 1e-300), n=10, xs=[1.0, 1e300], degree=2, max_terms=10000)
+    @given(
+        pair=st.one_of(st.just(CLASSICAL), strict_pairs),
+        n=st.integers(1, 200),
+        xs=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 60.0)),
+                    min_size=1, max_size=5),
+        degree=st.integers(0, 4),
+        max_terms=st.sampled_from([1, 3, 40, 100, 10000]),
+    )
+    def test_the_mass_past_each_extent_is_at_most_the_tail(self, pair, n, xs, degree, max_terms):
+        """Measured on a one-shot row four times longer (and at least 4,096
+        terms): past K the terms b_{n,k}(x) (k+1)^degree sum to at most _TAIL
+        times their largest one, unless the budget cut the row; and each K is
+        that of its point alone."""
+        grid = np.array(xs)
+        extents = baskakov._row_extents(pair, n, grid, degree, max_terms)
+        assert extents.tolist() == [
+            baskakov._row_extents(pair, n, np.array([x]), degree, max_terms)[0] for x in xs
+        ]
+        assert all(1 <= k <= max_terms for k in extents.tolist())
+        for x, k_count in zip(xs, extents.tolist()):
+            if x == 0.0:
+                assert k_count == 1
+            elif k_count < max_terms:
+                length = max(4 * k_count, 4096)
+                k = np.arange(length, dtype=float)
+                log_c = one_shot_log_row(pair, n, x, length) + degree * np.log1p(k)
+                assert np.argmax(log_c) < k_count  # the row holds its weighted peak
+                left_out = math.fsum(np.exp(log_c[k_count:] - log_c.max()).tolist())
+                assert left_out <= baskakov._TAIL * (1.0 + 1e-9), (x, k_count, left_out)
+
+
+def reference_apply(pair, n, x, policy, build, degree):
+    """The kernel at one point, written out: the row has its closed-form
+    length K (``_row_extents``, for samples growing like t^degree), the
+    point's own sample vector is built by build(K), and the K terms are
+    summed as one ``np.add.reduceat`` segment."""
+    k_count = int(baskakov._row_extents(pair, n, np.array([x]), degree, policy.max_terms)[0])
+    s, ok = build(k_count)
+    row = np.zeros(1) if x == 0.0 else one_shot_log_row(pair, n, x, k_count)
     b = np.exp(row)
     terms = np.where(b > 0.0, b * s, 0.0)
-    tail = max(0.0, 1.0 - float(b.sum()))
+    tail = max(0.0, 1.0 - float(np.add.reduceat(b, [0])[0]))
     significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
     k_used = int(significant[-1]) + 1 if significant.size else 1
-    value, inner_ok = float(terms.sum()), bool(ok.all())
+    value, inner_ok = float(np.add.reduceat(terms, [0])[0]), bool(ok.all())
     trusted = inner_ok and tail <= policy.rel_tol and math.isfinite(value)
     return OperatorResult(value, k_used, tail, inner_ok, trusted)
 
 
 def route_builders(pair, n, f):
-    """build(k_start, k_count) of each route's samples for the polynomial f
-    (and for |t - 1| on the ladder), written out from the route's parts."""
+    """build(k_count) of each route's samples for the polynomial f (and for
+    |t - 1| on the ladder), written out from the route's parts."""
     def ones(s):  # every plain and analytic sample is trusted
         return s, np.ones(s.size, dtype=bool)
 
-    def nodes(k_start, k_count):
-        at = baskakov._nodes(pair, n, np.arange(k_start, k_count, dtype=float))
+    def nodes(k_count):
+        at = baskakov._nodes(pair, n, np.arange(k_count, dtype=float))
         return ones(np.asarray(f.evaluate(at), dtype=float))
 
-    def analytic(k_start, k_count):
+    def analytic(k_count):
         lfact = _log_fact_table(pair, n + k_count - 1)
         return ones(sum(
-            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count, k_start, lfact=lfact)[0])
+            c * np.exp(baskakov._log_beta_ratio_factors(pair, n, (d,), k_count, lfact=lfact)[0])
             for d, c in enumerate(f.as_polynomial()) if c != 0.0
         ))
 
-    def ladder(k_start, k_count):
-        return quadrature.batched_weight_ratios(pair, n, k_count, ABS, 2, k_start)
+    def ladder(k_count):
+        return quadrature.batched_weight_ratios(pair, n, k_count, ABS, 2)
 
     return {"nodes": nodes, "analytic": analytic, "quadrature": ladder}
 
@@ -224,7 +278,7 @@ class TestGridKernel:
     ):
         """Every OperatorResult field of a grid cell of the public entries
         equals, exactly, that of the same point evaluated alone and that of
-        the per-point loop growing its own sample vector, with or without the
+        the point written out alone (``reference_apply``), with or without the
         origin in the grid, however the grid is split in blocks, and after
         an evaluation under another max_terms (so no state survives between
         calls).  A trusted value is finite."""
@@ -246,7 +300,7 @@ class TestGridKernel:
         with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
             for name, grid_route in routes:
                 grid_route(grid, TruncationPolicy(max_terms=earlier))
-                want = [repr(reference_apply(pair, n, x, policy, builders[name])) for x in xs]
+                want = [repr(reference_apply(pair, n, x, policy, builders[name], 2)) for x in xs]
                 # repr is exact for floats and equal for NaN cells of the ladder
                 got = grid_route(grid, policy)
                 assert [repr(r) for r in got] == want
@@ -258,8 +312,9 @@ class TestGridKernel:
                 ]
 
     def test_a_large_grid_row_is_evaluated_in_bounded_blocks(self):
-        """6,000 points at n = 300 grow rows of 1,024 terms; in one block
-        this row peaked at 98 MiB, in blocks at about 18 MiB."""
+        """6,000 points at n = 300, whose rows reach 683 terms; in one block
+        of the earlier doubling kernel this row peaked at 98 MiB, in blocks
+        of at most _ROW_ENTRIES entries it peaks at about 9 MiB."""
         n, f = 300, FunctionSpec.polynomial([7.0, -2.0, 25.0])
         pair, xs = PQPair(1.0, n / (n + 1.0)), np.linspace(0.0, 5.0, 6000)
         baskakov_beta_apply(pair, f, n, 5.0, method="analytic")  # the samples, outside the measurement
@@ -387,7 +442,8 @@ class TestOperator:
         # finite: trust follows the value, not the terms
         with np.errstate(over="ignore"):
             (res,) = baskakov._sum_rows(
-                np.zeros((1, 2)), np.array([1e308, 1e308]), True, TruncationPolicy()
+                np.zeros((1, 2)), np.array([1e308, 1e308]), np.ones(2, dtype=bool), np.array([2]),
+                TruncationPolicy(),
             )
         assert res.value == math.inf and res.basis_tail_mass == 0.0
         assert not res.trusted

@@ -271,6 +271,10 @@ class TestExtremeInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not baskakov_apply(pair, E[1], 10, 2.0).trusted
+            # r^k of <k> at 1/r overflows in a node, and the numerator of M2
+            # in its division: inf, where numpy warned
+            assert baskakov.baskakov_node(pair, 10, 5) == math.inf
+            assert moments_closed(pair, 2, 10, np.array([0.0, 1.0]))[1] == math.inf
 
     def test_the_floating_point_state_is_restored(self):
         before = np.geterr()
@@ -433,12 +437,12 @@ class TestLadderBetaIdentity:
             assert abs(Fraction(factor) / want - 1) < 1e-13
 
 
-def one_degree_log_factors(pair, n, m, k_count, k_start):
+def one_degree_log_factors(pair, n, m, k_count):
     """log q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for one degree m, in
     the association of the analytic route's formula."""
     lp, lq = math.log(pair.p), math.log(pair.q)
     lfact = _log_fact_table(pair, n + k_count + m)
-    ki = np.arange(k_start, k_count)
+    ki = np.arange(k_count)
     k = ki.astype(float)
     delta_log_beta = (
         lq * (-m * (2.0 * k + m + 1.0) / 2.0)
@@ -453,34 +457,35 @@ class TestBetaFactorRows:
     """The analytic route builds the factors of all its degrees in one
     matrix, one row per degree, each bitwise that degree's factors alone."""
 
-    @pytest.mark.parametrize("k_start, k_count", [(0, 64), (64, 128), (5, 7), (0, 1)])
+    @pytest.mark.parametrize("k_count", [64, 128, 7, 1])
     @pytest.mark.parametrize("degrees", [(0,), (0, 1, 2), (2, 0, 1), (1, 3, 5), (4,)], ids=str)
     @pytest.mark.parametrize(
         "pair, n", [(PQPair(0.9, 0.8), 10), (PQPair(1.0, 0.99), 40), (PQPair(0.95, 0.9), 200)],
         ids=["0.9-0.8", "1-0.99", "0.95-0.9"],
     )
-    def test_each_row_is_its_degree_alone(self, pair, n, degrees, k_start, k_count):
+    def test_each_row_is_its_degree_alone(self, pair, n, degrees, k_count):
         lfact = _log_fact_table(pair, n + k_count - 1)
-        matrix = baskakov._log_beta_ratio_factors(pair, n, degrees, k_count, k_start, lfact=lfact)
-        assert matrix.shape == (len(degrees), k_count - k_start)
+        matrix = baskakov._log_beta_ratio_factors(pair, n, degrees, k_count, lfact=lfact)
+        assert matrix.shape == (len(degrees), k_count)
         for m, row, factors in zip(degrees, matrix, np.exp(matrix)):
-            alone = one_degree_log_factors(pair, n, m, k_count, k_start)
+            alone = one_degree_log_factors(pair, n, m, k_count)
             assert np.array_equal(row, alone)
             assert np.array_equal(factors, np.exp(alone))
 
-    def test_one_call_per_segment_covers_every_degree(self, monkeypatch):
+    def test_one_call_covers_every_degree(self, monkeypatch):
         calls = []
         real = baskakov._log_beta_ratio_factors
 
-        def recording(pair, n, degrees, k_count, k_start=0, *, lfact):
-            calls.append((degrees, k_start, k_count))
-            return real(pair, n, degrees, k_count, k_start, lfact=lfact)
+        def recording(pair, n, degrees, k_count, *, lfact):
+            calls.append((degrees, k_count))
+            return real(pair, n, degrees, k_count, lfact=lfact)
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         f = FunctionSpec.polynomial([7.0, 0.0, 25.0])  # the zero coefficient builds no row
         cell = baskakov_beta_apply(PQPair(0.95, 0.9), f, 20, 60.0, method="analytic")
+        k_count = baskakov._row_extents(PQPair(0.95, 0.9), 20, np.array([60.0]), 2, 10000)[0]
         assert cell.k_terms_used > 64
-        assert calls == [((0, 2), 0, 64), ((0, 2), 64, 128)]
+        assert calls == [((0, 2), k_count)]
 
 
 class TestLadderRouteMoments:
@@ -499,7 +504,7 @@ class TestLadderRouteMoments:
     def test_the_ladder_value_is_the_beta_factor_sum(self, pair, n, m):
         k, lfact = np.arange(self.K), _log_fact_table(pair, n + self.K - 1)
         log_terms = (
-            baskakov._log_basis_row(pair, n, self.XS, self.K, lfact=lfact)[0]
+            baskakov._log_basis_row(pair, n, self.XS, self.K, lfact=lfact)
             + m * (n + k) * math.log(pair.p)
             + baskakov._log_beta_ratio_factors(pair, n, (m,), self.K, lfact=lfact)[0]
         )
@@ -609,20 +614,20 @@ POLY = FunctionSpec.polynomial([7.0, -2.0, 25.0])
 
 
 def recording_builds(monkeypatch):
-    """Record the (k_start, k_count) of every sample segment built."""
+    """Record the length of every sample vector built."""
     builds = []
     real = baskakov._samples
 
-    def recording(pair, n, f, route, k_start, k_count, *, lfact):
-        builds.append((k_start, k_count))
-        return real(pair, n, f, route, k_start, k_count, lfact=lfact)
+    def recording(pair, n, f, route, k_count, *, lfact):
+        builds.append(k_count)
+        return real(pair, n, f, route, k_count, lfact=lfact)
 
     monkeypatch.setattr(baskakov, "_samples", recording)
     return builds
 
 
 class TestSampleSource:
-    """A kernel call grows its own sample vector and log-factorial table, so
+    """A kernel call builds its own sample vector and log-factorial table, so
     no cell depends on the calls made before it."""
 
     PAIR = PQPair(0.95, 0.9)
@@ -640,39 +645,36 @@ class TestSampleSource:
 
     @pytest.mark.parametrize("apply", [baskakov.baskakov_apply, ANALYTIC],
                              ids=["baskakov_apply", "baskakov_beta_apply"])
-    @pytest.mark.parametrize("x, k_count", [(1e-3, 64), (1.0, 256), (5.0, 512), (20.0, 1024)])
-    def test_samples_grow_to_the_row_length_only(self, monkeypatch, apply, x, k_count):
-        # the q_ratio schedule at n = 150, where rows grow to 1,024 terms
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 5.0, 20.0])
+    def test_samples_are_built_once_to_the_row_length(self, monkeypatch, apply, x):
+        # the q_ratio schedule at n = 150, where rows reach about 1,000 terms
         pair = PQPair(1.0, 150 / 151)
         builds = recording_builds(monkeypatch)
         cold = apply(pair, POLY, 150, x)
-        lengths = [64 << i for i in range(k_count.bit_length() - 6)]
-        assert builds == list(zip([0] + lengths[:-1], lengths))  # each new k once
+        assert builds == [baskakov._row_extents(pair, 150, np.array([x]), 2, 10000)[0]]
+        assert cold.k_terms_used <= builds[0]
         for other in (1e-3, 1.0, 5.0, 20.0, 3.0):
             apply(pair, POLY, 150, other)
         assert apply(pair, POLY, 150, x) == cold
 
-    @pytest.mark.parametrize("xs, k_counts", [([60.0], [64, 128]), ([0.0, 60.0], [64, 64, 128])])
-    def test_the_log_factorial_table_grows_with_the_row(self, monkeypatch, xs, k_counts):
-        # per segment (and for the x = 0 samples) the call extends its own
-        # table to j = n + k_count - 1, and the next call starts afresh
+    @pytest.mark.parametrize("xs", [[60.0], [0.0, 60.0], [0.0]])
+    def test_the_log_factorial_table_is_built_once_to_the_longest_row(self, monkeypatch, xs):
+        # each call builds its own table, to j = n + K - 1 for its longest
+        # row K (1 at x = 0), and the next call starts afresh
         real, calls = baskakov._log_fact_table, []
 
-        def recording(pair, n, table):
-            grown = real(pair, n, table)
-            calls.append((n, table.size, grown.size))
-            return grown
+        def recording(pair, n):
+            calls.append(n)
+            return real(pair, n)
 
         monkeypatch.setattr(baskakov, "_log_fact_table", recording)
         f = FunctionSpec.polynomial([7.0, 0.0, 25.0])
+        k_count = baskakov._row_extents(self.PAIR, 20, np.array(xs), 2, 10000).max()
         for _ in range(2):
             calls.clear()
             cells = baskakov_beta_apply(self.PAIR, f, 20, np.array(xs), method="analytic")
-            assert max(cell.k_terms_used for cell in cells) > 64
-            assert [n for n, _, _ in calls] == [20 + k_count - 1 for k_count in k_counts]
-            sizes = [1] + [grown for _, _, grown in calls]
-            assert [given for _, given, _ in calls] == sizes[:-1]
-            assert sizes[1:] == [max(given, n + 1) for n, given, _ in calls]
+            assert max(cell.k_terms_used for cell in cells) <= k_count
+            assert calls == [20 + k_count - 1]
 
     def test_calls_at_another_pair_in_between_change_nothing(self):
         """Pair A, then B, then A: A's cells are bitwise the same, and no
@@ -680,7 +682,7 @@ class TestSampleSource:
         modules = (core, quadrature, baskakov)
         before = {(m.__name__, name): value for m in modules for name, value in vars(m).items()}
         arrays = {key: value.tobytes() for key, value in before.items() if isinstance(value, np.ndarray)}
-        assert arrays  # core's empty table, also imported into baskakov
+        assert arrays  # the levels of baskakov's row extents
         grid = np.linspace(0.0, 20.0, 9)
 
         def cells(pair):
@@ -717,13 +719,16 @@ class TestSampleSource:
 
 
 class TestNoRework:
-    """Each sample of a (pair, n, f) grid row is built once, by appending
-    the new rows of each longer segment, and the segments concatenate to
-    the one-shot vector.  A per-point loop does so only inside an open
-    cell table, which answers it from one grid-row evaluation."""
+    """Each sample of a (pair, n, f) grid row is built once, in one vector
+    to the grid's longest row, and a shorter vector is bitwise the start of
+    a longer one.  A per-point loop does so only inside an open cell table,
+    which answers it from one grid-row evaluation."""
 
     PAIR, N = PQPair(0.95, 0.9), 20
     GRID = np.linspace(0.0, 60.0, 21)
+
+    def longest_row(self):
+        return int(baskakov._row_extents(self.PAIR, self.N, self.GRID, 2, 10000).max())
 
     def evaluate_row(self, f, method, grid_call):
         if grid_call:
@@ -743,25 +748,26 @@ class TestNoRework:
 
         monkeypatch.setattr(quadrature, "_band_sums", recording)
         cells = self.evaluate_row(ABS, "quadrature", grid_call)
-        assert max(c.k_terms_used for c in cells) > 64  # two segments
-        assert sorted(rows) == list(range(128))
+        assert max(c.k_terms_used for c in cells) > 64
+        assert sorted(rows) == list(range(self.longest_row()))
 
     @pytest.mark.parametrize("grid_call", [True, False], ids=["grid", "per-point"])
     def test_beta_factors_are_built_once(self, monkeypatch, grid_call):
         rows = {}
         real = baskakov._log_beta_ratio_factors
 
-        def recording(pair, n, degrees, k_count, k_start=0, *, lfact):
+        def recording(pair, n, degrees, k_count, *, lfact):
             for m in degrees:
-                rows[m] = rows.get(m, 0) + k_count - k_start
-            return real(pair, n, degrees, k_count, k_start, lfact=lfact)
+                rows[m] = rows.get(m, 0) + k_count
+            return real(pair, n, degrees, k_count, lfact=lfact)
 
         monkeypatch.setattr(baskakov, "_log_beta_ratio_factors", recording)
         cells = self.evaluate_row(POLY, "analytic", grid_call)
-        assert max(c.k_terms_used for c in cells) > 64  # two segments
-        assert rows == {0: 128, 1: 128, 2: 128}
+        assert max(c.k_terms_used for c in cells) > 64
+        k_count = self.longest_row()
+        assert rows == {0: k_count, 1: k_count, 2: k_count}
 
-    def test_segments_equal_the_one_shot_vectors(self):
+    def test_a_shorter_sample_vector_starts_every_longer_one(self):
         pair, n, k_count = self.PAIR, self.N, 512
         coeffs = tuple(enumerate(POLY.as_polynomial()))
         lfact = _log_fact_table(pair, n + k_count - 1)
@@ -773,13 +779,13 @@ class TestNoRework:
             ),
         }
         for f, route in ((POLY, "nodes"), (POLY, "analytic"), (ABS, "quadrature")):
-            segments = [baskakov._samples(pair, n, f, route, k_start, k_count, lfact=lfact)
-                        for k_start, k_count in ((0, 64), (64, 128), (128, 256), (256, 512))]
-            s, ok = (np.concatenate(parts) for parts in zip(*segments))
+            s, ok = baskakov._samples(pair, n, f, route, k_count, lfact=lfact)
+            for shorter in (1, 64, 100, 256):
+                head, head_ok = baskakov._samples(pair, n, f, route, shorter, lfact=lfact)
+                assert np.array_equal(head, s[:shorter]) and np.array_equal(head_ok, ok[:shorter])
             if route == "quadrature":
                 want, want_ok = quadrature.batched_weight_ratios(pair, n, k_count, ABS)
-                assert np.array_equal(ok, want_ok)
-                assert np.allclose(s, want, rtol=1e-15, atol=0.0)
+                assert np.array_equal(ok, want_ok) and np.array_equal(s, want)
             else:
                 assert ok.all()
                 assert np.array_equal(s, one_shot[route])

@@ -632,9 +632,9 @@ def _counting_cells(monkeypatch, route):
         calls.append([(n, x) for x in xs.tolist()])
         return apply(pair, n, f, name, xs, policy)
 
-    def sampling(pair, n, f, name, k_start, k_count, *, lfact):
+    def sampling(pair, n, f, name, k_count, *, lfact):
         assert name == route
-        return samples(pair, n, f, name, k_start, k_count, lfact=lfact)
+        return samples(pair, n, f, name, k_count, lfact=lfact)
 
     def counting_closed(pair, n, f, xs):
         assert route == "closed"
