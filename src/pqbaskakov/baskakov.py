@@ -35,42 +35,20 @@ The closed forms - the nodes, ``baskakov_moment_closed``, ``moments_closed``,
 normalised numbers <j> = [j] / p^{j-1} of ``core``, with no power p^n left,
 so at a fixed p < 1 they hold at every order n instead of sinking below the
 smallest double from n of a few thousand on.
-Every entry refuses a point outside 0 <= x < inf (``_check_point``);
-``baskakov_basis`` and ``baskakov_beta_monomial_exact`` take one point, the
-closed moments an array of any shape.
 
 Both operator entries take x as one point or as a 1-D array of points, and
-the kernel works on the whole array at once.  The basis is log-concave in k,
-so each point's row length K is known before any work (``_row_extents``).
-The kernel builds one sample vector per call, and the log-factorial table
-log [j]! that the basis binomials and the Beta factors read, to the largest
-K.  The points are taken in blocks of at most _ROW_ENTRIES = 2^18 row
-entries (2 MiB of float64 per matrix; a few such matrices are alive at
-once), so a long grid costs memory independent of its length; each block's
-rows are built once, to its largest K, and each row is summed to its own K.
-Every sample, and every term of a row, is a function of its own k, so every
-cell is bitwise the value of its point evaluated alone (one point is a
-1-point grid to the kernel), and nothing lives beyond the call.
-
-The one cache of operator work is one level up.  An experiment run, and
-``convergence_run`` / ``weighted_sup_error``, ask ``baskakov_beta_apply``
-for the cells of whole grid rows, one (n, x) at a time.  Inside a cell
-table (``_cell_table``: a context variable holding a grid and its evaluated
-rows, keyed by (pair, f, n, policy, method)) the first call for a grid
-point of a row evaluates the whole row, as one grid call of
-``baskakov_beta_apply``, and every other call is an index lookup, so every
-cell still passes through ``baskakov_beta_apply``.  The table keeps the key
-objects and the row of its last lookup, so the cells of one row, asked for
-one after another, hash their key once.  ``run_experiment``
-opens one for every run, and the analysis layer one per grid row, which
-reuses the run's table when the grids are equal.  Only ``FunctionSpec``
-targets at a float x are looked up; a point off the grid, a row that raises
-and any call outside a table are computed afresh, and a table is dropped
-when its block ends, so it needs no size bound and cannot go stale.
+the kernel works on the whole array at once (``_apply``): every cell is
+bitwise the value of its point evaluated alone, and nothing lives beyond
+the call.  The one cache of operator work is one level up: inside a cell
+table (``_cell_table``), which ``run_experiment`` opens for every run and
+the analysis layer for every grid row, the first ``baskakov_beta_apply``
+call for a point of a grid row evaluates the whole row, and every other
+call for that row is an index lookup.
 
 The basis is a probability distribution over k (partition of unity), so a
-cell is trusted when its row's mass 1 - sum b is at most rel_tol, its samples
-are trusted and its value is finite (``_sum_rows``).
+cell is trusted when its row's mass 1 - sum b is at most rel_tol, its
+samples are trusted, its value is finite and its last term is at most
+rel_tol of its largest (``_sum_rows``).
 """
 
 from __future__ import annotations
@@ -244,12 +222,15 @@ def _samples(
     return s, np.ones(k_count, dtype=bool)
 
 
-def _row_extents(pair: PQPair, n: int, xs: np.ndarray, degree: int, max_terms: int) -> np.ndarray:
+def _row_extents(
+    pair: PQPair, n: int, xs: np.ndarray, degree: int, max_terms: int, *, nodes: bool = False
+) -> np.ndarray:
     """The length K of the basis row of each point of the 1-D array xs, capped
-    at max_terms: past K the terms c_k = b_{n,k}(x) (k+1)^degree (the growth
-    the samples are taken to have) sum to at most _TAIL of their largest
-    one.  x = 0 has K = 1, since b_{n,0}(0) = 1.  With r = q/p and
-    <j> = [j] / p^{j-1}, the basis ratio is
+    at max_terms: past K the terms c_k = b_{n,k}(x) w_k^degree sum to at most
+    _TAIL of their largest one, for samples taken to grow like w_k^degree:
+    w_k = k + 1, or 1 + t_k at the nodes t_k of the plain operator (nodes),
+    which grow like r^{-k}.  x = 0 has K = 1, since b_{n,0}(0) = 1.  With
+    r = q/p and <j> = [j] / p^{j-1}, the basis ratio is
 
         rho_k = b_{n,k+1} / b_{n,k} = ([n+k] / [k+1]) p q^k x / (p^{n+k} + q^{n+k} x)
               = (<n+k> / <k+1>) x / (r^{-k} + r^n x).
@@ -257,49 +238,56 @@ def _row_extents(pair: PQPair, n: int, xs: np.ndarray, degree: int, max_terms: i
     Neither factor rises with k: the first is (n+k)/(k+1) at r = 1, and
     otherwise (1 - c a)/(1 - a) with c = r^{n-1} <= 1 and a = r^{k+1}
     falling, whose derivative in a, (1 - c)/(1 - a)^2, is >= 0; the
-    second's denominator does not fall.  So the ratio of the c_k,
-    rho~_k = rho_k ((k+2)/(k+1))^degree, never rises, and once <= theta it
-    stays so.  Let k_i be the first k with rho~_k <= theta_i, for the levels
-    theta_1 > theta_2 > ... of _THETAS (so k_1 <= k_2 <= ...).  The c_k fall
-    by a factor theta_j or more a step from k_j on, so for K >= k_i
-
-        sum_{k>=K} c_k <= c_{k_i} theta_i^{K-k_i} / (1 - theta_i)
-                       <= e^{D_i} theta_i^{K-k_i} / (1 - theta_i) max_k c_k,
-        D_i = sum_{j<i} (k_{j+1} - k_j) log theta_j,
-
-    at most _TAIL max_k c_k once K >= (log(_TAIL (1 - theta_i)) - E_i) /
-    log theta_i, where E_i = D_i - k_i log theta_i = sum_{j<=i} k_j
-    (log theta_{j-1} - log theta_j) and log theta_0 = 0.  K is the least
-    such bound over i.  As rho~_k rises with x, rho~_k <= theta reads
-    x <= X_theta(k) = theta r^{-k} / (G_k - theta r^n), with G_k = (<n+k> /
-    <k+1>) ((k+2)/(k+1))^degree >= 1, and X_theta(k) rises with k: k_i is
-    found by bisection (``np.searchsorted``) in the x-independent vector of
-    the X_theta_i(k), so only comparisons read x, and each K is that of its
-    point alone.  The vector stops where the probes k = 2^j - 1 at the
-    largest point bound every K of the call.
+    second's denominator does not fall.  Nor does g_k >= w_{k+1}/w_k:
+    g_k = (k+2)/(k+1), or at the nodes, where 1 + t_{k+1} = R (1 + t_k) + e
+    with R = 1/r and e = 1/<n>_r + 1 - R, g_k = R + max(e, 0)/(1 + t_k).  So
+    rho~_k = rho_k g_k^degree >= c_{k+1}/c_k never rises.  Let k_i be the
+    first k with rho~_k <= theta_i, for the levels theta_1 > theta_2 > ...
+    of _THETAS.  From k_j on the c_k fall by theta_j or more a step, so
+    c_{k_i} <= e^{D_i} max_k c_k with D_i = sum_{j<i} (k_{j+1} - k_j) log theta_j,
+    and sum_{k>=K} c_k <= c_{k_i} theta_i^{K-k_i} / (1 - theta_i) <= _TAIL max_k c_k
+    once K >= (log(_TAIL (1 - theta_i)) - E_i) / log theta_i, where
+    E_i = D_i - k_i log theta_i = sum_{j<=i} k_j (log theta_{j-1} - log theta_j)
+    and log theta_0 = 0.  K is the least such bound over i.  As rho~_k
+    rises with x, rho~_k <= theta reads x <= X_theta(k) = theta r^{-k} /
+    (G_k - theta r^n), G_k = (<n+k> / <k+1>) g_k^degree >= 1, which rises
+    with k: each k_i is found by bisection (``np.searchsorted``) in an
+    x-independent vector, so each K is that of its point alone.  The vector
+    stops where the probes k = 2^j - 1 at the largest point bound every K.
     """
     p, q = pair.p, pair.q
-    log_r, log_theta, log_reserve = _log_ratio(p, q), np.log(_THETAS), np.log(_TAIL * (1.0 - _THETAS))
+    log_r = _log_ratio(p, q)
     r_n = math.exp(n * log_r)
+    log_theta = np.log(_THETAS)
+    log_reserve = np.log(_TAIL * (1.0 - _THETAS))
+    big = np.exp(-log_r)  # R = p/q, inf past the float range
+    excess = max(0.0, 1.0 / float(_normalised_number(p, q, n)) + 1.0 - big)
 
     def parts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # X_theta(k) = theta scale / (growth - theta r^n); r^{-k} is held below
-        # the float range, which only lowers X_theta and so lengthens K
+        # X_theta(k) = theta scale / (growth - theta r^n)
         upper, lower = _normalised_number(p, q, np.array([n + k, k + 1]))
-        return np.exp(np.minimum(-k * log_r, 700.0)), upper / lower * ((k + 2.0) / (k + 1.0)) ** degree
+        step = big + excess / (1.0 + _nodes(pair, n, k)) if nodes else (k + 2.0) / (k + 1.0)
+        # r^{-k} is held below the float range, which only lowers X_theta and
+        # so lengthens K
+        scale = np.exp(np.minimum(-k * log_r, 700.0))
+        return scale, upper / lower * step**degree
 
     probes = np.minimum((1 << np.arange(max_terms.bit_length() + 1)) - 1, max_terms - 1)
     scale, growth = parts(probes.astype(float))
     hit = _THETAS * scale / (growth - _THETAS * r_n) >= xs.max()
     reached = np.where(hit.any(axis=1), probes[np.argmax(hit, axis=1)], max_terms)
-    bound = min(max_terms, int((reached + np.ceil(log_reserve / log_theta)[:, 0]).min()))
+    bound = reached + np.ceil(log_reserve / log_theta)[:, 0]
+    bound = min(max_terms, int(bound.min()))
     # k_i of each point, one level at a time, so that a long vector is held
     # once; a k_i past the vector reads bound, and its K is >= bound
     scale, growth = parts(np.arange(bound, dtype=float))
-    firsts = np.array([np.searchsorted(np.maximum.accumulate(theta * scale / (growth - theta * r_n)), xs)
-                       for theta in _THETAS[:, 0].tolist()])
+    firsts = np.empty((len(_THETAS), xs.size), dtype=np.int64)
+    for i, theta in enumerate(_THETAS[:, 0].tolist()):
+        levels = np.maximum.accumulate(theta * scale / (growth - theta * r_n))
+        firsts[i] = np.searchsorted(levels, xs)
     chain = np.cumsum(firsts * -np.diff(log_theta, axis=0, prepend=0.0), axis=0)  # E_i
-    ends = np.maximum(np.ceil((log_reserve - chain) / log_theta), firsts).min(axis=0)
+    ends = np.ceil((log_reserve - chain) / log_theta)
+    ends = np.maximum(ends, firsts).min(axis=0)
     return np.where(xs > 0.0, np.minimum(ends, bound).astype(np.int64), 1)
 
 
@@ -312,15 +300,21 @@ def _apply(
     policy: TruncationPolicy,
 ) -> list[OperatorResult]:
     """sum_k b_{n,k}(x) s_k at each point of the 1-D array xs, with the
-    x-independent samples s_k of the route, each row to its own length K
-    (``_row_extents``), in blocks of at most _ROW_ENTRIES row entries.
-    ``_sum_rows`` alone decides trust."""
+    x-independent samples s_k of the route.  Each point's row length K is
+    known before any work (``_row_extents``); the samples, and the table
+    log [j]! that the basis binomials and the Beta factors read, are built
+    once per call, to the largest K.  The points are taken in blocks of at
+    most _ROW_ENTRIES row entries, each block's rows built once to its
+    largest K and each row summed to its own K.  Every sample and every term
+    is a function of its own k, so every cell is bitwise its point evaluated
+    alone (a 1-point grid).  ``_sum_rows`` alone decides trust."""
     if not xs.size:
         return []
     # extreme inputs overflow to inf or NaN on the way (a sample, a node, a
     # term); their cells end untrusted, so numpy need not warn about them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        extents = _row_extents(pair, n, xs, _growth_degree(f), policy.max_terms)
+        degree = _growth_degree(f)
+        extents = _row_extents(pair, n, xs, degree, policy.max_terms, nodes=route == "nodes")
         k_count = int(extents.max())
         lfact = _log_fact_table(pair, n + k_count - 1)
         s, ok = _samples(pair, n, f, route, k_count, lfact=lfact)
@@ -350,7 +344,10 @@ def _sum_rows(
     its own first K = extents[i] terms, as one segment of a
     ``np.add.reduceat``, whatever the width of the matrix.  The one trust
     rule: a value is trusted when the samples it reads are (ok), its basis
-    tail is at most rel_tol and the value itself is finite."""
+    tail is at most rel_tol, the value itself is finite, and the last of two
+    or more terms is at most rel_tol of the largest one: a row sized for the
+    growth f is taken to have (``_row_extents``) may not hold the terms of
+    an f that grows faster."""
     width = rows.shape[1]
     b = np.exp(rows)
     terms = np.where(b > 0.0, b * s[:width], 0.0)
@@ -358,15 +355,17 @@ def _sum_rows(
     starts = np.cumsum(extents) - extents
     tail = 1.0 - np.add.reduceat(b[inside], starts)
     tail = np.where(tail > 0.0, tail, 0.0)  # max(0, 1 - sum b), and 0 for a NaN sum
-    significant = (np.abs(terms) > policy.abs_tol) & inside
+    sizes = np.where(inside, np.abs(terms), 0.0)
+    last_size = sizes[np.arange(extents.size), extents - 1]
+    settled = (extents == 1) | (last_size <= policy.rel_tol * sizes.max(axis=1))
+    significant = sizes > policy.abs_tol  # sizes are 0 past K
     last = width - np.argmax(significant[:, ::-1], axis=1)
     k_used = np.where(significant.any(axis=1), last, 1)
     inner_ok = np.logical_and.accumulate(ok)[extents - 1]
-    return [
-        OperatorResult(v, k, t, good, good and t <= policy.rel_tol and math.isfinite(v))
-        for v, k, t, good in zip(np.add.reduceat(terms[inside], starts).tolist(), k_used.tolist(),
-                                 tail.tolist(), inner_ok.tolist())
-    ]
+    values = np.add.reduceat(terms[inside], starts)
+    good = inner_ok & settled & (tail <= policy.rel_tol) & np.isfinite(values)
+    cells = zip(values.tolist(), k_used.tolist(), tail.tolist(), inner_ok.tolist(), good.tolist())
+    return [OperatorResult(*cell) for cell in cells]
 
 
 def baskakov_apply(
@@ -576,7 +575,8 @@ def _cell_table(grid: np.ndarray) -> Iterator[None]:
     evaluates in one kernel pass (every grid point lies in [0, inf), as
     those of an ``EvalGrid`` do).  A row whose evaluation raises is not
     kept.  An open table on an equal grid serves the block; otherwise the
-    block has its own table, dropped on exit."""
+    block has its own table, dropped on exit, so it needs no size bound and
+    cannot go stale."""
     xs = np.asarray(grid, dtype=float)
     cells = _RUN_CELLS.get()
     if cells is not None and np.array_equal(cells.xs, xs):

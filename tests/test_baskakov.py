@@ -141,6 +141,18 @@ def exact_ratio(p, q, n, k, x, degree=0):
     return rho * Fraction(k + 2, k + 1) ** degree
 
 
+def log_node_weights(pair, n, k):
+    """log (1 + t_k) at the plain operator's nodes t_k = (R^k - 1) / ((R - 1)
+    <n>_r), R = 1/r, in logs, so that it stays finite where t_k overflows."""
+    if pair.p == pair.q:
+        return np.log1p(k / n)
+    log_big = -math.log(pair.ratio)
+    scale = (math.exp(log_big) - 1.0) * (1.0 - pair.ratio**n) / (1.0 - pair.ratio)
+    with np.errstate(divide="ignore"):
+        log_t = k * log_big + np.log1p(-np.exp(-k * log_big)) - math.log(scale)
+    return np.logaddexp(0.0, log_t)
+
+
 class TestRowExtents:
     """The premise of ``_row_extents``: the weighted basis ratio does not
     increase with k, and the row it sizes leaves out at most _TAIL of its
@@ -166,10 +178,34 @@ class TestRowExtents:
             normalised = ((1 - r ** (n + k)) / (1 - r ** (k + 1))) * x / (r**-k + r**n * x)
             assert normalised == exact_ratio(p, q, n, k, x)
 
+    @pytest.mark.parametrize("pair", [PQPair(0.9, 0.8), PQPair(0.5, 0.05), PQPair(1.0, 40 / 41),
+                                      PQPair(0.99, 0.2), CLASSICAL], ids=str)
+    @pytest.mark.parametrize("n", [1, 3, 10, 50])
+    def test_the_node_step_bound_holds_and_does_not_increase(self, pair, n):
+        """At the plain operator's nodes t_k = <k>_{1/r} / <n>_r, the step
+        (1 + t_{k+1}) / (1 + t_k) is at most g_k = R + max(e, 0) / (1 + t_k),
+        R = 1/r, e = 1/<n>_r + 1 - R, with equality when e >= 0, and g_k does
+        not increase with k."""
+        p, q = Fraction(pair.p), Fraction(pair.q)
+        r = q / p
+        nn = exact_number(Fraction(1), r, n)  # <n>_r
+        nodes = [exact_number(Fraction(1), 1 / r, k) / nn for k in range(41)]
+        excess = 1 / nn + 1 - 1 / r
+        bounds = [1 / r + max(excess, 0) / (1 + t) for t in nodes]
+        for k in range(40):
+            step = (1 + nodes[k + 1]) / (1 + nodes[k])
+            assert step <= bounds[k] and (excess < 0 or step == bounds[k])
+            assert bounds[k + 1] <= bounds[k]
+
     @settings(deadline=None, max_examples=80)
-    @example(pair=CLASSICAL, n=1, xs=[60.0], degree=2, max_terms=10000)
-    @example(pair=PQPair(1.0, 300 / 301), n=300, xs=[5.0, 0.0, 1e-6], degree=2, max_terms=10000)
-    @example(pair=PQPair(0.9, 1e-300), n=10, xs=[1.0, 1e300], degree=2, max_terms=10000)
+    @example(pair=CLASSICAL, n=1, xs=[60.0], degree=2, max_terms=10000, nodes=False)
+    @example(pair=PQPair(1.0, 300 / 301), n=300, xs=[5.0, 0.0, 1e-6], degree=2, max_terms=10000,
+             nodes=False)
+    @example(pair=PQPair(0.9, 1e-300), n=10, xs=[1.0, 1e300], degree=2, max_terms=10000, nodes=False)
+    @example(pair=PQPair(0.9, 1e-300), n=10, xs=[1.0, 1e300], degree=2, max_terms=10000, nodes=True)
+    # nodes that grow like (8/5)^k: sized for weights (k+1)^4, this row
+    # leaves out 5.4e-15 of its peak at the nodes
+    @example(pair=PQPair(0.8, 0.5), n=1, xs=[60.0], degree=4, max_terms=10000, nodes=True)
     @given(
         pair=st.one_of(st.just(CLASSICAL), strict_pairs),
         n=st.integers(1, 200),
@@ -177,17 +213,23 @@ class TestRowExtents:
                     min_size=1, max_size=5),
         degree=st.integers(0, 4),
         max_terms=st.sampled_from([1, 3, 40, 100, 10000]),
+        nodes=st.booleans(),
     )
-    def test_the_mass_past_each_extent_is_at_most_the_tail(self, pair, n, xs, degree, max_terms):
+    def test_the_mass_past_each_extent_is_at_most_the_tail(self, pair, n, xs, degree, max_terms, nodes):
         """Measured on a one-shot row four times longer (and at least 4,096
-        terms): past K the terms b_{n,k}(x) (k+1)^degree sum to at most _TAIL
-        times their largest one, unless the budget cut the row; and each K is
-        that of its point alone."""
+        terms): past K the terms b_{n,k}(x) w_k^degree, w_k = k + 1 or, at the
+        plain operator's nodes, 1 + t_k, sum to at most _TAIL times their
+        largest one, unless the budget cut the row; and each K is that of its
+        point alone."""
         grid = np.array(xs)
-        extents = baskakov._row_extents(pair, n, grid, degree, max_terms)
-        assert extents.tolist() == [
-            baskakov._row_extents(pair, n, np.array([x]), degree, max_terms)[0] for x in xs
-        ]
+        # as in the kernel, a step R^degree past the float range (q = 1e-300) is inf
+        with np.errstate(over="ignore"):
+            extents = baskakov._row_extents(pair, n, grid, degree, max_terms, nodes=nodes)
+            alone = [
+                baskakov._row_extents(pair, n, np.array([x]), degree, max_terms, nodes=nodes)[0]
+                for x in xs
+            ]
+        assert extents.tolist() == alone
         assert all(1 <= k <= max_terms for k in extents.tolist())
         for x, k_count in zip(xs, extents.tolist()):
             if x == 0.0:
@@ -195,18 +237,21 @@ class TestRowExtents:
             elif k_count < max_terms:
                 length = max(4 * k_count, 4096)
                 k = np.arange(length, dtype=float)
-                log_c = one_shot_log_row(pair, n, x, length) + degree * np.log1p(k)
+                log_w = log_node_weights(pair, n, k) if nodes else np.log1p(k)
+                log_c = one_shot_log_row(pair, n, x, length) + degree * log_w
                 assert np.argmax(log_c) < k_count  # the row holds its weighted peak
                 left_out = math.fsum(np.exp(log_c[k_count:] - log_c.max()).tolist())
                 assert left_out <= baskakov._TAIL * (1.0 + 1e-9), (x, k_count, left_out)
 
 
-def reference_apply(pair, n, x, policy, build, degree):
+def reference_apply(pair, n, x, policy, build, degree, nodes=False):
     """The kernel at one point, written out: the row has its closed-form
-    length K (``_row_extents``, for samples growing like t^degree), the
-    point's own sample vector is built by build(K), and the K terms are
-    summed as one ``np.add.reduceat`` segment."""
-    k_count = int(baskakov._row_extents(pair, n, np.array([x]), degree, policy.max_terms)[0])
+    length K (``_row_extents``, for samples growing like t^degree, at the
+    plain operator's nodes if nodes), the point's own sample vector is built
+    by build(K), and the K terms are summed as one ``np.add.reduceat``
+    segment; a row of two or more terms whose last term is above rel_tol of
+    its largest is not trusted."""
+    k_count = int(baskakov._row_extents(pair, n, np.array([x]), degree, policy.max_terms, nodes=nodes)[0])
     s, ok = build(k_count)
     row = np.zeros(1) if x == 0.0 else one_shot_log_row(pair, n, x, k_count)
     b = np.exp(row)
@@ -215,7 +260,8 @@ def reference_apply(pair, n, x, policy, build, degree):
     significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
     k_used = int(significant[-1]) + 1 if significant.size else 1
     value, inner_ok = float(np.add.reduceat(terms, [0])[0]), bool(ok.all())
-    trusted = inner_ok and tail <= policy.rel_tol and math.isfinite(value)
+    settled = k_count == 1 or bool(abs(terms[-1]) <= policy.rel_tol * np.abs(terms).max())
+    trusted = inner_ok and settled and tail <= policy.rel_tol and math.isfinite(value)
     return OperatorResult(value, k_used, tail, inner_ok, trusted)
 
 
@@ -300,7 +346,8 @@ class TestGridKernel:
         with patch.object(baskakov, "_ROW_ENTRIES", row_entries), np.errstate(over="ignore"):
             for name, grid_route in routes:
                 grid_route(grid, TruncationPolicy(max_terms=earlier))
-                want = [repr(reference_apply(pair, n, x, policy, builders[name], 2)) for x in xs]
+                want = [repr(reference_apply(pair, n, x, policy, builders[name], 2, name == "nodes"))
+                        for x in xs]
                 # repr is exact for floats and equal for NaN cells of the ladder
                 got = grid_route(grid, policy)
                 assert [repr(r) for r in got] == want
@@ -436,6 +483,31 @@ class TestOperator:
     def test_moment_order_validated(self):
         with pytest.raises(DomainError):
             baskakov_moment_closed(CLASSICAL, 3, 4, 1.0)
+
+    def test_a_row_whose_last_term_is_not_small_is_not_trusted(self):
+        # exp outgrows the t^2 that a callable is taken to grow like: at
+        # nodes growing like (9/8)^k its terms stop falling near k = 27 and
+        # rise without bound, so the row sized for t^2 ends on a term about
+        # 6e-11 of the largest (the earlier doubling kernel summed 64
+        # terms, whose samples overflowed, and gave an untrusted inf)
+        res = baskakov_apply(PQPair(0.9, 0.8), np.exp, 10, 0.5)
+        assert res.basis_tail_mass <= 1e-12 and math.isfinite(res.value)
+        assert not res.trusted
+        # a row that the budget cuts while its terms still matter: its basis
+        # tail is below rel_tol, but its value is 1.01e-12 off the exact 648.5
+        quadratic = FunctionSpec.polynomial([1.0, -2.0, 3.0])
+        cut = baskakov_apply(PQPair(0.9, 0.8), quadratic, 1, 10.0, TruncationPolicy(max_terms=40))
+        assert cut.basis_tail_mass <= 1e-12 and rel_err(cut.value, 648.5) > 1e-12
+        assert not cut.trusted
+        assert baskakov_apply(PQPair(0.9, 0.8), quadratic, 1, 10.0).trusted
+        # the one term of a row (x = 0, or a budget of one term) is its largest
+        assert baskakov_apply(PQPair(0.9, 0.8), np.exp, 10, 0.0).trusted
+        rows, ok, extents = np.zeros((2, 3)) - math.log(3.0), np.ones(3, dtype=bool), np.array([3, 3])
+        steady, rising = (
+            baskakov._sum_rows(rows[:1], np.array(s), ok, extents[:1], TruncationPolicy())[0]
+            for s in ([1.0, 1.0, 1e-12], [1.0, 1.0, 1.1e-12])
+        )
+        assert steady.trusted and not rising.trusted
 
     def test_a_sum_that_overflows_is_not_trusted(self):
         # every term is finite and the basis is complete, but the sum is not
