@@ -33,9 +33,10 @@ form, O(1) per row.  All bands of a window are evaluated as one flat
 (row, node) gather on two tables the window keeps over its index range, the
 integer multiples of log r and the prefix sums of the bounded parts; the
 terms at each row's peak are computed once per row and repeated over its
-band, and f is evaluated on the band nodes only.  A row whose edges are not
-negligible regrows; no band, and no shared window, is ever wider than the
-fixed cap _LADDER_NODES = 20,001 nodes, which no truncation policy moves.
+band, and f is evaluated on the band nodes only.  Each band is summed
+once, and a row whose edges are not negligible is flagged; no band, and no
+shared window, is ever wider than the fixed cap _LADDER_NODES = 20,001
+nodes, which no truncation policy moves.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def verify_integration_by_parts(
 # row's peak.  _SLOPES are the fractions of the asymptotic per-node decay at
 # which _band_extents anchors its bounds: geometric towards 0, where a wide
 # row bends slowly away from its peak, and towards 1, where the decay
-# settles.  (A plain list: a numpy call at import would cost every process.)
+# settles.
 _SPAN = 41.5
 _SLOPES = np.array(
     [2.0 ** (e / 3) for e in range(-36, -2)] + [1.0 - 0.35 * (0.01 / 0.35) ** (j / 6) for j in range(7)]
@@ -389,17 +390,17 @@ def batched_weight_ratios(
     the band nodes only.  A row is a function of its own band alone, so a
     shorter vector is bitwise the start of a longer one.
 
-    A row passes when both edges are below 1e-15 of its peak, for the
-    weights and for the f-weighted terms, and its relative edge mass
-    (w + |f w| at both edges, over sum w) is below 1e-12.  Failing rows,
-    and only they, regrow by 1.6x on each side, up to four times.  No band
-    of more than _LADDER_NODES = 20,001 nodes is built: a row whose first
-    band does not fit is not built, and its ratio is NaN and not converged;
-    a row whose regrowth does not fit keeps its last band, whose edges
-    decide.  Rows whose bands together span more than that, or hold more
+    A row is converged when its largest edge is below 1e-15, each edge of w
+    and of |f w| taken relative to its own peak.  That test alone bounds the
+    mass the band leaves out: w peaks at 1, so sum w >= 1, and
+    sum |f w| >= max |f w|, so the two edges of each together are below
+    2e-15 of its own sum, whatever the units of f.  A function growing
+    faster than t^f_growth_degree outruns its band and is flagged, not
+    rescued.  No band of more than _LADDER_NODES = 20,001 nodes is built: a
+    row whose band does not fit is not built, and its ratio is NaN and not
+    converged.  Rows whose bands together span more than that, or hold more
     than _RUN_NODES nodes, are split over several windows.  Returns
-    (ratios, converged) per row, a row counting as converged when its edge
-    mass is below 1e-12.
+    (ratios, converged) per row.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
@@ -411,24 +412,14 @@ def batched_weight_ratios(
     ks = np.arange(k_count)
     peak, left, right = _band_extents(-math.log(pair.q / pair.p), n, ks, f_growth_degree)
     # a row whose band is over the node cap is never built: it stays NaN
-    weight_sums, f_sums, tails, edges = (np.full(ks.size, np.nan) for _ in range(4))
-
+    weight_sums, f_sums, edges = (np.full(ks.size, np.nan) for _ in range(3))
     rows = np.flatnonzero(left + right + 1.0 <= _LADDER_NODES)
-    for _attempt in range(5):
-        lo = peak[rows] - left[rows].astype(np.int64)
-        hi = peak[rows] + right[rows].astype(np.int64)
-        for run in _window_runs(lo, hi):
-            sums = _band_sums(pair, n, ks[rows[run]], peak[rows[run]], lo[run], hi[run], func)
-            weight_sums[rows[run]], f_sums[rows[run]], tails[rows[run]], edges[rows[run]] = sums
-        rows = rows[(edges[rows] >= 1e-15) | (tails[rows] >= 1e-12)]
-        left[rows] = np.floor(left[rows] * 1.6) + 8
-        right[rows] = np.floor(right[rows] * 1.6) + 8
-        # a row whose regrowth does not fit keeps its last band
-        rows = rows[left[rows] + right[rows] + 1.0 <= _LADDER_NODES]
-        if rows.size == 0:
-            break
-
-    return f_sums / weight_sums, tails < 1e-12
+    lo = peak[rows] - left[rows].astype(np.int64)
+    hi = peak[rows] + right[rows].astype(np.int64)
+    for run in _window_runs(lo, hi):
+        sums = _band_sums(pair, n, ks[rows[run]], peak[rows[run]], lo[run], hi[run], func)
+        weight_sums[rows[run]], f_sums[rows[run]], edges[rows[run]] = sums
+    return f_sums / weight_sums, edges < 1e-15
 
 
 def _window_runs(lo: np.ndarray, hi: np.ndarray) -> list[slice]:
@@ -453,10 +444,11 @@ def _band_sums(
     lo: np.ndarray,
     hi: np.ndarray,
     func: Callable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each row k of rows, over its band lo..hi (around its peak node) of
-    one shared window: (sum w, sum f w, edge mass over sum w, largest edge
-    relative to the peak), w normalized to a peak of 1."""
+    one shared window: (sum w, sum f w, largest edge), w normalized to a peak
+    of 1 and the edges of w and of |f w| each taken relative to their own
+    peak."""
     p, q = pair.p, pair.q
     window = _LadderWindow(pair, int(lo.min()), int(hi.max()), n + int(rows[-1]) + 1)
     width = hi - lo + 1
@@ -466,15 +458,13 @@ def _band_sums(
     log_w = window.log_weight_drop(rows, n + rows + 1, peaks, nodes, width)
     log_w -= np.repeat(np.maximum.reduceat(log_w, first), width)
     w = np.exp(log_w)
-    # a row peaking beyond the float range overflows in f; its edge mass is
-    # then NaN and the row does not converge
+    # a row peaking beyond the float range overflows in f; its largest edge
+    # is then NaN and the row does not converge
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp(window.log_t)
         c = q * q * np.power(p, n + rows.astype(float))
         fw = w * np.asarray(func(np.repeat(c, width) * t[nodes - window.i_lo]), dtype=float)
-        weight_sums = np.add.reduceat(w, first)
         abs_fw = np.abs(fw)
-        tails = (w[first] + w[last] + abs_fw[first] + abs_fw[last]) / weight_sums
         scale = np.maximum(np.maximum.reduceat(abs_fw, first), 1e-300)
         edges = np.maximum.reduce([w[first], w[last], abs_fw[first] / scale, abs_fw[last] / scale])
-        return weight_sums, np.add.reduceat(fw, first), tails, edges
+        return np.add.reduceat(w, first), np.add.reduceat(fw, first), edges

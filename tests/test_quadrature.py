@@ -12,6 +12,7 @@ from pqbaskakov import (
     PQPair,
     RegimeError,
     TruncationPolicy,
+    baskakov_beta_apply,
     beta_kernel,
     improper_integral,
     jackson_integral,
@@ -295,6 +296,10 @@ class TestLadderWindowTables:
         assert np.array_equal(got, np.array(want))
 
 
+def abs_t_minus_1_times(c):
+    return lambda t: c * np.abs(t - 1.0)
+
+
 class TestBatchedWeightRatios:
     def test_power_column_matches_one_power_at_a_time(self):
         window = quadrature._LadderWindow(PQPair(0.9, 0.8), -40, 60, 30)
@@ -354,19 +359,46 @@ class TestBatchedWeightRatios:
         assert converged.all()
         assert np.allclose(ratios, wider, rtol=1e-12, atol=0.0)
 
-    def test_a_row_whose_regrowth_does_not_fit_keeps_its_last_band(self, monkeypatch):
-        # e2 with its growth understated as degree 0: the first band is too
-        # narrow on the large-t side, and its 1.6x regrowth passes the cap
-        pair, f = PQPair(0.9, 0.8), FunctionSpec.polynomial([0.0, 0.0, 1.0])
-        grown, grown_ok = quadrature.batched_weight_ratios(pair, 3, 1, f, 0)
-        monkeypatch.setattr(quadrature, "_LADDER_NODES", 601)
-        windows = self.record_widths(monkeypatch, 601)
-        ratios, converged = quadrature.batched_weight_ratios(pair, 3, 1, f, 0)
-        assert len(windows) == 1
-        assert not converged.any() and grown_ok.all()
-        assert np.isfinite(ratios).all()
-        assert ratios[0] == pytest.approx(grown[0], rel=1e-5)
-        assert ratios[0] != grown[0]
+    @pytest.mark.parametrize(
+        "pair, n, k_count, f",
+        [(PQPair(1.0, 5 / 6), 5, 64, lambda t: t**3), (PQPair(1.0, 5 / 6), 5, 64, lambda t: t**4)]
+        + [(PQPair(0.9, 0.8), 10, 47, abs_t_minus_1_times(c)) for c in (1e-20, 1.0, 1e12, 1e20)],
+        ids=["t^3", "t^4", "1e-20|t-1|", "|t-1|", "1e12|t-1|", "1e20|t-1|"],
+    )
+    def test_every_row_is_summed_over_one_band_whatever_the_units_of_f(
+        self, monkeypatch, pair, n, k_count, f
+    ):
+        bands = self.record_bands(monkeypatch)
+        quadrature.batched_weight_ratios(pair, n, k_count, f)
+        assert len(bands) == k_count
+
+    @pytest.mark.parametrize("c", [1e-20, 3.7, 1e12, 1e20])
+    @pytest.mark.parametrize(
+        "pair, n, k_count, f",
+        [(PQPair(0.9, 0.8), 10, 47, abs_t_minus_1_times(1.0)), (PQPair(1.0, 5 / 6), 5, 64, lambda t: t**3)],
+        ids=["|t-1|", "t^3"],
+    )
+    def test_scaling_f_scales_its_ratios_and_keeps_their_flags(self, pair, n, k_count, f, c):
+        base, base_ok = quadrature.batched_weight_ratios(pair, n, k_count, f)
+        scaled, scaled_ok = quadrature.batched_weight_ratios(pair, n, k_count, lambda t: c * f(t))
+        assert np.array_equal(scaled_ok, base_ok)
+        assert np.allclose(scaled, c * base, rtol=1e-15, atol=0.0)
+
+    def test_an_f_growing_faster_than_its_band_is_flagged(self):
+        # a callable is taken to grow like t^2; t^3 outruns the band sized for
+        # that growth, and the band is not widened to rescue it
+        _, converged = quadrature.batched_weight_ratios(PQPair(1.0, 5 / 6), 5, 64, lambda t: t**3)
+        assert not converged.any()
+        result = baskakov_beta_apply(PQPair(0.9, 0.8), lambda t: t**3, 5, 0.5)
+        assert np.isfinite(result.value)
+        assert not result.inner_integrals_converged and not result.trusted
+        # so is e2 with its growth understated as degree 0, whose one band is
+        # too narrow on the large-t side: finite, near, and flagged
+        f = FunctionSpec.polynomial([0.0, 0.0, 1.0])
+        narrow, narrow_ok = quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 3, 1, f, 0)
+        sized, sized_ok = quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 3, 1, f)
+        assert sized_ok.all() and not narrow_ok.any()
+        assert narrow[0] == pytest.approx(sized[0], rel=1e-5)
 
     def test_rows_beyond_one_window_are_split_over_several(self, monkeypatch):
         # at (0.9, 0.8), n = 10, the 250 rows' bands span ~700 nodes together
