@@ -46,9 +46,9 @@ call for a point of a grid row evaluates the whole row, and every other
 call for that row is an index lookup.
 
 The basis is a probability distribution over k (partition of unity), so a
-cell is trusted when its row's mass 1 - sum b is at most rel_tol, its
-samples are trusted, its value is finite and its last term is at most
-rel_tol of its largest (``_sum_rows``).
+cell is trusted when its row's mass 1 - sum b is at most rel_tol, the ends
+of its samples' ladder bands are negligible in it, its value is finite and
+its last term is at most rel_tol of its largest (``_sum_rows``).
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ def _samples(
     pair: PQPair, n: int, f: Union[FunctionSpec, Callable], route: str, k_count: int,
     *, lfact: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The samples s_k of a route for k = 0..k_count-1, with a trust flag
-    per k: f at the nodes ("nodes"), sum_d c_d q^{2d} p^{d(n+k)}
-    B(k+d+1, n-d) / B(k+1, n) over the nonzero coefficients c_d of the
-    polynomial f ("analytic"), or the ladder ratios ("quadrature")."""
+    """The samples s_k of a route for k = 0..k_count-1, with a band edge
+    per k (0 off the ladder): f at the nodes ("nodes"), sum_d c_d q^{2d}
+    p^{d(n+k)} B(k+d+1, n-d) / B(k+1, n) over the nonzero coefficients c_d
+    of the polynomial f ("analytic"), or the ladder ratios ("quadrature")."""
     if route == "quadrature":
         return batched_weight_ratios(pair, n, k_count, f, _growth_degree(f))
     if route == "analytic":
@@ -219,7 +219,7 @@ def _samples(
             raise DomainError(
                 f"f gave values of shape {values.shape} at {nodes.size} nodes"
             ) from None
-    return s, np.ones(k_count, dtype=bool)
+    return s, np.zeros(k_count)
 
 
 def _row_extents(
@@ -317,12 +317,12 @@ def _apply(
         extents = _row_extents(pair, n, xs, degree, policy.max_terms, nodes=route == "nodes")
         k_count = int(extents.max())
         lfact = _log_fact_table(pair, n + k_count - 1)
-        s, ok = _samples(pair, n, f, route, k_count, lfact=lfact)
+        s, edges = _samples(pair, n, f, route, k_count, lfact=lfact)
         results: list = [None] * xs.size
         zero = np.flatnonzero(xs == 0.0)
         if zero.size:
             # b_{n,0}(0) = 1, every other weight vanishes
-            result = _sum_rows(np.zeros((1, 1)), s, ok, extents[zero[:1]], policy)[0]
+            result = _sum_rows(np.zeros((1, 1)), s, edges, extents[zero[:1]], policy)[0]
             for i in zero.tolist():
                 results[i] = result
         positive = np.flatnonzero(xs)
@@ -332,22 +332,24 @@ def _apply(
             fit = np.arange(1, positive.size + 1) * (longest + n) <= _ROW_ENTRIES
             block, positive = np.split(positive, [max(1, int(np.count_nonzero(fit)))])
             rows = _log_basis_row(pair, n, xs[block], int(extents[block].max()), lfact=lfact)
-            for i, result in zip(block.tolist(), _sum_rows(rows, s, ok, extents[block], policy)):
+            for i, result in zip(block.tolist(), _sum_rows(rows, s, edges, extents[block], policy)):
                 results[i] = result
         return results
 
 
 def _sum_rows(
-    rows: np.ndarray, s: np.ndarray, ok: np.ndarray, extents: np.ndarray, policy: TruncationPolicy
+    rows: np.ndarray, s: np.ndarray, edges: np.ndarray, extents: np.ndarray, policy: TruncationPolicy
 ) -> list[OperatorResult]:
     """One result per row of log weights, summed against the samples s over
     its own first K = extents[i] terms, as one segment of a
     ``np.add.reduceat``, whatever the width of the matrix.  The one trust
-    rule: a value is trusted when the samples it reads are (ok), its basis
-    tail is at most rel_tol, the value itself is finite, and the last of two
-    or more terms is at most rel_tol of the largest one: a row sized for the
-    growth f is taken to have (``_row_extents``) may not hold the terms of
-    an f that grows faster."""
+    rule: a value is trusted when sum_k b_k edges_k of its samples' band
+    edges is 0 or below rel_tol of sum_k |b_k s_k| (free of f's units; an
+    inf or NaN edge fails where b_k > 0), its basis tail is at most rel_tol,
+    the value itself is finite, and the last of two or more terms is at most
+    rel_tol of the largest one: a row sized for the growth f is taken to
+    have (``_row_extents``) may not hold the terms of an f that grows
+    faster."""
     width = rows.shape[1]
     b = np.exp(rows)
     terms = np.where(b > 0.0, b * s[:width], 0.0)
@@ -361,7 +363,8 @@ def _sum_rows(
     significant = sizes > policy.abs_tol  # sizes are 0 past K
     last = width - np.argmax(significant[:, ::-1], axis=1)
     k_used = np.where(significant.any(axis=1), last, 1)
-    inner_ok = np.logical_and.accumulate(ok)[extents - 1]
+    spill = np.where(inside & (b > 0.0), b * edges[:width], 0.0).sum(axis=1)
+    inner_ok = (spill == 0.0) | (spill < policy.rel_tol * sizes.sum(axis=1))
     values = np.add.reduceat(terms[inside], starts)
     good = inner_ok & settled & (tail <= policy.rel_tol) & np.isfinite(values)
     cells = zip(values.tolist(), k_used.tolist(), tail.tolist(), inner_ok.tolist(), good.tolist())

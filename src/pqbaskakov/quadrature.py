@@ -34,7 +34,7 @@ form, O(1) per row.  All bands of a window are evaluated as one flat
 integer multiples of log r and the prefix sums of the bounded parts; the
 terms at each row's peak are computed once per row and repeated over its
 band, and f is evaluated on the band nodes only.  Each band is summed
-once, and a row whose edges are not negligible is flagged; no band, and no
+once, and its end terms are left for the cells to judge; no band, and no
 shared window, is ever wider than the fixed cap _LADDER_NODES = 20,001
 nodes, which no truncation policy moves.
 """
@@ -390,17 +390,18 @@ def batched_weight_ratios(
     the band nodes only.  A row is a function of its own band alone, so a
     shorter vector is bitwise the start of a longer one.
 
-    A row is converged when its largest edge is below 1e-15, each edge of w
-    and of |f w| taken relative to its own peak.  That test alone bounds the
-    mass the band leaves out: w peaks at 1, so sum w >= 1, and
-    sum |f w| >= max |f w|, so the two edges of each together are below
-    2e-15 of its own sum, whatever the units of f.  A function growing
-    faster than t^f_growth_degree outruns its band and is flagged, not
-    rescued.  No band of more than _LADDER_NODES = 20,001 nodes is built: a
-    row whose band does not fit is not built, and its ratio is NaN and not
-    converged.  Rows whose bands together span more than that, or hold more
-    than _RUN_NODES nodes, are split over several windows.  Returns
-    (ratios, converged) per row.
+    Each row's edge is the largest of |f w| and |ratio| w at its band's two
+    ends over sum w, in f's units, so those of c f are c times those of f.
+    A cell weighs the edges as it weighs its samples (``baskakov._sum_rows``),
+    so a row whose f w peaks at its small-t end (a decaying f, far out)
+    counts for what it weighs there.  At the large-t end f is bounded only
+    by the growth the band is sized for: where |f w| there is over 1e-15 of
+    its peak, f outruns the band and the edge is inf, so an f growing faster
+    than t^f_growth_degree is flagged, not rescued.  A band of more than
+    _LADDER_NODES = 20,001 nodes is not built: its ratio and edge are NaN.
+    Rows whose bands together span more than that, or hold more than
+    _RUN_NODES nodes, are split over several windows.  Returns (ratios,
+    edges) per row.
 
     The backward ladder converges only while n exceeds the integrand's
     polynomial growth degree; callers enforce n > f_growth_degree.
@@ -419,7 +420,7 @@ def batched_weight_ratios(
     for run in _window_runs(lo, hi):
         sums = _band_sums(pair, n, ks[rows[run]], peak[rows[run]], lo[run], hi[run], func)
         weight_sums[rows[run]], f_sums[rows[run]], edges[rows[run]] = sums
-    return f_sums / weight_sums, edges < 1e-15
+    return f_sums / weight_sums, edges / weight_sums
 
 
 def _window_runs(lo: np.ndarray, hi: np.ndarray) -> list[slice]:
@@ -446,9 +447,9 @@ def _band_sums(
     func: Callable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each row k of rows, over its band lo..hi (around its peak node) of
-    one shared window: (sum w, sum f w, largest edge), w normalized to a peak
-    of 1 and the edges of w and of |f w| each taken relative to their own
-    peak."""
+    one shared window: (sum w, sum f w, largest end term), w normalized to a
+    peak of 1 and the end terms |f w| and |sum f w / sum w| w; inf where
+    |f w| at the large-t end is over 1e-15 of its peak."""
     p, q = pair.p, pair.q
     window = _LadderWindow(pair, int(lo.min()), int(hi.max()), n + int(rows[-1]) + 1)
     width = hi - lo + 1
@@ -458,13 +459,16 @@ def _band_sums(
     log_w = window.log_weight_drop(rows, n + rows + 1, peaks, nodes, width)
     log_w -= np.repeat(np.maximum.reduceat(log_w, first), width)
     w = np.exp(log_w)
-    # a row peaking beyond the float range overflows in f; its largest edge
-    # is then NaN and the row does not converge
+    # a row peaking beyond the float range overflows in f; its largest end
+    # term is then inf or NaN, and no cell that reads it is trusted
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp(window.log_t)
         c = q * q * np.power(p, n + rows.astype(float))
         fw = w * np.asarray(func(np.repeat(c, width) * t[nodes - window.i_lo]), dtype=float)
         abs_fw = np.abs(fw)
-        scale = np.maximum(np.maximum.reduceat(abs_fw, first), 1e-300)
-        edges = np.maximum.reduce([w[first], w[last], abs_fw[first] / scale, abs_fw[last] / scale])
-        return np.add.reduceat(w, first), np.add.reduceat(fw, first), edges
+        weight_sums, f_sums = np.add.reduceat(w, first), np.add.reduceat(fw, first)
+        mean = np.abs(f_sums / weight_sums)
+        ends = np.maximum.reduce([abs_fw[first], abs_fw[last], mean * w[first], mean * w[last]])
+        # the first node is the band's large-t end, sized for f's growth
+        outrun = abs_fw[first] > 1e-15 * np.maximum.reduceat(abs_fw, first)
+        return weight_sums, f_sums, np.where(outrun, np.inf, ends)

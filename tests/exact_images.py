@@ -170,18 +170,19 @@ def image_error(got, images, coefficients, x):
 
 
 def within_bound(got, image, x, rel, floor):
-    """Whether |got - sum_d c_d U_d(x)| <= rel sum_d |c_d| U_d(x) + floor, for
-    the ``combined_image`` of the c_d, a float x >= 0, a float rel and a
-    ``Fraction`` floor: exactly, in integers, with no division."""
+    """Whether |got - sum_d c_d U_d(x)| <= max(rel sum_d |c_d| U_d(x), floor),
+    for the ``combined_image`` of the c_d, a float x >= 0 and floats rel and
+    floor: exactly, in integers, with no division."""
     value, scale, den = image
     x_num, x_den = x.as_integer_ratio()
     top = len(value) - 1
     powers = [x_num**j * x_den ** (top - j) for j in range(top + 1)]
     g_num, g_den = float(got).as_integer_ratio()
     r_num, r_den = rel.as_integer_ratio()
+    f_num, f_den = floor.as_integer_ratio()
     exact = sum(a * w for a, w in zip(value, powers))
     size = sum(a * w for a, w in zip(scale, powers))
     den *= x_den**top
     # error = |g_num den - exact g_den| / (den g_den), size / den
-    error = abs(g_num * den - exact * g_den) * r_den * floor.denominator
-    return error <= (r_num * size * floor.denominator + floor.numerator * r_den * den) * g_den
+    error = abs(g_num * den - exact * g_den)
+    return error * r_den <= r_num * size * g_den or error * f_den <= f_num * den * g_den

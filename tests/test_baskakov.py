@@ -250,16 +250,19 @@ def reference_apply(pair, n, x, policy, build, degree, nodes=False):
     plain operator's nodes if nodes), the point's own sample vector is built
     by build(K), and the K terms are summed as one ``np.add.reduceat``
     segment; a row of two or more terms whose last term is above rel_tol of
-    its largest is not trusted."""
+    its largest, or whose samples' band edges, weighted as the samples are,
+    are not below rel_tol of its size, is not trusted."""
     k_count = int(baskakov._row_extents(pair, n, np.array([x]), degree, policy.max_terms, nodes=nodes)[0])
-    s, ok = build(k_count)
+    s, edges = build(k_count)
     row = np.zeros(1) if x == 0.0 else one_shot_log_row(pair, n, x, k_count)
     b = np.exp(row)
     terms = np.where(b > 0.0, b * s, 0.0)
     tail = max(0.0, 1.0 - float(np.add.reduceat(b, [0])[0]))
     significant = np.nonzero(np.abs(terms) > policy.abs_tol)[0]
     k_used = int(significant[-1]) + 1 if significant.size else 1
-    value, inner_ok = float(np.add.reduceat(terms, [0])[0]), bool(ok.all())
+    value = float(np.add.reduceat(terms, [0])[0])
+    spill = float(np.where(b > 0.0, b * edges, 0.0).sum())
+    inner_ok = spill == 0.0 or spill < policy.rel_tol * float(np.abs(terms).sum())
     settled = k_count == 1 or bool(abs(terms[-1]) <= policy.rel_tol * np.abs(terms).max())
     trusted = inner_ok and settled and tail <= policy.rel_tol and math.isfinite(value)
     return OperatorResult(value, k_used, tail, inner_ok, trusted)
@@ -268,8 +271,8 @@ def reference_apply(pair, n, x, policy, build, degree, nodes=False):
 def route_builders(pair, n, f):
     """build(k_count) of each route's samples for the polynomial f (and for
     |t - 1| on the ladder), written out from the route's parts."""
-    def ones(s):  # every plain and analytic sample is trusted
-        return s, np.ones(s.size, dtype=bool)
+    def ones(s):  # no plain or analytic sample has a band edge
+        return s, np.zeros(s.size)
 
     def nodes(k_count):
         at = baskakov._nodes(pair, n, np.arange(k_count, dtype=float))
@@ -502,9 +505,9 @@ class TestOperator:
         assert baskakov_apply(PQPair(0.9, 0.8), quadratic, 1, 10.0).trusted
         # the one term of a row (x = 0, or a budget of one term) is its largest
         assert baskakov_apply(PQPair(0.9, 0.8), np.exp, 10, 0.0).trusted
-        rows, ok, extents = np.zeros((2, 3)) - math.log(3.0), np.ones(3, dtype=bool), np.array([3, 3])
+        rows, edges, extents = np.zeros((2, 3)) - math.log(3.0), np.zeros(3), np.array([3, 3])
         steady, rising = (
-            baskakov._sum_rows(rows[:1], np.array(s), ok, extents[:1], TruncationPolicy())[0]
+            baskakov._sum_rows(rows[:1], np.array(s), edges, extents[:1], TruncationPolicy())[0]
             for s in ([1.0, 1.0, 1e-12], [1.0, 1.0, 1.1e-12])
         )
         assert steady.trusted and not rising.trusted
@@ -514,7 +517,7 @@ class TestOperator:
         # finite: trust follows the value, not the terms
         with np.errstate(over="ignore"):
             (res,) = baskakov._sum_rows(
-                np.zeros((1, 2)), np.array([1e308, 1e308]), np.ones(2, dtype=bool), np.array([2]),
+                np.zeros((1, 2)), np.array([1e308, 1e308]), np.zeros(2), np.array([2]),
                 TruncationPolicy(),
             )
         assert res.value == math.inf and res.basis_tail_mass == 0.0

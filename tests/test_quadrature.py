@@ -323,12 +323,11 @@ class TestBatchedWeightRatios:
     def test_window_is_capped_before_allocation(self, monkeypatch):
         # at p/q = 1 + 1.1e-5 the ladder would need about 5e6 nodes
         widths = self.record_widths(monkeypatch)
-        ratios, converged = quadrature.batched_weight_ratios(
+        ratios, edges = quadrature.batched_weight_ratios(
             PQPair(0.9, 0.89999), 5, 1, FunctionSpec.named("abs_t_minus_1")
         )
         assert widths == []
-        assert not converged.any()
-        assert np.isnan(ratios).all()
+        assert np.isnan(ratios).all() and np.isnan(edges).all()
 
     @staticmethod
     def record_bands(monkeypatch):
@@ -353,10 +352,10 @@ class TestBatchedWeightRatios:
             wider, _ = quadrature.batched_weight_ratios(pair, 100, 128, f)
         windows = self.record_widths(monkeypatch, cap)
         bands = self.record_bands(monkeypatch)
-        ratios, converged = quadrature.batched_weight_ratios(pair, 100, 128, f)
+        ratios, edges = quadrature.batched_weight_ratios(pair, 100, 128, f)
         assert windows and max(windows) <= cap
         assert len(bands) >= 128 and max(bands) <= cap
-        assert converged.all()
+        assert (edges < 1e-15 * ratios).all()
         assert np.allclose(ratios, wider, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -378,27 +377,47 @@ class TestBatchedWeightRatios:
         [(PQPair(0.9, 0.8), 10, 47, abs_t_minus_1_times(1.0)), (PQPair(1.0, 5 / 6), 5, 64, lambda t: t**3)],
         ids=["|t-1|", "t^3"],
     )
-    def test_scaling_f_scales_its_ratios_and_keeps_their_flags(self, pair, n, k_count, f, c):
-        base, base_ok = quadrature.batched_weight_ratios(pair, n, k_count, f)
-        scaled, scaled_ok = quadrature.batched_weight_ratios(pair, n, k_count, lambda t: c * f(t))
-        assert np.array_equal(scaled_ok, base_ok)
+    def test_scaling_f_scales_its_ratios_and_edges_and_keeps_its_trust(self, pair, n, k_count, f, c):
+        base, base_edges = quadrature.batched_weight_ratios(pair, n, k_count, f)
+        scaled, scaled_edges = quadrature.batched_weight_ratios(pair, n, k_count, lambda t: c * f(t))
         assert np.allclose(scaled, c * base, rtol=1e-15, atol=0.0)
+        assert np.allclose(scaled_edges, c * base_edges, rtol=1e-15, atol=0.0)
+        xs = np.array([0.0, 0.5, 2.5, 10.0])
+        cells = baskakov_beta_apply(pair, f, n, xs)
+        scaled_cells = baskakov_beta_apply(pair, lambda t: c * f(t), n, xs)
+        for cell, scaled_cell in zip(cells, scaled_cells):
+            assert scaled_cell.inner_integrals_converged == cell.inner_integrals_converged
+            assert scaled_cell.trusted == cell.trusted
 
     def test_an_f_growing_faster_than_its_band_is_flagged(self):
         # a callable is taken to grow like t^2; t^3 outruns the band sized for
-        # that growth, and the band is not widened to rescue it
-        _, converged = quadrature.batched_weight_ratios(PQPair(1.0, 5 / 6), 5, 64, lambda t: t**3)
-        assert not converged.any()
+        # that growth at its large-t end, and the band is not widened to
+        # rescue it
+        _, edges = quadrature.batched_weight_ratios(PQPair(1.0, 5 / 6), 5, 64, lambda t: t**3)
+        assert np.isinf(edges).all()
         result = baskakov_beta_apply(PQPair(0.9, 0.8), lambda t: t**3, 5, 0.5)
         assert np.isfinite(result.value)
         assert not result.inner_integrals_converged and not result.trusted
         # so is e2 with its growth understated as degree 0, whose one band is
         # too narrow on the large-t side: finite, near, and flagged
         f = FunctionSpec.polynomial([0.0, 0.0, 1.0])
-        narrow, narrow_ok = quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 3, 1, f, 0)
-        sized, sized_ok = quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 3, 1, f)
-        assert sized_ok.all() and not narrow_ok.any()
+        narrow, narrow_edges = quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 3, 1, f, 0)
+        sized, sized_edges = quadrature.batched_weight_ratios(PQPair(0.9, 0.8), 3, 1, f)
+        assert np.isinf(narrow_edges).all() and (sized_edges < 1e-15 * sized).all()
         assert narrow[0] == pytest.approx(sized[0], rel=1e-5)
+
+    def test_a_decaying_f_is_judged_by_what_its_rows_weigh_in_the_cell(self):
+        # at p = 1 every row samples e^-t at the same scale, so rows far out
+        # peak where e^-t is tiny, and f w peaks at their small-t end: from
+        # k = 40 on their edges exceed rel_tol of their own ratios, but they
+        # weigh almost nothing in the cells up to x = 2.5
+        pair, f = PQPair(1.0, 0.9), (lambda t: np.exp(-t))
+        ratios, edges = quadrature.batched_weight_ratios(pair, 5, 64, f)
+        assert np.isfinite(edges).all()
+        assert (edges[40:] > 1e-12 * ratios[40:]).all()
+        xs = np.array([0.5, 0.9, 1.0, 1.5, 2.0, 2.5])
+        for x, cell in zip(xs.tolist(), baskakov_beta_apply(pair, f, 5, xs)):
+            assert cell.inner_integrals_converged and cell.trusted, x
 
     def test_rows_beyond_one_window_are_split_over_several(self, monkeypatch):
         # at (0.9, 0.8), n = 10, the 250 rows' bands span ~700 nodes together
@@ -407,9 +426,9 @@ class TestBatchedWeightRatios:
         one, _ = quadrature.batched_weight_ratios(pair, 10, 250, f)
         monkeypatch.setattr(quadrature, "_LADDER_NODES", 461)
         windows = self.record_widths(monkeypatch, 461)
-        ratios, converged = quadrature.batched_weight_ratios(pair, 10, 250, f)
+        ratios, edges = quadrature.batched_weight_ratios(pair, 10, 250, f)
         assert len(windows) > 1
-        assert converged.all()
+        assert (edges < 1e-15 * ratios).all()
         assert np.allclose(ratios, one, rtol=1e-13, atol=0.0)
 
 
@@ -457,10 +476,10 @@ class TestBandedRatiosAgainstReferences:
     @example(p=0.7529297247773727, r=0.5, n=3, k_count=128)
     def test_bands_match_one_dense_window(self, p, r, n, k_count):
         pair = PQPair(p, p * r)
-        ratios, converged = quadrature.batched_weight_ratios(
+        ratios, edges = quadrature.batched_weight_ratios(
             pair, n, k_count, FunctionSpec.named("abs_t_minus_1")
         )
-        assert converged.all()
+        assert (edges < 1e-15 * ratios).all()
         want = dense_weight_ratios(pair, n, k_count)
         assert np.allclose(ratios, want, rtol=1e-12, atol=0.0)
 
@@ -473,10 +492,10 @@ class TestBandedRatiosAgainstReferences:
     )
     def test_a_shorter_vector_starts_every_longer_one(self, p, r, n, split):
         pair, f = PQPair(p, p * r), FunctionSpec.named("abs_t_minus_1")
-        whole, whole_ok = quadrature.batched_weight_ratios(pair, n, 128, f)
-        head, head_ok = quadrature.batched_weight_ratios(pair, n, split, f)
-        assert head.size == head_ok.size == split
-        assert np.array_equal(head_ok, whole_ok[:split])
+        whole, whole_edges = quadrature.batched_weight_ratios(pair, n, 128, f)
+        head, head_edges = quadrature.batched_weight_ratios(pair, n, split, f)
+        assert head.size == head_edges.size == split
+        assert np.array_equal(head_edges, whole_edges[:split])
         # a row is a function of its own band alone, whatever shares its window
         assert np.array_equal(head, whole[:split])
 
@@ -494,8 +513,8 @@ class TestBandedRatiosAgainstReferences:
         with mp.workdps(30):
             want = self.mpmath_ratios(mp, *pq, n, 16)
         for name, spec in specs.items():
-            got, converged = quadrature.batched_weight_ratios(PQPair(*pq), n, 16, spec)
-            assert converged.all()
+            got, edges = quadrature.batched_weight_ratios(PQPair(*pq), n, 16, spec)
+            assert (edges < 1e-15 * got).all()
             for g, v in zip(got, want[name]):
                 assert abs((mp.mpf(g) - v) / v) < 1e-13, name
 
