@@ -27,8 +27,8 @@ The row routes differ only in their samples, and share none of them:
 A polynomial ``FunctionSpec`` under the default method="auto" takes none of
 them: its image sum_d c_d U_d(x), U_d = D_n(t^d, .) of the analytic route,
 is a polynomial whose coefficients the (p,q) moment recurrence gives in
-O(deg^2) (``_image_coefficients``), evaluated at every point by Horner's
-rule (``_closed``), with no basis row, no truncation and no term budget.
+O(deg^2) float operations (``_image_coefficients``), evaluated at every point
+by Horner's rule (``_closed``), with no basis row, no truncation and no term budget.
 The closed moment expressions (``moments_closed``) share none of this.
 The closed forms - the nodes, ``baskakov_moment_closed``, ``moments_closed``,
 ``central_moment`` and the recurrence of the images - are written in the
@@ -160,9 +160,9 @@ def _check_point(
     if ndim is not None and xs.ndim > ndim:
         points = ("one point", "one point or a 1-D array of points")[ndim]
         raise DomainError(f"x must be {points}, got shape {xs.shape}")
-    inside = (0.0 <= xs) & (xs < math.inf)
-    if not inside.all():
-        raise DomainError(f"operator domain is 0 <= x < inf, got x={xs[~inside][0]}")
+    if not (xs.min(initial=math.inf) >= 0.0 and xs.max(initial=0.0) < math.inf):  # a NaN fails both
+        outside = xs[~((0.0 <= xs) & (xs < math.inf))]
+        raise DomainError(f"operator domain is 0 <= x < inf, got x={outside[0]}")
     return n, xs
 
 
@@ -444,7 +444,15 @@ def verify_baskakov_recurrence(
 # ---------------------------------------------------------------------------
 
 
-def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[np.ndarray]:
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent (one libm ``pow``) of a base > 0; inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[list[float]]:
     """The ascending coefficients u_{m,j} (j = 0..m) of the polynomials
     U_m(x) = D_n(t^m, x) of the analytic route, for m = 0..degree < n.
 
@@ -457,22 +465,25 @@ def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[np.ndarray]:
         q^{m-1+j} <n-m-1> u_{m+1,j} = p^{m+1} ([j] u_{m,j} + p [j-1] u_{m,j-1})
                                       + [m+1] q^j u_{m,j} + p^{m+1} <n> q^{j-1} u_{m,j-1}.
 
-    Every term is positive (n > m + 1), so nothing cancels.  The arithmetic
-    is numpy float64, so at an extreme pair a power of q that overflows or
-    underflows gives an inf or NaN coefficient, never an exception; the
-    caller decides under which ``np.errstate``."""
-    p, q = np.float64(pair.p), np.float64(pair.q)
-    i = np.arange(degree + 1)
-    numbers = p ** (i - 1.0) * _normalised_number(pair.p, pair.q, i)  # [i]
-    nn, *lower = _normalised_number(pair.p, pair.q, np.arange(n, n - degree - 1, -1)).tolist()
-    images = [np.ones(1)]
+    Every term is positive (n > m + 1), so nothing cancels.  The <j> come
+    from one ``_normalised_number`` call; the rest is Python float
+    arithmetic, in this order, with P = p^{m+1} and [i] = p^{i-1} <i>:
+    u_{m+1,j} = ((P [j] + [m+1] q^j) u_{m,j} + P (p [j-1] + <n> q^{j-1}) u_{m,j-1})
+    q^{1-m-j} / <n-m-1>.  Each power is one libm ``pow``, inf where it
+    overflows (``_power``), as a product is, so at an extreme pair a
+    coefficient is inf or NaN, never an exception or a warning."""
+    p, q = pair.p, pair.q
+    js = np.array([*range(degree + 1), *range(n, n - degree - 1, -1)])  # <0..degree>, <n..n-degree>
+    normalised = _normalised_number(p, q, js).tolist()
+    numbers = [_power(p, i - 1.0) * v for i, v in enumerate(normalised[: degree + 1])]  # [i]
+    nn, *lower = normalised[degree + 1 :]
+    images = [[1.0]]
     for m in range(degree):
-        u, j = images[-1], i[: m + 1]
-        q_j, p_m = q**j, p ** (m + 1.0)
-        new = np.zeros(m + 2)
-        new[:-1] = (p_m * numbers[j] + numbers[m + 1] * q_j) * u
-        new[1:] += p_m * (p * numbers[j] + nn * q_j) * u
-        images.append(new * q ** (1.0 - m - i[: m + 2]) / lower[m])
+        p_m, new = p ** (m + 1.0), [0.0] * (m + 2)
+        for j, u in enumerate(images[-1]):
+            new[j] += (p_m * numbers[j] + numbers[m + 1] * q**j) * u
+            new[j + 1] += p_m * (p * numbers[j] + nn * q**j) * u
+        images.append([v * _power(q, 1.0 - m - j) / lower[m] for j, v in enumerate(new)])
     return images
 
 
@@ -481,21 +492,26 @@ def _closed(pair: PQPair, n: int, f: FunctionSpec, xs: np.ndarray) -> list[Opera
     array xs, as sum_d c_d U_d(x) (``_image_coefficients``, up to f's degree
     only): the coefficients are combined once, and each point is evaluated
     by Horner's rule, elementwise, so a grid cell is bitwise its point alone.
+    c_d all below 2^-600 are scaled by 2^600 and the values back once, so no
+    c_d u_{d,j} or Horner step rounds subnormal; a normal cell keeps its bits.
 
     No basis row is summed, so on this route an ``OperatorResult`` has
     k_terms_used = degree + 1 (the image's coefficients), basis_tail_mass
     0.0, inner_integrals_converged True, and trusted = a finite value; the
     policy's tolerances and term budget play no part."""
-    degree = f.degree
-    # an overflowing power of q or term gives an inf or NaN cell, untrusted
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        image = np.zeros(degree + 1)
-        for c, u in zip(f.as_polynomial(), _image_coefficients(pair, n, degree)):
-            if c != 0.0:
-                image[: u.size] += c * u
+    degree, coefficients = f.degree, f.as_polynomial()
+    scale = 2.0**600 if all(abs(c) < 2.0**-600 for c in coefficients) else 1.0
+    image = [0.0] * (degree + 1)
+    for c, u in zip(coefficients, _image_coefficients(pair, n, degree)):
+        if c != 0.0:
+            for j, v in enumerate(u):
+                image[j] += c * scale * v
+    # an overflowing coefficient or term gives an inf or NaN cell, untrusted
+    with np.errstate(over="ignore", invalid="ignore"):
         values = np.full(xs.shape, image[-1])
         for c in image[-2::-1]:
             values = values * xs + c
+        values = values / scale
     return [OperatorResult(v, degree + 1, 0.0, True, math.isfinite(v)) for v in values.tolist()]
 
 
@@ -726,9 +742,9 @@ def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float
     """
     if m not in (0, 1, 2):
         raise DomainError(f"closed moments exist for m in {{0,1,2}}, got {m}")
-    n, _ = _check_point(n, x, None)
+    n, xs = _check_point(n, x, None)
     if m == 0:
-        return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
+        return np.ones(xs.shape) if xs.ndim else 1.0
     return _moment_columns(pair, n, x, (m - 1,))[0]
 
 

@@ -253,8 +253,11 @@ class TestExtremeInputs:
             (baskakov_apply, PQPair(0.9, 0.8), E[1], 1e300),
             (ANALYTIC, PQPair(0.9, 1e-300), E[2], 1.0),
             (baskakov_beta_apply, PQPair(0.9, 1e-300), E[2], 1.0),
+            (baskakov_beta_apply, PQPair(0.9, 1e-300), FunctionSpec.polynomial((0.0,) * 3 + (1.0,)), 1.0),
+            (baskakov_beta_apply, PQPair(0.9, 1e-300), FunctionSpec.polynomial((0.0,) * 4 + (1.0,)), 1.0),
         ],
-        ids=["ladder-huge-x", "analytic-huge-x", "plain-huge-x", "analytic-tiny-q", "closed-tiny-q"],
+        ids=["ladder-huge-x", "analytic-huge-x", "plain-huge-x", "analytic-tiny-q", "closed-tiny-q",
+             "closed-tiny-q-cubic", "closed-tiny-q-quartic"],
     )
     def test_untrusted_without_a_warning(self, apply, pair, f, x):
         with warnings.catch_warnings():
@@ -293,11 +296,36 @@ class TestClosedRoute:
         assert rel_err(cell.value, moments_closed(PQPair(0.9, 0.8), 1, 10, 1e300)) <= 2.3e-16
 
     def test_tiny_q_is_untrusted_without_a_warning(self):
-        # q^{m-1+j} sinks below the smallest double, and a coefficient overflows
+        # q^{m-1+j} sinks below the smallest double, and a power q^{1-m-j}
+        # overflows to inf (Python's float power would raise OverflowError)
+        for degree in (2, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cell = baskakov_beta_apply(PQPair(0.9, 1e-300), FunctionSpec.polynomial((0.0,) * degree + (1.0,)), 10, 1.0)
+            assert not cell.trusted and not math.isfinite(cell.value), degree
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "pair, n",
+        [(PQPair(0.9, 1e-300), 10), (PQPair(0.9, 1e-300), 1000), (PQPair(0.9, 1e-300), 10**6),
+         (ParameterSchedule.q_ratio().pair_at(10**6), 10**6)],
+        ids=["tiny-q-10", "tiny-q-1000", "tiny-q-10^6", "q_ratio-10^6"],
+    )
+    def test_every_closed_entry_gives_a_result_without_a_warning(self, pair, n, degree):
+        xs = np.array([0.0, 1.0, 5.0, 1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cell = baskakov_beta_apply(PQPair(0.9, 1e-300), E[2], 10, 1.0)
-        assert not cell.trusted and not math.isfinite(cell.value)
+            cells = baskakov_beta_apply(pair, FunctionSpec.polynomial([1.0] * (degree + 1)), n, xs)
+            moments = [moments_closed(pair, m, n, xs) for m in (1, 2)]
+            moments += [central_moment(pair, order, n, xs) for order in (1, 2)]
+        assert all(moment.shape == xs.shape for moment in moments)
+        assert [cell.trusted for cell in cells] == [math.isfinite(cell.value) for cell in cells]
+        if pair.q == 1e-300:
+            # from degree 2 on, a power of q in the image overflows at every x
+            assert [cell.trusted for cell in cells] == [degree == 1] * xs.size
+        else:
+            # only x = 1e300 overflows, from degree 2 on
+            assert [cell.trusted for cell in cells] == [True] * 3 + [degree == 1]
 
     @pytest.mark.parametrize("coefficients", [(0.0,), (0.0, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0)])
     def test_the_recurrence_runs_to_the_degree_only(self, coefficients):

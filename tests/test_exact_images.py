@@ -4,6 +4,7 @@ default route of a polynomial target) is within 1e-14 of exact, and every
 trusted cell of the row routes within its stated bound, each relative to
 the size sum_d |c_d| U_d(x) of the terms of the exact value."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqbaskakov import FunctionSpec, PQPair, ParameterSchedule, baskakov_apply, baskakov_beta_apply
+from pqbaskakov import FunctionSpec, PQPair, ParameterSchedule, baskakov, baskakov_apply, baskakov_beta_apply
 
 from conftest import exact_number, fraction_moment
 from exact_images import (
@@ -61,6 +62,9 @@ strict_pairs = st.one_of(
 # a subnormal value: the nearest doubles to the exact 5.7e-311 are 2^-1074
 # apart, 1.07e-14 of it, so one such step is allowed
 @example(pair=None, n=616, coefficients=[0.0, 2.2250738585072014e-308], xs=[0.0])
+# a subnormal target: its cell at x = 4 was 1.14 steps off while c u was
+# rounded to the subnormal grid before Horner's rule multiplied it by x
+@example(pair=None, n=3, coefficients=[0.0, 2.2250738585e-313], xs=[4.0])
 @given(
     pair=st.one_of(st.none(), strict_pairs),  # None: the q_ratio schedule's pair at n
     n=st.integers(3, 3000),
@@ -76,6 +80,26 @@ def test_every_closed_cell_is_within_1e_14_of_exact(pair, n, coefficients, xs):
     for cell, x in zip(cells, xs):
         assert cell.trusted
         assert within_bound(cell.value, image, x, 1e-14, 2.0**-1074), (x, cell.value)
+
+
+@pytest.mark.parametrize(
+    "pair, n",
+    [(ParameterSchedule.q_ratio().pair_at(n), n) for n in (190, 1000, 3000)]
+    + [(PQPair(0.9, 0.8), 100), (PQPair(0.999, 0.99), 400)],
+    ids=["q_ratio-190", "q_ratio-1000", "q_ratio-3000", "0.9-0.8-100", "0.999-0.99-400"],
+)
+def test_every_image_coefficient_is_within_16_units_of_roundoff(pair, n):
+    """u_{m,j} of ``_image_coefficients`` for m <= 4 against the printed
+    recurrence in integers: |got - exact| <= 16 u exact, u = 2^-53 (every
+    exact coefficient is positive), compared exactly by cross-multiplying."""
+    numerators, steps = recurrence_images(*exact_pair(pair), n, 4)
+    for m, (got, exact) in enumerate(zip(baskakov._image_coefficients(pair, n, 4), numerators)):
+        den = math.prod(steps[:m])
+        assert len(got) == len(exact) == m + 1
+        for j, (value, a) in enumerate(zip(got, exact)):
+            g_num, g_den = value.as_integer_ratio()
+            # |g_num / g_den - a / den| <= 16 * 2^-53 * a / den
+            assert abs(g_num * den - a * g_den) * 2**53 <= 16 * a * g_den, (m, j, value)
 
 
 @pytest.mark.parametrize("n", [1, 3, 12, 40])
