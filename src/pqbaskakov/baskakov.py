@@ -69,6 +69,7 @@ from .core import (
     _log_fact_table,
     _log_ratio,
     _normalised_number,
+    _normalised_numbers,
 )
 from .functions import FunctionSpec, as_callable
 from .quadrature import batched_weight_ratios
@@ -403,7 +404,7 @@ def baskakov_moment_closed(
         moment = np.ones(xs.shape) if m == 0 else xs.copy()
         return moment if xs.ndim else float(moment)
     p, q = pair.p, pair.q
-    upper, lower = _normalised_number(p, q, np.array([n + 1, n])).tolist()
+    upper, lower = _normalised_numbers(p, q, [n + 1, n])
     return (p * upper * x * x + q * x) / (q * lower)
 
 
@@ -466,15 +467,15 @@ def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[list[float]]:
                                       + [m+1] q^j u_{m,j} + p^{m+1} <n> q^{j-1} u_{m,j-1}.
 
     Every term is positive (n > m + 1), so nothing cancels.  The <j> come
-    from one ``_normalised_number`` call; the rest is Python float
+    from one ``_normalised_numbers`` call; the rest is Python float
     arithmetic, in this order, with P = p^{m+1} and [i] = p^{i-1} <i>:
     u_{m+1,j} = ((P [j] + [m+1] q^j) u_{m,j} + P (p [j-1] + <n> q^{j-1}) u_{m,j-1})
     q^{1-m-j} / <n-m-1>.  Each power is one libm ``pow``, inf where it
     overflows (``_power``), as a product is, so at an extreme pair a
     coefficient is inf or NaN, never an exception or a warning."""
     p, q = pair.p, pair.q
-    js = np.array([*range(degree + 1), *range(n, n - degree - 1, -1)])  # <0..degree>, <n..n-degree>
-    normalised = _normalised_number(p, q, js).tolist()
+    # <0> .. <degree>, then <n> .. <n - degree>
+    normalised = _normalised_numbers(p, q, [*range(degree + 1), *range(n, n - degree - 1, -1)])
     numbers = [_power(p, i - 1.0) * v for i, v in enumerate(normalised[: degree + 1])]  # [i]
     nn, *lower = normalised[degree + 1 :]
     images = [[1.0]]
@@ -694,7 +695,7 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     terms of about n^2, as g^2/p + q <n-2> + p^4 <n>/q with
     g = p^2 <n> - q <n-2> = (p^2 - q) <n-2> + p r^{n-2} (p + q)."""
     p, q = pair.p, pair.q
-    nn, n1, n2 = _normalised_number(p, q, np.arange(n, n - 3, -1)).tolist()
+    nn, n1, n2 = _normalised_numbers(p, q, [n, n - 1, n - 2])
     # r^{n-2} through log1p(r - 1), as <j> takes it: (q/p) ** (n - 2) would
     # carry n - 2 times the rounding of q/p; and p r^{n-1} = q r^{n-2}
     r_power = math.exp((n - 2) * _log_ratio(p, q))

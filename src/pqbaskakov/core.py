@@ -172,6 +172,16 @@ def _normalised_number(p: float, q: float, j):
     return np.expm1(j * _log_ratio(p, q)) / ((q - p) / p)
 
 
+def _normalised_numbers(p: float, q: float, js: list[int]) -> list:
+    """``_normalised_number`` at each whole j of the list js, bitwise, as a
+    list: one numpy call (its vectorised expm1) instead of four on a short
+    array, for the closed forms that need a few <j> per order."""
+    if p == q:
+        return list(js)
+    rate, ratio = _log_ratio(p, q), (q - p) / p
+    return [v / ratio for v in np.expm1([j * rate for j in js]).tolist()]
+
+
 def pq_number(pair: PQPair, n: int) -> float:
     """[n]_{p,q} = p^{n-1} <n> (``_normalised_number``), which is the limit
     n p^{n-1} on the degenerate line p == q."""

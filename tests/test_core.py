@@ -146,6 +146,16 @@ class TestNumbers:
         exact = (fp**n - fq**n) / (fp - fq)
         assert abs(Fraction(pq_number(PQPair(p, q), n)) / exact - 1) < 1e-15
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pair=st.one_of(st.sampled_from(STRICT_PAIRS + [CLASSICAL, PQPair(0.9, 1e-300)]),
+                       st.builds(lambda p, r: PQPair(p, p * r), st.floats(0.5, 1.0), st.floats(1e-3, 1.0))),
+        js=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    )
+    def test_the_list_of_normalised_numbers_is_bitwise_the_array_one(self, pair, js):
+        got = core._normalised_numbers(pair.p, pair.q, js)
+        assert repr(got) == repr(core._normalised_number(pair.p, pair.q, np.array(js)).tolist())
+
     def test_classical_limit_along_q_equals_p_squared(self):
         n = 7
         errors = [abs(pq_number(PQPair(p, p * p), n) - n) for p in (0.9, 0.99, 0.999)]
