@@ -253,8 +253,8 @@ class TestExtremeInputs:
             (baskakov_apply, PQPair(0.9, 0.8), E[1], 1e300),
             (ANALYTIC, PQPair(0.9, 1e-300), E[2], 1.0),
             (baskakov_beta_apply, PQPair(0.9, 1e-300), E[2], 1.0),
-            (baskakov_beta_apply, PQPair(0.9, 1e-300), FunctionSpec.polynomial((0.0,) * 3 + (1.0,)), 1.0),
-            (baskakov_beta_apply, PQPair(0.9, 1e-300), FunctionSpec.polynomial((0.0,) * 4 + (1.0,)), 1.0),
+            (baskakov_beta_apply, PQPair(0.9, 1e-300), FunctionSpec.polynomial((0, 0, 0, 1)), 1.0),
+            (baskakov_beta_apply, PQPair(0.9, 1e-300), FunctionSpec.polynomial((0, 0, 0, 0, 1)), 1.0),
         ],
         ids=["ladder-huge-x", "analytic-huge-x", "plain-huge-x", "analytic-tiny-q", "closed-tiny-q",
              "closed-tiny-q-cubic", "closed-tiny-q-quartic"],
@@ -299,9 +299,10 @@ class TestClosedRoute:
         # q^{m-1+j} sinks below the smallest double, and a power q^{1-m-j}
         # overflows to inf (Python's float power would raise OverflowError)
         for degree in (2, 3, 4):
+            f = FunctionSpec.polynomial((0.0,) * degree + (1.0,))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                cell = baskakov_beta_apply(PQPair(0.9, 1e-300), FunctionSpec.polynomial((0.0,) * degree + (1.0,)), 10, 1.0)
+                cell = baskakov_beta_apply(PQPair(0.9, 1e-300), f, 10, 1.0)
             assert not cell.trusted and not math.isfinite(cell.value), degree
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
