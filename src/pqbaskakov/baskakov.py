@@ -69,7 +69,6 @@ from .core import (
     _log_fact_table,
     _log_ratio,
     _normalised_number,
-    _normalised_numbers,
 )
 from .functions import FunctionSpec, as_callable
 from .quadrature import batched_weight_ratios
@@ -182,7 +181,7 @@ def baskakov_node(pair: PQPair, n: int, k: int) -> float:
     """The sample node p^{n-1} [k] / (q^{k-1} [n]) = <k>_{1/r} / <n>_r, r = q/p."""
     n = _check_order(n)
     k = _check_nonneg_int(k, "basis index k")
-    return float(_nodes(pair, n, np.float64(k)))
+    return float(_nodes(pair, n, np.array(float(k))))
 
 
 def _nodes(pair: PQPair, n: int, k: np.ndarray) -> np.ndarray:
@@ -262,7 +261,7 @@ def _row_extents(
     log_theta = np.log(_THETAS)
     log_reserve = np.log(_TAIL * (1.0 - _THETAS))
     big = np.exp(-log_r)  # R = p/q, inf past the float range
-    excess = max(0.0, 1.0 / float(_normalised_number(p, q, n)) + 1.0 - big)
+    excess = max(0.0, 1.0 / _normalised_number(p, q, n) + 1.0 - big)
 
     def parts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # X_theta(k) = theta scale / (growth - theta r^n)
@@ -400,11 +399,11 @@ def baskakov_moment_closed(
     if m not in (0, 1, 2):
         raise DomainError(f"closed Baskakov moments exist for m in {{0,1,2}}, got {m}")
     n, xs = _check_point(n, x, None)
+    x = xs if xs.ndim else float(xs)
     if m < 2:
-        moment = np.ones(xs.shape) if m == 0 else xs.copy()
-        return moment if xs.ndim else float(moment)
+        return x**m  # a new array of x's shape, or a float
     p, q = pair.p, pair.q
-    upper, lower = _normalised_numbers(p, q, [n + 1, n])
+    upper, lower = _normalised_number(p, q, [n + 1, n])
     return (p * upper * x * x + q * x) / (q * lower)
 
 
@@ -434,7 +433,7 @@ def verify_baskakov_recurrence(
     t_px, t_qx = (r.value for r in baskakov_apply(pair, e_m, n, np.array([p * x, q * x]), policy))
     t_next = baskakov_apply(pair, FunctionSpec.named(f"e{m + 1}"), n, q * x, policy).value
     derivative = (t_px - t_qx) / ((p - q) * x)  # the (p,q)-difference quotient
-    nn = float(_normalised_number(p, q, n))
+    nn = _normalised_number(p, q, n)
     lhs = nn * t_next
     rhs = q * x * (1.0 + p * x) * derivative + nn * q * x * t_qx
     return abs(lhs - rhs)
@@ -467,7 +466,7 @@ def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[list[float]]:
                                       + [m+1] q^j u_{m,j} + p^{m+1} <n> q^{j-1} u_{m,j-1}.
 
     Every term is positive (n > m + 1), so nothing cancels.  The <j> come
-    from one ``_normalised_numbers`` call; the rest is Python float
+    from one ``_normalised_number`` call (libm); the rest is Python float
     arithmetic, in this order, with P = p^{m+1} and [i] = p^{i-1} <i>:
     u_{m+1,j} = ((P [j] + [m+1] q^j) u_{m,j} + P (p [j-1] + <n> q^{j-1}) u_{m,j-1})
     q^{1-m-j} / <n-m-1>.  Each power is one libm ``pow``, inf where it
@@ -475,7 +474,7 @@ def _image_coefficients(pair: PQPair, n: int, degree: int) -> list[list[float]]:
     coefficient is inf or NaN, never an exception or a warning."""
     p, q = pair.p, pair.q
     # <0> .. <degree>, then <n> .. <n - degree>
-    normalised = _normalised_numbers(p, q, [*range(degree + 1), *range(n, n - degree - 1, -1)])
+    normalised = _normalised_number(p, q, [*range(degree + 1), *range(n, n - degree - 1, -1)])
     numbers = [_power(p, i - 1.0) * v for i, v in enumerate(normalised[: degree + 1])]  # [i]
     nn, *lower = normalised[degree + 1 :]
     images = [[1.0]]
@@ -695,7 +694,7 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     terms of about n^2, as g^2/p + q <n-2> + p^4 <n>/q with
     g = p^2 <n> - q <n-2> = (p^2 - q) <n-2> + p r^{n-2} (p + q)."""
     p, q = pair.p, pair.q
-    nn, n1, n2 = _normalised_numbers(p, q, [n, n - 1, n - 2])
+    nn, n1, n2 = _normalised_number(p, q, [n, n - 1, n - 2])
     # r^{n-2} through log1p(r - 1), as <j> takes it: (q/p) ** (n - 2) would
     # carry n - 2 times the rounding of q/p; and p r^{n-1} = q r^{n-2}
     r_power = math.exp((n - 2) * _log_ratio(p, q))
@@ -716,9 +715,9 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
 def _moment_columns(
     pair: PQPair, n: int, x: float | np.ndarray, columns: tuple[int, ...] = (0, 1, 2, 3)
 ) -> list:
-    """The closed columns of D_n at x (a float, or an array of any shape) from
-    one ``_moment_numerators`` pass, by index: 0 M1, 1 M2, 2 mu1, 3 mu2, each
-    numerator by Horner's rule and divided once.  n is a whole order; M1
+    """The closed columns of D_n at x (a float, or a float array of any shape)
+    from one ``_moment_numerators`` pass, by index: 0 M1, 1 M2, 2 mu1, 3 mu2,
+    each numerator by Horner's rule and divided once.  n is a whole order; M1
     needs n > 1 and the other columns n > 2.  A value that overflows (at an
     extreme pair or x) is inf or NaN, without a warning."""
     if n <= (1 if columns == (0,) else 2):
@@ -737,16 +736,18 @@ def _moment_columns(
 def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Closed first and second moments of the Beta-weighted operator
     (``_moment_numerators``): m = 0 needs n >= 1, m = 1 needs n > 1, m = 2
-    needs n > 2.  x may be a float or an array (a whole grid), and the result
-    has its shape; each element is bitwise the value at that float x.  A
-    point outside 0 <= x < inf raises ``DomainError``.
+    needs n > 2.  x may be a float, or an array or a (nested) list of points
+    (a whole grid), evaluated as the float array ``_check_point`` makes of
+    it; the result has its shape, a float for one point, and each element is
+    bitwise the value at that float x.  A point outside 0 <= x < inf raises
+    ``DomainError``.
     """
     if m not in (0, 1, 2):
         raise DomainError(f"closed moments exist for m in {{0,1,2}}, got {m}")
     n, xs = _check_point(n, x, None)
     if m == 0:
         return np.ones(xs.shape) if xs.ndim else 1.0
-    return _moment_columns(pair, n, x, (m - 1,))[0]
+    return _moment_columns(pair, n, xs if xs.ndim else float(xs), (m - 1,))[0]
 
 
 def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -755,5 +756,5 @@ def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> f
     from the numerators of ``_moment_numerators``."""
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
-    n, _ = _check_point(n, x, None)
-    return _moment_columns(pair, n, x, (order + 1,))[0]
+    n, xs = _check_point(n, x, None)
+    return _moment_columns(pair, n, xs if xs.ndim else float(xs), (order + 1,))[0]

@@ -13,7 +13,7 @@ Conventions:
 
     The normalised number <n> lies in [1, 1/(1 - r)) for n >= 1, so the
     closed forms written in it (here and in ``baskakov``) never underflow,
-    where the powers p^n of [n] do at a fixed p < 1.
+    where the powers p^n of [n] do at a fixed p < 1, and take it from libm.
 
     Gamma(n+1) = [n]!,  at integer arguments only.
 
@@ -159,34 +159,30 @@ def _log_ratio(p: float, q: float) -> float:
 
 
 def _normalised_number(p: float, q: float, j):
-    """<j> = [j] / p^{j-1} = (1 - r^j) / (1 - r) with r = q/p, elementwise
-    over an int j or an integer-valued array; j itself at r = 1 (the
-    package's one p == q case of the closed forms).  r^j - 1 is taken as
+    """<j> = [j] / p^{j-1} = (1 - r^j) / (1 - r) with r = q/p, and j itself at
+    r = 1 (the package's one p == q case of the closed forms).  r^j - 1 is
     expm1(j log r) (``_log_ratio``), so nothing cancels near r = 1, and <j>
     lies in [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.
-    Any r > 0 is allowed: the plain operator's nodes need <k> at 1/r, where
-    r^j may overflow to an inf <j> (its caller decides under which
-    ``np.errstate``)."""
+    A whole j gives a float and a list of them a list, from libm, so the
+    closed forms do not depend on numpy's SIMD dispatch; an integer-valued
+    array takes numpy's expm1 elementwise, at any r > 0: the plain operator's
+    nodes need <k> at 1/r, where r^j may overflow to inf (its caller decides
+    under which ``np.errstate``)."""
     if p == q:
         return j
-    return np.expm1(j * _log_ratio(p, q)) / ((q - p) / p)
-
-
-def _normalised_numbers(p: float, q: float, js: list[int]) -> list:
-    """``_normalised_number`` at each whole j of the list js, bitwise, as a
-    list: one numpy call (its vectorised expm1) instead of four on a short
-    array, for the closed forms that need a few <j> per order."""
-    if p == q:
-        return list(js)
     rate, ratio = _log_ratio(p, q), (q - p) / p
-    return [v / ratio for v in np.expm1([j * rate for j in js]).tolist()]
+    if isinstance(j, np.ndarray):
+        return np.expm1(j * rate) / ratio
+    if isinstance(j, list):
+        return [math.expm1(i * rate) / ratio for i in j]
+    return math.expm1(j * rate) / ratio
 
 
 def pq_number(pair: PQPair, n: int) -> float:
     """[n]_{p,q} = p^{n-1} <n> (``_normalised_number``), which is the limit
     n p^{n-1} on the degenerate line p == q."""
     n = _check_nonneg_int(n, "n")
-    return pair.p ** (n - 1) * float(_normalised_number(pair.p, pair.q, n))
+    return pair.p ** (n - 1) * _normalised_number(pair.p, pair.q, n)
 
 
 def log_pq_number(pair: PQPair, n: int) -> float:

@@ -24,7 +24,7 @@ from pqbaskakov import (
     weighted_sup_error,
 )
 
-from conftest import CLASSICAL, STRICT_PAIRS, rel_err
+from conftest import CLASSICAL, STRICT_PAIRS, fraction_moment, rel_err
 
 E1 = FunctionSpec.named("e1")
 E2 = FunctionSpec.named("e2")
@@ -278,6 +278,99 @@ class TestCriterion8Explanation:
         sched = ParameterSchedule.q_ratio()
         got = weighted_sup_error(sched.pair_at(80), 80, E1, EvalGrid(0.0, 10.0, 201))
         assert rel_err(got, float(closed_weighted_e1_error(80))) < 1e-12
+
+
+RATE_ORDERS = [10**k for k in range(1, 7)]
+RATE_GRID = EvalGrid(0.0, 5.0, 21)
+RATE_SCHEDULES = {
+    "q_ratio": ParameterSchedule.q_ratio(),
+    "harmonic_decay": ParameterSchedule.harmonic_decay(0.5, 1.5),
+    "fixed": ParameterSchedule.fixed(PQPair(0.9, 0.8)),
+}
+# n (1 - p_n) -> a and n (1 - q_n) -> b along each converging schedule:
+# q_n = n / (n + 1) gives b = 1
+RATE_LIMITS = {"q_ratio": (0.0, 1.0), "harmonic_decay": (0.5, 1.5)}
+
+
+def exact_scaled_error(pair, n, m):
+    """n sup_x |D_n(t^m, x) - x^m| / (1 + x^2) over RATE_GRID, m in {1, 2},
+    from the printed closed moments at the float pair's binary values: in
+    ``Fraction`` up to n = 100, and in 60-digit mpmath beyond, where one
+    ``Fraction`` M2 takes 0.2 s at n = 1,000."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        number = Fraction if n <= 100 else mp.mpf
+        p, q = number(pair.p), number(pair.q)
+        xs = [number(x) for x in RATE_GRID.array().tolist()]
+        return float(n * max(abs(fraction_moment(p, q, m, n, x) - x**m) / (1 + x * x) for x in xs))
+
+
+def scaled_error_limit(a, b, m):
+    """The limit of n sup_x |D_n(t^m, x) - x^m| / (1 + x^2) over RATE_GRID
+    along a schedule with n (1 - p_n) -> a and n (1 - q_n) -> b > a.  With
+    c = e^{a - b} = lim (q_n / p_n)^n, the closed moments expand to
+        n (M1 - x)   -> ((b c - a) x + b - a) / (1 - c),
+        n (M2 - x^2) -> 2 x ((b + b c - 2 a) x + 2 (b - a)) / (1 - c),
+    which are positive on x > 0, and the sup over a fixed grid of functions
+    that converge at each point is the sup of their limits."""
+    c = math.exp(a - b)
+
+    def limit(x):
+        if m == 1:
+            return ((b * c - a) * x + b - a) / (1 - c)
+        return 2 * x * ((b + b * c - 2 * a) * x + 2 * (b - a)) / (1 - c)
+
+    return max(limit(x) / (1 + x * x) for x in RATE_GRID.array().tolist())
+
+
+class TestRatesAtScale:
+    """The paper's direct results as n -> infinity, at orders 10 to 10^6 on
+    [0, 5] x 21, where every polynomial takes the closed route."""
+
+    @pytest.mark.parametrize("target", [E1, E2, FunctionSpec.polynomial([7.0, -2.0, 25.0])],
+                             ids=["e1", "e2", "sweep-quadratic"])
+    @pytest.mark.parametrize("schedule", sorted(RATE_SCHEDULES))
+    def test_the_rate_bound_dominates_the_error_at_every_order(self, schedule, target):
+        # criterion 9, with the sup error over the whole grid, not only over
+        # the bound's window [0, kappa]
+        sched = RATE_SCHEDULES[schedule]
+        rows = convergence_run(sched, target, RATE_ORDERS, RATE_GRID)
+        assert [r.n for r in rows if r.ok] == RATE_ORDERS
+        for row in rows:
+            assert row.sup_error <= interval_rate_bound(sched.pair_at(row.n), row.n, target, 2.0, RATE_GRID)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("schedule", sorted(RATE_LIMITS))
+    def test_n_times_the_weighted_error_tends_to_its_limit(self, schedule, m):
+        sched, limit = RATE_SCHEDULES[schedule], scaled_error_limit(*RATE_LIMITS[schedule], m)
+        rows = convergence_run(sched, FunctionSpec.named(f"e{m}"), RATE_ORDERS, RATE_GRID)
+        for row in rows:
+            exact = exact_scaled_error(sched.pair_at(row.n), row.n, m)
+            # a cell D_n(x) - x^m carries a few ulps of x^m <= 25, so n times
+            # the error is off by up to 4.3e-16 n (measured)
+            assert row.n * row.weighted_error == pytest.approx(exact, rel=1e-13, abs=row.n * 2e-15)
+            # Theta(1/n): the gap to the limit is at most 16 / n (15.9 / n for
+            # e2 at n = 10 on q_ratio)
+            assert abs(exact - limit) * row.n <= 16.0
+
+    def test_the_limits_of_the_q_ratio_grid(self):
+        # README's 1.63305 is e1's limit on criterion 8's grid [0, 10] x 201
+        assert scaled_error_limit(0.0, 1.0, 1) == pytest.approx(1.62585, abs=5e-6)
+        assert scaled_error_limit(0.0, 1.0, 2) == pytest.approx(5.99349, abs=5e-6)
+
+    def test_the_fixed_pair_saturates_at_n_1e5(self):
+        # criterion 10 at n = 10^5: D_n(t, x) = M1(x) -> p x + q (p - q) / p,
+        # reached here to rounding, so the weighted error stays at that
+        # limit's instead of falling like 1 / n
+        pair, n = PQPair(0.9, 0.8), 10**5
+        p, q = pair.p, pair.q
+        xs = RATE_GRID.array()
+        limit = p * xs + q * (p - q) / p
+        assert np.abs(moments_closed(pair, 1, n, xs) - limit).max() <= 4e-16 * np.abs(limit).max()
+        (row,) = convergence_run(RATE_SCHEDULES["fixed"], E1, [n], RATE_GRID)
+        saturated = np.max(np.abs(limit - xs) / (1.0 + xs**2))
+        assert row.weighted_error == pytest.approx(saturated, rel=1e-14)
+        assert row.weighted_error > 0.08
 
 
 class TestSchedules:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -152,9 +153,29 @@ class TestNumbers:
                        st.builds(lambda p, r: PQPair(p, p * r), st.floats(0.5, 1.0), st.floats(1e-3, 1.0))),
         js=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
     )
-    def test_the_list_of_normalised_numbers_is_bitwise_the_array_one(self, pair, js):
-        got = core._normalised_numbers(pair.p, pair.q, js)
-        assert repr(got) == repr(core._normalised_number(pair.p, pair.q, np.array(js)).tolist())
+    def test_the_whole_and_list_forms_are_libm_and_the_array_form_numpy(self, pair, js):
+        p, q = pair.p, pair.q
+        if p == q:
+            assert core._normalised_number(p, q, js) == js
+            return
+        rate, ratio = core._log_ratio(p, q), (q - p) / p
+        want = [math.expm1(j * rate) / ratio for j in js]
+        got = [core._normalised_number(p, q, j) for j in js]
+        assert all(type(v) is float for v in got)
+        assert repr(got) == repr(want)
+        assert repr(core._normalised_number(p, q, js)) == repr(want)
+        # the array form, as the plain operator's nodes take it at 1/r too,
+        # where (1/r)^j overflows to inf under the caller's np.errstate
+        for a, b in ((p, q), (q, p)):
+            rate, ratio = core._log_ratio(a, b), (b - a) / a
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore"):
+                    got = core._normalised_number(a, b, np.array(js))
+                    want = np.expm1(np.array(js) * rate) / ratio
+            assert got.tobytes() == want.tobytes()
+            overflows = np.array(js) * rate > math.log(np.finfo(float).max)
+            assert np.isinf(got[overflows]).all() and np.isfinite(got[~overflows]).all()
 
     def test_classical_limit_along_q_equals_p_squared(self):
         n = 7
