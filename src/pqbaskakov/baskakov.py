@@ -70,8 +70,8 @@ from .core import (
     _log_ratio,
     _normalised_number,
 )
-from .functions import FunctionSpec, as_callable
-from .quadrature import batched_weight_ratios
+from .functions import FunctionSpec, _horner, as_callable
+from .quadrature import _tail_extent, batched_weight_ratios
 
 __all__ = [
     "OperatorResult",
@@ -243,23 +243,22 @@ def _row_extents(
     with R = 1/r and e = 1/<n>_r + 1 - R, g_k = R + max(e, 0)/(1 + t_k).  So
     rho~_k = rho_k g_k^degree >= c_{k+1}/c_k never rises.  Let k_i be the
     first k with rho~_k <= theta_i, for the levels theta_1 > theta_2 > ...
-    of _THETAS.  From k_j on the c_k fall by theta_j or more a step, so
-    c_{k_i} <= e^{D_i} max_k c_k with D_i = sum_{j<i} (k_{j+1} - k_j) log theta_j,
-    and sum_{k>=K} c_k <= c_{k_i} theta_i^{K-k_i} / (1 - theta_i) <= _TAIL max_k c_k
-    once K >= (log(_TAIL (1 - theta_i)) - E_i) / log theta_i, where
-    E_i = D_i - k_i log theta_i = sum_{j<=i} k_j (log theta_{j-1} - log theta_j)
-    and log theta_0 = 0.  K is the least such bound over i.  As rho~_k
-    rises with x, rho~_k <= theta reads x <= X_theta(k) = theta r^{-k} /
-    (G_k - theta r^n), G_k = (<n+k> / <k+1>) g_k^degree >= 1, which rises
-    with k: each k_i is found by bisection (``np.searchsorted``) in an
-    x-independent vector, so each K is that of its point alone.  The vector
-    stops where the probes k = 2^j - 1 at the largest point bound every K.
+    of _THETAS.  From k_i on the c_k fall by a factor theta_i or more a step,
+    so sum_{k>=K} c_k <= c_K / (1 - theta_i) for K >= k_i, which is at most
+    _TAIL max_k c_k once log c_K lies -log(_TAIL (1 - theta_i)) below
+    log max_k c_k: K is ``quadrature._tail_extent`` of the anchors k_i, the
+    falls -log theta_i and those reserves.  As rho~_k rises with x,
+    rho~_k <= theta reads x <= X_theta(k) = theta r^{-k} / (G_k - theta r^n),
+    G_k = (<n+k> / <k+1>) g_k^degree >= 1, which rises with k: each k_i is
+    found by bisection (``np.searchsorted``) in an x-independent vector, so
+    each K is that of its point alone.  The vector stops where the probes
+    k = 2^j - 1 at the largest point bound every K.
     """
     p, q = pair.p, pair.q
     log_r = _log_ratio(p, q)
     r_n = math.exp(n * log_r)
-    log_theta = np.log(_THETAS)
-    log_reserve = np.log(_TAIL * (1.0 - _THETAS))
+    falls = -np.log(_THETAS)
+    reserves = -np.log(_TAIL * (1.0 - _THETAS))
     big = np.exp(-log_r)  # R = p/q, inf past the float range
     excess = max(0.0, 1.0 / _normalised_number(p, q, n) + 1.0 - big)
 
@@ -276,7 +275,7 @@ def _row_extents(
     scale, growth = parts(probes.astype(float))
     hit = _THETAS * scale / (growth - _THETAS * r_n) >= xs.max()
     reached = np.where(hit.any(axis=1), probes[np.argmax(hit, axis=1)], max_terms)
-    bound = reached + np.ceil(log_reserve / log_theta)[:, 0]
+    bound = reached + np.ceil(reserves / falls)[:, 0]
     bound = min(max_terms, int(bound.min()))
     # k_i of each point, one level at a time, so that a long vector is held
     # once; a k_i past the vector reads bound, and its K is >= bound
@@ -285,9 +284,7 @@ def _row_extents(
     for i, theta in enumerate(_THETAS[:, 0].tolist()):
         levels = np.maximum.accumulate(theta * scale / (growth - theta * r_n))
         firsts[i] = np.searchsorted(levels, xs)
-    chain = np.cumsum(firsts * -np.diff(log_theta, axis=0, prepend=0.0), axis=0)  # E_i
-    ends = np.ceil((log_reserve - chain) / log_theta)
-    ends = np.maximum(ends, firsts).min(axis=0)
+    ends = _tail_extent(firsts, falls, reserves)
     return np.where(xs > 0.0, np.minimum(ends, bound).astype(np.int64), 1)
 
 
@@ -508,10 +505,7 @@ def _closed(pair: PQPair, n: int, f: FunctionSpec, xs: np.ndarray) -> list[Opera
                 image[j] += c * scale * v
     # an overflowing coefficient or term gives an inf or NaN cell, untrusted
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.full(xs.shape, image[-1])
-        for c in image[-2::-1]:
-            values = values * xs + c
-        values = values / scale
+        values = _horner(image, xs) / scale
     return [OperatorResult(v, degree + 1, 0.0, True, math.isfinite(v)) for v in values.tolist()]
 
 
@@ -675,7 +669,7 @@ def baskakov_beta_apply(
 
 def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     """The closed columns M1, M2, mu1 and mu2 of D_n (n > 1) as quadratics in
-    x over their denominators, in that order: (coefficients, highest power of
+    x over their denominators, in that order: (coefficients, lowest power of
     x first; denominator) each.  The printed forms M1 = ([n] x + p^{n-2} q) /
     [n-1] and M2 = ([n]([n] + p^n/q) x^2 + [n] p^{n-3} (p+q)^2 x + p^{2n-5}
     q^2 [2]) / (q [n-1][n-2]) are written in the normalised numbers
@@ -705,10 +699,10 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
     d = qn2 * n1
     g = (p * p - q) * n2 + p * r_power * (p + q)
     return (
-        ((p * nn, q), n1),
-        ((b2, b1, b0), d),
-        ((q * r_power - (1.0 - p) * n1, q), n1),
-        ((g * g / p + qn2 + p**4 * nn / q, b1 - 2.0 * q * qn2, b0), d),
+        ((q, p * nn), n1),
+        ((b0, b1, b2), d),
+        ((q, q * r_power - (1.0 - p) * n1), n1),
+        ((b0, b1 - 2.0 * q * qn2, g * g / p + qn2 + p**4 * nn / q), d),
     )
 
 
@@ -723,14 +717,8 @@ def _moment_columns(
     if n <= (1 if columns == (0,) else 2):
         raise DomainError(f"M1 needs n > 1, and M2, mu1 and mu2 need n > 2; got n = {n}")
     numerators = _moment_numerators(pair, n)
-    values = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for coefficients, denominator in (numerators[c] for c in columns):
-            value = coefficients[0]
-            for c in coefficients[1:]:
-                value = value * x + c
-            values.append(value / denominator)
-    return values
+        return [_horner(numerators[c][0], x) / numerators[c][1] for c in columns]
 
 
 def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -160,9 +160,10 @@ def _log_ratio(p: float, q: float) -> float:
 
 def _normalised_number(p: float, q: float, j):
     """<j> = [j] / p^{j-1} = (1 - r^j) / (1 - r) with r = q/p, and j itself at
-    r = 1 (the package's one p == q case of the closed forms).  r^j - 1 is
-    expm1(j log r) (``_log_ratio``), so nothing cancels near r = 1, and <j>
-    lies in [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.
+    r = 1 (the package's one p == q case).  r^j - 1 is expm1(j log r)
+    (``_log_ratio``), so nothing cancels near r = 1, and it is divided by
+    r - 1 as expm1(log r), so that <1> is exactly 1; <j> lies in
+    [1, 1/(1 - r)) for j >= 1 when r < 1, so it never underflows.
     A whole j gives a float and a list of them a list, from libm, so the
     closed forms do not depend on numpy's SIMD dispatch; an integer-valued
     array takes numpy's expm1 elementwise, at any r > 0: the plain operator's
@@ -170,7 +171,8 @@ def _normalised_number(p: float, q: float, j):
     under which ``np.errstate``)."""
     if p == q:
         return j
-    rate, ratio = _log_ratio(p, q), (q - p) / p
+    rate = _log_ratio(p, q)
+    ratio = math.expm1(rate)
     if isinstance(j, np.ndarray):
         return np.expm1(j * rate) / ratio
     if isinstance(j, list):
@@ -194,21 +196,13 @@ def log_pq_number(pair: PQPair, n: int) -> float:
 
 
 def _log_pq_terms(pair: PQPair, js: range) -> np.ndarray:
-    """log [j]_{p,q} for each j >= 1 of js.  The logs and powers are taken in
-    math, one j at a time (numpy's vectorized log1p rounds some of them
-    differently), and only the exact-order sums and products run in numpy:
-    each term is (j - 1) log p + log j at p = q, and otherwise
-    (j - 1) log p + log1p(-r^j) - log(1 - r), with r = q/p < 1, since
-    [j] = p^{j-1} (1 - r^j) / (1 - r)."""
-    p, q = pair.p, pair.q
-    lp = math.log(p)
-    scaled = (np.arange(js.start, js.stop) - 1) * lp
-    if p == q:
-        return scaled + np.fromiter(map(math.log, js), float, len(js))
-    r = q / p
-    powers = np.fromiter(map(math.pow, repeat(r), js), float, len(js))
-    log1p = np.fromiter(map(math.log1p, (-powers).tolist()), float, len(js))
-    return scaled + log1p - math.log1p(-r)
+    """log [j]_{p,q} = (j - 1) log p + log <j> for each j >= 1 of js, with
+    every <j> from one ``_normalised_number`` list and its log taken in math
+    (numpy's vectorized log rounds some of them differently); only the
+    exact-order products and sums run in numpy."""
+    numbers = _normalised_number(pair.p, pair.q, list(js))
+    logs = np.fromiter(map(math.log, numbers), float, len(js))
+    return (np.arange(js.start, js.stop) - 1) * math.log(pair.p) + logs
 
 
 def _log_fact_table(pair: PQPair, n: int) -> np.ndarray:

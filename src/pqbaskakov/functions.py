@@ -10,10 +10,11 @@ A spec checks all of this when it is made, however it is made.
 
 A registry entry is defined once: the monomials e0..e3 by their
 coefficients, and a function that is not a polynomial by a callable.  Every
-polynomial, given by coefficients or by name, is evaluated by Horner's rule,
-c_d, then c_{d-1} + v x, down to c_0 + v x, in the same order and with the
-same result types as ``numpy.polynomial.polynomial.polyval``, so its values
-are bitwise polyval's without loading ``numpy.polynomial``.
+polynomial, given by coefficients or by name, is evaluated by ``_horner``,
+the package's one Horner loop (the closed route and moments take it too):
+c_d, then c_{d-1} + v x, down to c_0 + v x, in the order and with the result
+types of ``numpy.polynomial.polynomial.polyval``, so its values are bitwise
+polyval's without loading ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ ArrayLike = Union[float, np.ndarray]
 
 def _abs_t_minus_1(t: ArrayLike) -> ArrayLike:
     return np.abs(np.asarray(t, dtype=float) - 1.0)
+
+
+def _horner(coefficients: Sequence[float], x):
+    """sum_d c_d x^d for the ascending coefficients c_0..c_d by Horner's rule,
+    at a float x (a float) or elementwise over an array x (an array)."""
+    *lower, top = coefficients
+    value = top + x * 0
+    for c in reversed(lower):
+        value = c + value * x
+    return value
 
 
 # name -> (definition, default C_f); the definition is the ascending
@@ -93,12 +104,7 @@ class FunctionSpec:
         coefficients = self.as_polynomial()
         if coefficients is None:
             return NAMED_FUNCTIONS[self.name][0](x)
-        x = np.asarray(x, dtype=float)
-        *lower, top = coefficients
-        value = top + x * 0
-        for c in reversed(lower):
-            value = c + value * x
-        return value
+        return _horner(coefficients, np.asarray(x, dtype=float))
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
         out = self.evaluate(x)

@@ -321,6 +321,25 @@ class _LadderWindow:
         return self.log_r * steps - (bounded - np.repeat(peak_bounded, width))
 
 
+def _tail_extent(anchors: np.ndarray, rates: np.ndarray, reserve) -> np.ndarray:
+    """The least index from which a sequence h lies reserve below its top
+    (its largest value), by one bound per level (axis 0 of each argument).
+
+    Level j states that every step from index anchors_j on falls by at
+    least rates_j >= 0, and the rates rise with j.  Raising the anchors to
+    their running maximum keeps each statement true.  Between anchors_i and
+    anchors_{i+1} each step falls by rates_i, so h(anchors_j) lies
+    banked_j = sum_{i<j} (anchors_{i+1} - anchors_i) rates_i below the top,
+    and each later step by rates_j more: h(u) lies reserve_j below the top
+    for every u >= anchors_j + ceil(max(reserve_j - banked_j, 0) / rates_j).
+    A level of rate 0 (so banked_j = 0 < reserve_j) gives inf."""
+    anchors = np.maximum.accumulate(anchors, axis=0)
+    prior = np.concatenate([np.zeros_like(rates[:1]), rates[:-1]])
+    banked = np.cumsum(np.diff(anchors, axis=0, prepend=0.0) * prior, axis=0)
+    with np.errstate(divide="ignore"):
+        return (anchors + np.ceil(np.maximum(reserve - banked, 0.0) / rates)).min(axis=0)
+
+
 def _band_extents(
     neg_log_r: float, n: int, ks: np.ndarray, degree: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,8 +355,8 @@ def _band_extents(
         x = (e^{c + (k+1)L} - 1) / (1 - e^{c - nL}),
 
     and past the node where dh reaches a fraction s of its limit, each node
-    drops by at least s times that limit.  Each fraction of _SLOPES gives a
-    bound; the band takes the tightest one."""
+    drops by at least s times that limit.  Each fraction of _SLOPES gives an
+    anchor and a rate of ``_tail_extent``, which takes the tightest bound."""
     L, a = neg_log_r, ks + 1.0
 
     def level(c: np.ndarray) -> np.ndarray:
@@ -351,19 +370,9 @@ def _band_extents(
     # step rises by at least s n L (less the growth of f)
     right_anchor = np.ceil(level(-_SLOPES * a * L))
     left_anchor = np.floor(level(_SLOPES * n * L)) + 1.0
-    extents = []
-    for to_anchor, rate in (
-        (right_anchor - peak, _SLOPES * a * L),
-        (peak - left_anchor, np.maximum(_SLOPES * n - degree, 0.0) * L),
-    ):
-        to_anchor = np.maximum.accumulate(np.maximum(to_anchor, 0.0), axis=0)
-        # past anchor j each step drops by at least rate_j
-        prev_rate = np.concatenate([np.zeros_like(rate[:1]), rate[:-1]])
-        dropped = np.cumsum(np.diff(to_anchor, axis=0, prepend=0.0) * prev_rate, axis=0)
-        with np.errstate(divide="ignore"):
-            rest = np.ceil(np.maximum(_SPAN - dropped, 0.0) / rate)
-        extents.append((to_anchor + rest).min(axis=0) + 1.0)
-    right, left = extents
+    right = _tail_extent(np.maximum(right_anchor - peak, 0.0), _SLOPES * a * L, _SPAN) + 1.0
+    left_rate = np.maximum(_SLOPES * n - degree, 0.0) * L
+    left = _tail_extent(np.maximum(peak - left_anchor, 0.0), left_rate, _SPAN) + 1.0
     return peak.astype(np.int64), left, right
 
 

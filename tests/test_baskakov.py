@@ -28,7 +28,8 @@ from pqbaskakov import (
 from pqbaskakov import baskakov, core, quadrature
 from pqbaskakov.core import _log_fact_table
 
-from conftest import CLASSICAL, exact_number, rel_err
+from conftest import CLASSICAL, rel_err
+from exact_images import node, pq_int
 
 RECURRENCE_PAIRS = [PQPair(0.9, 0.8), PQPair(1.0, 0.9)]
 
@@ -136,7 +137,7 @@ class TestRowGrowth:
 def exact_ratio(p, q, n, k, x, degree=0):
     """rho~_k = (b_{n,k+1} / b_{n,k}) ((k+2)/(k+1))^degree in the arithmetic
     of p, q and x, from the printed basis."""
-    binomial_ratio = exact_number(p, q, n + k) / exact_number(p, q, k + 1)
+    binomial_ratio = pq_int(p, q, n + k) / pq_int(p, q, k + 1)
     rho = binomial_ratio * p * q**k * x / (p ** (n + k) + q ** (n + k) * x)
     return rho * Fraction(k + 2, k + 1) ** degree
 
@@ -188,8 +189,8 @@ class TestRowExtents:
         not increase with k."""
         p, q = Fraction(pair.p), Fraction(pair.q)
         r = q / p
-        nn = exact_number(Fraction(1), r, n)  # <n>_r
-        nodes = [exact_number(Fraction(1), 1 / r, k) / nn for k in range(41)]
+        nn = pq_int(Fraction(1), r, n)  # <n>_r
+        nodes = [pq_int(Fraction(1), 1 / r, k) / nn for k in range(41)]
         excess = 1 / nn + 1 - 1 / r
         bounds = [1 / r + max(excess, 0) / (1 + t) for t in nodes]
         for k in range(40):
@@ -206,6 +207,9 @@ class TestRowExtents:
     # nodes that grow like (8/5)^k: sized for weights (k+1)^4, this row
     # leaves out 5.4e-15 of its peak at the nodes
     @example(pair=PQPair(0.8, 0.5), n=1, xs=[60.0], degree=4, max_terms=10000, nodes=True)
+    # a row whose tail bound rounds to a whole K: its 15 terms leave out
+    # 1.8e-122 of its peak
+    @example(pair=PQPair(0.5, 0.001), n=10, xs=[466.5479882234468], degree=4, max_terms=10000, nodes=True)
     @given(
         pair=st.one_of(st.just(CLASSICAL), strict_pairs),
         n=st.integers(1, 200),
@@ -398,12 +402,6 @@ class TestNodes:
                 )
                 assert rel_err(baskakov_node(strict_pair, n, k), want) < 1e-12
 
-    @staticmethod
-    def exact_node(p, q, n, k):
-        """p^{n-1} [k] / (q^{k-1} [n]) of the floats' exact binary values."""
-        p, q = Fraction(p), Fraction(q)
-        return p ** (n - 1) * (p**k - q**k) / (q ** (k - 1) * (p**n - q**n))
-
     @pytest.mark.parametrize("k", [1, 2, 5, 50])
     def test_near_p_equals_q_example(self, k):
         # (p/q)^k - 1 cancels near p = q: at q/p = 1 - 1.1e-11 each of these
@@ -411,7 +409,7 @@ class TestNodes:
         p, n = 0.9, 10
         q = p * (1.0 - 1.1e-11)
         got = Fraction(baskakov_node(PQPair(p, q), n, k))
-        assert abs(got / self.exact_node(p, q, n, k) - 1) < 1e-15
+        assert abs(got / node(Fraction(p), Fraction(q), n, k) - 1) < 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -424,7 +422,7 @@ class TestNodes:
         q = p * (1.0 - gap)
         assume(q < p)
         got = Fraction(baskakov_node(PQPair(p, q), n, k))
-        assert abs(got / self.exact_node(p, q, n, k) - 1) < 2e-15
+        assert abs(got / node(Fraction(p), Fraction(q), n, k) - 1) < 2e-15
 
 
 class TestOperator:

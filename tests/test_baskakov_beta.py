@@ -30,7 +30,8 @@ from pqbaskakov import (
 from pqbaskakov import analysis, baskakov, core, quadrature
 from pqbaskakov.core import _log_fact_table
 
-from conftest import CLASSICAL, exact_number, exact_numbers, fraction_moment, rel_err
+from conftest import CLASSICAL, exact_numbers, fraction_moment, rel_err
+from exact_images import beta_ratio, node, pq_int
 
 E = {m: FunctionSpec.named(f"e{m}") for m in (0, 1, 2)}
 
@@ -422,26 +423,6 @@ class TestQuadratureRoute:
             assert rel_err(got.value, float(want)) < 5e-12
 
 
-def exact_beta_factors(pair, n, m, k_count):
-    """q^{2m} p^{m(n+k)} B(k+m+1, n-m) / B(k+1, n) for k < k_count, of the
-    pair's exact binary values, with B(a, b) = q^{1-a(a-1)/2} p^{-a(a+1)/2}
-    [a-1]! [b-1]! / [a+b-1]!: the two [n+k]! cancel, and of the other
-    factorials only m factors [j] each are left."""
-    p, q = Fraction(pair.p), Fraction(pair.q)
-
-    def numbers(lo, hi):  # [lo] [lo+1] ... [hi-1]
-        return math.prod((p**j - q**j) / (p - q) for j in range(lo, hi))
-
-    def prefactor(a):
-        return q ** (1 - a * (a - 1) // 2) / p ** (a * (a + 1) // 2)
-
-    return [
-        q ** (2 * m) * p ** (m * (n + k)) * prefactor(k + m + 1) / prefactor(k + 1)
-        * numbers(k + 1, k + m + 1) / numbers(n - m, n)
-        for k in range(k_count)
-    ]
-
-
 class TestLadderBetaIdentity:
     """For f = t^m the ladder ratio of row k is the exact Beta factor of the
     analytic route times p^{m(n+k)}: an oracle for the quadrature route at
@@ -462,8 +443,9 @@ class TestLadderBetaIdentity:
         k = np.arange(self.ROWS)
         assert (edges < 1e-15 * ratios).all()
         assert np.max(np.abs(ratios / (factors * pair.p ** (m * (n + k))) - 1.0)) < 1e-13
-        for factor, want in zip(factors.tolist(), exact_beta_factors(pair, n, m, self.ROWS)):
-            assert abs(Fraction(factor) / want - 1) < 1e-13
+        p, q = Fraction(pair.p), Fraction(pair.q)
+        for k, factor in enumerate(factors.tolist()):
+            assert abs(Fraction(factor) / beta_ratio(p, q, n, k, m) - 1) < 1e-13
 
 
 def one_degree_log_factors(pair, n, m, k_count):
@@ -628,12 +610,11 @@ class TestClosedMomentsExact:
         assert nodes[0] == 0.0
         with exact_numbers(n) as exact:
             p, q = exact(pair.p), exact(pair.q)
-            nn = exact_number(p, q, n)
-            for k, node in zip((1, 2, 5, 20, 50), nodes[1:]):
-                want = p ** (n - 1) * exact_number(p, q, k) / (q ** (k - 1) * nn)
-                assert abs(exact(node) / want - 1) < 1e-15, (k, node)
+            for k, value in zip((1, 2, 5, 20, 50), nodes[1:]):
+                assert abs(exact(value) / node(p, q, n, k) - 1) < 1e-15, (k, value)
+            nn = pq_int(p, q, n)
             for x, value in zip(map(exact, xs[1:]), second[1:]):
-                want = (exact_number(p, q, n + 1) * x * x + p ** (n - 1) * q * x) / (q * nn)
+                want = (pq_int(p, q, n + 1) * x * x + p ** (n - 1) * q * x) / (q * nn)
                 assert abs(exact(value) / want - 1) < 1e-15, (float(x), value)
         assert second[0] == 0.0
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqbaskakov import (
@@ -158,8 +158,8 @@ class TestNumbers:
         if p == q:
             assert core._normalised_number(p, q, js) == js
             return
-        rate, ratio = core._log_ratio(p, q), (q - p) / p
-        want = [math.expm1(j * rate) / ratio for j in js]
+        rate = core._log_ratio(p, q)
+        want = [math.expm1(j * rate) / math.expm1(rate) for j in js]
         got = [core._normalised_number(p, q, j) for j in js]
         assert all(type(v) is float for v in got)
         assert repr(got) == repr(want)
@@ -167,15 +167,25 @@ class TestNumbers:
         # the array form, as the plain operator's nodes take it at 1/r too,
         # where (1/r)^j overflows to inf under the caller's np.errstate
         for a, b in ((p, q), (q, p)):
-            rate, ratio = core._log_ratio(a, b), (b - a) / a
+            rate = core._log_ratio(a, b)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with np.errstate(over="ignore"):
                     got = core._normalised_number(a, b, np.array(js))
-                    want = np.expm1(np.array(js) * rate) / ratio
+                    want = np.expm1(np.array(js) * rate) / math.expm1(rate)
             assert got.tobytes() == want.tobytes()
             overflows = np.array(js) * rate > math.log(np.finfo(float).max)
             assert np.isinf(got[overflows]).all() and np.isfinite(got[~overflows]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(lambda p, r: PQPair(p, p * r), st.floats(1e-3, 1.0), st.floats(1e-12, 1.0, exclude_max=True)))
+    @example(PQPair(0.8645471331263878, 0.4681191420938553))
+    def test_the_first_number_is_exactly_one(self, pair):
+        # <1> = expm1(log r) / d is exactly 1 only when d is expm1(log r)
+        # itself: d = (q - p)/p leaves it one ulp below 1 at the example
+        assume(pair.is_strict)
+        assert pq_number(pair, 1) == 1.0
+        assert core.log_pq_number(pair, 1) == 0.0
 
     def test_classical_limit_along_q_equals_p_squared(self):
         n = 7
@@ -279,22 +289,36 @@ class TestLogFactCache:
         ids=str,
     )
     def test_each_log_number_is_the_scalar_math_expression(self, pair):
-        """The vectorized terms are bitwise the one-j-at-a-time expressions in
-        math: (j-1) log p + log j at p = q, and otherwise
-        (j-1) log p + log1p(-r^j) - log1p(-r) with r = q/p."""
+        """The vectorized terms are bitwise the one-j-at-a-time expression in
+        math, (j-1) log p + log <j>, with <j> from ``_normalised_number``."""
         p, q = pair.p, pair.q
         lp = math.log(p)
 
         def scalar(j):
-            if p == q:
-                return math.log(j) + (j - 1) * lp
-            r = q / p
-            return (j - 1) * lp + math.log1p(-(r**j)) - math.log1p(-r)
+            return (j - 1) * lp + math.log(core._normalised_number(p, q, j))
 
         for js in (range(1, 2), range(1, 700), range(64, 129), range(5, 5)):
             assert core._log_pq_terms(pair, js).tolist() == [scalar(j) for j in js]
         for j in (1, 2, 65, 5000):
             assert core.log_pq_number(pair, j) == scalar(j)
+
+    @pytest.mark.parametrize(
+        "pair", [PQPair(1.0, n / (n + 1)) for n in (10, 100, 1000, 10_000)] + [PQPair(0.999, 0.99)], ids=str
+    )
+    def test_each_log_number_is_within_2e_15_of_the_exact_one(self, pair):
+        # worst seen 6.5e-16 (n = 10^4, near r = 1) and 9.9e-16 at
+        # (0.999, 0.99).  At (0.9, 0.8) the rounding of (j-1) log p alone is
+        # 4.7e-14 by j = 3,000, so that pair is not taken
+        mp = pytest.importorskip("mpmath")
+        got = core._log_pq_terms(pair, range(1, 3001)).tolist()
+        with mp.workdps(50):
+            p, q = mp.mpf(pair.p), mp.mpf(pair.q)
+            number, q_power, worst = mp.mpf(1), mp.mpf(1), 0.0
+            for value in got:
+                worst = max(worst, abs(float(mp.log(number) - value)))
+                q_power *= q
+                number = p * number + q_power  # [j+1] = p [j] + q^j
+        assert worst <= 2e-15
 
 
 class TestBinomial:

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from pqbaskakov import FunctionSpec, PQPair, ParameterSchedule, baskakov, baskakov_apply, baskakov_beta_apply
 
-from conftest import exact_number, fraction_moment
+from conftest import fraction_moment
 from exact_images import (
     as_fractions,
     combined_image,
     image_error,
     plain_taylor_image,
+    pq_int,
     recurrence_images,
     taylor_image,
     within_bound,
@@ -111,8 +112,8 @@ def test_the_plain_taylor_sum_is_the_plain_operator(family, n):
     p, q = exact_pair(FAMILIES[family](n))
     images = [plain_taylor_image(p, q, n, m) for m in range(5)]
     assert images[:2] == [[1], [0, 1]]
-    nn = exact_number(p, q, n)
-    assert images[2] == [0, p ** (n - 1) / nn, exact_number(p, q, n + 1) / (q * nn)]
+    nn = pq_int(p, q, n)
+    assert images[2] == [0, p ** (n - 1) / nn, pq_int(p, q, n + 1) / (q * nn)]
     if p == q:
         return
     for m in range(4):
