@@ -29,7 +29,7 @@ from .core import (
     TruncationPolicy,
     _check_nonneg_int,
 )
-from .baskakov import _cell_table, baskakov_beta_apply, central_moment
+from .baskakov import _cell_table, _moment_columns, baskakov_beta_apply, central_moment
 from .functions import FunctionSpec, as_callable
 
 __all__ = [
@@ -266,24 +266,29 @@ def interval_rate_bound(
 
         L mu2(x) + (1 + 1/sqrt(L)) omega(f, sqrt(L mu2(x)))
 
-    and the maximum over x is returned.  The moduli arguments both use
-    delta = sqrt(L mu2(x)), the choice that closes the underlying proof.
+    and the maximum over x is returned, or NaN when mu2 is not finite on the
+    whole window.  The moduli arguments both use delta = sqrt(L mu2(x)),
+    the choice that closes the underlying proof.
     """
     L = _rate_constant(f, kappa, grid)
     mu2 = central_moment(pair, 2, n, _rate_window(grid.array(), kappa))  # refuses n <= 2
-    return _rate_bounds(f, L, grid, [mu2])[0]
+    return float(_rate_bounds(f, L, grid, mu2[None])[0])
 
 
-def _rate_bounds(f: FunctionSpec, L: float, grid: EvalGrid, mu2s: Sequence[np.ndarray]) -> list[float]:
+def _rate_bounds(f: FunctionSpec, L: float, grid: EvalGrid, mu2: np.ndarray) -> np.ndarray:
     """The bound of ``interval_rate_bound``, with rate constant L, for each
-    order's mu2 on the window (``_rate_window``).  f's grid values and one
-    modulus table, built to the largest step count any order needs, serve
-    every order: an entry of the table does not depend on how far it goes."""
+    row of mu2, an (orders, window) block of each order's mu2 on the window
+    (``_rate_window``).  f's grid values and one modulus table, built to the
+    largest step count any order needs, serve every order: an entry of the
+    table does not depend on how far it goes.  An order whose mu2 is not
+    finite on the whole window (at a subnormal q) gets a NaN bound."""
     values = np.asarray(as_callable(f)(grid.array()), dtype=float)
-    steps = [_max_steps(np.sqrt(L * mu2), grid.spacing, len(values)) for mu2 in mu2s]
-    omega = _moduli(values, max((int(s.max()) for s in steps), default=0), order=1)
-    scale = 1.0 + 1.0 / math.sqrt(L)
-    return [float(np.max(L * mu2 + scale * omega[s], initial=0.0)) for mu2, s in zip(mu2s, steps)]
+    finite = np.isfinite(mu2).all(axis=1)
+    mu2 = np.where(finite[:, None], mu2, 0.0)  # a NaN has no step count
+    steps = _max_steps(np.sqrt(L * mu2), grid.spacing, len(values))
+    omega = _moduli(values, int(steps.max(initial=0)), order=1)
+    bounds = np.max(L * mu2 + (1.0 + 1.0 / math.sqrt(L)) * omega[steps], axis=1, initial=0.0)
+    return np.where(finite, bounds, math.nan)
 
 
 def _grid_errors(
@@ -353,7 +358,8 @@ def convergence_run(
     fields but is marked ok=False too.  The output order follows n_list.  A
     row whose n is not a whole number fails and keeps that n as given.
     """
-    rows: list[ConvergenceRow] = []
+    rows: list[list] = []  # each row's fields, in the order of ConvergenceRow's
+    orders = {}  # row position -> (pair, n) of each row with values
     xs = grid.array()
     fv = np.asarray(as_callable(f)(xs), dtype=float)
     for n in n_list:
@@ -364,20 +370,15 @@ def convergence_run(
             if order <= 2:
                 raise DomainError(f"convergence rows need n > 2, got n={order}")
             err, weighted, ok = _grid_errors(pair, order, f, xs, fv, policy)
-            rows.append(
-                ConvergenceRow(
-                    n=order,
-                    p_n=pair.p,
-                    q_n=pair.q,
-                    sup_error=float(err.max()),
-                    weighted_error=float(weighted.max()),
-                    mu2_max=float(central_moment(pair, 2, order, xs).max()),
-                    ok=ok,
-                )
-            )
+            orders[len(rows)] = (pair, order)
+            rows.append([order, pair.p, pair.q, float(err.max()), float(weighted.max()), math.nan, ok])
         except (DomainError, RegimeError) as exc:
             logger.warning("convergence row n=%s failed: %s", n, exc)
             nan = float("nan")
             p_n, q_n = (nan, nan) if pair is None else (pair.p, pair.q)
-            rows.append(ConvergenceRow(n, p_n, q_n, nan, nan, nan, ok=False))
-    return rows
+            rows.append([n, p_n, q_n, nan, nan, nan, False])
+    # every row with values takes its mu2_max (field 5) from one block
+    mu2 = _moment_columns(list(orders.values()), xs, (3,))[0]
+    for i, mu2_max in zip(orders, mu2.max(axis=1).tolist()):
+        rows[i][5] = mu2_max
+    return [ConvergenceRow(*fields) for fields in rows]

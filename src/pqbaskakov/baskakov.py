@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -707,18 +707,30 @@ def _moment_numerators(pair: PQPair, n: int) -> tuple[tuple[tuple, float], ...]:
 
 
 def _moment_columns(
-    pair: PQPair, n: int, x: float | np.ndarray, columns: tuple[int, ...] = (0, 1, 2, 3)
-) -> list:
-    """The closed columns of D_n at x (a float, or a float array of any shape)
-    from one ``_moment_numerators`` pass, by index: 0 M1, 1 M2, 2 mu1, 3 mu2,
-    each numerator by Horner's rule and divided once.  n is a whole order; M1
-    needs n > 1 and the other columns n > 2.  A value that overflows (at an
-    extreme pair or x) is inf or NaN, without a warning."""
-    if n <= (1 if columns == (0,) else 2):
-        raise DomainError(f"M1 needs n > 1, and M2, mu1 and mu2 need n > 2; got n = {n}")
-    numerators = _moment_numerators(pair, n)
+    orders: Sequence[tuple[PQPair, int]], x: np.ndarray, columns: tuple[int, ...] = (0, 1, 2, 3)
+) -> list[np.ndarray]:
+    """The closed columns of D_n at the points x (a float array of any shape,
+    0-d for one point) for each order (pair, n) of orders, by index: 0 M1,
+    1 M2, 2 mu1, 3 mu2, each of shape (len(orders), *x.shape).  Each order's
+    numerators come from one ``_moment_numerators`` pass, and a column is one
+    Horner pass over the whole block and one division, so each element is
+    bitwise its order's value alone.  Each n is a whole order; M1 needs n > 1
+    and the other columns n > 2.  A value that overflows (at an extreme pair
+    or x) is inf or NaN, without a warning."""
+    for _, n in orders:
+        if n <= (1 if columns == (0,) else 2):
+            raise DomainError(f"M1 needs n > 1, and M2, mu1 and mu2 need n > 2; got n = {n}")
+    if not orders:
+        return [np.empty((0, *x.shape))] * len(columns)
+    numerators = [_moment_numerators(pair, n) for pair, n in orders]
+    values = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return [_horner(numerators[c][0], x) / numerators[c][1] for c in columns]
+        for c in columns:
+            # one row per order: its coefficients, lowest power first, then its denominator
+            block = np.array([[*numerator[c][0], numerator[c][1]] for numerator in numerators], dtype=float)
+            *coefficients, denominator = block.T.reshape(-1, len(orders), *(1,) * x.ndim)
+            values.append(_horner(coefficients, x) / denominator)
+    return values
 
 
 def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -735,7 +747,8 @@ def moments_closed(pair: PQPair, m: int, n: int, x: float | np.ndarray) -> float
     n, xs = _check_point(n, x, None)
     if m == 0:
         return np.ones(xs.shape) if xs.ndim else 1.0
-    return _moment_columns(pair, n, xs if xs.ndim else float(xs), (m - 1,))[0]
+    values = _moment_columns([(pair, n)], xs, (m - 1,))[0][0]
+    return values if xs.ndim else float(values)
 
 
 def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -745,4 +758,5 @@ def central_moment(pair: PQPair, order: int, n: int, x: float | np.ndarray) -> f
     if order not in (1, 2):
         raise DomainError(f"central moments exist for order in {{1,2}}, got {order}")
     n, xs = _check_point(n, x, None)
-    return _moment_columns(pair, n, xs if xs.ndim else float(xs), (order + 1,))[0]
+    values = _moment_columns([(pair, n)], xs, (order + 1,))[0][0]
+    return values if xs.ndim else float(values)

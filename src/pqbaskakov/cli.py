@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -34,8 +35,8 @@ from .baskakov import (
     _cell_table,
     _moment_columns,
     baskakov_beta_apply,
-    central_moment,
-    moments_closed,
+    central_moment,  # not called here; bench/layers.py traces it in this namespace
+    moments_closed,  # not called here; bench/layers.py traces it in this namespace
 )
 from .core import DEFAULT_POLICY, DomainError, PQPair, RegimeError, TruncationPolicy
 from .functions import FunctionSpec
@@ -293,17 +294,27 @@ def _curves(config: ExperimentConfig, out: Path) -> bool:
     return _write_csv(out / "curves.csv", header, columns)
 
 
+def _second_moment_orders(config: ExperimentConfig) -> dict[int, tuple[PQPair, int]]:
+    """Position in n_list -> (pair, n) of each order with second moments (its
+    pair exists and n > 2).  The moments and the bound report evaluate these
+    orders as one block and write every other order as NA."""
+    orders = {}
+    for i, n in enumerate(config.n_list):
+        with suppress(DomainError, RegimeError):
+            orders[i] = (config.schedule.pair_at(n), n)
+    return {i: order for i, order in orders.items() if order[1] > 2}
+
+
 def _moments(config: ExperimentConfig, out: Path) -> bool:
-    xs = config.grid.array()
-    labels, blocks = [], []  # rows are n-major: n as text, and per n M0, M1, M2, mu1, mu2
-    for n in config.n_list:
+    xs, n_list = config.grid.array(), config.n_list
+    orders = _second_moment_orders(config)
+    values = np.full((5, len(n_list), xs.size), math.nan)  # M0, M1, M2, mu1, mu2 per n and x
+    values[0, list(orders)] = 1.0
+    values[1:, list(orders)] = _moment_columns(list(orders.values()), xs)
+    labels = []  # rows are n-major: n as text, and per n M0, M1, M2, mu1, mu2
+    for n in n_list:
         labels += [str(n)] * xs.size
-        try:
-            pair = config.schedule.pair_at(n)
-            blocks.append([moments_closed(pair, 0, n, xs), *_moment_columns(pair, n, xs)])
-        except (DomainError, RegimeError):  # an order without moments is a block of NA
-            blocks.append([np.full(xs.size, math.nan)] * 5)
-    columns = [labels, np.tile(xs, len(config.n_list)), *map(np.concatenate, zip(*blocks))]
+    columns = [labels, np.tile(xs, len(n_list)), *values.reshape(5, -1)]
     return _write_csv(out / "moments.csv", ["n", "x", "M0", "M1", "M2", "mu1", "mu2"], columns)
 
 
@@ -318,22 +329,14 @@ def _convergence(config: ExperimentConfig, out: Path) -> bool:
 
 
 def _bound_report(config: ExperimentConfig, out: Path) -> bool:
-    f, kappa, grid = config.function, config.kappa, config.grid
+    f, kappa, grid, n_list = config.function, config.kappa, config.grid, config.n_list
     L = _rate_constant(f, kappa, grid)
-    window = _rate_window(grid.array(), kappa)
-    mu2s, partial = {}, False  # n -> mu2 on the window, for every order that has one
-    for n in config.n_list:
-        try:
-            mu2s[n] = central_moment(config.schedule.pair_at(n), 2, n, window)
-        except (DomainError, RegimeError):  # written as an NA row
-            partial = True
-    bounds = dict(zip(mu2s, _rate_bounds(f, L, grid, list(mu2s.values()))))
-    rows = [
-        (str(n), kappa, L, mu2s[n].max() if n in mu2s else math.nan, bounds.get(n, math.nan))
-        for n in config.n_list
-    ]
-    _write_csv(out / "bound_report.csv", ["n", "kappa", "L", "mu2_max", "rate_bound"], zip(*rows))
-    return partial
+    orders = _second_moment_orders(config)
+    mu2 = _moment_columns(list(orders.values()), _rate_window(grid.array(), kappa), (3,))[0]
+    values = np.full((2, len(n_list)), math.nan)  # mu2_max and rate_bound per n
+    values[:, list(orders)] = mu2.max(axis=1), _rate_bounds(f, L, grid, mu2)
+    columns = [[str(n) for n in n_list], [kappa] * len(n_list), [L] * len(n_list), *values]
+    return _write_csv(out / "bound_report.csv", ["n", "kappa", "L", "mu2_max", "rate_bound"], columns)
 
 
 _PLOT_SCRIPT = """\

@@ -23,6 +23,8 @@ from pqbaskakov import (
     second_modulus,
     weighted_sup_error,
 )
+from pqbaskakov import analysis, baskakov
+from pqbaskakov.functions import _horner
 
 from conftest import CLASSICAL, STRICT_PAIRS, fraction_moment, rel_err
 
@@ -204,6 +206,16 @@ class TestIntervalRateBound:
     def test_refuses_inputs_outside_the_theorem(self, f, kappa, grid):
         with pytest.raises(DomainError):
             interval_rate_bound(PQPair(0.9, 0.8), 6, f, kappa, grid)
+
+    @pytest.mark.parametrize("q", [1e-310, 4.9e-324])
+    @pytest.mark.parametrize("grid", [EvalGrid(0.0, 5.0, 11), EvalGrid(0.0, 3.0, 2)], ids=["0-5x11", "0-3x2"])
+    def test_a_subnormal_q_gives_a_nan_bound(self, q, grid):
+        # mu2's x^2 coefficient overflows, so Horner's rule gives inf * 0 =
+        # NaN at x = 0: no step count can be read from it, and the bound is
+        # NaN, without an exception or a warning
+        f = FunctionSpec.polynomial([7.0, -2.0, 25.0])
+        assert math.isnan(central_moment(PQPair(0.9, q), 2, 10, 0.0))
+        assert math.isnan(interval_rate_bound(PQPair(0.9, q), 10, f, 2.0, grid))
 
 
 class TestWeightedSupError:
@@ -565,3 +577,73 @@ class TestWholeGridEvaluation:
         assert interval_rate_bound(pair, n, f, kappa, grid) == _reference_rate_bound(
             pair, n, f, kappa, grid
         )
+
+
+def same_bits(got, want) -> bool:
+    """Equal bit for bit, with NaN counted equal to NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(got)
+    return (
+        got.shape == want.shape
+        and np.array_equal(nan, np.isnan(want))
+        and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    )
+
+
+# one order (pair, n) of a block, n from 3 to 10^6: a strict pair (drawn, or
+# an extreme one whose x^2 terms overflow), a pair on the line p == q, or the
+# pair of a q_ratio or harmonic_decay schedule at n
+ORDERS_N = st.integers(3, 10**6)
+block_order = st.one_of(
+    st.tuples(
+        st.sampled_from(STRICT_PAIRS + [PQPair(0.9, 1e-300), PQPair(0.9, 1e-310), PQPair(1.0, 5e-324)]),
+        ORDERS_N,
+    ),
+    st.tuples(st.floats(0.5, 1.0), st.floats(1e-6, 0.999), ORDERS_N).map(
+        lambda drawn: (PQPair(drawn[0], drawn[0] * drawn[1]), drawn[2])
+    ),
+    st.tuples(st.sampled_from([PQPair(0.5, 0.5), CLASSICAL]), ORDERS_N),
+    ORDERS_N.map(lambda n: (ParameterSchedule.q_ratio().pair_at(n), n)),
+    ORDERS_N.map(lambda n: (ParameterSchedule.harmonic_decay(0.5, 1.5).pair_at(n), n)),
+)
+
+
+class TestBlocksOfOrders:
+    """The closed moments and the rate bound of many orders at once: each
+    row of a block is bitwise its order alone (NaN equal to NaN)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        orders=st.lists(block_order, min_size=1, max_size=6),
+        xs=st.lists(st.floats(0.0, 1e300), max_size=8),
+    )
+    def test_each_row_of_the_moment_block_is_its_order_alone(self, orders, xs):
+        grid = np.array([0.0, 1e300, *xs])
+        block = baskakov._moment_columns(orders, grid)
+        assert [column.shape for column in block] == [(len(orders), grid.size)] * 4
+        for i, (pair, n) in enumerate(orders):
+            alone = [moments_closed(pair, 1, n, grid), moments_closed(pair, 2, n, grid),
+                     central_moment(pair, 1, n, grid), central_moment(pair, 2, n, grid)]
+            numerators = baskakov._moment_numerators(pair, n)
+            for column, want, (coefficients, denominator) in zip(block, alone, numerators):
+                assert same_bits(column[i], want)
+                # a point alone: Horner's rule in Python floats
+                assert same_bits(column[i], [_horner(coefficients, x) / denominator for x in grid.tolist()])
+            assert same_bits(block[3][i, 0], central_moment(pair, 2, n, 0.0))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        orders=st.lists(block_order, min_size=1, max_size=6),
+        f=st.sampled_from([E2, KINK, FIG1]),
+        points=st.integers(2, 60),
+    )
+    def test_each_rate_bound_of_a_block_is_its_order_alone(self, orders, f, points):
+        grid, kappa = EvalGrid(0.0, 3.0, points), 2.0
+        L = analysis._rate_constant(f, kappa, grid)
+        mu2 = baskakov._moment_columns(orders, analysis._rate_window(grid.array(), kappa), (3,))[0]
+        bounds = analysis._rate_bounds(f, L, grid, mu2)
+        assert bounds.shape == (len(orders),)
+        for i, (pair, n) in enumerate(orders):
+            assert same_bits(bounds[i], analysis._rate_bounds(f, L, grid, mu2[i:i + 1])[0])
+            assert same_bits(bounds[i], interval_rate_bound(pair, n, f, kappa, grid))
+            assert math.isnan(bounds[i]) == (not np.isfinite(mu2[i]).all())

@@ -333,6 +333,23 @@ path = out
         assert lines[1] == "2,2.0,210.0,NA,NA"
         assert lines[2].startswith("10,2.0,210.0,") and "NA" not in lines[2]
 
+    @pytest.mark.parametrize("q", ["1e-310", "4.9e-324"])
+    @pytest.mark.parametrize("stop, points", [(5, 11), (3, 2)], ids=["0-5x11", "0-3x2"])
+    def test_a_subnormal_q_writes_na_rate_bounds(self, q, stop, points, tmp_path, capsys):
+        # mu2 is NaN at x = 0 there (its x^2 coefficient overflows), which
+        # gave no step count: every bound is NA, exit 2, and nothing on stderr
+        path = tmp_path / "subnormal.cfg"
+        path.write_text(
+            f"[pair]\np = 0.9\nq = {q}\n\n[function]\ncoefficients = 7, -2, 25\n\n"
+            "[run]\nn_list = 10, 20\noutputs = bound-report, moments, convergence\n\n"
+            f"[grid]\nstart = 0\nstop = {stop}\npoints = {points}\n"
+        )
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "out" / "bound_report.csv")
+        assert [row["n"] for row in rows] == ["10", "20"]
+        assert {row["rate_bound"] for row in rows} == {"NA"}
+
     def test_a_curves_order_that_raises_is_an_na_column(self, tmp_path):
         # e3 grows faster than n = 3 allows, so every cell of D_n=3 raises
         path = tmp_path / "e3.cfg"
@@ -1027,3 +1044,20 @@ class TestWorkOncePerRun:
         config = _code_config(ParameterSchedule.q_ratio(), self.N_LIST, ("bound-report",))
         assert run_experiment(config, tmp_path) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("output", ["moments", "bound-report", "convergence"])
+    def test_the_closed_moments_make_one_horner_pass_per_column(self, output, monkeypatch, tmp_path):
+        # the closed moments of all the orders are one block: Horner's rule
+        # runs once per column the output writes, however many orders it has
+        # (a target that is not a polynomial, so no D_n cell takes the rule)
+        calls = self.counting(monkeypatch, baskakov, "_horner")
+        counts = []
+        for n_list in (self.N_LIST[:1], self.N_LIST):
+            config = dataclasses.replace(
+                _code_config(ParameterSchedule.q_ratio(), n_list, (output,)),
+                function=FunctionSpec.named("abs_t_minus_1"), grid=EvalGrid(0.0, 3.0, 7),
+            )
+            calls.clear()
+            assert run_experiment(config, tmp_path) == 0
+            counts.append(len(calls))
+        assert counts == [{"moments": 4, "bound-report": 1, "convergence": 1}[output]] * 2
